@@ -25,9 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
 from ..checkers import default_checkers
+from ..digraph import descendants, reachability, topological_generations
 from ..fs import FsOp
 from ..shell import parse
 from ..shell.ast import Command, Sequence as SeqNode, SimpleCommand, walk
@@ -78,30 +77,28 @@ class DependencyGraph:
         #: graph stays sound but over-ordered (a partial schedule)
         self.degraded = degraded
         self.degraded_reason = degraded_reason
-        self.graph = nx.DiGraph()
-        for effect in effects:
-            self.graph.add_node(effect.index, source=effect.source)
+        #: command index -> indices of the commands that must follow it
+        self.successors: Dict[int, Set[int]] = {e.index: set() for e in effects}
         for dep in deps:
-            self.graph.add_edge(dep.src, dep.dst)
+            self.successors[dep.src].add(dep.dst)
 
     def independent_pairs(self) -> List[Tuple[int, int]]:
         """Command pairs with no ordering requirement (reorderable)."""
         pairs = []
         n = len(self.effects)
-        closure = nx.transitive_closure(self.graph)
+        closure = reachability(self.successors)
         for i in range(n):
             for j in range(i + 1, n):
-                if not closure.has_edge(i, j) and not closure.has_edge(j, i):
+                if j not in closure[i] and i not in closure[j]:
                     pairs.append((i, j))
         return pairs
 
     def stages(self) -> List[List[int]]:
         """Parallel schedule: topological generations."""
-        return [sorted(gen) for gen in nx.topological_generations(self.graph)]
+        return [sorted(gen) for gen in topological_generations(self.successors)]
 
     def must_precede(self, i: int, j: int) -> bool:
-        closure = nx.transitive_closure(self.graph)
-        return closure.has_edge(i, j)
+        return j in descendants(self.successors, i)
 
     def render(self) -> str:
         lines = []
@@ -351,11 +348,12 @@ def _derive_dependencies(effects: List[CommandEffects]) -> List[Dependency]:
     for j, later in enumerate(effects):
         for i in range(j):
             earlier = effects[i]
-            for node in earlier.writes & later.reads:
+            # sorted: the first `via` node must not depend on set order
+            for node in sorted(earlier.writes & later.reads):
                 add(i, j, "flow", f"node {node}")
-            for node in earlier.reads & later.writes:
+            for node in sorted(earlier.reads & later.writes):
                 add(i, j, "anti", f"node {node}")
-            for node in earlier.writes & later.writes:
+            for node in sorted(earlier.writes & later.writes):
                 add(i, j, "output", f"node {node}")
             for name in earlier.var_defs & later.var_uses:
                 add(i, j, "var", f"${name}")

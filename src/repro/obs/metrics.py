@@ -19,6 +19,14 @@ RESERVOIR_SIZE = 512
 _RESERVOIR_SEED = 0x5EED
 
 
+def _mix(value: int) -> int:
+    """SplitMix64's finaliser: a fixed, well-spread hash of an integer."""
+    value = (value + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    return value ^ (value >> 31)
+
+
 @dataclass
 class Histogram:
     """Streaming summary of an observed distribution.
@@ -77,9 +85,16 @@ class Histogram:
         return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
 
     def merge(self, other: "Histogram") -> None:
-        """Fold ``other`` in, preserving reservoir samples.  When the
-        combined reservoirs overflow the cap, a deterministic stride
-        subsample keeps a cross-section of both sides."""
+        """Fold ``other`` in, preserving reservoir samples.
+
+        ``other``'s samples fill the free slots first.  The rest continue
+        algorithm R as if observed after ``self``'s values: each stands
+        for ``w = other.count / len(other.samples)`` observations, so it
+        gets ``w`` times the chance of a slot, and the slot is drawn by a
+        fixed hash of its observation number.  The fold is deterministic,
+        costs O(len(other.samples)) and keeps a cross-section of both
+        sides."""
+        before = self.count
         self.count += other.count
         self.total += other.total
         for bound in (other.minimum, other.maximum):
@@ -89,14 +104,18 @@ class Histogram:
                 self.minimum = bound
             if self.maximum is None or bound > self.maximum:
                 self.maximum = bound
-        combined = self.samples + list(other.samples)
-        if len(combined) > RESERVOIR_SIZE:
-            stride = len(combined) / RESERVOIR_SIZE
-            combined = [
-                combined[min(int(i * stride), len(combined) - 1)]
-                for i in range(RESERVOIR_SIZE)
-            ]
-        self.samples = combined
+        incoming = other.samples
+        room = max(0, RESERVOIR_SIZE - len(self.samples))
+        self.samples.extend(incoming[:room])
+        if len(incoming) <= room:
+            return
+        weight = other.count / len(incoming)
+        threshold = RESERVOIR_SIZE * weight
+        for idx in range(room, len(incoming)):
+            number = before + max(1, int((idx + 1) * weight))
+            draw = _mix(number) % number
+            if draw < threshold:
+                self.samples[draw % RESERVOIR_SIZE] = incoming[idx]
 
     def copy(self) -> "Histogram":
         return Histogram(

@@ -190,15 +190,22 @@ def partition(sets: Sequence[CharSet]) -> List[CharSet]:
     out of a DFA state only need to be considered per atom.
     """
     boundaries = set()
+    covered: List[Interval] = []
     for cs in sets:
         for lo, hi in cs.intervals:
             boundaries.add(lo)
             boundaries.add(hi + 1)
+        covered.extend(cs.intervals)
+    union = _normalise(covered)
     marks = sorted(boundaries)
+    # Each elementary interval lies wholly inside or outside every input
+    # set, so one sweep over the merged union decides it by its start.
     atoms: List[CharSet] = []
+    cursor = 0
     for idx in range(len(marks) - 1):
-        lo, hi = marks[idx], marks[idx + 1] - 1
-        atom = CharSet([(lo, hi)])
-        if any(atom.overlaps(cs) for cs in sets):
-            atoms.append(atom)
+        lo = marks[idx]
+        while union[cursor][1] < lo:
+            cursor += 1
+        if union[cursor][0] <= lo:
+            atoms.append(CharSet([(lo, marks[idx + 1] - 1)]))
     return atoms

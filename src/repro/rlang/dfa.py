@@ -9,8 +9,9 @@ matter of flipping accepting states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..obs import get_recorder
 from .charclass import CharSet, partition
@@ -37,10 +38,21 @@ class DFA:
         return len(self.delta)
 
     def atom_index(self, char: str) -> int:
-        for idx, atom in enumerate(self.atoms):
-            if char in atom:
-                return idx
-        return len(self.atoms)
+        """Binary search over the atoms, which are sorted, disjoint single
+        intervals (every constructor takes them from :func:`partition`)."""
+        code = ord(char)
+        atoms = self.atoms
+        lo, hi = 0, len(atoms)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            first, last = atoms[mid].intervals[0]
+            if code < first:
+                hi = mid
+            elif code > last:
+                lo = mid + 1
+            else:
+                return mid
+        return len(atoms)
 
     def step(self, state: int, char: str) -> int:
         return self.delta[state][self.atom_index(char)]
@@ -77,7 +89,20 @@ class DFA:
         return reachable & coreachable
 
     def is_empty(self) -> bool:
-        return not self.live_states()
+        """No accepting state is reachable from ``start``."""
+        accepting = self.accepting
+        if self.start in accepting:
+            return False
+        seen = {self.start}
+        stack = [self.start]
+        while stack:
+            for target in self.delta[stack.pop()]:
+                if target not in seen:
+                    if target in accepting:
+                        return False
+                    seen.add(target)
+                    stack.append(target)
+        return True
 
     def is_finite(self) -> bool:
         """True when the accepted language is finite (no live cycle)."""
@@ -170,6 +195,26 @@ class DFA:
         return results
 
 
+def _atom_runs(
+    nfa: NFA, atoms: List[CharSet]
+) -> Dict[int, List[Tuple[int, int, int]]]:
+    """Per NFA state, its edges as ``(first, stop, dst)`` runs of atom
+    indices.  The atoms are sorted disjoint intervals refining every edge
+    label, so each edge interval covers the contiguous run of atoms whose
+    start lies inside it."""
+    starts = [atom.intervals[0][0] for atom in atoms]
+    runs: Dict[int, List[Tuple[int, int, int]]] = {}
+    for state, edges in nfa.transitions.items():
+        out = runs[state] = []
+        for charset, dst in edges:
+            for lo, hi in charset.intervals:
+                first = bisect_left(starts, lo)
+                stop = bisect_right(starts, hi)
+                if first < stop:
+                    out.append((first, stop, dst))
+    return runs
+
+
 def determinise(nfa: NFA) -> DFA:
     """Subset construction with alphabet compression.
 
@@ -183,13 +228,15 @@ def determinise(nfa: NFA) -> DFA:
     all_sets = [cs for edges in nfa.transitions.values() for cs, _ in edges]
     atoms = partition(all_sets)
     other_idx = len(atoms)
+    runs = _atom_runs(nfa, atoms)
 
     start = nfa.epsilon_closure(frozenset({nfa.start}))
     index: Dict[FrozenSet[int], int] = {start: 0}
     delta: List[List[int]] = []
     accepting: Set[int] = set()
     order: List[FrozenSet[int]] = [start]
-    sink: Optional[int] = None
+    #: NFA target set -> DFA state of its epsilon closure
+    successor: Dict[FrozenSet[int], int] = {}
 
     def state_id(subset: FrozenSet[int]) -> int:
         if subset not in index:
@@ -204,16 +251,20 @@ def determinise(nfa: NFA) -> DFA:
         subset = order[pos]
         if nfa.accept in subset:
             accepting.add(pos)
-        row = [None] * (other_idx + 1)  # type: List[Optional[int]]
-        for atom_idx, atom in enumerate(atoms):
-            targets: Set[int] = set()
-            for state in subset:
-                for charset, dst in nfa.transitions.get(state, ()):
-                    if atom.overlaps(charset):
-                        targets.add(dst)
-            row[atom_idx] = state_id(nfa.epsilon_closure(frozenset(targets)))
-        row[other_idx] = state_id(frozenset())
-        delta.append(row)  # type: ignore[arg-type]
+        targets: List[Set[int]] = [set() for _ in range(other_idx)]
+        for state in subset:
+            for first, stop, dst in runs.get(state, ()):
+                for atom_idx in range(first, stop):
+                    targets[atom_idx].add(dst)
+        row = []
+        for dsts in targets:
+            key = frozenset(dsts)
+            target = successor.get(key)
+            if target is None:
+                target = successor[key] = state_id(nfa.epsilon_closure(key))
+            row.append(target)
+        row.append(state_id(frozenset()))
+        delta.append(row)
         pos += 1
 
     enforce_dfa_cap(len(delta), "rlang.determinise")
@@ -222,7 +273,7 @@ def determinise(nfa: NFA) -> DFA:
         recorder.count("rlang.determinise_calls")
         recorder.observe("rlang.dfa_states", len(delta))
         recorder.observe("rlang.dfa_atoms", len(atoms))
-    return DFA(atoms=atoms, delta=[list(map(int, row)) for row in delta], accepting=accepting)
+    return DFA(atoms=atoms, delta=delta, accepting=accepting)
 
 
 def minimise(dfa: DFA) -> DFA:

@@ -51,9 +51,10 @@ def product(a: DFA, b: DFA, accept: Callable[[bool, bool], bool]) -> DFA:
     from ..analysis.resilience import enforce_dfa_cap
 
     atoms = _common_atoms(a, b)
-    map_a = _atom_map(a, atoms) + [len(a.atoms)]
-    map_b = _atom_map(b, atoms) + [len(b.atoms)]
-    n_cols = len(atoms) + 1
+    columns = list(zip(
+        _atom_map(a, atoms) + [len(a.atoms)],
+        _atom_map(b, atoms) + [len(b.atoms)],
+    ))
 
     index: Dict[Tuple[int, int], int] = {(a.start, b.start): 0}
     order: List[Tuple[int, int]] = [(a.start, b.start)]
@@ -67,15 +68,15 @@ def product(a: DFA, b: DFA, accept: Callable[[bool, bool], bool]) -> DFA:
         sa, sb = order[pos]
         if accept(sa in a.accepting, sb in b.accepting):
             accepting.add(pos)
+        row_a, row_b = a.delta[sa], b.delta[sb]
         row = []
-        for col in range(n_cols):
-            ta = a.delta[sa][map_a[col]]
-            tb = b.delta[sb][map_b[col]]
-            key = (ta, tb)
-            if key not in index:
-                index[key] = len(order)
+        for col_a, col_b in columns:
+            key = (row_a[col_a], row_b[col_b])
+            target = index.get(key)
+            if target is None:
+                target = index[key] = len(order)
                 order.append(key)
-            row.append(index[key])
+            row.append(target)
         delta.append(row)
         pos += 1
 

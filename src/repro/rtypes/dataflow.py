@@ -12,10 +12,10 @@ over a finite lattice region converge; a widening bound guards the rest.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from graphlib import CycleError
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
+from ..digraph import is_acyclic, simple_cycles, topological_generations
 from ..rlang import Regex
 from .signatures import Signature, TypeError_, apply_signature
 from .types import StreamType
@@ -47,8 +47,10 @@ class DataflowGraph:
     """A graph of stream-processing stages; edges carry streams."""
 
     def __init__(self):
-        self.graph = nx.DiGraph()
         self.stages: Dict[str, Stage] = {}
+        #: stage -> successors / predecessors, each an insertion-ordered set
+        self._succ: Dict[str, Dict[str, None]] = {}
+        self._preds: Dict[str, Dict[str, None]] = {}
 
     def add_stage(
         self,
@@ -57,18 +59,20 @@ class DataflowGraph:
         seed: Optional[StreamType] = None,
     ) -> None:
         self.stages[name] = Stage(name, signature, seed)
-        self.graph.add_node(name)
+        self._succ.setdefault(name, {})
+        self._preds.setdefault(name, {})
 
     def connect(self, src: str, dst: str) -> None:
         if src not in self.stages or dst not in self.stages:
             raise KeyError("connect() requires both stages to exist")
-        self.graph.add_edge(src, dst)
+        self._succ[src][dst] = None
+        self._preds[dst][src] = None
 
     def has_cycle(self) -> bool:
-        return not nx.is_directed_acyclic_graph(self.graph)
+        return not is_acyclic(self._succ)
 
     def cycles(self) -> List[List[str]]:
-        return list(nx.simple_cycles(self.graph))
+        return simple_cycles(self._succ)
 
     # -- fixpoint ------------------------------------------------------------
 
@@ -85,7 +89,10 @@ class DataflowGraph:
 
         iterations = 0
         changed = True
-        order = list(nx.topological_sort(self.graph)) if not self.has_cycle() else list(self.stages)
+        try:
+            order = [n for gen in topological_generations(self._succ) for n in gen]
+        except CycleError:
+            order = list(self.stages)
         while changed and iterations < max_iterations:
             changed = False
             iterations += 1
@@ -121,7 +128,7 @@ class DataflowGraph:
     def _transfer(
         self, stage: Stage, out: Dict[str, StreamType], errors: List[str]
     ) -> StreamType:
-        preds = list(self.graph.predecessors(stage.name))
+        preds = list(self._preds[stage.name])
         if not preds:
             if stage.seed is not None:
                 return stage.seed

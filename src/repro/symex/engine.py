@@ -23,6 +23,7 @@ from ..shell.ast import (
     Background,
     BraceGroup,
     Case,
+    CaseItem,
     Command,
     For,
     FunctionDef,
@@ -139,6 +140,10 @@ class Engine:
         self.loop_depth = 0
         #: provenance labels, cached per AST node (id(node) -> Origin)
         self._origin_cache: Dict[int, Origin] = {}
+        #: each case arm's compiled pattern language (None: dynamic),
+        #: id(item) -> (item, language); forked states reaching the same
+        #: `case` reuse it instead of re-running subset construction
+        self._arm_langs: Dict[int, Tuple[CaseItem, Optional[Regex]]] = {}
         #: optional fragment memoization hook (incremental analysis):
         #: when set, function-body evaluations may be served from
         #: per-fragment summaries instead of being re-explored.  See
@@ -213,6 +218,7 @@ class Engine:
         self._success_tracker = {}
         self._region_counter = 0
         self._origin_cache = {}
+        self._arm_langs = {}
         self.loop_depth = 0
         if state is None:
             state = self.initial_state(n_args=n_args, args=args)
@@ -1250,15 +1256,8 @@ class Engine:
             remaining = subject_lang
             vid = subject.single_var()
             for item in node.items:
-                pattern_lang: Optional[Regex] = None
-                static = True
-                for pattern in item.patterns:
-                    lang = word_pattern_to_regex(pattern)
-                    if lang is None:
-                        static = False
-                        break
-                    pattern_lang = lang if pattern_lang is None else pattern_lang | lang
-                if not static:
+                pattern_lang = self._arm_language(item)
+                if pattern_lang is None:
                     # dynamic pattern: may or may not match; explore the body
                     taken = self._fork(subj_state, "case: dynamic pattern taken")
                     if item.body is not None:
@@ -1269,11 +1268,14 @@ class Engine:
 
                 feasible_lang = remaining & pattern_lang
                 feasible = not feasible_lang.is_empty()
-                for checker in self.checkers:
+                if self.checkers:
                     # report against the *original* subject language so a
                     # pattern shadowed by earlier arms is not misreported
                     original_feasible = not (subject_lang & pattern_lang).is_empty()
-                    checker.on_case_arm(subj_state, node, item, original_feasible, True)
+                    for checker in self.checkers:
+                        checker.on_case_arm(
+                            subj_state, node, item, original_feasible, True
+                        )
                 if not feasible:
                     continue
                 taken = self._fork(
@@ -1298,6 +1300,22 @@ class Engine:
                 fallthrough.status = 0
                 results.append(fallthrough)
         return self._apply_redirect_list(node.redirects, results, owner=node)
+
+    def _arm_language(self, item: CaseItem) -> Optional[Regex]:
+        """The union of a case arm's pattern languages, or None when a
+        pattern is dynamic; compiled once per run."""
+        entry = self._arm_langs.get(id(item))
+        if entry is not None and entry[0] is item:
+            return entry[1]
+        pattern_lang: Optional[Regex] = None
+        for pattern in item.patterns:
+            lang = word_pattern_to_regex(pattern)
+            if lang is None:
+                pattern_lang = None
+                break
+            pattern_lang = lang if pattern_lang is None else pattern_lang | lang
+        self._arm_langs[id(item)] = (item, pattern_lang)
+        return pattern_lang
 
     # -- state management -----------------------------------------------------------------
 

@@ -3,6 +3,7 @@ race-detector safety gate, plan serialization, schema, and caching."""
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -306,6 +307,19 @@ class TestPlanSerialization:
         data = optimize_source("if then fi ((((")
         assert data["degraded"]
         assert "internal error" in data["degraded_reason"]
+
+
+class TestPlanDeterminism:
+    def test_plan_independent_of_process_history(self):
+        # fs node ids come from a process-global counter; a plan must not
+        # depend on how many analyses ran before it in the same process
+        scripts = Path(__file__).resolve().parents[2] / "examples" / "scripts"
+        source = (scripts / "fragment_pipeline.sh").read_text()
+        cold = build_plan(source).render()
+        for _ in range(3):
+            for path in sorted(scripts.glob("*.sh")):
+                analyze(path.read_text())
+        assert build_plan(source).render() == cold
 
 
 class TestBudget:

@@ -2,15 +2,19 @@
 
 Random regex ASTs over a small alphabet, checked against brute-force
 string semantics: boolean algebra, containment, star, minimisation, and
-quotients must all agree with per-string membership.
+quotients must all agree with per-string membership.  The indexed
+kernels (subset construction, alphabet partition, atom lookup and
+emptiness) must build exactly what the overlap-scan versions they
+replaced build, which stay here as the oracle.
 """
 
 import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from repro.rlang import Regex, minimise
-from repro.rlang.charclass import CharSet
+from repro.rlang import DFA, Regex, determinise, minimise, partition
+from repro.rlang.charclass import MAX_CODEPOINT, CharSet
+from repro.rlang.nfa import build_nfa
 from repro.rlang.syntax import Alt, Concat, Epsilon, Lit, Node, Star
 
 ALPHABET = "abc"
@@ -239,3 +243,133 @@ class TestHomomorphicImage:
         lhs = a.star().map_chars(_shift_map)
         rhs = a.map_chars(_shift_map).star()
         assert lhs == rhs
+
+
+# -- indexed kernels against the overlap-scan versions they replaced --------
+
+#: codepoints where interval arithmetic goes wrong first: the ends of the
+#: universe and the neighbours of the small test alphabet
+_EDGES = [0, 1, ord("a") - 1, ord("a"), ord("b"), ord("c"), ord("c") + 1,
+          0x7F, 0xFFFF, MAX_CODEPOINT - 1, MAX_CODEPOINT]
+
+
+def _oracle_partition(sets):
+    boundaries = set()
+    for cs in sets:
+        for lo, hi in cs.intervals:
+            boundaries.add(lo)
+            boundaries.add(hi + 1)
+    marks = sorted(boundaries)
+    atoms = []
+    for idx in range(len(marks) - 1):
+        atom = CharSet([(marks[idx], marks[idx + 1] - 1)])
+        if any(atom.overlaps(cs) for cs in sets):
+            atoms.append(atom)
+    return atoms
+
+
+def _oracle_determinise(nfa):
+    all_sets = [cs for edges in nfa.transitions.values() for cs, _ in edges]
+    atoms = _oracle_partition(all_sets)
+    start = nfa.epsilon_closure(frozenset({nfa.start}))
+    index = {start: 0}
+    order = [start]
+    delta, accepting = [], set()
+
+    def state_id(subset):
+        if subset not in index:
+            index[subset] = len(order)
+            order.append(subset)
+        return index[subset]
+
+    pos = 0
+    while pos < len(order):
+        subset = order[pos]
+        if nfa.accept in subset:
+            accepting.add(pos)
+        row = []
+        for atom in atoms:
+            targets = {
+                dst
+                for state in subset
+                for charset, dst in nfa.transitions.get(state, ())
+                if atom.overlaps(charset)
+            }
+            row.append(state_id(nfa.epsilon_closure(frozenset(targets))))
+        row.append(state_id(frozenset()))
+        delta.append(row)
+        pos += 1
+    return atoms, delta, accepting
+
+
+def _oracle_atom_index(atoms, char):
+    for idx, atom in enumerate(atoms):
+        if char in atom:
+            return idx
+    return len(atoms)
+
+
+@st.composite
+def charsets(draw):
+    """Single characters, multi-interval classes, their negations, and
+    `.` (the whole universe), with interval ends at the edge codepoints."""
+    kind = draw(st.sampled_from(["char", "class", "negated", "dot"]))
+    if kind == "dot":
+        return CharSet.universe()
+    if kind == "char":
+        return CharSet.of(draw(st.sampled_from(ALPHABET)))
+    points = st.one_of(st.sampled_from(_EDGES),
+                       st.integers(min_value=0, max_value=MAX_CODEPOINT))
+    intervals = []
+    for lo in draw(st.lists(points, min_size=1, max_size=4)):
+        intervals.append((lo, lo + draw(st.integers(min_value=0, max_value=3))))
+    charset = CharSet(intervals)
+    return charset.complement() if kind == "negated" else charset
+
+
+def wide_regex_ast():
+    return st.recursive(
+        st.one_of(st.just(Epsilon()), charsets().map(Lit)),
+        lambda inner: st.one_of(
+            st.tuples(inner, inner).map(lambda t: Concat(*t)),
+            st.tuples(inner, inner).map(lambda t: Alt(*t)),
+            inner.map(Star),
+        ),
+        max_leaves=8,
+    )
+
+
+class TestIndexedKernels:
+    @given(wide_regex_ast())
+    @settings(max_examples=200, deadline=None)
+    def test_determinise_matches_overlap_scan(self, node):
+        nfa = build_nfa(node)
+        dfa = determinise(nfa)
+        atoms, delta, accepting = _oracle_determinise(nfa)
+        assert dfa.atoms == atoms
+        assert dfa.delta == delta
+        assert dfa.accepting == accepting
+
+    @given(st.lists(charsets(), max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_partition_matches_overlap_scan(self, sets):
+        assert partition(sets) == _oracle_partition(sets)
+
+    @given(st.lists(charsets(), max_size=5),
+           st.lists(st.one_of(st.sampled_from(_EDGES),
+                              st.integers(min_value=0, max_value=MAX_CODEPOINT)),
+                    min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_atom_index_matches_linear_scan(self, sets, codes):
+        atoms = partition(sets)
+        dfa = DFA(atoms=atoms, delta=[], accepting=set())
+        for code in codes:
+            char = chr(code)
+            assert dfa.atom_index(char) == _oracle_atom_index(atoms, char)
+
+    @given(wide_regex_ast(), wide_regex_ast())
+    @settings(max_examples=150, deadline=None)
+    def test_is_empty_matches_live_states(self, left, right):
+        a, b = Regex.from_ast(left), Regex.from_ast(right)
+        for lang in (a, a & b, a - b):
+            assert lang.dfa.is_empty() == (not lang.dfa.live_states())
