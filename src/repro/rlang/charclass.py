@@ -62,6 +62,14 @@ class CharSet:
         return cls([(ord(lo), ord(hi))])
 
     @classmethod
+    def interval(cls, lo: int, hi: int) -> "CharSet":
+        """The single interval ``[lo, hi]``, already normal (``0 <= lo <=
+        hi <= MAX_CODEPOINT``), so it skips normalisation."""
+        charset = object.__new__(cls)
+        object.__setattr__(charset, "intervals", ((lo, hi),))
+        return charset
+
+    @classmethod
     def universe(cls) -> "CharSet":
         return cls([(0, MAX_CODEPOINT)])
 
@@ -189,15 +197,11 @@ def partition(sets: Sequence[CharSet]) -> List[CharSet]:
     the alphabet-compression step used by subset construction: transitions
     out of a DFA state only need to be considered per atom.
     """
-    boundaries = set()
-    covered: List[Interval] = []
-    for cs in sets:
-        for lo, hi in cs.intervals:
-            boundaries.add(lo)
-            boundaries.add(hi + 1)
-        covered.extend(cs.intervals)
+    # An automaton glued from DFAs repeats each label once per state, so
+    # the distinct intervals are far fewer than the labels.
+    covered = {interval for cs in sets for interval in cs.intervals}
     union = _normalise(covered)
-    marks = sorted(boundaries)
+    marks = sorted({lo for lo, _ in covered} | {hi + 1 for _, hi in covered})
     # Each elementary interval lies wholly inside or outside every input
     # set, so one sweep over the merged union decides it by its start.
     atoms: List[CharSet] = []
@@ -207,5 +211,5 @@ def partition(sets: Sequence[CharSet]) -> List[CharSet]:
         while union[cursor][1] < lo:
             cursor += 1
         if union[cursor][0] <= lo:
-            atoms.append(CharSet([(lo, marks[idx + 1] - 1)]))
+            atoms.append(CharSet.interval(lo, marks[idx + 1] - 1))
     return atoms

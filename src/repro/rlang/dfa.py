@@ -195,18 +195,41 @@ class DFA:
         return results
 
 
+def _live_states(nfa: NFA) -> Set[int]:
+    """The NFA states that can reach ``accept`` over edges and epsilons."""
+    reverse: Dict[int, List[int]] = {}
+    for src, edges in nfa.transitions.items():
+        for _, dst in edges:
+            reverse.setdefault(dst, []).append(src)
+    for src, dsts in nfa.epsilons.items():
+        for dst in dsts:
+            reverse.setdefault(dst, []).append(src)
+    live = {nfa.accept}
+    stack = [nfa.accept]
+    while stack:
+        for src in reverse.get(stack.pop(), ()):
+            if src not in live:
+                live.add(src)
+                stack.append(src)
+    return live
+
+
 def _atom_runs(
-    nfa: NFA, atoms: List[CharSet]
+    nfa: NFA, atoms: List[CharSet], live: Set[int]
 ) -> Dict[int, List[Tuple[int, int, int]]]:
-    """Per NFA state, its edges as ``(first, stop, dst)`` runs of atom
-    indices.  The atoms are sorted disjoint intervals refining every edge
-    label, so each edge interval covers the contiguous run of atoms whose
-    start lies inside it."""
+    """Per live NFA state, its edges into live states as ``(first, stop,
+    dst)`` runs of atom indices.  The atoms are sorted disjoint intervals
+    refining every edge label, so each edge interval covers the
+    contiguous run of atoms whose start lies inside it."""
     starts = [atom.intervals[0][0] for atom in atoms]
     runs: Dict[int, List[Tuple[int, int, int]]] = {}
     for state, edges in nfa.transitions.items():
+        if state not in live:
+            continue
         out = runs[state] = []
         for charset, dst in edges:
+            if dst not in live:
+                continue
             for lo, hi in charset.intervals:
                 first = bisect_left(starts, lo)
                 stop = bisect_right(starts, hi)
@@ -218,6 +241,13 @@ def _atom_runs(
 def determinise(nfa: NFA) -> DFA:
     """Subset construction with alphabet compression.
 
+    Only live NFA states (those that can reach ``accept``) enter a
+    subset: a dead state changes no subset's language, and keeping it
+    would tell equal DFA states apart by the dead states they hold (a
+    glued complete DFA brings its sink along).  Every dead subset thus
+    collapses into the empty-subset sink.  The atoms still come from
+    every edge label, so the alphabet does not depend on liveness.
+
     Bounded like :func:`~repro.rlang.ops.product`: the subset frontier is
     checked against the hard DFA cap and the active analysis budget as
     it grows, so exponential blowups degrade instead of exhausting
@@ -228,9 +258,10 @@ def determinise(nfa: NFA) -> DFA:
     all_sets = [cs for edges in nfa.transitions.values() for cs, _ in edges]
     atoms = partition(all_sets)
     other_idx = len(atoms)
-    runs = _atom_runs(nfa, atoms)
+    live = _live_states(nfa)
+    runs = _atom_runs(nfa, atoms, live)
 
-    start = nfa.epsilon_closure(frozenset({nfa.start}))
+    start = nfa.epsilon_closure(frozenset({nfa.start})) & live
     index: Dict[FrozenSet[int], int] = {start: 0}
     delta: List[List[int]] = []
     accepting: Set[int] = set()
@@ -261,7 +292,7 @@ def determinise(nfa: NFA) -> DFA:
             key = frozenset(dsts)
             target = successor.get(key)
             if target is None:
-                target = successor[key] = state_id(nfa.epsilon_closure(key))
+                target = successor[key] = state_id(nfa.epsilon_closure(key) & live)
             row.append(target)
         row.append(state_id(frozenset()))
         delta.append(row)

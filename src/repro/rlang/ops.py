@@ -7,25 +7,70 @@ product transition is well defined on both sides.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Set, Tuple
 
 from ..obs import get_recorder
-from .charclass import CharSet, partition
-from .dfa import DFA
+from .charclass import MAX_CODEPOINT, CharSet
+from .dfa import DFA, determinise
+from .nfa import NFA
 
 
-def _common_atoms(a: DFA, b: DFA) -> List[CharSet]:
-    return partition(list(a.atoms) + list(b.atoms))
+def _align(a: DFA, b: DFA) -> Tuple[List[CharSet], List[int], List[int]]:
+    """The common refinement of both operands' atoms, and per common atom
+    the index of the ``a`` atom and of the ``b`` atom holding it (the
+    operand's "other" index where none does), each map ending with the
+    "other" column.
+
+    Both atom lists are sorted disjoint single intervals, so one merge
+    sweep cuts the elementary intervals and maps them.  An elementary
+    interval equal to an operand atom reuses that atom."""
+    bound = (MAX_CODEPOINT + 1, MAX_CODEPOINT + 1)
+    a_atoms, b_atoms = a.atoms, b.atoms
+    n_a, n_b = len(a_atoms), len(b_atoms)
+    atoms: List[CharSet] = []
+    map_a: List[int] = []
+    map_b: List[int] = []
+    i = j = pos = 0
+    while i < n_a or j < n_b:
+        a_lo, a_hi = a_atoms[i].intervals[0] if i < n_a else bound
+        b_lo, b_hi = b_atoms[j].intervals[0] if j < n_b else bound
+        lo = max(pos, min(a_lo, b_lo))
+        in_a, in_b = a_lo <= lo, b_lo <= lo
+        hi = min(a_hi if in_a else a_lo - 1, b_hi if in_b else b_lo - 1)
+        if in_a and (a_lo, a_hi) == (lo, hi):
+            atoms.append(a_atoms[i])
+        elif in_b and (b_lo, b_hi) == (lo, hi):
+            atoms.append(b_atoms[j])
+        else:
+            atoms.append(CharSet.interval(lo, hi))
+        map_a.append(i if in_a else n_a)
+        map_b.append(j if in_b else n_b)
+        if in_a and a_hi == hi:
+            i += 1
+        if in_b and b_hi == hi:
+            j += 1
+        pos = hi + 1
+    map_a.append(n_a)
+    map_b.append(n_b)
+    return atoms, map_a, map_b
 
 
-def _atom_map(dfa: DFA, atoms: List[CharSet]) -> List[int]:
-    """For each common atom, the index of the original atom containing it
-    (or the "other" index).  Common atoms refine originals, so a sample
-    character suffices to locate the original atom."""
-    mapping = []
-    for atom in atoms:
-        mapping.append(dfa.atom_index(atom.sample()))
-    return mapping
+def _embed(nfa: NFA, dfa: DFA, translate=None) -> int:
+    """Copy ``dfa``'s states and transitions into ``nfa`` (each label
+    passed through ``translate`` when given); returns the offset of
+    ``dfa``'s state 0."""
+    other = CharSet(
+        interval for atom in dfa.atoms for interval in atom.intervals
+    ).complement()
+    labels = list(dfa.atoms) + [other]
+    if translate is not None:
+        labels = [translate(label) for label in labels]
+    offset = nfa.n_states
+    nfa.n_states += dfa.n_states
+    for src, row in enumerate(dfa.delta):
+        for atom_idx, dst in enumerate(row):
+            nfa.add_edge(offset + src, labels[atom_idx], offset + dst)
+    return offset
 
 
 #: Unconditional ceiling on product-construction size: pathological
@@ -50,11 +95,8 @@ def product(a: DFA, b: DFA, accept: Callable[[bool, bool], bool]) -> DFA:
     """
     from ..analysis.resilience import enforce_dfa_cap
 
-    atoms = _common_atoms(a, b)
-    columns = list(zip(
-        _atom_map(a, atoms) + [len(a.atoms)],
-        _atom_map(b, atoms) + [len(b.atoms)],
-    ))
+    atoms, map_a, map_b = _align(a, b)
+    columns = list(zip(map_a, map_b))
 
     index: Dict[Tuple[int, int], int] = {(a.start, b.start): 0}
     order: List[Tuple[int, int]] = [(a.start, b.start)]
@@ -126,30 +168,9 @@ def equivalent(a: DFA, b: DFA) -> bool:
 
 def concat_dfa(a: DFA, b: DFA) -> "DFA":
     """Concatenation via NFA glue (used by the Regex wrapper)."""
-    from .nfa import NFA
-    from .dfa import determinise
-
     nfa = NFA()
-    # embed a
-    offset_a = nfa.n_states
-    for _ in range(a.n_states):
-        nfa.add_state()
-    offset_b = nfa.n_states
-    for _ in range(b.n_states):
-        nfa.add_state()
-
-    def embed(dfa: DFA, offset: int) -> None:
-        covered = CharSet.empty()
-        for atom in dfa.atoms:
-            covered = covered.union(atom)
-        other = covered.complement()
-        for src, row in enumerate(dfa.delta):
-            for atom_idx, dst in enumerate(row):
-                charset = dfa.atoms[atom_idx] if atom_idx < len(dfa.atoms) else other
-                nfa.add_edge(offset + src, charset, offset + dst)
-
-    embed(a, offset_a)
-    embed(b, offset_b)
+    offset_a = _embed(nfa, a)
+    offset_b = _embed(nfa, b)
     nfa.add_epsilon(nfa.start, offset_a + a.start)
     for acc in a.accepting:
         nfa.add_epsilon(offset_a + acc, offset_b + b.start)
@@ -160,21 +181,8 @@ def concat_dfa(a: DFA, b: DFA) -> "DFA":
 
 def star(a: DFA) -> DFA:
     """Kleene star via NFA gluing."""
-    from .nfa import NFA
-    from .dfa import determinise
-
-    covered = CharSet.empty()
-    for atom in a.atoms:
-        covered = covered.union(atom)
-    other = covered.complement()
     nfa = NFA()
-    offset = nfa.n_states
-    for _ in range(a.n_states):
-        nfa.add_state()
-    for src, row in enumerate(a.delta):
-        for atom_idx, dst in enumerate(row):
-            charset = a.atoms[atom_idx] if atom_idx < len(a.atoms) else other
-            nfa.add_edge(offset + src, charset, offset + dst)
+    offset = _embed(nfa, a)
     nfa.add_epsilon(nfa.start, nfa.accept)
     nfa.add_epsilon(nfa.start, offset + a.start)
     for acc in a.accepting:
@@ -190,9 +198,7 @@ def right_quotient(a: DFA, b: DFA) -> DFA:
     L(b) leads from it to an accepting state of ``a``.  Used to model the
     shell's ``${var%pattern}`` suffix-strip expansion symbolically.
     """
-    atoms = _common_atoms(a, b)
-    map_a = _atom_map(a, atoms) + [len(a.atoms)]
-    map_b = _atom_map(b, atoms) + [len(b.atoms)]
+    atoms, map_a, map_b = _align(a, b)
     n_cols = len(atoms) + 1
 
     # Forward-explore pairs (qa, qb) from every (qa, b.start); mark qa
@@ -239,9 +245,7 @@ def left_quotient(b: DFA, a: DFA) -> DFA:
     Models ``${var#pattern}`` prefix stripping: the possible remainders of
     strings in ``a`` after removing a prefix belonging to ``b``.
     """
-    atoms = _common_atoms(a, b)
-    map_a = _atom_map(a, atoms) + [len(a.atoms)]
-    map_b = _atom_map(b, atoms) + [len(b.atoms)]
+    atoms, map_a, map_b = _align(a, b)
     n_cols = len(atoms) + 1
 
     # Forward product exploration from (a.start, b.start); the set of
@@ -260,21 +264,8 @@ def left_quotient(b: DFA, a: DFA) -> DFA:
                 seen.add(pair)
                 stack.append(pair)
 
-    from .nfa import NFA
-    from .dfa import determinise
-
-    covered = CharSet.empty()
-    for atom in a.atoms:
-        covered = covered.union(atom)
-    other = covered.complement()
     nfa = NFA()
-    offset = nfa.n_states
-    for _ in range(a.n_states):
-        nfa.add_state()
-    for src, row in enumerate(a.delta):
-        for atom_idx, dst in enumerate(row):
-            charset = a.atoms[atom_idx] if atom_idx < len(a.atoms) else other
-            nfa.add_edge(offset + src, charset, offset + dst)
+    offset = _embed(nfa, a)
     for qa in start_states:
         nfa.add_epsilon(nfa.start, offset + qa)
     for acc in a.accepting:
@@ -292,22 +283,8 @@ def map_chars(a: DFA, translate) -> DFA:
 
     Models length-preserving stream transformers like ``tr a-z A-Z``.
     """
-    from .nfa import NFA
-    from .dfa import determinise
-
-    covered = CharSet.empty()
-    for atom in a.atoms:
-        covered = covered.union(atom)
-    other = covered.complement()
     nfa = NFA()
-    offset = nfa.n_states
-    for _ in range(a.n_states):
-        nfa.add_state()
-    for src, row in enumerate(a.delta):
-        for atom_idx, dst in enumerate(row):
-            charset = a.atoms[atom_idx] if atom_idx < len(a.atoms) else other
-            image = translate(charset)
-            nfa.add_edge(offset + src, image, offset + dst)
+    offset = _embed(nfa, a, translate)
     nfa.add_epsilon(nfa.start, offset + a.start)
     for acc in a.accepting:
         nfa.add_epsilon(offset + acc, nfa.accept)

@@ -373,3 +373,96 @@ class TestIndexedKernels:
         a, b = Regex.from_ast(left), Regex.from_ast(right)
         for lang in (a, a & b, a - b):
             assert lang.dfa.is_empty() == (not lang.dfa.live_states())
+
+
+# -- live-only subset construction and the one-sweep alphabet alignment -----
+
+
+def _glued_nfas(left, right):
+    """The NFAs that concatenation, star and left quotient glue from
+    complete DFAs (sink states included) and hand to ``determinise``,
+    over two languages and the right quotient of one by the other,
+    whose DFA keeps its dead states."""
+    from repro.rlang import ops
+
+    a, b = Regex.from_ast(left).dfa, Regex.from_ast(right).dfa
+    quotient = ops.right_quotient(a, b)
+    nfas = []
+    real = ops.determinise
+
+    def capture(nfa):
+        nfas.append(nfa)
+        return real(nfa)
+
+    ops.determinise = capture
+    try:
+        for x in (a, quotient):
+            ops.concat_dfa(x, b)
+            ops.concat_dfa(b, x)
+            ops.star(x)
+            ops.left_quotient(b, x)
+    finally:
+        ops.determinise = real
+    return nfas
+
+
+def _oracle_align(a, b):
+    atoms = partition(list(a.atoms) + list(b.atoms))
+    map_a = [a.atom_index(atom.sample()) for atom in atoms] + [len(a.atoms)]
+    map_b = [b.atom_index(atom.sample()) for atom in atoms] + [len(b.atoms)]
+    return atoms, map_a, map_b
+
+
+class TestLiveOnlyKernels:
+    @given(wide_regex_ast(), wide_regex_ast())
+    @settings(max_examples=100, deadline=None)
+    def test_determinise_matches_untrimmed_construction(self, left, right):
+        from repro.rlang.ops import equivalent
+
+        for nfa in _glued_nfas(left, right):
+            dfa = determinise(nfa)
+            atoms, delta, accepting = _oracle_determinise(nfa)
+            oracle = DFA(atoms=atoms, delta=delta, accepting=accepting)
+            assert dfa.atoms == oracle.atoms
+            assert dfa.n_states <= oracle.n_states
+            assert dfa.shortest_accepted() == oracle.shortest_accepted()
+            assert dfa.enumerate() == oracle.enumerate()
+            assert equivalent(dfa, oracle)
+
+    @given(regex_pair(), strings(max_len=4))
+    @settings(max_examples=150, deadline=None)
+    def test_concat_of_complement_brute_force(self, pair, text):
+        # a complement's "other" column is live, so the label gluing
+        # gives it decides the language
+        a, b = ~pair[0], pair[1]
+        expected = any(a.matches(text[:cut]) and b.matches(text[cut:])
+                       for cut in range(len(text) + 1))
+        assert (a + b).matches(text) == expected
+
+    @given(wide_regex_ast(), wide_regex_ast())
+    @settings(max_examples=150, deadline=None)
+    def test_align_matches_partition_and_atom_index(self, left, right):
+        from repro.rlang.ops import _align
+
+        a, b = Regex.from_ast(left).dfa, Regex.from_ast(right).dfa
+        assert _align(a, b) == _oracle_align(a, b)
+
+    @given(st.lists(charsets(), max_size=5), st.lists(charsets(), max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_align_matches_partition_on_raw_atoms(self, left, right):
+        from repro.rlang.ops import _align
+
+        a = DFA(atoms=partition(left), delta=[], accepting=set())
+        b = DFA(atoms=partition(right), delta=[], accepting=set())
+        assert _align(a, b) == _oracle_align(a, b)
+
+    @given(st.one_of(st.sampled_from(_EDGES),
+                     st.integers(min_value=0, max_value=MAX_CODEPOINT)),
+           st.integers(min_value=0, max_value=MAX_CODEPOINT))
+    @settings(max_examples=200, deadline=None)
+    def test_interval_is_normal(self, lo, width):
+        hi = min(MAX_CODEPOINT, lo + width)
+        made = CharSet.interval(lo, hi)
+        assert made == CharSet([(lo, hi)])
+        assert made.intervals == CharSet([(lo, hi)]).intervals
+        assert hash(made) == hash(CharSet([(lo, hi)]))
