@@ -75,3 +75,25 @@ def test_operation_size_table():
             f"atoms={len(regex.dfa.atoms):3}"
         )
     emit("E14 (automata sizes for library types)", rows)
+
+
+@pytest.mark.parametrize("seed,ceiling", [(5, 90), (11, 40)])
+def test_product_constructions_per_analysis(seed, ceiling):
+    """Count guard for the run's language table: a generated script
+    whose ``case`` sits in nested loops builds each product once per
+    run, not once per forked state and iteration (thousands before the
+    table).  Counts, not milliseconds, so the guard is machine-stable."""
+    from repro.analysis import analyze
+    from repro.analysis.difftest.campaign import CampaignConfig
+    from repro.analysis.difftest.gen import generate
+    from repro.obs import TraceRecorder, use_recorder
+
+    recorder = TraceRecorder()
+    with use_recorder(recorder):
+        analyze(generate(seed, safe=True), **CampaignConfig().analyze_kwargs())
+    products = recorder.counter("rlang.product_calls")
+    emit(
+        f"E14 (product constructions, generated seed {seed})",
+        [f"rlang.product_calls={products}  ceiling={ceiling}"],
+    )
+    assert 0 < products <= ceiling

@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..checkers import default_checkers
 from ..digraph import descendants, reachability, topological_generations
 from ..fs import FsOp
+from ..rlang.table import run_table
 from ..shell import parse
 from ..shell.ast import Command, Sequence as SeqNode, SimpleCommand, walk
 from ..symex import Engine
@@ -267,7 +268,9 @@ def analyze_dependencies(
     degraded_reason: Optional[str] = None
 
     effects: List[CommandEffects] = []
-    with use_budget(budget):
+    # evaluates commands one by one rather than through Engine.run, so it
+    # installs the run's language table itself
+    with use_budget(budget), run_table():
         for index, command in enumerate(commands):
             raw = _render_command(command, source)
             uses, defs = _vars_of(command)

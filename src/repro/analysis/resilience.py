@@ -31,6 +31,7 @@ crashes under ``checker.faults``.
 from __future__ import annotations
 
 import hashlib
+import threading
 import time
 from contextlib import contextmanager
 from typing import List, Optional, Sequence
@@ -204,21 +205,23 @@ def jittered_backoff(
 
 # ---------------------------------------------------------------------------
 # The active budget (mirrors obs.get_recorder: layers too deep to take a
-# budget parameter look it up here; None means unlimited)
+# budget parameter look it up here; None means unlimited).  It is
+# thread-local: the analysis server runs concurrent requests, each under
+# its own budget, on handler threads of one process.
 # ---------------------------------------------------------------------------
 
-_active: Optional[ResourceBudget] = None
+_tls = threading.local()
 
 
 def get_budget() -> Optional[ResourceBudget]:
-    """The budget governing the current analysis, or None."""
-    return _active
+    """The budget governing the current thread's analysis, or None."""
+    return getattr(_tls, "budget", None)
 
 
 def set_budget(budget: Optional[ResourceBudget]) -> Optional[ResourceBudget]:
-    global _active
-    previous = _active
-    _active = budget
+    """Install ``budget`` for the current thread; returns the previous."""
+    previous = getattr(_tls, "budget", None)
+    _tls.budget = budget
     return previous
 
 
@@ -243,7 +246,7 @@ def enforce_dfa_cap(n_states: int, phase: str = "rlang") -> None:
             f"automaton construction exceeded the hard cap of "
             f"{HARD_DFA_STATE_CAP} states",
         )
-    budget = _active
+    budget = getattr(_tls, "budget", None)
     if budget is not None:
         budget.check_dfa_states(n_states, phase)
         # automaton blowups can spend seconds inside one symbolic step,

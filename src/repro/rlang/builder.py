@@ -21,6 +21,7 @@ from . import ops
 from .dfa import DFA, determinise, minimise
 from .nfa import build_nfa
 from .syntax import Node, literal, parse
+from .table import shared_leaf
 
 
 class Regex:
@@ -37,8 +38,16 @@ class Regex:
 
     @classmethod
     def compile(cls, pattern: str) -> "Regex":
-        """Compile a regex pattern (whole-string semantics)."""
-        return cls(determinise(build_nfa(parse(pattern))), pattern)
+        """Compile a regex pattern (whole-string semantics).
+
+        Within a run the DFA is built once per pattern and shared; each
+        call still returns a fresh :class:`Regex`."""
+        return cls(
+            shared_leaf(
+                "compile", pattern, lambda: determinise(build_nfa(parse(pattern)))
+            ),
+            pattern,
+        )
 
     @classmethod
     def from_ast(cls, node: Node, pattern: Optional[str] = None) -> "Regex":
@@ -46,8 +55,11 @@ class Regex:
 
     @classmethod
     def literal(cls, text: str) -> "Regex":
-        """Language containing exactly ``text``."""
-        return cls.from_ast(literal(text), pattern=_escape(text))
+        """Language containing exactly ``text`` (shared like :meth:`compile`)."""
+        return cls(
+            shared_leaf("literal", text, lambda: determinise(build_nfa(literal(text)))),
+            _escape(text),
+        )
 
     @classmethod
     def any_string(cls) -> "Regex":

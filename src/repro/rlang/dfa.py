@@ -33,6 +33,10 @@ class DFA:
     accepting: Set[int]
     start: int = 0
 
+    #: ``(token, key)`` set by the :class:`~repro.rlang.table.RunTable`
+    #: that last keyed this DFA (not a field: no part of equality)
+    table_tag = None
+
     @property
     def n_states(self) -> int:
         return len(self.delta)

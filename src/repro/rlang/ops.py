@@ -13,6 +13,7 @@ from ..obs import get_recorder
 from .charclass import MAX_CODEPOINT, CharSet
 from .dfa import DFA, determinise
 from .nfa import NFA
+from .table import shared_product
 
 
 def _align(a: DFA, b: DFA) -> Tuple[List[CharSet], List[int], List[int]]:
@@ -132,16 +133,28 @@ def product(a: DFA, b: DFA, accept: Callable[[bool, bool], bool]) -> DFA:
     return DFA(atoms=atoms, delta=delta, accepting=accepting)
 
 
+def _both(x: bool, y: bool) -> bool:
+    return x and y
+
+
+def _either(x: bool, y: bool) -> bool:
+    return x or y
+
+
+def _first_only(x: bool, y: bool) -> bool:
+    return x and not y
+
+
 def intersection(a: DFA, b: DFA) -> DFA:
-    return product(a, b, lambda x, y: x and y)
+    return shared_product("&", a, b, lambda: product(a, b, _both))
 
 
 def union(a: DFA, b: DFA) -> DFA:
-    return product(a, b, lambda x, y: x or y)
+    return shared_product("|", a, b, lambda: product(a, b, _either))
 
 
 def difference(a: DFA, b: DFA) -> DFA:
-    return product(a, b, lambda x, y: x and not y)
+    return shared_product("-", a, b, lambda: product(a, b, _first_only))
 
 
 def complement(a: DFA) -> DFA:

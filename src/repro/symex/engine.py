@@ -16,6 +16,7 @@ from ..diag import Diagnostic, Severity, dedupe
 from ..fs import FsContradiction, FsOp, NodeKind, Origin, parse_sympath
 from ..obs import Recorder, get_recorder
 from ..rlang import Regex
+from ..rlang.table import run_table
 from ..rtypes import StreamType, check_pipeline
 from ..shell import parse as parse_shell
 from ..shell.ast import (
@@ -203,6 +204,21 @@ class Engine:
         state: Optional[SymState] = None,
         n_args: Optional[int] = None,
         args: Optional[Sequence[str]] = None,
+    ) -> ExecResult:
+        """Execute ``ast`` from ``state`` (the entry state by default).
+
+        The run installs a language table (:mod:`repro.rlang.table`), so
+        every pattern, literal and boolean product is built once per run;
+        the table is dropped when the run returns or raises."""
+        with run_table():
+            return self._run(ast, state, n_args, args)
+
+    def _run(
+        self,
+        ast: Command,
+        state: Optional[SymState],
+        n_args: Optional[int],
+        args: Optional[Sequence[str]],
     ) -> ExecResult:
         rec = self._rec = self.recorder if self.recorder is not None else get_recorder()
         if self.budget is not None:
@@ -1333,7 +1349,7 @@ class Engine:
                 key = (
                     st.status,
                     st.halted,
-                    tuple(sorted((k, v) for k, v in st.env.items())),
+                    tuple(sorted(st.env.items())),
                     tuple(st.params),
                     st.cwd_str,
                     len(st.stdout) if st.capturing else 0,

@@ -41,10 +41,13 @@ class SymString:
     atom's language under a given :class:`ConstraintStore`.
     """
 
-    __slots__ = ("atoms",)
+    __slots__ = ("atoms", "_hash")
 
     def __init__(self, atoms: Iterable[Atom] = ()):
-        object.__setattr__(self, "atoms", _normalise(atoms))
+        atoms = _normalise(atoms)
+        object.__setattr__(self, "atoms", atoms)
+        # state merging hashes every value of every state: hash once
+        object.__setattr__(self, "_hash", hash(atoms))
 
     def __setattr__(self, name, value):
         raise AttributeError("SymString is immutable")
@@ -170,7 +173,7 @@ class SymString:
         return isinstance(other, SymString) and self.atoms == other.atoms
 
     def __hash__(self) -> int:
-        return hash(self.atoms)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"SymString({list(self.atoms)!r})"

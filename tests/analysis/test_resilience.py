@@ -1,5 +1,7 @@
 """Resource budgets, degradation semantics, and checker fault isolation."""
 
+import threading
+
 import pytest
 
 from repro.analysis import analyze
@@ -91,6 +93,41 @@ class TestResourceBudget:
                 assert get_budget() is inner
             assert get_budget() is outer
         assert get_budget() is None
+
+    def test_active_budget_is_per_thread(self):
+        # two request threads whose budget scopes interleave: A enters,
+        # B enters, A leaves while B is still inside, then B leaves
+        a_budget = ResourceBudget(max_dfa_states=10)
+        b_budget = ResourceBudget(max_states=1000)
+        a_in, b_in, a_out = (threading.Event() for _ in range(3))
+        seen = {}
+
+        def thread_a():
+            with use_budget(a_budget):
+                a_in.set()
+                b_in.wait(5)
+            a_out.set()
+
+        def thread_b():
+            a_in.wait(5)
+            with use_budget(b_budget):
+                b_in.set()
+                a_out.wait(5)
+                seen["inside"] = get_budget()
+            seen["after"] = get_budget()
+
+        threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+        assert seen == {"inside": b_budget, "after": None}
+        assert get_budget() is None
+        later = []
+        probe = threading.Thread(target=lambda: later.append(get_budget()))
+        probe.start()
+        probe.join(5)
+        assert later == [None]
 
     def test_hard_dfa_cap_is_unconditional(self):
         from repro.analysis.resilience import enforce_dfa_cap
