@@ -97,3 +97,32 @@ def test_product_constructions_per_analysis(seed, ceiling):
         [f"rlang.product_calls={products}  ceiling={ceiling}"],
     )
     assert 0 < products <= ceiling
+
+
+def test_determinise_constructions_per_analysis():
+    """Count guard for building each language once: over the examples
+    and the labelled corpus, subset constructions stay at most 6 per
+    analysis (9.2 when concatenation, star and the quotients were
+    rebuilt per call and the entry state's path languages per run).
+    Counts, not milliseconds, so the guard is machine-stable."""
+    from pathlib import Path
+
+    from repro.analysis import analyze
+    from repro.analysis.corpus import corpus
+    from repro.obs import TraceRecorder, use_recorder
+
+    examples = Path(__file__).resolve().parents[1] / "examples" / "scripts"
+    items = [(path.read_text(encoding="utf-8"), {}) for path in sorted(examples.glob("*.sh"))]
+    items += [(script.source, {"n_args": script.n_args}) for script in corpus()]
+    recorder = TraceRecorder()
+    with use_recorder(recorder):
+        for source, kwargs in items:
+            analyze(source, **kwargs)
+    calls = recorder.counter("rlang.determinise_calls")
+    emit(
+        "E14 (subset constructions, examples and labelled corpus)",
+        [f"rlang.determinise_calls={calls} over {len(items)} analyses "
+         f"({calls / len(items):.2f} each)  ceiling=6 each"],
+    )
+    assert len(items) == 61
+    assert 0 < calls <= 6 * len(items)

@@ -1,7 +1,7 @@
 """The incorrectness-criteria catalog (paper §4)."""
 
 from .base import Checker
-from .deletion import DangerousDeletionChecker, danger_language, home_language
+from .deletion import DangerousDeletionChecker
 from .idempotence import IdempotenceChecker
 from .platform import PlatformChecker
 from .streams import AlwaysFailsChecker, DeadCaseChecker, StreamTypeChecker
@@ -47,6 +47,4 @@ __all__ = [
     "AlwaysFailsChecker",
     "IdempotenceChecker",
     "PlatformChecker",
-    "danger_language",
-    "home_language",
 ]

@@ -10,8 +10,6 @@ $STEAMROOT$c`` (§3).
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 from ..diag import Diagnostic, Severity
 from ..rlang import Regex
 from ..shell.ast import SimpleCommand
@@ -27,24 +25,6 @@ DANGER_PATTERN = r"/+((\.{1,2})/+)*(\.{1,2}|[^/\n]*)(/+(\.{1,2})?)*"
 
 #: Home-directory deletions: ~ or $HOME directly.
 HOME_PATTERN = r"/home/[^/\n]+/?|/root/?"
-
-_danger: Optional[Regex] = None
-_home: Optional[Regex] = None
-
-
-def danger_language() -> Regex:
-    global _danger
-    if _danger is None:
-        _danger = Regex.compile(DANGER_PATTERN)
-    return _danger
-
-
-def home_language() -> Regex:
-    global _home
-    if _home is None:
-        _home = Regex.compile(HOME_PATTERN)
-    return _home
-
 
 class DangerousDeletionChecker(Checker):
     name = "dangerous-deletion"
@@ -63,7 +43,7 @@ class DangerousDeletionChecker(Checker):
         if lang.is_empty():
             return
 
-        danger = danger_language()
+        danger = Regex.constant(DANGER_PATTERN)
         overlap = lang & danger
         if not overlap.is_empty():
             witness = overlap.example() or ""
@@ -87,7 +67,7 @@ class DangerousDeletionChecker(Checker):
         if self.include_home and not operand.has_glob():
             # `dir/*` deletes dir's children, never dir itself; only a
             # glob-free operand can denote a home directory as a whole
-            overlap = lang & home_language()
+            overlap = lang & Regex.constant(HOME_PATTERN)
             if not overlap.is_empty() and not lang.is_finite():
                 # a *symbolic* operand that may be exactly a home directory
                 state.warn(

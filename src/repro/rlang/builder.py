@@ -21,7 +21,7 @@ from . import ops
 from .dfa import DFA, determinise, minimise
 from .nfa import build_nfa
 from .syntax import Node, literal, parse
-from .table import shared_leaf
+from .table import shared_constant, shared_leaf
 
 
 class Regex:
@@ -50,6 +50,16 @@ class Regex:
         )
 
     @classmethod
+    def constant(cls, pattern: str) -> "Regex":
+        """Compile a pattern written in the analyzer's source, never in a
+        script: the DFA is built once per process and shared; each call
+        still returns a fresh :class:`Regex`."""
+        return cls(
+            shared_constant(pattern, lambda: determinise(build_nfa(parse(pattern)))),
+            pattern,
+        )
+
+    @classmethod
     def from_ast(cls, node: Node, pattern: Optional[str] = None) -> "Regex":
         return cls(determinise(build_nfa(node)), pattern)
 
@@ -63,7 +73,7 @@ class Regex:
 
     @classmethod
     def any_string(cls) -> "Regex":
-        return cls.compile("(.|\\n)*")
+        return cls.constant("(.|\\n)*")
 
     @classmethod
     def nothing(cls) -> "Regex":

@@ -146,15 +146,15 @@ def _first_only(x: bool, y: bool) -> bool:
 
 
 def intersection(a: DFA, b: DFA) -> DFA:
-    return shared_product("&", a, b, lambda: product(a, b, _both))
+    return shared_product("&", (a, b), lambda: product(a, b, _both))
 
 
 def union(a: DFA, b: DFA) -> DFA:
-    return shared_product("|", a, b, lambda: product(a, b, _either))
+    return shared_product("|", (a, b), lambda: product(a, b, _either))
 
 
 def difference(a: DFA, b: DFA) -> DFA:
-    return shared_product("-", a, b, lambda: product(a, b, _first_only))
+    return shared_product("-", (a, b), lambda: product(a, b, _first_only))
 
 
 def complement(a: DFA) -> DFA:
@@ -179,8 +179,12 @@ def equivalent(a: DFA, b: DFA) -> bool:
     return is_subset(a, b) and is_subset(b, a)
 
 
-def concat_dfa(a: DFA, b: DFA) -> "DFA":
+def concat_dfa(a: DFA, b: DFA) -> DFA:
     """Concatenation via NFA glue (used by the Regex wrapper)."""
+    return shared_product("+", (a, b), lambda: _concat(a, b), "rlang.determinise")
+
+
+def _concat(a: DFA, b: DFA) -> DFA:
     nfa = NFA()
     offset_a = _embed(nfa, a)
     offset_b = _embed(nfa, b)
@@ -194,6 +198,10 @@ def concat_dfa(a: DFA, b: DFA) -> "DFA":
 
 def star(a: DFA) -> DFA:
     """Kleene star via NFA gluing."""
+    return shared_product("*", (a,), lambda: _star(a), "rlang.determinise")
+
+
+def _star(a: DFA) -> DFA:
     nfa = NFA()
     offset = _embed(nfa, a)
     nfa.add_epsilon(nfa.start, nfa.accept)
@@ -209,8 +217,13 @@ def right_quotient(a: DFA, b: DFA) -> DFA:
 
     Same transition structure as ``a``; a state accepts iff some string of
     L(b) leads from it to an accepting state of ``a``.  Used to model the
-    shell's ``${var%pattern}`` suffix-strip expansion symbolically.
+    shell's ``${var%pattern}`` suffix-strip expansion symbolically.  The
+    construction never grows past ``a``, so it checks no DFA-state cap.
     """
+    return shared_product("/", (a, b), lambda: _right_quotient(a, b), None)
+
+
+def _right_quotient(a: DFA, b: DFA) -> DFA:
     atoms, map_a, map_b = _align(a, b)
     n_cols = len(atoms) + 1
 
@@ -258,6 +271,12 @@ def left_quotient(b: DFA, a: DFA) -> DFA:
     Models ``${var#pattern}`` prefix stripping: the possible remainders of
     strings in ``a`` after removing a prefix belonging to ``b``.
     """
+    return shared_product(
+        "\\", (b, a), lambda: _left_quotient(b, a), "rlang.determinise"
+    )
+
+
+def _left_quotient(b: DFA, a: DFA) -> DFA:
     atoms, map_a, map_b = _align(a, b)
     n_cols = len(atoms) + 1
 

@@ -1,42 +1,52 @@
-"""A per-run table of built languages.
+"""Build each language once: a per-run table and a per-process tier.
 
 One symbolic-execution run rebuilds the same automata many times: every
-forked state compiles the same patterns again, and a ``case`` inside a
-loop intersects structurally equal constraints with the same arm
-languages on every iteration.  While a :class:`RunTable` is installed
-(:func:`run_table`, entered by ``Engine.run``), two kinds of
-construction are built once and shared:
+forked state compiles the same patterns again, a ``case`` inside a loop
+intersects structurally equal constraints with the same arm languages
+on every iteration, and every ``${v%pat}`` glues ``Σ*`` to the same
+pattern.  While a :class:`RunTable` is installed (:func:`run_table`,
+entered by ``Engine.run``), two kinds of construction are built once
+and shared:
 
 - leaves: ``Regex.compile(pattern)`` and ``Regex.literal(text)``, keyed
   by the pattern or text;
-- boolean products: ``intersection``, ``union`` and ``difference``,
-  keyed by the operation and the structure of both operands.
-
-Sharing cannot change a result.  No DFA is mutated after construction,
-and a product's structure depends only on its operands' structures.  A
-construction trips the DFA-state cap exactly when its finished automaton
-is over the cap (the frontier only grows), so a reused DFA is checked
-against the cap active at reuse, as a rebuilt one would be.  A
-construction that raises stores nothing.
+- constructions from operands: ``intersection``, ``union``,
+  ``difference``, ``concat_dfa``, ``star`` and both quotients, keyed by
+  the operation and the structure of each operand.
 
 The table is thread-local and dropped when the outermost run leaves its
-scope, so nothing outlives the run.  Without a table every call builds,
-as before.
+scope, so nothing built from script text outlives the run.  Without a
+table every such call builds, as before.  The analyzer's own constant
+languages are written in its source, never in a script, so
+:func:`shared_constant` keeps them for the whole process (the tier is
+bounded by the source); threads share their DFAs, which each run's
+table tags with its own key.
+
+Sharing cannot change a result.  No DFA is mutated after construction,
+and a construction's structure depends only on its operands'
+structures.  A construction trips the DFA-state cap exactly when its
+finished automaton is over the cap (the frontier only grows), so a
+reused DFA is checked against the cap active at reuse, as a rebuilt one
+would be, in the phase that would have tripped.  A construction that
+raises stores nothing.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 from .dfa import DFA
 
 _tls = threading.local()
 
+#: source constant -> its DFA, for the life of the process
+_constants: Dict[str, DFA] = {}
+
 
 class RunTable:
-    """The leaves and products built so far in one run."""
+    """The leaves and constructions built so far in one run."""
 
     __slots__ = ("token", "keys", "leaves", "products")
 
@@ -47,7 +57,8 @@ class RunTable:
         #: DFA structure -> small int key
         self.keys: Dict[tuple, int] = {}
         self.leaves: Dict[Tuple[str, str], DFA] = {}
-        self.products: Dict[Tuple[str, int, int], DFA] = {}
+        #: (operation, operand key, ...) -> the construction's DFA
+        self.products: Dict[tuple, DFA] = {}
 
     def key(self, dfa: DFA) -> int:
         """A small int naming ``dfa``'s structure, computed once per DFA."""
@@ -72,13 +83,13 @@ class RunTable:
             _recheck(dfa, "rlang.determinise")
         return dfa
 
-    def product(self, op: str, a: DFA, b: DFA, build: Callable[[], DFA]) -> DFA:
-        entry = (op, self.key(a), self.key(b))
+    def product(self, op: str, operands: Sequence[DFA], build, phase) -> DFA:
+        entry = (op, *map(self.key, operands))
         dfa = self.products.get(entry)
         if dfa is None:
             dfa = self.products[entry] = build()
-        else:
-            _recheck(dfa, "rlang.product")
+        elif phase is not None:
+            _recheck(dfa, phase)
         return dfa
 
 
@@ -102,13 +113,32 @@ def shared_leaf(kind: str, text: str, build: Callable[[], DFA]) -> DFA:
     return table.leaf(kind, text, build)
 
 
-def shared_product(op: str, a: DFA, b: DFA, build: Callable[[], DFA]) -> DFA:
-    """``build()``, shared per ``(op, structure of a, structure of b)``
-    while a table is installed."""
+def shared_product(
+    op: str,
+    operands: Sequence[DFA],
+    build: Callable[[], DFA],
+    phase: Optional[str] = "rlang.product",
+) -> DFA:
+    """``build()``, shared per ``(op, structure of each operand)`` while a
+    table is installed.  ``phase`` names where a rebuild would check the
+    DFA-state cap (None: a rebuild checks nothing)."""
     table = getattr(_tls, "table", None)
     if table is None:
         return build()
-    return table.product(op, a, b, build)
+    return table.product(op, operands, build, phase)
+
+
+def shared_constant(pattern: str, build: Callable[[], DFA]) -> DFA:
+    """``build()``, shared per ``pattern`` for the life of the process.
+
+    Only for patterns written in the analyzer's source: the tier has no
+    bound but the source's."""
+    dfa = _constants.get(pattern)
+    if dfa is None:
+        # two threads may both build; the first stored is kept
+        return _constants.setdefault(pattern, build())
+    _recheck(dfa, "rlang.determinise")
+    return dfa
 
 
 @contextmanager

@@ -24,24 +24,6 @@ ABS_PATH = r"/([^/\n]+(/[^/\n]+)*)?"
 #: Fig. 3 then-branch refinement.
 ROOTY = r"[/.]*"
 
-_abs_path_re: Optional[Regex] = None
-_rooty_re: Optional[Regex] = None
-
-
-def abs_path_re() -> Regex:
-    global _abs_path_re
-    if _abs_path_re is None:
-        _abs_path_re = Regex.compile(ABS_PATH)
-    return _abs_path_re
-
-
-def rooty_re() -> Regex:
-    global _rooty_re
-    if _rooty_re is None:
-        _rooty_re = Regex.compile(ROOTY)
-    return _rooty_re
-
-
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
@@ -114,9 +96,9 @@ def _new_pwd(target: SymString, state: SymState) -> SymString:
 
         return SymString.lit(normalise_concrete(concrete))
     lang = target.to_regex(state.store)
-    if not lang.matches_empty() and lang <= abs_path_re():
+    if not lang.matches_empty() and lang <= Regex.constant(ABS_PATH):
         return target
-    vid = state.store.fresh(abs_path_re(), label="$PWD")
+    vid = state.store.fresh(Regex.constant(ABS_PATH), label="$PWD")
     return SymString.var(vid)
 
 
@@ -389,8 +371,8 @@ def _refine_realpath_arg(state: SymState, vid: int, inside: bool) -> bool:
     if target is None:
         return True
     if inside:
-        return not state.store.refine(target, rooty_re()).is_empty()
-    return not state.store.exclude(target, rooty_re()).is_empty()
+        return not state.store.refine(target, Regex.constant(ROOTY)).is_empty()
+    return not state.store.exclude(target, Regex.constant(ROOTY)).is_empty()
 
 
 def _rooty_modulo_var(arg: SymString, state: SymState) -> Optional[int]:
@@ -439,7 +421,7 @@ def builtin_realpath(argv: List[SymString], state: SymState, engine: "Engine") -
     results = []
     success = state.fork(note=f"realpath {arg.describe(state.store)}: success")
     vid = success.store.fresh(
-        abs_path_re(),
+        Regex.constant(ABS_PATH),
         label=f"realpath({arg.describe(state.store)})",
         provenance=("realpath", arg),
     )
@@ -453,7 +435,7 @@ def builtin_realpath(argv: List[SymString], state: SymState, engine: "Engine") -
     target = _rooty_modulo_var(arg, failure)
     feasible = True
     if target is not None:
-        feasible = not failure.store.exclude(target, rooty_re()).is_empty()
+        feasible = not failure.store.exclude(target, Regex.constant(ROOTY)).is_empty()
     if feasible:
         results.append(failure)
     return results
@@ -536,7 +518,7 @@ def builtin_read(argv: List[SymString], state: SymState, engine: "Engine") -> Li
     names = [n for n in names if n and not n.startswith("-")]
     ok = state.fork(note="read: a line arrived")
     for name in names or ["REPLY"]:
-        vid = ok.store.fresh(Regex.compile(".*"), label=f"${name} (read)")
+        vid = ok.store.fresh(Regex.constant(".*"), label=f"${name} (read)")
         ok.set_var(name, SymString.var(vid))
     ok.status = 0
     eof = state.fork(note="read: end of input")
@@ -662,7 +644,7 @@ def builtin_getopts(argv: List[SymString], state: SymState, engine: "Engine") ->
     arg_vid = ok.store.fresh(label="$OPTARG (getopts)")
     ok.set_var("OPTARG", SymString.var(arg_vid))
     ind_vid = ok.store.fresh(
-        Regex.compile("[1-9][0-9]*"), label="$OPTIND (getopts)"
+        Regex.constant("[1-9][0-9]*"), label="$OPTIND (getopts)"
     )
     ok.set_var("OPTIND", SymString.var(ind_vid))
     ok.status = 0

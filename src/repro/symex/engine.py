@@ -168,7 +168,7 @@ class Engine:
           symbolic count, ``$N`` materialises lazily).
         """
         state = SymState()
-        vid0 = state.store.fresh(Regex.compile(SCRIPT_PATH_RE), label="$0")
+        vid0 = state.store.fresh(Regex.constant(SCRIPT_PATH_RE), label="$0")
         state.params = [SymString.var(vid0)]
         if args is not None:
             state.params.extend(SymString.lit(str(a)) for a in args)
@@ -179,7 +179,7 @@ class Engine:
                 vid = state.store.fresh(label=f"${idx}")
                 state.params.append(SymString.var(vid))
         cwd_vid = state.store.fresh(
-            Regex.compile(builtins_mod.ABS_PATH), label="$PWD"
+            Regex.constant(builtins_mod.ABS_PATH), label="$PWD"
         )
         state.cwd_str = SymString.var(cwd_vid)
         state.cwd_node = None
@@ -208,8 +208,9 @@ class Engine:
         """Execute ``ast`` from ``state`` (the entry state by default).
 
         The run installs a language table (:mod:`repro.rlang.table`), so
-        every pattern, literal and boolean product is built once per run;
-        the table is dropped when the run returns or raises."""
+        every pattern, literal, boolean product, concatenation, star and
+        quotient is built once per run; the table is dropped when the run
+        returns or raises."""
         with run_table():
             return self._run(ast, state, n_args, args)
 
@@ -1344,6 +1345,8 @@ class Engine:
             self._budget.check_deadline("symex")
         if self.prune:
             merged: Dict[tuple, SymState] = {}
+            # per merge key, the diagnostics its kept state already holds
+            seen: Dict[tuple, set] = {}
             order: List[SymState] = []
             for st in states:
                 key = (
@@ -1369,10 +1372,15 @@ class Engine:
                     self.paths_merged += 1
                     self._rec.count("symex.states_merged")
                     # keep the first; append its diagnostics so none are lost
-                    merged[key].diagnostics.extend(
-                        d for d in st.diagnostics
-                        if d not in merged[key].diagnostics
-                    )
+                    kept = merged[key].diagnostics
+                    held = seen.get(key)
+                    if held is None:
+                        held = seen[key] = set(map(_diag_identity, kept))
+                    for diagnostic in st.diagnostics:
+                        identity = _diag_identity(diagnostic)
+                        if identity not in held:
+                            held.add(identity)
+                            kept.append(diagnostic)
                 else:
                     merged[key] = st
                     order.append(st)
@@ -1387,6 +1395,22 @@ class Engine:
                 rec.observe("symex.truncation_drop", dropped)
             states = states[: self.max_fork]
         return states
+
+
+def _diag_identity(diagnostic: Diagnostic) -> tuple:
+    """A hashable stand-in for ``diagnostic``, equal exactly when the
+    diagnostics are equal (their ``Position`` is not hashable)."""
+    pos = diagnostic.pos
+    return (
+        diagnostic.code,
+        diagnostic.message,
+        diagnostic.severity,
+        None if pos is None else (pos.line, pos.col, pos.offset),
+        diagnostic.always,
+        diagnostic.witness,
+        diagnostic.source,
+        diagnostic.related,
+    )
 
 
 class _DiagSink:

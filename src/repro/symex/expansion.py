@@ -25,6 +25,7 @@ from ..shell.ast import (
 )
 from ..shell.glob import word_pattern_to_regex
 from ..symstr import GlobAtom, SymString, strip_prefix, strip_suffix
+from .builtins import ABS_PATH
 from .state import SymState
 
 if TYPE_CHECKING:
@@ -212,7 +213,7 @@ def _expand_arith(
         value = None
     if value is not None:
         return SymString.lit(str(value))
-    vid = state.store.fresh(Regex.compile("-?[0-9]+"), label=f"$(({part.expr}))")
+    vid = state.store.fresh(Regex.constant("-?[0-9]+"), label=f"$(({part.expr}))")
     return SymString.var(vid)
 
 
@@ -252,7 +253,7 @@ def _expand_tilde(part: TildePart, state: SymState, engine: "Engine") -> SymStri
     home = state.get_var("HOME")
     if home is not None:
         return home
-    vid = state.store.fresh(Regex.compile(r"/([^/\n]+(/[^/\n]+)*)?"), label="$HOME")
+    vid = state.store.fresh(Regex.constant(ABS_PATH), label="$HOME")
     value = SymString.var(vid)
     state.set_var("HOME", value)
     return value
@@ -294,7 +295,7 @@ def _expand_param(
     if part.op == "len":
         if value is not None and value.is_concrete():
             return [(state, SymString.lit(str(len(value.concrete_value()))))]
-        vid = state.store.fresh(Regex.compile("[0-9]+"), label=f"${{#{part.name}}}")
+        vid = state.store.fresh(Regex.constant("[0-9]+"), label=f"${{#{part.name}}}")
         return [(state, SymString.var(vid))]
 
     if part.op in ("%", "%%", "#", "##"):

@@ -196,7 +196,7 @@ class SymState:
         if name == "?":
             if self.status is None:
                 vid = self.store.fresh(
-                    Regex.compile("[0-9]{1,3}"), label="$? (unknown)"
+                    Regex.constant("[0-9]{1,3}"), label="$? (unknown)"
                 )
                 return SymString.var(vid)
             return SymString.lit(str(self.status))
@@ -204,7 +204,7 @@ class SymState:
             if self.argv_unknown:
                 if self.argc_sym is None:
                     vid = self.store.fresh(
-                        Regex.compile("0|[1-9][0-9]*"), label="$#"
+                        Regex.constant("0|[1-9][0-9]*"), label="$#"
                     )
                     self.argc_sym = SymString.var(vid)
                 return self.argc_sym

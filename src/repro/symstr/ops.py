@@ -31,16 +31,6 @@ class ExpansionCase:
     note: str = ""
 
 
-_ANY = None  # lazily built Σ*
-
-
-def _any() -> Regex:
-    global _ANY
-    if _ANY is None:
-        _ANY = Regex.any_string()
-    return _ANY
-
-
 def strip_suffix(
     value: SymString,
     pattern: Regex,
@@ -52,7 +42,7 @@ def strip_suffix(
     if concrete is not None:
         return [ExpansionCase(SymString.lit(_concrete_suffix(concrete, pattern, longest)))]
 
-    suffixed = _any() + pattern  # Σ*·pat : strings ending in a match
+    suffixed = Regex.any_string() + pattern  # Σ*·pat : strings ending in a match
     vid = value.single_var()
     if vid is not None:
         constraint = store.constraint(vid)
@@ -101,7 +91,7 @@ def strip_prefix(
     if concrete is not None:
         return [ExpansionCase(SymString.lit(_concrete_prefix(concrete, pattern, longest)))]
 
-    prefixed = pattern + _any()
+    prefixed = pattern + Regex.any_string()
     vid = value.single_var()
     if vid is not None:
         constraint = store.constraint(vid)

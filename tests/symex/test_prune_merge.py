@@ -1,0 +1,59 @@
+"""Merging states at a join keeps every diagnostic once, in order.
+
+``Engine._prune`` keeps the first state per merge key and appends the
+diagnostics of each state merged into it that it does not hold yet.  The
+check is a seen-set per kept state, so a wide join costs linear time in
+its diagnostics; the result must be the list the old per-diagnostic
+list scan built."""
+
+from repro.diag import Diagnostic, Severity
+from repro.shell.tokens import Position
+from repro.symex import Engine, SymState
+
+
+def _diag(code, line=None, **fields):
+    pos = None if line is None else Position(line=line, col=1, offset=line * 10)
+    return Diagnostic(code=code, message=f"{code} message", pos=pos, **fields)
+
+
+def _scan_merge(groups):
+    """The quadratic merge the seen-set replaced, as the oracle."""
+    kept = list(groups[0])
+    for diagnostics in groups[1:]:
+        kept.extend(d for d in diagnostics if d not in kept)
+    return kept
+
+
+def test_duplicate_and_overlapping_diagnostics_merge_like_the_list_scan():
+    a, b, c = _diag("a", 1), _diag("b", 2), _diag("c")
+    groups = [
+        # the kept state's own duplicates stay, as before
+        [a, b, a],
+        # equal by value but not the same objects (Position is unhashable)
+        [_diag("b", 2), c, _diag("a", 1), c],
+        # differ from a only in one field each: all are new
+        [_diag("a", 3), _diag("a", 1, always=True), _diag("a", 1, witness="/"),
+         _diag("a", 1, severity=Severity.ERROR), _diag("a", 1, related=("x",))],
+        [c, _diag("a", 1, always=True), _diag("d", 4), _diag("d", 4)],
+    ]
+    states = [SymState(status=0, diagnostics=list(group)) for group in groups]
+    engine = Engine()
+    merged = engine._prune(states)
+    assert merged == [states[0]]
+    assert engine.paths_merged == 3
+    assert merged[0].diagnostics == _scan_merge(groups)
+    assert len(merged[0].diagnostics) == 10
+
+
+def test_each_merge_key_keeps_its_own_diagnostics():
+    shared = _diag("shared", 1)
+    states = [
+        SymState(status=0, diagnostics=[shared]),
+        SymState(status=1, diagnostics=[_diag("other", 2)]),
+        SymState(status=0, diagnostics=[_diag("shared", 1), _diag("zero", 3)]),
+        SymState(status=1, diagnostics=[_diag("shared", 1)]),
+    ]
+    merged = Engine()._prune(states)
+    assert [st.status for st in merged] == [0, 1]
+    assert merged[0].diagnostics == [shared, _diag("zero", 3)]
+    assert merged[1].diagnostics == [_diag("other", 2), _diag("shared", 1)]
