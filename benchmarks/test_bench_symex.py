@@ -1,0 +1,89 @@
+"""Symbolic-execution count guards over the benchmark's generator seeds.
+
+State merging hashes each state from a few scalars and the fingerprints
+its variables, functions and constraint store keep up to date, and a
+literal word is split into fields once per run.  These guards count
+what that saves on perfbench's ``generated_seeds`` scripts: counts, not
+milliseconds, so they do not depend on the machine.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+from conftest import emit
+
+from repro.analysis import analyze
+from repro.analysis.difftest.campaign import CampaignConfig
+from repro.analysis.difftest.gen import generate
+from repro.obs import TraceRecorder, use_recorder
+from repro.symstr import SymString
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _generator_seeds():
+    text = (ROOT / "perfbench" / "run.py").read_text(encoding="utf-8")
+    match = re.search(r"^GENERATOR_SEEDS = (\(.*\))$", text, re.MULTILINE)
+    assert match, "perfbench/run.py no longer defines GENERATOR_SEEDS"
+    return ast.literal_eval(match.group(1))
+
+
+@pytest.fixture(scope="module")
+def seeds_run():
+    """One analysis per generator seed, counting ``SymString``
+    constructions and hashes; returns (analyses, counts, recorder)."""
+    counts = {"constructions": 0, "hashes": 0}
+    init, hash_ = SymString.__init__, SymString.__hash__
+
+    def counted_init(self, *args, **kwargs):
+        counts["constructions"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_hash(self):
+        counts["hashes"] += 1
+        return hash_(self)
+
+    kwargs = CampaignConfig().analyze_kwargs()
+    sources = [generate(seed, safe=True) for seed in _generator_seeds()]
+    recorder = TraceRecorder()
+    SymString.__init__, SymString.__hash__ = counted_init, counted_hash
+    try:
+        with use_recorder(recorder):
+            for source in sources:
+                analyze(source, **kwargs)
+    finally:
+        SymString.__init__, SymString.__hash__ = init, hash_
+    return len(sources), counts, recorder
+
+
+def test_symstring_construction_counts(seeds_run):
+    """Literal words split once per run and a shared empty value: 552
+    constructions per analysis (4 940 when every expansion rebuilt its
+    literal fields)."""
+    analyses, counts, _ = seeds_run
+    per = counts["constructions"] / analyses
+    emit("E-symex-keys (SymString constructions per analysis)",
+         [f"{per:.1f}  ceiling=1000"])
+    assert 0 < per <= 1000
+
+
+def test_symstring_hash_counts(seeds_run):
+    """Fingerprinted merge keys: about 3 000 hashes per analysis
+    (25 700 when each prune sorted and hashed every binding)."""
+    analyses, counts, _ = seeds_run
+    per = counts["hashes"] / analyses
+    emit("E-symex-keys (SymString hashes per analysis)", [f"{per:.1f}  ceiling=6000"])
+    assert 0 < per <= 6000
+
+
+def test_path_counts(seeds_run):
+    """The same paths explored and merged as with the sorted-tuple key."""
+    analyses, _, recorder = seeds_run
+    explored = recorder.counter("symex.states_explored")
+    merged = recorder.counter("symex.states_merged")
+    emit("E-symex-keys (paths over the generator seeds)",
+         [f"explored={explored} merged={merged} over {analyses} analyses"])
+    assert analyses == 15
+    assert (explored, merged) == (7108, 1459)

@@ -577,11 +577,7 @@ class _Replayer:
                 # run's constraint object so downstream identity-based
                 # merging behaves exactly as in a cold run
                 constraint = self.ctx.constraints[cur]
-            store._constraints[cur] = constraint
-            if label:
-                store._labels[cur] = label
-            if prov is not None:
-                store._provenance[cur] = self.remap_provenance(prov)
+            store.bind(cur, constraint, label, self.remap_provenance(prov))
         return store
 
     def rebuild_fs(self, sp: _StoredState, pre_log: EventLog) -> FileSystem:

@@ -145,6 +145,10 @@ class Engine:
         #: id(item) -> (item, language); forked states reaching the same
         #: `case` reuse it instead of re-running subset construction
         self._arm_langs: Dict[int, Tuple[CaseItem, Optional[Regex]]] = {}
+        #: the fields of each all-literal word (None: not all literal),
+        #: id(word) -> (word, fields): they do not depend on the state, so
+        #: they are split once per run
+        self._literal_fields: Dict[int, Tuple[Word, Optional[List[SymString]]]] = {}
         #: optional fragment memoization hook (incremental analysis):
         #: when set, function-body evaluations may be served from
         #: per-fragment summaries instead of being re-explored.  See
@@ -236,6 +240,7 @@ class Engine:
         self._region_counter = 0
         self._origin_cache = {}
         self._arm_langs = {}
+        self._literal_fields = {}
         self.loop_depth = 0
         if state is None:
             state = self.initial_state(n_args=n_args, args=args)
@@ -326,7 +331,7 @@ class Engine:
         if isinstance(node, Case):
             return self._prune(self.eval_case(node, state))
         if isinstance(node, FunctionDef):
-            state.functions[node.name] = node.body
+            state.define_function(node.name, node.body)
             return [state.with_status(0)]
         raise TypeError(f"engine cannot evaluate {type(node).__name__}")
 
@@ -954,20 +959,12 @@ class Engine:
         self._region_counter += 1
         region = self._region_counter
         origin = self._origin_for(node.command)
-        saved = (
-            dict(state.env),
-            list(state.params),
-            state.argv_unknown,
-            state.argc_sym,
-            dict(state.functions),
-            state.cwd_node,
-            state.cwd_str,
-            state.halted,
-            set(state.options),
-            state.bg_jobs,
-            state.bg_launched,
-            state.loop_control,
-        )
+        scope = state.scope()
+        halted = state.halted
+        options = set(state.options)
+        jobs = state.bg_jobs
+        launched = state.bg_launched
+        loop_control = state.loop_control
         state.loop_control = None
         job = BgJob(
             number=state.bg_launched + 1,
@@ -987,27 +984,7 @@ class Engine:
             self.loop_depth = saved_depth
         for result in results:
             result.fs.log.task = prev_task
-            (
-                env,
-                params,
-                argv_unknown,
-                argc_sym,
-                functions,
-                cwd_node,
-                cwd_str,
-                halted,
-                options,
-                jobs,
-                launched,
-                loop_control,
-            ) = saved
-            result.env = dict(env)
-            result.params = list(params)
-            result.argv_unknown = argv_unknown
-            result.argc_sym = argc_sym
-            result.functions = dict(functions)
-            result.cwd_node = cwd_node
-            result.cwd_str = cwd_str
+            result.restore_scope(scope)
             result.halted = halted
             result.options = set(options)
             result.bg_jobs = jobs + (job,)
@@ -1026,15 +1003,10 @@ class Engine:
             subs = self.eval(node.body, child)
         finally:
             self.loop_depth = saved_depth
+        scope = state.scope()
         results = []
         for sub in subs:
-            sub.env = dict(state.env)
-            sub.params = list(state.params)
-            sub.argv_unknown = state.argv_unknown
-            sub.argc_sym = state.argc_sym
-            sub.functions = dict(state.functions)
-            sub.cwd_node = state.cwd_node
-            sub.cwd_str = state.cwd_str
+            sub.restore_scope(scope)
             sub.halted = state.halted
             sub.bg_jobs = state.bg_jobs
             sub.bg_launched = state.bg_launched
@@ -1344,46 +1316,52 @@ class Engine:
             # the wall clock even between eval charges
             self._budget.check_deadline("symex")
         if self.prune:
-            merged: Dict[tuple, SymState] = {}
-            # per merge key, the diagnostics its kept state already holds
-            seen: Dict[tuple, set] = {}
+            # a state's merge key is hashed from a few scalars and the
+            # fingerprints its variables, functions and constraint store
+            # keep up to date; states whose hashed key matches are then
+            # compared binding by binding (variables by value, function
+            # bodies and constraints by identity)
+            buckets: Dict[tuple, List[SymState]] = {}
+            # per kept state, the diagnostics it already holds
+            seen: Dict[int, set] = {}
             order: List[SymState] = []
             for st in states:
                 key = (
                     st.status,
                     st.halted,
-                    tuple(sorted(st.env.items())),
+                    st.env_fingerprint,
                     tuple(st.params),
                     st.cwd_str,
                     len(st.stdout) if st.capturing else 0,
-                    st.store.identity_key(),
+                    st.store.fingerprint,
                     st.bg_jobs,
                     st.loop_control,
                     st.argv_unknown,
-                    # function bindings are state too: a path that redefined
-                    # a function must not merge with one that kept the old
-                    # body, or the redefinition silently vanishes at the
-                    # next call site
-                    tuple(
-                        sorted((n, id(b)) for n, b in st.functions.items())
-                    ),
+                    st.functions_fingerprint,
                 )
-                if key in merged:
-                    self.paths_merged += 1
-                    self._rec.count("symex.states_merged")
-                    # keep the first; append its diagnostics so none are lost
-                    kept = merged[key].diagnostics
-                    held = seen.get(key)
-                    if held is None:
-                        held = seen[key] = set(map(_diag_identity, kept))
-                    for diagnostic in st.diagnostics:
-                        identity = _diag_identity(diagnostic)
-                        if identity not in held:
-                            held.add(identity)
-                            kept.append(diagnostic)
+                bucket = buckets.setdefault(key, [])
+                for kept in bucket:
+                    if (
+                        kept.env == st.env
+                        and kept.store.same_as(st.store)
+                        and kept.same_functions(st)
+                    ):
+                        break
                 else:
-                    merged[key] = st
+                    bucket.append(st)
                     order.append(st)
+                    continue
+                self.paths_merged += 1
+                self._rec.count("symex.states_merged")
+                # keep the first; append its diagnostics so none are lost
+                held = seen.get(id(kept))
+                if held is None:
+                    held = seen[id(kept)] = set(map(_diag_identity, kept.diagnostics))
+                for diagnostic in st.diagnostics:
+                    identity = _diag_identity(diagnostic)
+                    if identity not in held:
+                        held.add(identity)
+                        kept.diagnostics.append(diagnostic)
             states = order
         if len(states) > self.max_fork:
             dropped = len(states) - self.max_fork

@@ -92,6 +92,9 @@ def expand_word_fields(
             vid = state.store.fresh(label='"$@" (unknown tail)')
             fields.append(SymString.var(vid))
         return [(state, fields)]
+    literal = _literal_fields(word, engine)
+    if literal is not None:
+        return [(state, literal)]
     # per path: list of (value, splittable) chunks
     results: List[Tuple[SymState, List[Tuple[SymString, bool]]]] = [(state, [])]
     for part in word.parts:
@@ -120,6 +123,21 @@ def expand_word_fields(
             fields = [SymString.empty()]
         final.append((final_state, fields))
     return final
+
+
+def _literal_fields(word: Word, engine: "Engine") -> Optional[List[SymString]]:
+    """The fields of a word made of literal parts only (or of no parts),
+    None for any other word.  Literal fields do not depend on the state,
+    so they are split once per run; each call gets a fresh list."""
+    entry = engine._literal_fields.get(id(word))
+    if entry is None or entry[0] is not word:
+        fields = None
+        if all(type(part) is LiteralPart for part in word.parts):
+            chunks = [(SymString.lit(part.text), False) for part in word.parts]
+            # quoted-empty words survive as one empty argument ("")
+            fields = _split_fields(chunks) or [SymString.empty()]
+        entry = engine._literal_fields[id(word)] = (word, fields)
+    return None if entry[1] is None else list(entry[1])
 
 
 def _split_fields(chunks: List[Tuple[SymString, bool]]) -> List[SymString]:
@@ -473,6 +491,7 @@ def expand_command_sub(
         sub_states = engine.eval(part.command, child)
     finally:
         engine.loop_depth = saved_depth
+    scope = state.scope()
     results: List[Expanded] = []
     for sub_state in sub_states:
         value, exact = sub_state.stdout_value()
@@ -481,13 +500,7 @@ def expand_command_sub(
         else:
             value = _stream_chunks_value(sub_state, part, engine)
         continuation = sub_state  # keep fs/store/diagnostics/notes
-        continuation.env = dict(state.env)
-        continuation.params = list(state.params)
-        continuation.argv_unknown = state.argv_unknown
-        continuation.argc_sym = state.argc_sym
-        continuation.functions = dict(state.functions)
-        continuation.cwd_node = state.cwd_node
-        continuation.cwd_str = state.cwd_str
+        continuation.restore_scope(scope)
         continuation.stdout = list(state.stdout)
         continuation.halted = state.halted
         continuation.capturing = state.capturing

@@ -5,8 +5,17 @@ shell environment (variables, positional parameters, functions), the
 working directory, the symbolic file system, the regular-language
 constraint store, the last exit status, any captured stdout, the path
 condition (as human-readable notes), and diagnostics collected so far.
-Forking copies cheaply; the heavyweight members (fs nodes, constraints)
-are copy-on-write.
+
+Forking copies each container once, at C level.  The file-system nodes
+are copy-on-write (a fork shares them until a write).  The constraint
+store copies its three small dicts; the ``Regex`` objects in them are
+shared, and a refinement replaces one rather than changing it.
+
+Variables and functions each carry an order-independent fingerprint:
+the XOR of ``hash((name, value))`` over the variables and of
+``hash((name, id(body)))`` over the functions.  Every write goes through
+a method here that updates it, and a fork carries it over, so state
+merging hashes a state without sorting its bindings.
 """
 
 from __future__ import annotations
@@ -64,13 +73,19 @@ class StdoutChunk:
         return cls(stream=stream)
 
 
+def _binding_hash(name: str, value: object) -> int:
+    return hash((name, value))
+
+
 class SymState:
     __slots__ = (
         "env",
+        "env_fingerprint",
         "params",
         "argv_unknown",
         "argc_sym",
         "functions",
+        "functions_fingerprint",
         "cwd_node",
         "cwd_str",
         "fs",
@@ -112,6 +127,9 @@ class SymState:
         argc_sym: Optional[SymString] = None,
     ):
         self.env = dict(env or {})
+        self.env_fingerprint = 0
+        for name, value in self.env.items():
+            self.env_fingerprint ^= _binding_hash(name, value)
         self.params = list(params or [])
         #: True when the positional parameters beyond the known prefix in
         #: ``params`` are unknown at entry (POSIX start-up semantics: a
@@ -123,6 +141,9 @@ class SymState:
         #: ``argv_unknown``); reset whenever the count changes (shift)
         self.argc_sym = argc_sym
         self.functions = dict(functions or {})
+        self.functions_fingerprint = 0
+        for name, body in self.functions.items():
+            self.functions_fingerprint ^= _binding_hash(name, id(body))
         self.fs = fs if fs is not None else FileSystem()
         self.store = store if store is not None else ConstraintStore()
         self.cwd_node = cwd_node
@@ -150,31 +171,68 @@ class SymState:
     # -- forking -----------------------------------------------------------
 
     def fork(self, note: str = "") -> "SymState":
-        child = SymState(
-            env=self.env,
-            params=self.params,
-            functions=self.functions,
-            cwd_node=self.cwd_node,
-            cwd_str=self.cwd_str,
-            fs=self.fs.fork(),
-            store=self.store.fork(),
-            status=self.status,
-            stdout=self.stdout,
-            notes=self.notes,
-            diagnostics=self.diagnostics,
-            halted=self.halted,
-            depth=self.depth,
-            capturing=self.capturing,
-            options=self.options,
-            bg_jobs=self.bg_jobs,
-            bg_launched=self.bg_launched,
-            loop_control=self.loop_control,
-            argv_unknown=self.argv_unknown,
-            argc_sym=self.argc_sym,
-        )
+        child = SymState.__new__(SymState)
+        child.env = self.env.copy()
+        child.env_fingerprint = self.env_fingerprint
+        child.params = self.params.copy()
+        child.argv_unknown = self.argv_unknown
+        child.argc_sym = self.argc_sym
+        child.functions = self.functions.copy()
+        child.functions_fingerprint = self.functions_fingerprint
+        child.cwd_node = self.cwd_node
+        child.cwd_str = self.cwd_str
+        child.fs = self.fs.fork()
+        child.store = self.store.fork()
+        child.status = self.status
+        child.stdout = self.stdout.copy()
+        child.notes = self.notes.copy()
+        child.diagnostics = self.diagnostics.copy()
+        child.halted = self.halted
+        child.depth = self.depth
+        child.capturing = self.capturing
+        child.options = self.options.copy()
+        child.bg_jobs = self.bg_jobs
+        child.bg_launched = self.bg_launched
+        child.loop_control = self.loop_control
         if note:
             child.notes.append(note)
         return child
+
+    # -- subshell scope -----------------------------------------------------
+
+    def scope(self) -> tuple:
+        """A snapshot of what a subshell cannot change in its parent:
+        variables, positional parameters, functions and the working
+        directory (with the bindings' fingerprints)."""
+        return (
+            self.env.copy(),
+            self.env_fingerprint,
+            self.params.copy(),
+            self.argv_unknown,
+            self.argc_sym,
+            self.functions.copy(),
+            self.functions_fingerprint,
+            self.cwd_node,
+            self.cwd_str,
+        )
+
+    def restore_scope(self, scope: tuple) -> None:
+        """Reinstate a :meth:`scope` snapshot; the snapshot stays
+        unshared, so it can be restored into several states."""
+        (
+            env,
+            self.env_fingerprint,
+            params,
+            self.argv_unknown,
+            self.argc_sym,
+            functions,
+            self.functions_fingerprint,
+            self.cwd_node,
+            self.cwd_str,
+        ) = scope
+        self.env = env.copy()
+        self.params = params.copy()
+        self.functions = functions.copy()
 
     # -- environment --------------------------------------------------------
 
@@ -240,10 +298,39 @@ class SymState:
     def set_var(self, name: str, value: SymString) -> None:
         if name == "PWD":
             self.cwd_str = value
-        self.env[name] = value
+        env = self.env
+        old = env.get(name)
+        if old is not None:
+            self.env_fingerprint ^= _binding_hash(name, old)
+        env[name] = value
+        self.env_fingerprint ^= _binding_hash(name, value)
 
     def unset_var(self, name: str) -> None:
-        self.env.pop(name, None)
+        old = self.env.pop(name, None)
+        if old is not None:
+            self.env_fingerprint ^= _binding_hash(name, old)
+
+    # -- functions ------------------------------------------------------------
+
+    def define_function(self, name: str, body: Command) -> None:
+        old = self.functions.get(name)
+        if old is not None:
+            self.functions_fingerprint ^= _binding_hash(name, id(old))
+        self.functions[name] = body
+        self.functions_fingerprint ^= _binding_hash(name, id(body))
+
+    def same_functions(self, other: "SymState") -> bool:
+        """Do both states bind the same names to literally the same
+        bodies?  A path that redefined a function must not merge with
+        one that kept the old body."""
+        mine = self.functions
+        theirs = other.functions
+        if len(mine) != len(theirs):
+            return False
+        for name, body in mine.items():
+            if theirs.get(name) is not body:
+                return False
+        return True
 
     # -- status ------------------------------------------------------------------
 

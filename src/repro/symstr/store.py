@@ -22,22 +22,29 @@ Provenance = Tuple[str, object]
 
 
 class ConstraintStore:
-    """Mapping var-id -> (constraint, label, provenance), fork-friendly."""
+    """Mapping var-id -> (constraint, label, provenance), fork-friendly.
 
-    __slots__ = ("_constraints", "_labels", "_provenance")
+    The store keeps an order-independent fingerprint of its constraint
+    bindings, the XOR of ``hash((vid, id(constraint)))`` over every
+    variable.  Every write below updates it and :meth:`fork` carries it
+    over, so state merging hashes the store in O(1); :meth:`same_as`
+    then confirms a fingerprint match binding by binding."""
 
-    def __init__(
-        self,
-        constraints: Optional[Dict[int, Regex]] = None,
-        labels: Optional[Dict[int, str]] = None,
-        provenance: Optional[Dict[int, Provenance]] = None,
-    ):
-        self._constraints: Dict[int, Regex] = dict(constraints or {})
-        self._labels: Dict[int, str] = dict(labels or {})
-        self._provenance: Dict[int, Provenance] = dict(provenance or {})
+    __slots__ = ("_constraints", "_labels", "_provenance", "fingerprint")
+
+    def __init__(self):
+        self._constraints: Dict[int, Regex] = {}
+        self._labels: Dict[int, str] = {}
+        self._provenance: Dict[int, Provenance] = {}
+        self.fingerprint = 0
 
     def fork(self) -> "ConstraintStore":
-        return ConstraintStore(self._constraints, self._labels, self._provenance)
+        child = ConstraintStore.__new__(ConstraintStore)
+        child._constraints = self._constraints.copy()
+        child._labels = self._labels.copy()
+        child._provenance = self._provenance.copy()
+        child.fingerprint = self.fingerprint
+        return child
 
     def fresh(
         self,
@@ -46,14 +53,29 @@ class ConstraintStore:
         provenance: Optional[Provenance] = None,
     ) -> int:
         vid = next(_ids)
-        self._constraints[vid] = (
-            constraint if constraint is not None else Regex.any_string()
+        self.bind(
+            vid,
+            constraint if constraint is not None else Regex.any_string(),
+            label,
+            provenance,
         )
+        return vid
+
+    def bind(
+        self,
+        vid: int,
+        constraint: Regex,
+        label: str = "",
+        provenance: Optional[Provenance] = None,
+    ) -> None:
+        """Enter variable ``vid``, which this store does not hold yet
+        (:meth:`fresh` picks a new id; a replayed summary brings its own)."""
+        self._constraints[vid] = constraint
+        self.fingerprint ^= hash((vid, id(constraint)))
         if label:
             self._labels[vid] = label
         if provenance is not None:
             self._provenance[vid] = provenance
-        return vid
 
     def constraint(self, vid: int) -> Regex:
         return self._constraints[vid]
@@ -70,14 +92,16 @@ class ConstraintStore:
         An empty result means the current path is infeasible — callers
         check :meth:`is_feasible` after refining.
         """
-        refined = self._constraints[vid] & constraint
-        self._constraints[vid] = refined
-        return refined
+        return self._replace(vid, self._constraints[vid] & constraint)
 
     def exclude(self, vid: int, constraint: Regex) -> Regex:
         """Subtract a language from a variable's constraint."""
-        refined = self._constraints[vid] - constraint
+        return self._replace(vid, self._constraints[vid] - constraint)
+
+    def _replace(self, vid: int, refined: Regex) -> Regex:
+        old = self._constraints[vid]
         self._constraints[vid] = refined
+        self.fingerprint ^= hash((vid, id(old))) ^ hash((vid, id(refined)))
         return refined
 
     def is_feasible(self, vid: int) -> bool:
@@ -89,14 +113,17 @@ class ConstraintStore:
     def __len__(self) -> int:
         return len(self._constraints)
 
-    def identity_key(self) -> tuple:
-        """A cheap digest for state merging: constraint *object identity*
-        per variable.  Forked stores share Regex objects until a
-        refinement replaces one, so two states merge only when every
-        variable carries literally the same constraint object — sound
-        (never conflates differently-refined worlds), and precise enough
-        because refinements are the only mutations."""
-        return tuple(
-            (vid, id(constraint))
-            for vid, constraint in sorted(self._constraints.items())
-        )
+    def same_as(self, other: "ConstraintStore") -> bool:
+        """Do both stores bind the same variables to literally the same
+        constraint *objects*?  Forked stores share Regex objects until a
+        refinement replaces one, so this is the merge test: sound (never
+        conflates differently-refined worlds), and precise enough because
+        refinements are the only mutations."""
+        mine = self._constraints
+        theirs = other._constraints
+        if len(mine) != len(theirs):
+            return False
+        for vid, constraint in mine.items():
+            if theirs.get(vid) is not constraint:
+                return False
+        return True

@@ -56,7 +56,7 @@ class SymString:
 
     @classmethod
     def lit(cls, text: str) -> "SymString":
-        return cls([LitAtom(text)] if text else [])
+        return cls([LitAtom(text)]) if text else _EMPTY
 
     @classmethod
     def var(cls, vid: int) -> "SymString":
@@ -64,11 +64,15 @@ class SymString:
 
     @classmethod
     def empty(cls) -> "SymString":
-        return cls([])
+        return _EMPTY
 
     # -- structure -------------------------------------------------------------
 
     def __add__(self, other: "SymString") -> "SymString":
+        if not other.atoms:
+            return self
+        if not self.atoms:
+            return other
         return SymString(self.atoms + other.atoms)
 
     def is_concrete(self) -> bool:
@@ -191,3 +195,7 @@ def _normalise(atoms: Iterable[Atom]) -> Tuple[Atom, ...]:
                 continue
         result.append(atom)
     return tuple(result)
+
+
+#: the empty value, shared: values are immutable
+_EMPTY = SymString()

@@ -3,7 +3,10 @@
 - random arithmetic expressions evaluate identically to /bin/sh;
 - metamorphic invariances: semantics-preserving rewrites (no-op
   prefixes, brace wrapping, comment insertion) must not change the
-  analyzer's findings.
+  analyzer's findings;
+- state merging: after random forks and writes, two states merge iff
+  the sorted-tuple key of every binding and constraint is equal, and a
+  join prunes exactly as a prune on that key does.
 """
 
 import shutil
@@ -13,7 +16,17 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.analysis import analyze
+from repro.diag import Diagnostic
+from repro.rlang import Regex
+from repro.shell import parse
+from repro.symex import Engine, SymState
 from repro.symex.arith import ArithError, evaluate
+from repro.symstr import SymString
+from tests.symex.merge_keys import (
+    assert_fingerprints_fresh,
+    legacy_key,
+    legacy_prune,
+)
 
 SH = shutil.which("sh")
 
@@ -96,3 +109,75 @@ class TestMetamorphic:
 
         rendered = render(parse(source)) + "\n"
         assert finding_codes(source) == finding_codes(rendered)
+
+
+# -- merge keys: fingerprints vs the sorted-tuple key --------------------------
+
+#: ``PWD`` also moves ``cwd_str``; twin values and bodies are equal but
+#: distinct objects (values merge by equality, bodies by identity)
+NAMES = ("a", "b", "PWD")
+VALUES = (SymString.lit("1"), SymString.lit("1"), SymString.lit("2"), SymString.empty())
+BODIES = (parse("true"), parse("true"), parse("echo x"))
+LANGS = (Regex.compile("[a-c]*"), Regex.literal("a"), Regex.literal(""))
+DIAGS = tuple(Diagnostic(code=code, message="m") for code in "xyz")
+OPS = ("fork", "fork", "set", "set", "setvar", "unset", "fresh", "refine",
+       "exclude", "define", "warn", "status")
+
+
+def _apply(op, states, i, j):
+    target = states[i % len(states)]
+    vids = sorted(target.store._constraints)
+    if op == "fork":
+        states.append(target.fork())
+    elif op == "set":
+        target.set_var(NAMES[j % len(NAMES)], VALUES[j % len(VALUES)])
+    elif op == "setvar" and vids:
+        target.set_var(NAMES[j % len(NAMES)], SymString.var(vids[j % len(vids)]))
+    elif op == "unset":
+        target.unset_var(NAMES[j % len(NAMES)])
+    elif op == "fresh":
+        target.store.fresh(LANGS[j % len(LANGS)] if j % 2 else None)
+    elif op == "refine" and vids:
+        target.store.refine(vids[j % len(vids)], LANGS[j % len(LANGS)])
+    elif op == "exclude" and vids:
+        target.store.exclude(vids[j % len(vids)], LANGS[j % len(LANGS)])
+    elif op == "define":
+        target.define_function("fg"[j % 2], BODIES[j % len(BODIES)])
+    elif op == "warn":
+        target.warn(DIAGS[j % len(DIAGS)])
+    elif op == "status":
+        target.status = j % 2
+
+
+class TestMergeKeys:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_prune_matches_the_sorted_tuple_key(self, data):
+        ops = data.draw(
+            st.lists(
+                st.tuples(st.sampled_from(OPS), st.integers(0, 15), st.integers(0, 11)),
+                max_size=40,
+            )
+        )
+        states = [SymState()]
+        for op, i, j in ops:
+            _apply(op, states, i, j)
+        states = data.draw(st.permutations(states))
+        for state in states:
+            assert_fingerprints_fresh(state)
+        diagnostics = [list(state.diagnostics) for state in states]
+        # pairwise: two states merge iff their sorted-tuple keys are equal
+        for a in states:
+            for b in states:
+                if a is not b:
+                    merges = len(Engine()._prune([a, b])) == 1
+                    assert merges == (legacy_key(a) == legacy_key(b))
+        # the whole join: same states, same order, same diagnostics
+        for state, held in zip(states, diagnostics):
+            state.diagnostics = held
+        want, want_diagnostics, want_merges = legacy_prune(states)
+        engine = Engine(max_fork=len(states))
+        got = engine._prune(list(states))
+        assert got == want
+        assert [state.diagnostics for state in got] == want_diagnostics
+        assert engine.paths_merged == want_merges
