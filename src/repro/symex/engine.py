@@ -1332,7 +1332,11 @@ class Engine:
                     st.env_fingerprint,
                     tuple(st.params),
                     st.cwd_str,
-                    len(st.stdout) if st.capturing else 0,
+                    # captured text is part of the state; a stream
+                    # chunk is keyed by identity, as constraints are
+                    tuple([(c.text, id(c.stream)) for c in st.stdout])
+                    if st.capturing
+                    else (),
                     st.store.fingerprint,
                     st.bg_jobs,
                     st.loop_control,

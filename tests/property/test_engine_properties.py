@@ -121,7 +121,7 @@ BODIES = (parse("true"), parse("true"), parse("echo x"))
 LANGS = (Regex.compile("[a-c]*"), Regex.literal("a"), Regex.literal(""))
 DIAGS = tuple(Diagnostic(code=code, message="m") for code in "xyz")
 OPS = ("fork", "fork", "set", "set", "setvar", "unset", "fresh", "refine",
-       "exclude", "define", "warn", "status")
+       "exclude", "define", "warn", "status", "capture", "emit")
 
 
 def _apply(op, states, i, j):
@@ -147,6 +147,10 @@ def _apply(op, states, i, j):
         target.warn(DIAGS[j % len(DIAGS)])
     elif op == "status":
         target.status = j % 2
+    elif op == "capture":
+        target.capturing = not target.capturing
+    elif op == "emit":
+        target.emit_text(VALUES[j % len(VALUES)])
 
 
 class TestMergeKeys:

@@ -53,7 +53,7 @@ def legacy_key(st: SymState) -> tuple:
         tuple(sorted(st.env.items())),
         tuple(st.params),
         st.cwd_str,
-        len(st.stdout) if st.capturing else 0,
+        tuple((c.text, id(c.stream)) for c in st.stdout) if st.capturing else (),
         tuple((vid, id(c)) for vid, c in sorted(st.store._constraints.items())),
         st.bg_jobs,
         st.loop_control,

@@ -4,7 +4,10 @@
 diagnostics of each state merged into it that it does not hold yet.  The
 check is a seen-set per kept state, so a wide join costs linear time in
 its diagnostics; the result must be the list the old per-diagnostic
-list scan built."""
+list scan built.
+
+A state capturing a command substitution's output merges only with one
+that captured the same text."""
 
 from repro.diag import Diagnostic, Severity
 from repro.shell.tokens import Position
@@ -57,3 +60,41 @@ def test_each_merge_key_keeps_its_own_diagnostics():
     assert [st.status for st in merged] == [0, 1]
     assert merged[0].diagnostics == [shared, _diag("zero", 3)]
     assert merged[1].diagnostics == [_diag("other", 2), _diag("shared", 1)]
+
+
+# -- captured output merges by content -------------------------------------
+
+CAPTURED = (
+    't=$(if [ -e /tmp/flag ]; then echo /tmp/x; else echo /; fi)\n'
+    'rm -rf "$t"\n'
+)
+ASSIGNED = 'if [ -e /tmp/flag ]; then t=/tmp/x; else t=/; fi\nrm -rf "$t"\n'
+
+
+def test_captured_texts_of_equal_length_do_not_merge():
+    """Two paths of a command substitution that printed different text
+    of the same length stay apart: merging them lost one value, and the
+    ``rm -rf /`` path went unreported."""
+    from repro.analysis import analyze
+
+    for source in (CAPTURED, ASSIGNED):
+        for prune in (True, False):
+            codes = {d.code for d in analyze(source, prune=prune).diagnostics}
+            assert "dangerous-deletion" in codes, (source, prune)
+
+
+def test_capturing_states_merge_on_equal_text_only():
+    from repro.symstr import SymString
+
+    def capturing(*texts):
+        state = SymState(capturing=True)
+        for text in texts:
+            state.emit_text(SymString.lit(text))
+        return state
+
+    a, b, c = capturing("/tmp/x\n"), capturing("/\n"), capturing("/tmp/x\n")
+    assert Engine()._prune([a, b, c]) == [a, b]
+    # outside a capture, stdout is not part of the state
+    d, e = SymState(), SymState()
+    d.emit_text(SymString.lit("x"))
+    assert Engine()._prune([d, e]) == [d]
