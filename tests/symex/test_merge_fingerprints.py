@@ -14,7 +14,6 @@ import pytest
 from repro.analysis import analyze
 from repro.analysis.corpus import corpus
 from repro.analysis.incremental import IncrementalSession
-from repro.diag import Diagnostic
 from repro.obs import TraceRecorder, use_recorder
 from repro.symex import Engine, SymState
 from repro.symstr import SymString
@@ -131,5 +130,3 @@ def test_redefinition_and_unset_update_fingerprints():
     for st in (state, child):
         assert_fingerprints_fresh(st)
     assert child.env_fingerprint == state.env_fingerprint
-    child.warn(Diagnostic(code="x", message="m"))
-    assert not state.diagnostics
