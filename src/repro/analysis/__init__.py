@@ -18,8 +18,8 @@ from .resilience import AnalysisBudgetExceeded, ResourceBudget
 
 #: lazily exported name -> the submodule defining it
 _LAZY = {
-    **dict.fromkeys(("BatchConfig", "BatchResult", "FileResult", "discover",
-                     "run_batch"), "batch"),
+    **dict.fromkeys(("BatchResult", "FileResult", "discover", "run_batch"), "batch"),
+    "BatchConfig": "pipeline",
     **dict.fromkeys(("ResultCache", "cache_key", "default_cache_dir"), "cache"),
     **dict.fromkeys(("OptimizeBatchResult", "OptimizePlan", "build_plan",
                      "optimize_source", "plan_cache_key", "run_optimize_batch"),

@@ -49,7 +49,6 @@ def analyze(
     prune: bool = True,
     races: bool = True,
     budget: Optional[ResourceBudget] = None,
-    incremental=None,
 ) -> Report:
     """Statically analyze a shell script.
 
@@ -68,11 +67,6 @@ def analyze(
     - ``budget``: resource limits for this analysis (wall-clock deadline,
       symbolic-state cap, DFA cap, nesting depth); exhaustion degrades
       the report instead of raising.
-    - ``incremental``: an :class:`repro.analysis.incremental.IncrementalSession`
-      to serve function-body evaluations from per-fragment summaries.
-      The report stays byte-identical to a cold run; ignored when a
-      custom ``registry`` or ``checkers`` list is supplied (their
-      behaviour is not part of the fragment cache key).
 
     Never raises: crashes and budget exhaustion degrade to diagnostics.
     """
@@ -93,7 +87,6 @@ def analyze(
             prune=prune,
             races=races,
             budget=budget,
-            incremental=incremental,
         )
     except AnalysisBudgetExceeded as exc:
         # a budget trip outside the per-phase guards (defensive belt)
@@ -125,7 +118,6 @@ def _analyze(
     prune: bool,
     races: bool,
     budget: Optional[ResourceBudget],
-    incremental=None,
 ) -> Report:
     recorder = get_recorder()
     if budget is not None:
@@ -167,7 +159,6 @@ def _analyze(
                 ],
             )
 
-    default_checker_set = checkers is None
     if checkers is None:
         checkers = default_checkers(platform_targets=platform_targets, races=races)
 
@@ -181,32 +172,6 @@ def _analyze(
         initial_env=annotations.variables,
         budget=budget,
     )
-
-    if incremental is not None and registry is None and default_checker_set:
-        # everything that shapes a fragment's evaluation besides the
-        # entry state itself must be part of the summary key; the
-        # entry-state fingerprint covers env/params/options, this covers
-        # the engine's construction parameters
-        config_fp = repr(
-            (
-                n_args,
-                tuple(args) if args is not None else None,
-                tuple(platform_targets) if platform_targets else None,
-                races,
-                max_fork,
-                max_loop,
-                prune,
-                tuple(sorted(
-                    (name, str(sig))
-                    for name, sig in annotations.signatures.items()
-                )),
-                tuple(sorted(
-                    (name, regex.pattern)
-                    for name, regex in annotations.variables.items()
-                )),
-            )
-        )
-        engine.fragment_memo = incremental._attach(source, ast, config_fp)
 
     diagnostics: List[Diagnostic] = []
     paths_explored = paths_merged = states = truncations = 0

@@ -1,28 +1,32 @@
-"""Corpus-scale batch analysis.
+"""Corpus-scale batch driver and the process-pool fan-out.
 
 The paper's ahead-of-time framing (§2, §6) amortizes analysis across
 whole script corpora; per-file independence makes that embarrassingly
-parallel.  This driver accepts files, directories, and glob patterns,
-fans the work out to a process pool, and consults the persistent
-:mod:`~repro.analysis.cache` so unchanged files cost one hash + one
-read on re-analysis instead of a symbolic execution.
+parallel.  :func:`run_batch` accepts files, directories, and glob
+patterns, serves any op of :data:`~repro.analysis.pipeline.OPS`
+(analysis reports or optimization plans), fans the work out to a
+process pool, and consults the persistent :mod:`~repro.analysis.cache`
+so unchanged files cost one hash + one read on re-analysis instead of a
+symbolic execution.
 
-Crash containment: each file is submitted to the pool as its own
-future, so one file killing its worker (OOM, segfault in an extension,
-``os._exit``) cannot take the rest of the batch with it.  A file whose
+Crash containment lives in :func:`fan_out`, which the differential
+campaign shares: each item is submitted to the pool as its own future,
+so one item killing its worker (OOM, segfault in an extension,
+``os._exit``) cannot take the rest of the batch with it.  An item whose
 worker died is retried once inline under a *tightened*
 :class:`~repro.analysis.resilience.ResourceBudget`; if the retry also
-fails, the file is quarantined — it still gets a renderable report
+fails, the item is quarantined — a file still gets a renderable result
 carrying an ``analysis-quarantined`` diagnostic.  Degraded and
-quarantined reports are never written to the result cache, so a later
-run re-analyzes those files from scratch.
+quarantined results are never written to the result cache, so a later
+run recomputes those files from scratch.
 
-Counters (visible via ``--stats``): ``batch.files``,
+Counters (visible via ``--stats``) are named by the op's prefix —
+``batch`` for analysis, ``optimize`` for plans: ``batch.files``,
 ``batch.cache.hit`` / ``batch.cache.miss`` / ``batch.cache.store``,
 ``batch.worker_failures`` / ``batch.retries`` / ``batch.quarantined``;
-per-file analysis seconds feed the ``batch.file_seconds`` histogram so
-the stats table shows aggregate CPU time next to wall time (their ratio
-is the realized parallel speedup).
+per-file seconds feed the ``batch.file_seconds`` histogram so the stats
+table shows aggregate CPU time next to wall time (their ratio is the
+realized parallel speedup).
 """
 
 from __future__ import annotations
@@ -31,72 +35,17 @@ import glob as glob_mod
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, Iterator, List, Optional, Sequence, Tuple
 
 from ..diag import Diagnostic, Severity
 from ..obs import get_recorder
-from .analyzer import analyze
-from .cache import ResultCache, cache_key
+from .cache import ResultCache
+from .pipeline import OPS, BatchConfig
 from .report import Report
 from .resilience import ResourceBudget, quarantine_diagnostic
 
 #: extensions treated as shell scripts when scanning a directory
 SCRIPT_EXTENSIONS = (".sh", ".bash")
-
-
-@dataclass(frozen=True)
-class BatchConfig:
-    """The analyzer options one batch run applies to every file.
-
-    Frozen + picklable (crosses the process-pool boundary) and
-    fingerprintable (feeds the cache key, so flipping any option
-    invalidates exactly the affected entries).
-    """
-
-    #: ``None`` models argv as unknown-at-entry (the default);
-    #: an int asks for that many symbolic positional parameters
-    n_args: Optional[int] = None
-    #: concrete argument values (``--args a b c``); wins over ``n_args``
-    args: Optional[Tuple[str, ...]] = None
-    platform_targets: Optional[Tuple[str, ...]] = None
-    include_lint: bool = False
-    max_fork: int = 64
-    max_loop: int = 2
-    prune: bool = True
-    races: bool = True
-    #: resource limits (``--timeout`` / ``--max-states``).  Deliberately
-    #: EXCLUDED from :meth:`fingerprint`: a completed report does not
-    #: depend on how generous the budget was, and budget-exhausted
-    #: (degraded) reports are never cached — so results computed under
-    #: one budget are safely reusable under any other.
-    timeout: Optional[float] = None
-    max_states: Optional[int] = None
-
-    def fingerprint(self) -> str:
-        return (
-            f"n_args={self.n_args};args={self.args};"
-            f"platforms={self.platform_targets};"
-            f"lint={self.include_lint};max_fork={self.max_fork};"
-            f"max_loop={self.max_loop};prune={self.prune};races={self.races}"
-        )
-
-    def analyze_kwargs(self) -> dict:
-        return {
-            "n_args": self.n_args,
-            "args": self.args,
-            "platform_targets": self.platform_targets,
-            "include_lint": self.include_lint,
-            "max_fork": self.max_fork,
-            "max_loop": self.max_loop,
-            "prune": self.prune,
-            "races": self.races,
-        }
-
-    def budget(self) -> Optional[ResourceBudget]:
-        """The per-file budget this config implies, or None."""
-        if self.timeout is None and self.max_states is None:
-            return None
-        return ResourceBudget(deadline=self.timeout, max_states=self.max_states)
 
 
 @dataclass
@@ -119,6 +68,8 @@ class BatchResult:
     results: List[FileResult] = field(default_factory=list)
     hits: int = 0
     misses: int = 0
+
+    file_type: ClassVar[type] = FileResult
 
     @property
     def unsafe(self) -> bool:
@@ -189,52 +140,115 @@ def discover(inputs: Sequence[str]) -> List[str]:
     return unique
 
 
-def _read_error_report(source: str, message: str) -> Report:
-    return Report(
-        source=source,
-        diagnostics=[
-            Diagnostic(
-                code="read-error",
-                message=message,
-                severity=Severity.ERROR,
-                always=True,
-            )
-        ],
-    )
+def run_batch(
+    inputs: Sequence[str],
+    config: Optional[BatchConfig] = None,
+    jobs: Optional[int] = None,
+    cache: Optional[ResultCache] = None,
+    pool=None,
+    op: str = "analyze",
+):
+    """Run ``op`` over every script reachable from ``inputs``; the result
+    is the op's batch type (a :class:`BatchResult` for ``analyze``).
+
+    ``jobs=None`` means ``os.cpu_count()``; ``cache=None`` disables
+    caching.  ``pool`` is an optional *persistent* process-pool executor
+    (the analysis server's): it is used instead of a per-batch pool and
+    left open for the caller to reuse and eventually shut down.  Payloads
+    always round-trip through ``from_dict(...to_dict())`` — the pool and
+    the cache both traffic in the serialized form — so cold, warm,
+    parallel, and serial runs render identically.
+    """
+    spec = OPS[op]
+    config = config if config is not None else BatchConfig()
+    if jobs is None:
+        jobs = os.cpu_count() or 1
+    rec = get_recorder()
+    payload, batch = spec.payload_type, spec.batch_type()
+
+    slots: list = []
+    pending: List[Tuple[int, str, str, Optional[str]]] = []  # (slot, path, source, key)
+
+    with rec.span("batch.run"):
+        for path in discover(inputs):
+            rec.count(f"{spec.prefix}.files")
+            try:
+                with open(path, "r", encoding="utf-8") as handle:
+                    source = handle.read()
+            except OSError as exc:
+                unreadable = Diagnostic(
+                    code="read-error", message=str(exc), severity=Severity.ERROR, always=True
+                )
+                slots.append(batch.file_type(path, payload.failure("", unreadable)))
+                continue
+            key = None
+            if cache is not None:
+                key, data = spec.lookup(cache, source, config)
+                if data is not None:
+                    slots.append(batch.file_type(path, payload.from_dict(data), True))
+                    continue
+            slots.append(None)
+            pending.append((len(slots) - 1, path, source, key))
+
+        def quarantine(args, cause, retry):
+            return payload.failure(args[0], quarantine_diagnostic(cause, retry)).to_dict()
+
+        outcomes = fan_out(
+            spec.worker,
+            [(source, config) for _, _, source, _ in pending],
+            jobs,
+            prefix=spec.prefix,
+            budget=config.budget(),
+            quarantine=quarantine,
+            pool=pool,
+        )
+        for (slot, path, _, key), (data, seconds, quarantined) in zip(pending, outcomes):
+            value = payload.from_dict(data)
+            # incomplete results must not poison the cache: a cold rerun
+            # has to recompute them from scratch
+            if cache is not None and not quarantined:
+                spec.store(cache, key, data, value)
+            rec.observe(f"{spec.prefix}.file_seconds", seconds)
+            slots[slot] = batch.file_type(path, value, False, seconds, quarantined)
+
+    batch.results = slots
+    batch.hits = sum(1 for result in slots if result.cached)
+    batch.misses = len(pending)
+    return batch
 
 
-def analyze_source(source: str, config: BatchConfig) -> dict:
-    """Analyze one script and return its serialized report (the worker
-    body; module-level so it pickles across the pool boundary)."""
-    return analyze(source, budget=config.budget(), **config.analyze_kwargs()).to_dict()
+# ---------------------------------------------------------------------------
+# the process-pool fan-out
+# ---------------------------------------------------------------------------
 
 
-def _pool_worker(item: Tuple) -> Tuple[str, dict, float, Optional[dict]]:
-    """Pool body: analyze one file; when the parent's recorder is live
-    (``traced``), capture the worker-side metrics in a fresh recorder
-    and ship the snapshot back as a dict (snapshots are the only metric
-    type that crosses the process boundary — recorders don't pickle)."""
-    path, source, config = item[:3]
-    traced = item[3] if len(item) > 3 else False
+def _pool_worker(item: Tuple) -> Tuple[object, float, Optional[dict]]:
+    """Pool body: ``work(*args)`` for one item.  When the parent's
+    recorder is live (``traced``), the worker-side metrics are captured
+    in a fresh recorder and shipped back as a dict (snapshots are the
+    only metric type that crosses the process boundary — recorders
+    don't pickle)."""
+    work, args, traced = item
     if os.environ.get("REPRO_CHAOS"):
         # chaos plans ride the environment into pool workers (pickling
         # is by name, so parent-side monkeypatching can't reach here);
-        # lazy import keeps the hot path free of the server package
+        # lazy import keeps the hot path free of the server package.
+        # Every worker takes the script source first.
         from ..server.chaos import chaos_point
 
-        if chaos_point("worker.kill", source):
+        if chaos_point("worker.kill", args[0]):
             os._exit(137)
     started = time.perf_counter()
     if not traced:
-        data = analyze_source(source, config)
-        return path, data, time.perf_counter() - started, None
+        result = work(*args)
+        return result, time.perf_counter() - started, None
     from ..obs import TraceRecorder, use_thread_recorder
 
     recorder = TraceRecorder()
     with use_thread_recorder(recorder):
-        data = analyze_source(source, config)
+        result = work(*args)
     seconds = time.perf_counter() - started
-    return path, data, seconds, recorder.snapshot().to_dict()
+    return result, seconds, recorder.snapshot().to_dict()
 
 
 def _make_pool(jobs: int):
@@ -245,185 +259,94 @@ def _make_pool(jobs: int):
     return futures.ProcessPoolExecutor(max_workers=jobs)
 
 
-def run_batch(
-    inputs: Sequence[str],
-    config: Optional[BatchConfig] = None,
-    jobs: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-    pool=None,
-) -> BatchResult:
-    """Analyze every script reachable from ``inputs``.
-
-    ``jobs=None`` means ``os.cpu_count()``; ``cache=None`` disables
-    caching.  ``pool`` is an optional *persistent* process-pool executor
-    (the analysis server's): it is used instead of a per-batch pool and
-    left open for the caller to reuse and eventually shut down.  Reports always round-trip through
-    ``Report.from_dict(...to_dict())`` — the pool and the cache both
-    traffic in the serialized form — so cold, warm, parallel, and serial
-    runs render identically.
-    """
-    config = config if config is not None else BatchConfig()
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    rec = get_recorder()
-    paths = discover(inputs)
-    fingerprint = config.fingerprint()
-
-    batch = BatchResult()
-    slots: List[Optional[FileResult]] = []
-    pending: List[Tuple[int, str, str, str]] = []  # (slot, path, source, key)
-
-    with rec.span("batch.run"):
-        for path in paths:
-            rec.count("batch.files")
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    source = handle.read()
-            except OSError as exc:
-                slots.append(
-                    FileResult(path=path, report=_read_error_report("", str(exc)))
-                )
-                continue
-            key = cache_key(source, fingerprint)
-            if cache is not None:
-                data = cache.get(key)
-                if data is not None:
-                    rec.count("batch.cache.hit")
-                    slots.append(
-                        FileResult(
-                            path=path,
-                            report=Report.from_dict(data),
-                            cached=True,
-                        )
-                    )
-                    continue
-                rec.count("batch.cache.miss")
-            slots.append(None)
-            pending.append((len(slots) - 1, path, source, key))
-
-        for (slot, path, _, key), (data, seconds, quarantined) in zip(
-            pending, _drain(pending, config, jobs, rec, pool=pool)
-        ):
-            report = Report.from_dict(data)
-            # incomplete results must not poison the cache: a cold rerun
-            # has to re-analyze them from scratch
-            cacheable = not quarantined and not report.degraded
-            if cache is not None and cacheable and cache.put(key, data):
-                rec.count("batch.cache.store")
-            rec.observe("batch.file_seconds", seconds)
-            slots[slot] = FileResult(
-                path=path,
-                report=report,
-                cached=False,
-                seconds=seconds,
-                quarantined=quarantined,
-            )
-
-    batch.results = [r for r in slots if r is not None]
-    batch.hits = sum(1 for r in batch.results if r.cached)
-    batch.misses = sum(
-        1 for r in batch.results
-        if not r.cached and not r.report.has("read-error")
-    )
-    return batch
-
-
-def _drain(
-    pending: List[Tuple[int, str, str, str]],
-    config: BatchConfig,
+def fan_out(
+    work: Callable,
+    items: Sequence[Tuple],
     jobs: int,
-    rec,
+    prefix: str = "batch",
+    budget: Optional[ResourceBudget] = None,
+    quarantine: Optional[Callable] = None,
     pool=None,
-) -> Iterator[Tuple[dict, float, bool]]:
-    """Yield ``(report_dict, seconds, quarantined)`` for every pending
-    file in input order, using a process pool when it pays off and
-    falling back to inline analysis when pools are unavailable
-    (restricted sandboxes)."""
-    if not pending:
+) -> Iterator[Tuple[object, float, bool]]:
+    """Yield ``(work(*args), seconds, quarantined)`` for every ``args``
+    tuple in ``items``, in input order.
+
+    ``work`` must be module-level (it crosses the pool by name) and take
+    a ``budget=`` keyword.  A process pool is used when it pays off
+    (``pool`` given, or ``jobs > 1`` with more than one item); where no
+    pool can be made (restricted sandboxes) every item runs inline.  An
+    item whose attempt crashed is retried once inline under
+    ``budget.tightened()``; if the retry raises too, its result is
+    ``quarantine(args, cause, retry_error)`` (without ``quarantine`` the
+    retry's exception propagates).
+    """
+    if not items:
         return
-    if pool is not None or (jobs > 1 and len(pending) > 1):
+    rec = get_recorder()
+
+    def retry(args, cause: BaseException) -> Tuple[object, float, bool]:
+        """Second (and last) chance for an item whose first attempt
+        crashed: inline, under a tightened budget; quarantine on failure."""
+        rec.count(f"{prefix}.worker_failures")
+        rec.count(f"{prefix}.retries")
+        started = time.perf_counter()
         try:
-            results = _drain_pool(pending, config, jobs, rec, pool=pool)
+            result = work(*args, budget=(budget or ResourceBudget()).tightened())
+        except Exception as retry_exc:  # noqa: BLE001 — quarantine, don't abort
+            if quarantine is None:
+                raise
+            rec.count(f"{prefix}.quarantined")
+            return quarantine(args, cause, retry_exc), time.perf_counter() - started, True
+        return result, time.perf_counter() - started, False
+
+    if pool is not None or (jobs > 1 and len(items) > 1):
+        try:
+            results = _fan_out_pool(work, items, jobs, pool, rec, retry)
         except (OSError, ImportError, RuntimeError):
             # no multiprocessing in this environment (sandboxed /dev/shm,
             # missing semaphores, broken pool): degrade to inline
-            rec.count("batch.pool_unavailable")
+            rec.count(f"{prefix}.pool_unavailable")
         else:
             yield from results
             return
-    for _, path, source, _ in pending:
+    for args in items:
         started = time.perf_counter()
-        with rec.span("batch.file"):
+        with rec.span(f"{prefix}.file"):
             try:
-                data = analyze_source(source, config)
-            except Exception as exc:  # noqa: BLE001 — per-file isolation
-                rec.count("batch.worker_failures")
-                yield _retry_inline(path, source, config, rec, exc)
+                result = work(*args)
+            except Exception as exc:  # noqa: BLE001 — per-item isolation
+                yield retry(args, exc)
                 continue
-        yield data, time.perf_counter() - started, False
+        yield result, time.perf_counter() - started, False
 
 
-def _drain_pool(
-    pending: List[Tuple[int, str, str, str]],
-    config: BatchConfig,
-    jobs: int,
-    rec,
-    pool=None,
-) -> List[Tuple[dict, float, bool]]:
-    """One future per file, so a dying worker only loses that file.
+def _fan_out_pool(work, items, jobs, pool, rec, retry) -> list:
+    """One future per item, so a dying worker only loses that item.
 
     When a worker is killed the pool breaks and every outstanding future
-    raises; each affected file is then retried inline (bounded by a
-    tightened budget) rather than lost.  Pool-*creation* errors
-    propagate to :func:`_drain`'s inline fallback.
+    raises; each affected item is then retried inline rather than lost.
+    Pool-*creation* errors propagate to :func:`fan_out`'s inline
+    fallback.
     """
-    results: List[Tuple[dict, float, bool]] = []
+    results = []
     own_pool = pool is None
     executor = _make_pool(jobs) if own_pool else pool
     try:
         futures = [
-            executor.submit(_pool_worker, (path, source, config, rec.enabled))
-            for _, path, source, _ in pending
+            executor.submit(_pool_worker, (work, args, rec.enabled)) for args in items
         ]
-        for future, (_, path, source, _) in zip(futures, pending):
+        for future, args in zip(futures, items):
             try:
-                _, data, seconds, worker_metrics = future.result()
+                result, seconds, worker_metrics = future.result()
             except Exception as exc:  # noqa: BLE001 — BrokenProcessPool et al.
-                rec.count("batch.worker_failures")
-                results.append(_retry_inline(path, source, config, rec, exc))
+                results.append(retry(args, exc))
             else:
                 if worker_metrics:
                     from ..obs import MetricsSnapshot
 
                     rec.absorb(MetricsSnapshot.from_dict(worker_metrics))
-                results.append((data, seconds, False))
+                results.append((result, seconds, False))
     finally:
         if own_pool:
             executor.shutdown()
     return results
-
-
-def _retry_inline(
-    path: str,
-    source: str,
-    config: BatchConfig,
-    rec,
-    cause: BaseException,
-) -> Tuple[dict, float, bool]:
-    """Second (and last) chance for a file whose first attempt crashed:
-    re-analyze inline under a tightened budget; quarantine on failure."""
-    rec.count("batch.retries")
-    budget = config.budget() or ResourceBudget()
-    started = time.perf_counter()
-    try:
-        data = analyze(
-            source, budget=budget.tightened(), **config.analyze_kwargs()
-        ).to_dict()
-    except Exception as retry_exc:  # noqa: BLE001 — quarantine, don't abort
-        rec.count("batch.quarantined")
-        report = Report(
-            source=source,
-            diagnostics=[quarantine_diagnostic(cause, retry_exc)],
-        )
-        return report.to_dict(), time.perf_counter() - started, True
-    return data, time.perf_counter() - started, False

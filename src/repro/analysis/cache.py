@@ -169,79 +169,3 @@ class ResultCache:
                 pass
             raise
 
-
-class FragmentCache:
-    """In-memory LRU cache of per-fragment symex summaries.
-
-    Unlike :class:`ResultCache`, fragment summaries hold live engine
-    objects (constraint regexes, fs node records, AST-independent
-    deltas) that are cheap to keep but expensive to serialize, so this
-    layer is memory-only by design: it accelerates *re*-analysis within
-    one daemon lifetime, while the on-disk result cache keeps covering
-    whole-file identity across processes.  Thread-safe — watch threads
-    and request handlers may share one instance.
-
-    Keys are opaque hashable tuples (built by
-    :class:`repro.analysis.incremental.FragmentMemo`); each entry is
-    additionally tagged with its fragment's source digest so the
-    dependence-graph invalidation path can evict every summary of a
-    fragment in one call regardless of entry fingerprints.
-    """
-
-    def __init__(self, max_entries: int = 4096):
-        from collections import OrderedDict
-        import threading
-
-        self.max_entries = max_entries
-        self._entries: "OrderedDict" = OrderedDict()
-        self._by_digest: dict = {}
-        self._lock = threading.RLock()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def get(self, key):
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return None
-            self._entries.move_to_end(key)
-            return entry[0]
-
-    def put(self, key, summary, digest: str = "") -> None:
-        with self._lock:
-            if key in self._entries:
-                self._forget_key(key)
-            self._entries[key] = (summary, digest)
-            if digest:
-                self._by_digest.setdefault(digest, set()).add(key)
-            while len(self._entries) > self.max_entries:
-                oldest, _ = next(iter(self._entries.items()))
-                self._forget_key(oldest)
-                get_recorder().count("incremental.fragments.evicted")
-
-    def invalidate_digest(self, digest: str) -> int:
-        """Evict every summary of the fragment with this source digest;
-        returns how many entries were dropped."""
-        with self._lock:
-            keys = list(self._by_digest.get(digest, ()))
-            for key in keys:
-                self._forget_key(key)
-            return len(keys)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._by_digest.clear()
-
-    def _forget_key(self, key) -> None:
-        entry = self._entries.pop(key, None)
-        if entry is None:
-            return
-        digest = entry[1]
-        tagged = self._by_digest.get(digest)
-        if tagged is not None:
-            tagged.discard(key)
-            if not tagged:
-                del self._by_digest[digest]

@@ -371,12 +371,6 @@ def _derive_dependencies(effects: List[CommandEffects]) -> List[Dependency]:
     return deps
 
 
-#: public alias: the pairwise RAW/WAR/WAW derivation is also the
-#: invalidation structure for fragment-level incremental analysis
-#: (repro.analysis.incremental builds synthetic per-fragment
-#: CommandEffects rows and reuses exactly this edge derivation)
-derive_dependencies = _derive_dependencies
-
 
 def _render_command(command: Command, source: str) -> str:
     pos = getattr(command, "pos", None)

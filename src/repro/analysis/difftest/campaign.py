@@ -8,9 +8,10 @@ a deterministic benchmark document: same seeds, same counts, same
 bytes.  Nothing host-specific (paths, timings, hostnames) reaches the
 output, and keys are emitted sorted.
 
-Fan-out mirrors :mod:`repro.analysis.batch`: one pool future per
-script, inline fallback when process pools are unavailable, results
-re-sorted by label so parallel and serial runs agree.
+Fan-out is :func:`repro.analysis.batch.fan_out`: one pool future per
+script, inline fallback when process pools are unavailable, an inline
+retry under a tightened budget for a script whose worker died; results
+are re-sorted by label so parallel and serial runs agree.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from ..resilience import ResourceBudget
 from . import dynamic as dynamic_oracle
 from . import metamorphic as metamorphic_oracle
 from .dynamic import CHECKERS, Disagreement
@@ -163,11 +165,12 @@ def _minimize_dynamic(
     base_dir: str,
     label: str,
     config: "CampaignConfig",
+    analyze_kwargs: dict,
 ) -> str:
     def still_disagrees(candidate: str) -> bool:
         result = dynamic_oracle.check_source(
             candidate, base_dir, f"{label}.min", timeout=config.timeout,
-            analyze_kwargs=config.analyze_kwargs(),
+            analyze_kwargs=analyze_kwargs,
         )
         return any(
             d.checker == disagreement.checker and d.kind == disagreement.kind
@@ -177,13 +180,19 @@ def _minimize_dynamic(
     return minimize_lines(source, still_disagrees, max_probes=16)
 
 
-def run_one(item: Tuple) -> dict:
+def run_one(
+    source: str,
+    label: str,
+    config: CampaignConfig,
+    base_dir: str,
+    budget: Optional[ResourceBudget] = None,
+) -> dict:
     """Campaign body for one script (module-level so it pickles).
 
-    ``item`` is ``(label, source, config, base_dir)``; the return value
-    is a plain dict so it crosses the pool boundary.
+    The return value is a plain dict so it crosses the pool boundary;
+    ``budget`` bounds every analysis (the fan-out's retry sets it).
     """
-    label, source, config, base_dir = item
+    analyze_kwargs = dict(config.analyze_kwargs(), budget=budget)
     outcome = {
         "label": label,
         "executed": False,
@@ -194,14 +203,12 @@ def run_one(item: Tuple) -> dict:
         "meta_diffs": [],
     }
     if config.meta_enabled:
-        meta = metamorphic_oracle.check_source(source, **config.analyze_kwargs())
+        meta = metamorphic_oracle.check_source(source, **analyze_kwargs)
         outcome["meta_applied"] = list(meta.rewrites_applied)
         outcome["meta_diffs"] = [d.rewrite for d in meta.diffs]
         if config.minimize:
             for diff in meta.diffs:
-                minimized = _minimize_meta(
-                    source, diff.rewrite, config.analyze_kwargs()
-                )
+                minimized = _minimize_meta(source, diff.rewrite, analyze_kwargs)
                 outcome["disagreements"].append(
                     {
                         "checker": "metamorphic",
@@ -218,14 +225,16 @@ def run_one(item: Tuple) -> dict:
     if config.exec_enabled:
         result = dynamic_oracle.check_source(
             source, base_dir, label, timeout=config.timeout,
-            analyze_kwargs=config.analyze_kwargs(),
+            analyze_kwargs=analyze_kwargs,
         )
         outcome["executed"] = result.executed
         outcome["skipped_reason"] = result.skipped_reason
         outcome["checked"] = list(result.checked)
         for disagreement in result.disagreements:
             minimized = (
-                _minimize_dynamic(source, disagreement, base_dir, label, config)
+                _minimize_dynamic(
+                    source, disagreement, base_dir, label, config, analyze_kwargs
+                )
                 if config.minimize
                 else ""
             )
@@ -272,10 +281,11 @@ def _outcome_from_dict(data: dict) -> ScriptOutcome:
 def _campaign_items(
     config: CampaignConfig, base_dir: str
 ) -> List[Tuple[str, str, CampaignConfig, str]]:
+    """``run_one`` arguments: ``(source, label, config, base_dir)``."""
     items: List[Tuple[str, str, CampaignConfig, str]] = []
     for seed in config.seeds:
         items.append(
-            (f"seed-{seed:05d}", generate(seed, safe=True), config, base_dir)
+            (generate(seed, safe=True), f"seed-{seed:05d}", config, base_dir)
         )
     for path in sorted(config.corpus):
         try:
@@ -283,14 +293,8 @@ def _campaign_items(
                 source = handle.read()
         except OSError:
             continue
-        items.append((f"corpus-{os.path.basename(path)}", source, config, base_dir))
+        items.append((source, f"corpus-{os.path.basename(path)}", config, base_dir))
     return items
-
-
-def _make_pool(jobs: int):
-    import concurrent.futures as futures
-
-    return futures.ProcessPoolExecutor(max_workers=jobs)
 
 
 def run_campaign(
@@ -304,6 +308,8 @@ def run_campaign(
     None, removed afterwards).  Output order and content are
     independent of ``jobs``.
     """
+    from ..batch import fan_out  # lazily: importing the config stays light
+
     config = config if config is not None else CampaignConfig()
     if jobs is None:
         jobs = os.cpu_count() or 1
@@ -313,7 +319,7 @@ def run_campaign(
         base_dir = owned_tmp.name
     try:
         items = _campaign_items(config, base_dir)
-        raw = _drain(items, jobs)
+        raw = [outcome for outcome, _, _ in fan_out(run_one, items, jobs, prefix="difftest")]
         raw.sort(key=lambda data: data["label"])
         return CampaignResult(
             config=config,
@@ -322,32 +328,6 @@ def run_campaign(
     finally:
         if owned_tmp is not None:
             owned_tmp.cleanup()
-
-
-def _drain(items: List[Tuple], jobs: int) -> List[dict]:
-    if not items:
-        return []
-    if jobs > 1 and len(items) > 1:
-        try:
-            return _drain_pool(items, jobs)
-        except (OSError, ImportError, RuntimeError):
-            pass  # no multiprocessing here: degrade to inline
-    return [run_one(item) for item in items]
-
-
-def _drain_pool(items: List[Tuple], jobs: int) -> List[dict]:
-    results: List[dict] = []
-    executor = _make_pool(jobs)
-    try:
-        futures = [executor.submit(run_one, item) for item in items]
-        for future, item in zip(futures, items):
-            try:
-                results.append(future.result())
-            except Exception:  # noqa: BLE001 — BrokenProcessPool et al.
-                results.append(run_one(item))  # retry inline, don't lose it
-    finally:
-        executor.shutdown()
-    return results
 
 
 # -- baseline comparison ------------------------------------------------------

@@ -178,6 +178,15 @@ class OptimizePlan:
     rewritten_script: Optional[str] = None
 
     SCHEMA_VERSION = PLAN_SCHEMA_VERSION
+    #: a plan never finds a script incorrect: repro-optimize exits 0 or 3
+    unsafe = False
+
+    @classmethod
+    def failure(cls, source: str, diagnostic) -> "OptimizePlan":
+        """The degraded plan standing in for a script the batch driver
+        could not plan: unreadable, or quarantined after a crash."""
+        reason = f"{diagnostic.code.replace('-', ' ')}: {diagnostic.message}"
+        return cls(degraded=True, degraded_reason=reason)
 
     # -- serialization -------------------------------------------------------
 

@@ -52,6 +52,12 @@ class Report:
         """At least one definite incorrectness."""
         return bool(self.errors())
 
+    @classmethod
+    def failure(cls, source: str, diagnostic: Diagnostic) -> "Report":
+        """The report standing in for a script the batch driver could
+        not analyze: unreadable, or quarantined after a crash."""
+        return cls(source=source, diagnostics=[diagnostic])
+
     #: diagnostic codes marking a result as incomplete
     DEGRADED_CODES = ("analysis-degraded", "internal-error", "analysis-quarantined")
 

@@ -82,18 +82,13 @@ def _observed(prog: str, options: argparse.Namespace):
 
 
 # ---------------------------------------------------------------------------
-# repro-analyze
+# repro-analyze and repro-optimize: one request path
 # ---------------------------------------------------------------------------
 
 
-def main_analyze(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-analyze",
-        description="Ahead-of-time semantics-driven analysis of a shell script.",
-        epilog="exit status: 0 clean; 1 definite incorrectness found; "
-        "2 no scripts found; 3 completed, but some analysis was degraded "
-        "(budget exhausted, component crash, or quarantined file)",
-    )
+def _add_request_flags(parser: argparse.ArgumentParser, verb: str) -> None:
+    """The flags analyze and optimize share: inputs, argv model, daemon,
+    batch, cache and budget.  ``verb`` phrases the help ("analyze")."""
     parser.add_argument(
         "script",
         nargs="+",
@@ -105,7 +100,7 @@ def main_analyze(argv: Optional[List[str]] = None) -> int:
         nargs="+",
         default=None,
         metavar="ARG",
-        help="concrete positional arguments to analyze the script under; "
+        help=f"concrete positional arguments to {verb} the script under; "
         "without this flag argv is modelled as unknown at entry",
     )
     parser.add_argument(
@@ -117,13 +112,10 @@ def main_analyze(argv: Optional[List[str]] = None) -> int:
         "unknown argv",
     )
     parser.add_argument(
-        "--platforms", nargs="*", default=None, help="deployment platforms to check"
-    )
-    parser.add_argument(
         "--server",
         action="store_true",
         help="use a running repro-served daemon when available (falls back "
-        "to inline analysis when none is listening)",
+        "to running inline when none is listening)",
     )
     parser.add_argument(
         "--socket",
@@ -132,28 +124,175 @@ def main_analyze(argv: Optional[List[str]] = None) -> int:
         help="analysis-server socket (default: $REPRO_SERVER_SOCKET or a "
         "per-user runtime path)",
     )
-    _add_server_resilience_flags(parser)
-    parser.add_argument("--lint", action="store_true", help="also run the syntactic baseline")
+    parser.add_argument(
+        "--server-timeout",
+        type=float,
+        default=None,
+        metavar="SECS",
+        help="server read timeout: give up on a server answer after this "
+        "long and fall back inline (default: 60s; pings always use a short "
+        "probe deadline)",
+    )
+    parser.add_argument(
+        "--server-retries",
+        type=int,
+        default=None,
+        metavar="N",
+        help="retry a daemon lost mid-request up to N times with jittered "
+        "exponential backoff before falling back inline (default: 2)",
+    )
     parser.add_argument(
         "--jobs",
         type=int,
         default=None,
         metavar="N",
-        help="batch mode: analyze up to N files in parallel "
+        help=f"batch mode: {verb} up to N files in parallel "
         "(default: the machine's CPU count)",
     )
     parser.add_argument(
         "--cache-dir",
         default=None,
         metavar="DIR",
-        help="batch mode: persistent result cache location "
-        "(default: $REPRO_CACHE_DIR or ~/.cache/repro/analysis)",
+        help="persistent result cache location (default: $REPRO_CACHE_DIR "
+        "or ~/.cache/repro/analysis); batch mode always uses a cache, a "
+        "single script only when this flag is given",
     )
     parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="batch mode: re-analyze every file, ignoring the cache",
+        help=f"{verb} every file afresh, ignoring the cache",
     )
+    parser.add_argument(
+        "--timeout",
+        type=float,
+        default=None,
+        metavar="SECS",
+        help="per-file wall-clock budget; on expiry the result degrades to "
+        "a partial one (exit 3) instead of hanging",
+    )
+    parser.add_argument(
+        "--max-states",
+        type=int,
+        default=None,
+        metavar="N",
+        help="per-file symbolic evaluation-step budget (degrades like --timeout)",
+    )
+    _add_common_flags(parser)
+
+
+def _run_op(op_name: str, prog: str, options: argparse.Namespace, emit) -> int:
+    """The request path analyze and optimize share: single script versus
+    batch, ``--server`` with the inline fallback, the cache flags and the
+    exit status.  ``emit(result, single)`` prints the op's result."""
+    from .analysis.pipeline import OPS, BatchConfig
+
+    op = OPS[op_name]
+    inputs = options.script
+    single = len(inputs) == 1 and (inputs[0] == "-" or os.path.isfile(inputs[0]))
+    source = _read_script(inputs[0]) if single else None
+    config = BatchConfig(
+        n_args=options.n_args,
+        args=tuple(options.args) if options.args else None,
+        platform_targets=tuple(options.platforms) if options.platforms else None,
+        include_lint=options.lint,
+        races=options.races,
+        timeout=options.timeout,
+        max_states=options.max_states,
+    )
+    with _observed(prog, options):
+        result = None
+        if options.server:
+            result = _run_via_server(prog, op_name, options, config, source, inputs)
+        if result is None:
+            cache = None
+            if not options.no_cache and (options.cache_dir or not single):
+                from .analysis.cache import ResultCache
+
+                cache = ResultCache(options.cache_dir)
+            if single:
+                from .analysis.pipeline import run_source
+
+                data, _ = run_source(op_name, source, config, cache)
+                result = op.payload_type.from_dict(data)
+            else:
+                from .analysis.batch import run_batch
+
+                result = run_batch(
+                    inputs, config=config, jobs=options.jobs, cache=cache, op=op_name
+                )
+    if not single and not result.results:
+        print(f"{prog}: no scripts found", file=sys.stderr)
+        return 2
+    emit(result, single)
+    if result.unsafe:
+        return 1
+    return 3 if result.degraded else 0
+
+
+def _run_via_server(
+    prog: str, op_name: str, options: argparse.Namespace, config, source, inputs
+):
+    """The request via the daemon; None means fall back to inline."""
+    from .analysis.pipeline import OPS
+    from .obs import get_recorder
+    from .server import ServerClient, ServerError, ServerUnavailable
+    from .server.client import RetryPolicy
+
+    op = OPS[op_name]
+    kwargs = {}
+    if options.server_timeout is not None:
+        kwargs["read_timeout"] = options.server_timeout
+    if options.server_retries is not None:
+        kwargs["retry"] = RetryPolicy(retries=max(0, options.server_retries))
+    try:
+        with ServerClient(options.socket, **kwargs) as client:
+            if source is not None:
+                result = op.payload_type.from_dict(client.run(op_name, source, config))
+            else:
+                result = client.batch(inputs, config, op=op_name)
+            if options.stats:
+                _print_server_stats(client, op.prefix)
+            return result
+    except (ServerUnavailable, ServerError) as exc:
+        get_recorder().count("server.client.inline_fallback")
+        print(f"{prog}: {exc}; {op.verb} inline", file=sys.stderr)
+        return None
+
+
+def _print_server_stats(client, prefix: str) -> None:
+    """The daemon's view of the run: its cumulative ``server.*`` and
+    ``{prefix}.*`` counters on stderr, next to the client-side --stats
+    table."""
+    from .server import ServerError, ServerUnavailable
+
+    try:
+        stats = client.stats()
+    except (ServerUnavailable, ServerError):
+        return  # the request already succeeded; stats are best-effort
+    print(
+        f"repro-served[{stats.get('pid', '?')}]: "
+        f"{stats.get('requests', 0)} request(s), "
+        f"uptime {stats.get('uptime_s', 0.0):.0f}s",
+        file=sys.stderr,
+    )
+    counters = stats.get("metrics", {}).get("counters", {})
+    for name in sorted(counters):
+        if name.startswith(("server.", prefix + ".")):
+            print(f"  {name} {'.' * max(2, 42 - len(name))} {counters[name]}", file=sys.stderr)
+
+
+def main_analyze(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="repro-analyze",
+        description="Ahead-of-time semantics-driven analysis of a shell script.",
+        epilog="exit status: 0 clean; 1 definite incorrectness found; "
+        "2 no scripts found; 3 completed, but some analysis was degraded "
+        "(budget exhausted, component crash, or quarantined file)",
+    )
+    parser.add_argument(
+        "--platforms", nargs="*", default=None, help="deployment platforms to check"
+    )
+    parser.add_argument("--lint", action="store_true", help="also run the syntactic baseline")
     parser.add_argument(
         "--races",
         action="store_true",
@@ -168,198 +307,19 @@ def main_analyze(argv: Optional[List[str]] = None) -> int:
         help="skip the effect-graph hazard analysis",
     )
     parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECS",
-        help="per-file wall-clock budget; on expiry the file gets a partial "
-        "report with an analysis-degraded note instead of hanging",
-    )
-    parser.add_argument(
-        "--max-states",
-        type=int,
-        default=None,
-        metavar="N",
-        help="per-file symbolic evaluation-step budget (degrades like --timeout)",
-    )
-    parser.add_argument(
         "--errors-only", action="store_true", help="show only definite errors"
     )
-    _add_common_flags(parser)
+    _add_request_flags(parser, "analyze")
     options = parser.parse_args(argv)
 
     from .diag import Severity
 
     min_severity = Severity.ERROR if options.errors_only else Severity.INFO
-    inputs = options.script
-    batch_mode = len(inputs) > 1 or (
-        inputs[0] != "-" and not os.path.isfile(inputs[0])
-    )
-    if batch_mode:
-        return _analyze_batch(options, inputs, min_severity)
 
-    from .analysis import analyze
-    from .analysis.resilience import ResourceBudget
+    def emit(result, single: bool) -> None:
+        print(result.render(min_severity=min_severity))
 
-    source = _read_script(inputs[0])
-    with _observed("repro-analyze", options):
-        report = None
-        if options.server:
-            report = _analyze_via_server(options, source)
-        if report is None:
-            budget = None
-            if options.timeout is not None or options.max_states is not None:
-                budget = ResourceBudget(
-                    deadline=options.timeout, max_states=options.max_states
-                )
-            report = analyze(
-                source,
-                n_args=options.n_args,
-                args=options.args,
-                platform_targets=options.platforms,
-                include_lint=options.lint,
-                races=options.races,
-                budget=budget,
-            )
-    print(report.render(min_severity=min_severity))
-    if report.unsafe:
-        return 1
-    return 3 if report.degraded else 0
-
-
-def _add_server_resilience_flags(parser: argparse.ArgumentParser) -> None:
-    """--server failure-handling knobs shared by analyze/optimize."""
-    parser.add_argument(
-        "--server-timeout",
-        type=float,
-        default=None,
-        metavar="SECS",
-        help="server read timeout: give up on a server answer after this "
-        "long and fall back to inline analysis (default: 60s; pings always "
-        "use a short probe deadline)",
-    )
-    parser.add_argument(
-        "--server-retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="retry a daemon lost mid-request up to N times with jittered "
-        "exponential backoff before falling back inline (default: 2)",
-    )
-
-
-def _server_client(options: argparse.Namespace):
-    """A ServerClient shaped by the --server-* flags."""
-    from .server import ServerClient
-    from .server.client import RetryPolicy
-
-    kwargs = {}
-    timeout = getattr(options, "server_timeout", None)
-    if timeout is not None:
-        kwargs["read_timeout"] = timeout
-    retries = getattr(options, "server_retries", None)
-    if retries is not None:
-        kwargs["retry"] = RetryPolicy(retries=max(0, retries))
-    return ServerClient(options.socket, **kwargs)
-
-
-def _note_inline_fallback() -> None:
-    from .obs import get_recorder
-
-    get_recorder().count("server.client.inline_fallback")
-
-
-def _batch_config(options: argparse.Namespace):
-    from .analysis import BatchConfig
-
-    return BatchConfig(
-        n_args=options.n_args,
-        args=tuple(options.args) if options.args else None,
-        platform_targets=tuple(options.platforms) if options.platforms else None,
-        include_lint=options.lint,
-        races=options.races,
-        timeout=options.timeout,
-        max_states=options.max_states,
-    )
-
-
-def _analyze_via_server(options: argparse.Namespace, source: str):
-    """One script via the daemon; None means fall back to inline."""
-    from .server import ServerError, ServerUnavailable
-
-    try:
-        with _server_client(options) as client:
-            report = client.analyze_source(source, _batch_config(options))
-            if options.stats:
-                _print_server_stats(client)
-            return report
-    except (ServerUnavailable, ServerError) as exc:
-        _note_inline_fallback()
-        print(f"repro-analyze: {exc}; analyzing inline", file=sys.stderr)
-        return None
-
-
-def _batch_via_server(options: argparse.Namespace, inputs: List[str]):
-    """A corpus via the daemon; None means fall back to inline."""
-    from .server import ServerError, ServerUnavailable
-
-    try:
-        with _server_client(options) as client:
-            batch = client.batch(inputs, _batch_config(options))
-            if options.stats:
-                _print_server_stats(client)
-            return batch
-    except (ServerUnavailable, ServerError) as exc:
-        _note_inline_fallback()
-        print(f"repro-analyze: {exc}; analyzing inline", file=sys.stderr)
-        return None
-
-
-def _print_server_stats(client) -> None:
-    """The daemon's view of the run: cumulative `server.*`/`batch.*`
-    counters on stderr, next to the client-side --stats table."""
-    from .server import ServerError, ServerUnavailable
-
-    try:
-        stats = client.stats()
-    except (ServerUnavailable, ServerError):
-        return  # the analysis already succeeded; stats are best-effort
-    print(
-        f"repro-served[{stats.get('pid', '?')}]: "
-        f"{stats.get('requests', 0)} request(s), "
-        f"uptime {stats.get('uptime_s', 0.0):.0f}s",
-        file=sys.stderr,
-    )
-    counters = stats.get("metrics", {}).get("counters", {})
-    for name in sorted(counters):
-        if name.startswith(("server.", "batch.")):
-            print(f"  {name} {'.' * max(2, 42 - len(name))} {counters[name]}", file=sys.stderr)
-
-
-def _analyze_batch(options: argparse.Namespace, inputs: List[str], min_severity) -> int:
-    from .analysis import ResultCache, run_batch
-
-    with _observed("repro-analyze", options):
-        batch = None
-        if options.server:
-            batch = _batch_via_server(options, inputs)
-        if batch is None:
-            cache = None if options.no_cache else ResultCache(options.cache_dir)
-            batch = run_batch(
-                inputs, config=_batch_config(options), jobs=options.jobs, cache=cache
-            )
-    if not batch.results:
-        print("repro-analyze: no scripts found", file=sys.stderr)
-        return 2
-    print(batch.render(min_severity=min_severity))
-    if batch.unsafe:
-        return 1
-    return 3 if batch.degraded else 0
-
-
-# ---------------------------------------------------------------------------
-# repro-optimize
-# ---------------------------------------------------------------------------
+    return _run_op("analyze", "repro-analyze", options, emit)
 
 
 def main_optimize(argv: Optional[List[str]] = None) -> int:
@@ -371,20 +331,6 @@ def main_optimize(argv: Optional[List[str]] = None) -> int:
         epilog="exit status: 0 plan emitted; 2 no scripts found; "
         "3 plan degraded (budget exhausted or analysis incomplete)",
     )
-    parser.add_argument(
-        "script",
-        nargs="+",
-        help="script path(s), director(ies), glob pattern(s), or - for stdin; "
-        "more than one input (or a directory/glob) switches to batch mode",
-    )
-    parser.add_argument(
-        "--args",
-        nargs="+",
-        default=None,
-        metavar="ARG",
-        help="concrete positional arguments to plan the script under",
-    )
-    parser.add_argument("--n-args", type=int, default=None, metavar="N")
     parser.add_argument(
         "--plan",
         default=None,
@@ -399,202 +345,27 @@ def main_optimize(argv: Optional[List[str]] = None) -> int:
         help="write a Graphviz rendering of the dependence graph with "
         "verified '&'-groups highlighted (single-file mode)",
     )
-    parser.add_argument(
-        "--server",
-        action="store_true",
-        help="use a running repro-served daemon when available (falls back "
-        "to inline planning when none is listening)",
-    )
-    parser.add_argument(
-        "--socket",
-        default=None,
-        metavar="PATH",
-        help="analysis-server socket (default: $REPRO_SERVER_SOCKET or a "
-        "per-user runtime path)",
-    )
-    _add_server_resilience_flags(parser)
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="batch mode: plan up to N files in parallel",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="persistent plan cache location (shared with the analysis "
-        "result cache)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="re-plan every file, ignoring the cache",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECS",
-        help="per-file wall-clock budget; on expiry the plan degrades to a "
-        "partial one instead of hanging",
-    )
-    parser.add_argument(
-        "--max-states",
-        type=int,
-        default=None,
-        metavar="N",
-        help="per-file symbolic evaluation-step budget (degrades like "
-        "--timeout)",
-    )
-    _add_common_flags(parser)
-    # fields _batch_config expects but repro-optimize does not expose
+    _add_request_flags(parser, "plan")
+    # analyzer options repro-optimize does not expose
     parser.set_defaults(platforms=None, lint=False, races=True)
     options = parser.parse_args(argv)
 
-    inputs = options.script
-    batch_mode = len(inputs) > 1 or (
-        inputs[0] != "-" and not os.path.isfile(inputs[0])
-    )
-    if batch_mode:
-        return _optimize_batch(options, inputs)
-
-    import json
-
-    from .analysis.optimize import OptimizePlan, optimize_source
-
-    source = _read_script(inputs[0])
-    config = _batch_config(options)
-    with _observed("repro-optimize", options):
-        data = None
-        if options.server:
-            data = _optimize_via_server(options, source, config)
-        if data is None and not options.no_cache and options.cache_dir:
-            data = _cached_plan(options.cache_dir, source, config)
-        if data is None:
-            data = optimize_source(source, config)
-    plan = OptimizePlan.from_dict(data)
-    print(plan.render())
-    if options.plan:
-        with open(options.plan, "w", encoding="utf-8") as handle:
-            json.dump(data, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    if options.dot:
-        with open(options.dot, "w", encoding="utf-8") as handle:
-            handle.write(plan.to_dot())
-    return 3 if plan.degraded else 0
-
-
-def _cached_plan(cache_dir: str, source: str, config):
-    """Single-file plan caching: serve a hit, else compute and store."""
-    from .analysis import ResultCache
-    from .analysis.optimize import (
-        PLAN_SCHEMA_VERSION,
-        optimize_source,
-        plan_cache_key,
-    )
-
-    cache = ResultCache(cache_dir)
-    key = plan_cache_key(source, config)
-    data = cache.get(key, schema=PLAN_SCHEMA_VERSION)
-    if data is not None:
-        return data
-    data = optimize_source(source, config)
-    if not data.get("degraded"):
-        cache.put(key, data)
-    return data
-
-
-def _optimize_via_server(options: argparse.Namespace, source: str, config):
-    """One script's plan via the daemon; None means fall back to inline."""
-    from .server import ServerError, ServerUnavailable
-
-    try:
-        with _server_client(options) as client:
-            data = client.optimize_source(source, config)
-            if options.stats:
-                _print_server_stats(client)
-            return data
-    except (ServerUnavailable, ServerError) as exc:
-        _note_inline_fallback()
-        print(f"repro-optimize: {exc}; planning inline", file=sys.stderr)
-        return None
-
-
-def _optimize_batch(options: argparse.Namespace, inputs: List[str]) -> int:
-    import json
-
-    from .analysis import ResultCache
-    from .analysis.optimize import run_optimize_batch
-
-    with _observed("repro-optimize", options):
-        batch = None
-        if options.server:
-            batch = _optimize_batch_via_server(options, inputs)
-        if batch is None:
-            cache = None if options.no_cache else ResultCache(options.cache_dir)
-            batch = run_optimize_batch(
-                inputs,
-                config=_batch_config(options),
-                jobs=options.jobs,
-                cache=cache,
+    def emit(result, single: bool) -> None:
+        print(result.render())
+        if options.plan:
+            document = (
+                result.to_dict()
+                if single
+                else [{"path": r.path, "plan": r.plan.to_dict()} for r in result.results]
             )
-    if not batch.results:
-        print("repro-optimize: no scripts found", file=sys.stderr)
-        return 2
-    print(batch.render())
-    if options.plan:
-        payload = [
-            {"path": result.path, "plan": result.plan.to_dict()}
-            for result in batch.results
-        ]
-        with open(options.plan, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    return 3 if batch.degraded else 0
+            with open(options.plan, "w", encoding="utf-8") as handle:
+                json.dump(document, handle, indent=2, sort_keys=True)
+                handle.write("\n")
+        if options.dot and single:
+            with open(options.dot, "w", encoding="utf-8") as handle:
+                handle.write(result.to_dot())
 
-
-def _optimize_batch_via_server(options: argparse.Namespace, inputs: List[str]):
-    """A corpus planned file-by-file through the daemon's optimize op;
-    None means fall back to inline planning."""
-    from .analysis.batch import discover
-    from .analysis.optimize import (
-        OptimizeBatchResult,
-        OptimizeFileResult,
-        OptimizePlan,
-    )
-    from .server import ServerError, ServerUnavailable
-
-    config = _batch_config(options)
-    try:
-        with _server_client(options) as client:
-            batch = OptimizeBatchResult()
-            for path in discover(inputs):
-                try:
-                    with open(path, "r", encoding="utf-8") as handle:
-                        source = handle.read()
-                except OSError as exc:
-                    plan = OptimizePlan(
-                        degraded=True, degraded_reason=f"read error: {exc}"
-                    )
-                    batch.results.append(
-                        OptimizeFileResult(path=path, plan=plan)
-                    )
-                    continue
-                data = client.optimize_source(source, config)
-                batch.results.append(
-                    OptimizeFileResult(
-                        path=path, plan=OptimizePlan.from_dict(data)
-                    )
-                )
-            if options.stats:
-                _print_server_stats(client)
-            return batch
-    except (ServerUnavailable, ServerError) as exc:
-        _note_inline_fallback()
-        print(f"repro-optimize: {exc}; planning inline", file=sys.stderr)
-        return None
+    return _run_op("optimize", "repro-optimize", options, emit)
 
 
 # ---------------------------------------------------------------------------
@@ -800,12 +571,6 @@ def main_served(argv: Optional[List[str]] = None) -> int:
         help="watch-mode poll interval (default: 1s)",
     )
     parser.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help="watch mode: disable fragment-level incremental re-analysis "
-        "(re-run changed files cold through the batch driver instead)",
-    )
-    parser.add_argument(
         "--log-file",
         default=None,
         metavar="PATH",
@@ -904,7 +669,6 @@ def main_served(argv: Optional[List[str]] = None) -> int:
             ),
             watch=options.watch,
             interval=options.interval,
-            incremental=not options.no_incremental,
             recorder=recorder,
             log=log,
             slow_ms=options.slow_ms if options.slow_ms is not None else DEFAULT_SLOW_MS,

@@ -37,9 +37,9 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from ..analysis.batch import BatchConfig, BatchResult, FileResult
+from ..analysis.pipeline import OPS, BatchConfig
 from ..analysis.report import Report
 from ..analysis.resilience import jittered_backoff
 from ..obs import get_recorder
@@ -346,36 +346,37 @@ class ServerClient:
     def shutdown(self) -> dict:
         return self.request({"op": "shutdown"})
 
-    def analyze_source(self, source: str, config: Optional[BatchConfig] = None) -> Report:
-        """Analyze one script's text; returns the reconstructed Report."""
+    def run(self, op: str, source: str, config: Optional[BatchConfig] = None) -> dict:
+        """One script's text through the daemon's ``op`` (``analyze`` or
+        ``optimize``); returns the serialized payload, byte-identical to
+        an inline run over the same source + config."""
         result = self.request(
             {
-                "op": "analyze",
+                "op": op,
                 "source": source,
                 "config": protocol.config_to_wire(config or BatchConfig()),
             }
         )
-        return Report.from_dict(result["report"])
+        return result[OPS[op].wire]
+
+    def analyze_source(self, source: str, config: Optional[BatchConfig] = None) -> Report:
+        """Analyze one script's text; returns the reconstructed Report."""
+        return Report.from_dict(self.run("analyze", source, config))
 
     def optimize_source(
         self, source: str, config: Optional[BatchConfig] = None
     ) -> dict:
         """One script's optimization plan (the serialized plan dict,
-        ready for ``OptimizePlan.from_dict``); byte-identical to an
-        inline ``repro-optimize`` run over the same source + config."""
-        result = self.request(
-            {
-                "op": "optimize",
-                "source": source,
-                "config": protocol.config_to_wire(config or BatchConfig()),
-            }
-        )
-        return result["plan"]
+        ready for ``OptimizePlan.from_dict``)."""
+        return self.run("optimize", source, config)
 
     def batch(
-        self, inputs: Sequence[str], config: Optional[BatchConfig] = None
-    ) -> BatchResult:
-        """Batch-analyze files/dirs/globs; returns a BatchResult exactly
+        self,
+        inputs: Sequence[str],
+        config: Optional[BatchConfig] = None,
+        op: str = "analyze",
+    ):
+        """Run ``op`` over files/dirs/globs; returns a result exactly
         shaped like :func:`~repro.analysis.batch.run_batch`'s.
 
         Inputs are absolutized first (the daemon resolves paths in *its*
@@ -384,9 +385,11 @@ class ServerClient:
         cwd-relative form so the rendered output is byte-identical to
         the inline path.
         """
+        spec = OPS[op]
         result = self.request(
             {
                 "op": "batch",
+                "of": op,
                 "inputs": [os.path.abspath(item) for item in inputs],
                 "config": protocol.config_to_wire(config or BatchConfig()),
             }
@@ -397,21 +400,21 @@ class ServerClient:
         def local_path(path: str) -> str:
             return os.path.relpath(path, cwd) if relativize else path
 
-        batch = BatchResult(
+        batch_type, payload = spec.batch_type, spec.payload_type
+        return batch_type(
             results=[
-                FileResult(
-                    path=local_path(entry["path"]),
-                    report=Report.from_dict(entry["report"]),
-                    cached=entry.get("cached", False),
-                    seconds=entry.get("seconds", 0.0),
-                    quarantined=entry.get("quarantined", False),
+                batch_type.file_type(
+                    local_path(entry["path"]),
+                    payload.from_dict(entry[spec.wire]),
+                    entry.get("cached", False),
+                    entry.get("seconds", 0.0),
+                    entry.get("quarantined", False),
                 )
                 for entry in result.get("results", [])
             ],
+            hits=result.get("hits", 0),
+            misses=result.get("misses", 0),
         )
-        batch.hits = result.get("hits", 0)
-        batch.misses = result.get("misses", 0)
-        return batch
 
 
 def server_available(socket_path: Optional[str] = None) -> bool:

@@ -80,8 +80,9 @@ from dataclasses import replace
 from typing import List, Optional
 
 from .. import __version__
-from ..analysis.batch import BatchConfig, _make_pool, run_batch
-from ..analysis.cache import ResultCache, cache_key
+from ..analysis.batch import _make_pool, run_batch
+from ..analysis.cache import ResultCache
+from ..analysis.pipeline import OPS, BatchConfig, run_source
 from ..analysis.resilience import clamped_budget
 from ..obs import (
     MetricsSnapshot,
@@ -137,7 +138,6 @@ class AnalysisServer:
         frame_deadline: Optional[float] = protocol.DEFAULT_FRAME_DEADLINE,
         idle_timeout: Optional[float] = None,
         drain_deadline: float = DEFAULT_DRAIN_DEADLINE,
-        incremental: bool = True,
     ):
         self.socket_path = socket_path or protocol.default_socket_path()
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
@@ -161,11 +161,6 @@ class AnalysisServer:
         self._pool_lock = threading.Lock()
         self._server: Optional[_SocketServer] = None
         self._watcher_stop = threading.Event()
-        #: fragment-level incremental re-analysis in watch mode (the
-        #: sub-100ms edit→report path); the session is built lazily on
-        #: the first watch round so non-watch daemons pay nothing
-        self.incremental = incremental
-        self._incremental_session = None
 
     # -- warm state ---------------------------------------------------------
 
@@ -228,8 +223,6 @@ class AnalysisServer:
             config.max_states is not None and config.max_states > self.cap_states
         )
         if over_deadline or over_states:
-            from ..obs import get_recorder
-
             get_recorder().count("server.budget_clamped")
             self.log.info(
                 "budget.clamp",
@@ -292,12 +285,9 @@ class AnalysisServer:
                 try:
                     if op == "ping":
                         result = self._op_ping()
-                    elif op == "analyze":
-                        with request_recorder.span("server.analyze"):
-                            result = self._op_analyze(message, request_id)
-                    elif op == "optimize":
-                        with request_recorder.span("server.optimize"):
-                            result = self._op_optimize(message, request_id)
+                    elif op in OPS:
+                        with request_recorder.span(f"server.{op}"):
+                            result = self._op_source(op, message, request_id)
                     elif op == "batch":
                         with request_recorder.span("server.batch"):
                             result = self._op_batch(message, request_id)
@@ -409,78 +399,30 @@ class AnalysisServer:
             "pid": os.getpid(),
         }
 
-    def _op_analyze(self, message: dict, request_id: Optional[str] = None) -> dict:
-        """One script, by inline ``source`` or by ``path``."""
-        from ..analysis import analyze
-        from ..analysis.report import Report
-        from ..obs import get_recorder
-
+    def _op_source(self, op: str, message: dict, request_id: Optional[str] = None) -> dict:
+        """One script through ``op`` (``analyze`` or ``optimize``), by
+        inline ``source`` or by ``path``: cache lookup first, and the
+        same payload dict an inline run produces."""
         source = message.get("source")
         if source is None:
             path = message.get("path")
             if not path:
-                raise ValueError("analyze request needs 'source' or 'path'")
+                raise ValueError(f"{op} request needs 'source' or 'path'")
             with open(path, "r", encoding="utf-8") as handle:
                 source = handle.read()
         config = self._clamped(
             protocol.config_from_wire(message.get("config")), request_id
         )
-        key = cache_key(source, config.fingerprint())
-        recorder = get_recorder()
-        if self.cache is not None:
-            data = self.cache.get(key)
-            if data is not None:
-                recorder.count("batch.cache.hit")
-                return {"report": data, "cached": True}
-            recorder.count("batch.cache.miss")
-        report = analyze(source, budget=config.budget(), **config.analyze_kwargs())
-        data = report.to_dict()
-        if self.cache is not None and not report.degraded:
-            self.cache.put(key, data)
-        # round-trip like the batch driver so server output is
-        # byte-identical to the inline path
-        return {"report": Report.from_dict(data).to_dict(), "cached": False}
-
-    def _op_optimize(self, message: dict, request_id: Optional[str] = None) -> dict:
-        """One script's optimization plan, by inline ``source`` or by
-        ``path`` — the warm path for editor/JIT advisors.  Mirrors
-        ``analyze``: plan-cache lookup first, round-tripped plan dicts so
-        server responses are byte-identical to inline runs."""
-        from ..analysis.optimize import (
-            PLAN_SCHEMA_VERSION,
-            OptimizePlan,
-            optimize_source,
-            plan_cache_key,
-        )
-        from ..obs import get_recorder
-
-        source = message.get("source")
-        if source is None:
-            path = message.get("path")
-            if not path:
-                raise ValueError("optimize request needs 'source' or 'path'")
-            with open(path, "r", encoding="utf-8") as handle:
-                source = handle.read()
-        config = self._clamped(
-            protocol.config_from_wire(message.get("config")), request_id
-        )
-        key = plan_cache_key(source, config)
-        recorder = get_recorder()
-        if self.cache is not None:
-            data = self.cache.get(key, schema=PLAN_SCHEMA_VERSION)
-            if data is not None:
-                recorder.count("optimize.cache.hit")
-                return {"plan": data, "cached": True}
-            recorder.count("optimize.cache.miss")
-        data = optimize_source(source, config)
-        if self.cache is not None and not data.get("degraded"):
-            self.cache.put(key, data)
-        return {"plan": OptimizePlan.from_dict(data).to_dict(), "cached": False}
+        data, cached = run_source(op, source, config, self.cache)
+        return {OPS[op].wire: data, "cached": cached}
 
     def _op_batch(self, message: dict, request_id: Optional[str] = None) -> dict:
         inputs = message.get("inputs")
         if not isinstance(inputs, list) or not inputs:
             raise ValueError("batch request needs a non-empty 'inputs' list")
+        of = message.get("of", "analyze")
+        if of not in OPS:
+            raise ValueError(f"batch request of unknown op: {of!r}")
         config = self._clamped(
             protocol.config_from_wire(message.get("config")), request_id
         )
@@ -490,17 +432,19 @@ class AnalysisServer:
             jobs=self.jobs,
             cache=self.cache,
             pool=self._get_pool(),
+            op=of,
         )
         if self.jobs > 1 and not self.pool_alive():
             # a worker died under this batch and broke the pool; the
             # batch driver already retried the affected files inline —
             # rebuild eagerly so the *next* request never pays for it
             self._get_pool()
+        wire = OPS[of].wire
         return {
             "results": [
                 {
                     "path": r.path,
-                    "report": r.report.to_dict(),
+                    wire: getattr(r, wire).to_dict(),
                     "cached": r.cached,
                     "quarantined": r.quarantined,
                     "seconds": r.seconds,
@@ -635,53 +579,12 @@ class AnalysisServer:
         self._initiate_shutdown()
         return not forced
 
-    def _get_incremental_session(self, config: BatchConfig):
-        """The long-lived fragment-summary session behind watch mode."""
-        if self._incremental_session is None:
-            from ..analysis.incremental import IncrementalSession
-
-            self._incremental_session = IncrementalSession(config=config)
-        return self._incremental_session
-
-    def _watch_reanalyze(self, changed: List[str], config: BatchConfig) -> None:
-        """Re-analyze changed files through the fragment memo, keeping
-        the whole-file result cache warm with byte-identical payloads
-        (the session guarantees replayed reports render exactly like a
-        cold run, so clients cannot observe which path filled the
-        cache)."""
-        session = self._get_incremental_session(config)
-        recorder = get_recorder()
-        for path in changed:
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    source = handle.read()
-            except OSError:
-                # deleted between scan and read: the next scan reports it
-                recorder.count("watch.stat_errors")
-                continue
-            report = session.analyze(source, path=path)
-            if self.cache is not None and not report.degraded:
-                self.cache.put(
-                    cache_key(source, config.fingerprint()), report.to_dict()
-                )
-            self.log.info(
-                "watch.incremental",
-                path=path,
-                fragments_hit=session.last_hits,
-                fragments_miss=session.last_misses,
-                invalidated=session.last_invalidated,
-            )
-
     def start_watcher(self, inputs: List[str], interval: float = 1.0) -> threading.Thread:
         """Watch mode: poll ``inputs`` for new/modified scripts and
-        re-analyze them as they change, keeping the result cache warm so
-        the *next* client request over those files is all cache hits.
-
-        With ``incremental`` on (the default), re-analysis goes through
-        the fragment-summary session: only function bodies whose source
-        digest changed — plus their dependence-graph dependents — are
-        re-explored, which is what makes the edit→report turnaround
-        sub-100ms on warm summaries."""
+        re-analyze them through the batch driver (with the daemon's pool
+        and cache) as they change, keeping the result cache warm so the
+        *next* client request over those files is all cache hits.
+        Deletions are logged by the watcher (``watch.deleted``)."""
         watcher = Watcher(inputs, log=self.log)
 
         def loop() -> None:
@@ -689,25 +592,19 @@ class AnalysisServer:
                 round_recorder = TraceRecorder()
                 try:
                     with use_thread_recorder(round_recorder):
-                        changed, deleted = watcher.scan()
-                        for path in deleted:
-                            if self._incremental_session is not None:
-                                self._incremental_session.forget(path)
+                        changed, _ = watcher.scan()
                         if changed:
                             round_recorder.count("server.watch_rounds")
                             round_recorder.count("server.watch_files", len(changed))
                             config = self._clamped(BatchConfig())
                             with round_recorder.span("server.watch"):
-                                if self.incremental:
-                                    self._watch_reanalyze(changed, config)
-                                else:
-                                    run_batch(
-                                        changed,
-                                        config=config,
-                                        jobs=self.jobs,
-                                        cache=self.cache,
-                                        pool=self._get_pool(),
-                                    )
+                                run_batch(
+                                    changed,
+                                    config=config,
+                                    jobs=self.jobs,
+                                    cache=self.cache,
+                                    pool=self._get_pool(),
+                                )
                             self.log.info(
                                 "watch.scan",
                                 changed=len(changed),
@@ -865,7 +762,6 @@ def serve(
     supervised: bool = False,
     max_restarts: int = 5,
     install_signals: bool = False,
-    incremental: bool = True,
 ) -> AnalysisServer:
     """Build, warm, and run a daemon (the ``repro-served`` body).
 
@@ -897,7 +793,6 @@ def serve(
             frame_deadline=frame_deadline,
             idle_timeout=idle_timeout,
             drain_deadline=drain_deadline,
-            incremental=incremental,
         )
         if not warmed.is_set():
             server.warm()

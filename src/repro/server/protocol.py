@@ -30,9 +30,11 @@ Requests are objects with an ``op`` field:
   :class:`~repro.analysis.optimize.OptimizePlan` under ``plan`` plus a
   ``cached`` flag (plans are content-addressed in the same result
   cache, salted with the plan schema version)
-- ``{"op": "batch", "inputs": [...], "config": {...}}`` — files,
-  directories, and glob patterns, exactly like ``repro-analyze``'s
-  positional arguments; response carries per-file serialized reports
+- ``{"op": "batch", "inputs": [...], "config": {...}, "of": "analyze"}``
+  — files, directories, and glob patterns, exactly like
+  ``repro-analyze``'s positional arguments; ``of`` names the op run on
+  each file (``analyze``, the default, or ``optimize``) and the
+  response carries per-file serialized reports (or plans)
 - ``{"op": "stats"}`` — the operational picture: uptime, request
   rates, per-op latency quantiles, cache hit rate, pool/shed/clamp
   state, and a metrics snapshot of the daemon's totals
@@ -250,9 +252,9 @@ def error(message: str) -> dict:
 
 
 def config_to_wire(config) -> dict:
-    """A :class:`~repro.analysis.batch.BatchConfig` as a wire dict
+    """A :class:`~repro.analysis.pipeline.BatchConfig` as a wire dict
     (only non-default fields, so old servers tolerate new clients)."""
-    from ..analysis.batch import BatchConfig
+    from ..analysis.pipeline import BatchConfig
 
     defaults = BatchConfig()
     wire = {}
@@ -276,7 +278,7 @@ def config_to_wire(config) -> dict:
 
 def config_from_wire(data: Optional[dict]):
     """The inverse of :func:`config_to_wire`; unknown fields ignored."""
-    from ..analysis.batch import BatchConfig
+    from ..analysis.pipeline import BatchConfig
 
     data = data or {}
     kwargs = {}

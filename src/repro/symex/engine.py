@@ -149,11 +149,6 @@ class Engine:
         #: id(word) -> (word, fields): they do not depend on the state, so
         #: they are split once per run
         self._literal_fields: Dict[int, Tuple[Word, Optional[List[SymString]]]] = {}
-        #: optional fragment memoization hook (incremental analysis):
-        #: when set, function-body evaluations may be served from
-        #: per-fragment summaries instead of being re-explored.  See
-        #: repro.analysis.incremental.FragmentMemo.
-        self.fragment_memo = None
 
     # -- entry points -------------------------------------------------------
 
@@ -467,10 +462,7 @@ class Engine:
         state.argv_unknown = False
         state.argc_sym = None
         state.depth += 1
-        if self.fragment_memo is not None:
-            results = self.fragment_memo.eval_body(self, name, body, state)
-        else:
-            results = self.eval(body, state)
+        results = self.eval(body, state)
         for result in results:
             result.params = saved_params
             result.argv_unknown = saved_unknown

@@ -365,19 +365,22 @@ class TestWorkerMetricsPropagation:
 
     def test_pool_worker_returns_a_snapshot_when_traced(self):
         from repro.analysis.batch import _pool_worker
+        from repro.analysis.pipeline import analyze_source
 
-        path, data, seconds, metrics = _pool_worker(
-            ("x.sh", "echo worker\n", BatchConfig(), True)
+        data, seconds, metrics = _pool_worker(
+            (analyze_source, ("echo worker\n", BatchConfig()), True)
         )
-        assert path == "x.sh"
         assert data["diagnostics"] == []
         assert metrics is not None
         assert metrics["counters"].get("symex.runs", 0) >= 1
 
     def test_pool_worker_skips_telemetry_when_untraced(self):
         from repro.analysis.batch import _pool_worker
+        from repro.analysis.pipeline import analyze_source
 
-        _, _, _, metrics = _pool_worker(("x.sh", "echo worker\n", BatchConfig()))
+        _, _, metrics = _pool_worker(
+            (analyze_source, ("echo worker\n", BatchConfig()), False)
+        )
         assert metrics is None
 
     def test_pool_run_folds_worker_metrics_into_parent(self, corpus):

@@ -1,6 +1,7 @@
 """Unit tests for the CLI entry points."""
 
 import io
+import os
 import sys
 
 import pytest
@@ -127,3 +128,42 @@ class TestDispatcher:
     def test_dispatch(self, script_file, capsys):
         path = script_file("echo hi\n")
         assert cli.main(["analyze", path]) == 0
+
+
+class TestSingleFileCacheRule:
+    """A single script touches the result cache only when --cache-dir is
+    given; --no-cache overrides it.  Both ops follow the same rule."""
+
+    TOOLS = [(cli.main_analyze, "batch"), (cli.main_optimize, "optimize")]
+
+    @pytest.mark.parametrize("main, prefix", TOOLS)
+    def test_no_flags_write_nothing(self, main, prefix, script_file, tmp_path,
+                                    monkeypatch, capsys):
+        default_dir = tmp_path / "default-cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(default_dir))
+        path = script_file("echo hello\n")
+        _, _, err = run_tool(main, [path, "--stats"], capsys)
+        assert not default_dir.exists()
+        assert f"{prefix}.cache" not in err
+
+    @pytest.mark.parametrize("main, prefix", TOOLS)
+    def test_cache_dir_serves_the_second_run(self, main, prefix, script_file,
+                                             tmp_path, capsys):
+        path = script_file("mkdir /opt/x\nrm -rf /opt/x\n")
+        argv = [path, "--cache-dir", str(tmp_path / "cache"), "--stats"]
+        cold_code, cold, cold_err = run_tool(main, argv, capsys)
+        warm_code, warm, warm_err = run_tool(main, argv, capsys)
+        assert f"{prefix}.cache.miss" in cold_err
+        assert f"{prefix}.cache.hit" in warm_err
+        assert f"{prefix}.cache.miss" not in warm_err
+        assert (warm_code, warm) == (cold_code, cold)
+
+    @pytest.mark.parametrize("main, prefix", TOOLS)
+    def test_no_cache_overrides_cache_dir(self, main, prefix, script_file,
+                                          tmp_path, capsys):
+        cache_dir = tmp_path / "cache"
+        path = script_file("echo hello\n")
+        _, _, err = run_tool(main, [path, "--cache-dir", str(cache_dir),
+                                    "--no-cache", "--stats"], capsys)
+        assert not cache_dir.exists()
+        assert f"{prefix}.cache" not in err

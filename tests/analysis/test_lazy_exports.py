@@ -1,6 +1,9 @@
 """``import repro.analysis`` stays light: the batch, cache and optimize
-modules load only when one of their exported names is first used."""
+modules load only when one of their exported names is first used.  A
+one-script ``repro-analyze`` never loads them, nor the server package
+or a process pool."""
 
+import json
 import os
 import subprocess
 import sys
@@ -41,3 +44,27 @@ def test_unknown_name_raises_attribute_error():
 
     with pytest.raises(AttributeError, match="no_such_name"):
         analysis.no_such_name
+
+
+ONESHOT = """
+import json, sys
+from repro.cli import main
+code = main(["analyze", "examples/scripts/steam_updater.sh"])
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+#: what the pipeline, batch and server paths need and a one-shot never does
+HEAVY = ("repro.analysis.batch", "repro.analysis.cache", "repro.analysis.optimize",
+         "repro.server", "concurrent.futures", "multiprocessing")
+
+
+def test_one_script_analyze_stays_off_the_batch_and_server_paths(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC), REPRO_CACHE_DIR=str(tmp_path / "cache"))
+    out = subprocess.run([sys.executable, "-c", ONESHOT], env=env, cwd=SRC.parent,
+                         check=True, capture_output=True, text=True).stdout
+    result = json.loads(out.splitlines()[-1])
+    assert result["code"] == 1  # the Steam bug is found
+    loaded = [name for name in result["modules"]
+              if any(name == heavy or name.startswith(heavy + ".") for heavy in HEAVY)]
+    assert loaded == []
+    assert not (tmp_path / "cache").exists()

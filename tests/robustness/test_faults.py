@@ -5,6 +5,7 @@ degraded/internal-error/quarantine entry, never an uncaught exception,
 and degraded results must be provably absent from the cache."""
 
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.analysis import (
     ResultCache,
     analyze,
     batch as batch_mod,
+    pipeline as pipeline_mod,
     run_batch,
 )
 from repro.analysis.resilience import (
@@ -100,7 +102,7 @@ class TestWorkerDeath:
         def exploding_analyze(*args, **kwargs):
             raise RuntimeError("retry also dies")
 
-        monkeypatch.setattr(batch_mod, "analyze", exploding_analyze)
+        monkeypatch.setattr(pipeline_mod, "analyze", exploding_analyze)
         cache = ResultCache(str(tmp_path / "cache"))
         recorder = TraceRecorder()
         with use_recorder(recorder):
@@ -122,15 +124,48 @@ class TestWorkerDeath:
         assert recorder2.counter("symex.runs") == 4
         assert not recovered.degraded
 
+    @needs_pool
+    def test_killed_workers_keep_optimize_batch_order(self, corpus, monkeypatch):
+        from repro.analysis.optimize import run_optimize_batch
+
+        clean = run_optimize_batch([str(corpus)], jobs=1)
+        monkeypatch.setattr(batch_mod, "_pool_worker", _kill_worker)
+        recorder = TraceRecorder()
+        with use_recorder(recorder):
+            batch = run_optimize_batch([str(corpus)], jobs=2)
+        assert [r.path for r in batch.results] == [r.path for r in clean.results]
+        assert not any(r.quarantined for r in batch.results)
+        assert recorder.counter("optimize.retries") == 4
+        assert batch.render() == clean.render()
+
+    @needs_pool
+    def test_killed_workers_keep_campaign_outcomes(self, monkeypatch):
+        from repro.analysis.difftest import CampaignConfig, run_campaign
+
+        config = CampaignConfig(seeds=(0, 1, 2, 3), exec_enabled=False, minimize=False)
+        clean = run_campaign(config, jobs=1)
+        monkeypatch.setattr(batch_mod, "_pool_worker", _kill_worker)
+        recorder = TraceRecorder()
+        with use_recorder(recorder):
+            campaign = run_campaign(config, jobs=2)
+        labels = [outcome.label for outcome in campaign.outcomes]
+        assert labels == [f"seed-{seed:05d}" for seed in config.seeds]
+        assert recorder.counter("difftest.retries") == 4
+        assert campaign.to_json() == clean.to_json()
+
     def test_inline_crash_does_not_abort_batch(self, corpus, monkeypatch):
-        real_analyze_source = batch_mod.analyze_source
+        real_analyze_source = pipeline_mod.analyze_source
 
-        def selective_bomb(source, config):
-            if "echo 2" in source:
+        crashed = []
+
+        def selective_bomb(source, config, budget=None):
+            if "echo 2" in source and not crashed:  # a transient crash
+                crashed.append(source)
                 raise MemoryError("inline crash")
-            return real_analyze_source(source, config)
+            return real_analyze_source(source, config, budget)
 
-        monkeypatch.setattr(batch_mod, "analyze_source", selective_bomb)
+        analyze_op = replace(pipeline_mod.OPS["analyze"], worker=selective_bomb)
+        monkeypatch.setitem(pipeline_mod.OPS, "analyze", analyze_op)
         recorder = TraceRecorder()
         with use_recorder(recorder):
             batch = run_batch([str(corpus)], jobs=1)

@@ -265,6 +265,18 @@ class TestWatcher:
             time.sleep(0.05)
         else:
             pytest.fail("watcher never warmed the cache")
+        # an edit is re-analyzed by the watcher, not by the next request
+        rounds = client.stats()["watch_rounds"]
+        with open(os.path.join(corpus, "danger.sh"), "a", encoding="utf-8") as handle:
+            handle.write('echo "edited"\n')
+        deadline = time.monotonic() + 10.0
+        while client.stats()["watch_rounds"] == rounds:
+            if time.monotonic() > deadline:
+                pytest.fail("watcher never re-analyzed the edit")
+            time.sleep(0.05)
+        batch = client.batch([corpus])
+        assert (batch.hits, batch.misses) == (2, 0)
+        assert batch.render() == run_batch([corpus], jobs=1, cache=None).render()
 
 
 class TestRequestTelemetry:

@@ -3,8 +3,8 @@
 Variables, functions and the constraint store each keep an XOR
 fingerprint of their bindings, updated on every write.  These tests
 recompute each one from scratch on every state a prune sees and on every
-final state, over the examples, the labelled corpus and an incremental
-replay, and check that a fingerprint match alone never merges states.
+final state, over the examples and the labelled corpus, and check that
+a fingerprint match alone never merges states.
 """
 
 from pathlib import Path
@@ -13,8 +13,6 @@ import pytest
 
 from repro.analysis import analyze
 from repro.analysis.corpus import corpus
-from repro.analysis.incremental import IncrementalSession
-from repro.obs import TraceRecorder, use_recorder
 from repro.symex import Engine, SymState
 from repro.symstr import SymString
 from tests.symex.merge_keys import assert_fingerprints_fresh
@@ -69,24 +67,6 @@ def test_examples_and_corpus_keep_fresh_fingerprints(checked):
     # the scripts exercise every kind of binding
     assert any(state.env for state in checked.finals)
     assert any(state.functions for state in checked.finals)
-
-
-def test_incremental_replay_keeps_fresh_fingerprints(checked):
-    source = (
-        "setup() {\n  mkdir -p /var/app\n  V=$(cat /var/app/ready)\n}\n"
-        "build() {\n  cp \"$1\" /var/app/src.tar\n  W=done\n}\n"
-        "setup\nbuild x\nbuild y\n"
-    )
-    session = IncrementalSession()
-    session.analyze(source, path="p.sh")
-    cold = len(checked.finals)
-    recorder = TraceRecorder()
-    with use_recorder(recorder):
-        session.analyze(source, path="p.sh")
-    # the second analysis replays stored summaries
-    assert recorder.counter("incremental.fragments.hit") > 0
-    assert len(checked.finals) > cold
-    assert not checked.stale
 
 
 def test_equal_fingerprints_alone_do_not_merge():
