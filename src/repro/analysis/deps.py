@@ -32,6 +32,7 @@ from ..rlang.table import run_table
 from ..shell import parse
 from ..shell.ast import Command, Sequence as SeqNode, SimpleCommand, walk
 from ..symex import Engine
+from ..symex.engine import _assigned_names, command_assigned_names
 from .resilience import AnalysisBudgetExceeded, ResourceBudget, use_budget
 
 #: fs operations that constitute a write (mutation) vs a read
@@ -116,15 +117,10 @@ class DependencyGraph:
         return "\n".join(lines)
 
 
-def _top_level_commands(source: str) -> List[Command]:
-    ast = parse(source)
+def _top_level_commands(ast: Command) -> List[Command]:
     if isinstance(ast, SeqNode):
         return list(ast.commands)
     return [ast]
-
-
-#: builtins whose operands name variables they (re)define
-_DEFINING_BUILTINS = {"read", "export", "local", "readonly", "unset"}
 
 
 def _vars_of(node: Command) -> Tuple[Set[str], Set[str]]:
@@ -180,23 +176,12 @@ def _vars_of(node: Command) -> Tuple[Set[str], Set[str]]:
         if sub is None:
             return
         if isinstance(sub, SimpleCommand):
+            defs.update(command_assigned_names(sub))
             for assignment in sub.assignments:
-                defs.add(assignment.name)
                 scan_word(assignment.value)
             for word in sub.words:
                 scan_word(word)
             scan_redirects(sub.redirects)
-            name = sub.name
-            if name in _DEFINING_BUILTINS:
-                for word in sub.words[1:]:
-                    text = word.literal_text()
-                    if text and not text.startswith("-"):
-                        defs.add(text.split("=", 1)[0])
-            elif name == "getopts" and len(sub.words) >= 3:
-                text = sub.words[2].literal_text()
-                if text:
-                    defs.add(text)
-                defs.update({"OPTIND", "OPTARG"})
         elif isinstance(sub, (Pipeline, Sequence)):
             for child in sub.commands:
                 scan(child)
@@ -253,12 +238,10 @@ def analyze_dependencies(
     marked external (ordered after everything), and the returned graph
     carries ``degraded=True`` with the reason.
     """
-    commands = _top_level_commands(source)
-    engine = Engine(checkers=default_checkers(), budget=budget)
-    engine.script_assigned = set()
-    from ..symex.engine import _assigned_names
-
     ast = parse(source)
+    commands = _top_level_commands(ast)
+    functions = _assigned_functions(ast)
+    engine = Engine(checkers=default_checkers(), budget=budget)
     engine.script_assigned = _assigned_names(ast)
     states = [engine.initial_state(n_args=n_args)]
 
@@ -313,7 +296,7 @@ def analyze_dependencies(
                 and sub.name is not None
                 and engine.registry.get(sub.name) is None
                 and not _is_builtin_name(sub.name)
-                and sub.name not in _assigned_functions(ast)
+                and sub.name not in functions
                 for sub in walk(command)
             )
             effect.external = has_unknown

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from ...obs import get_recorder
+from ...shell import parse
 from ...shell.ast import (
     Background,
     Command,
@@ -201,7 +202,7 @@ def build_plan(
         ]
         plan.schedule = graph.stages()
 
-        nodes = _top_level_commands(source)
+        nodes = _top_level_commands(parse(source))
         with rec.span("optimize.classify"):
             for index, node in enumerate(nodes):
                 for sub in walk(node):

@@ -162,47 +162,6 @@ class ResourceBudget:
         return f"ResourceBudget({', '.join(parts)})"
 
 
-def clamped_budget(
-    deadline: Optional[float],
-    max_states: Optional[int],
-    cap_deadline: float = 30.0,
-    cap_states: int = 2_000_000,
-) -> ResourceBudget:
-    """A budget that is *never* unlimited: requested limits are clamped
-    to the given ceilings, and unset limits get the ceilings themselves.
-
-    This is the analysis server's request guard — a client may ask for a
-    smaller budget than the server default, never a larger one, so one
-    pathological request cannot wedge the resident daemon.
-    """
-    return ResourceBudget(
-        deadline=cap_deadline if deadline is None else min(deadline, cap_deadline),
-        max_states=cap_states if max_states is None else min(max_states, cap_states),
-    )
-
-
-def jittered_backoff(
-    attempt: int,
-    base: float = 0.05,
-    multiplier: float = 2.0,
-    cap: float = 1.0,
-    jitter: float = 0.25,
-    rng=None,
-) -> float:
-    """The sleep before retry ``attempt`` (0-based): exponential growth
-    capped at ``cap``, with +/- ``jitter`` proportional noise so a herd
-    of clients retrying a restarted daemon does not arrive in lockstep.
-    Pass a seeded ``rng`` (anything with ``.random()``) for determinism
-    in tests; without one the module-level :mod:`random` is used."""
-    import random as _random
-
-    delay = min(cap, base * (multiplier ** attempt))
-    if jitter > 0:
-        roll = (rng or _random).random()  # uniform [0, 1)
-        delay *= 1.0 + jitter * (2.0 * roll - 1.0)
-    return max(0.0, delay)
-
-
 # ---------------------------------------------------------------------------
 # The active budget (mirrors obs.get_recorder: layers too deep to take a
 # budget parameter look it up here; None means unlimited).  It is

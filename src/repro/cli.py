@@ -115,7 +115,7 @@ def _add_request_flags(parser: argparse.ArgumentParser, verb: str) -> None:
         "--server",
         action="store_true",
         help="use a running repro-served daemon when available (falls back "
-        "to running inline when none is listening)",
+        "to running inline, once, when none answers)",
     )
     parser.add_argument(
         "--socket",
@@ -123,23 +123,6 @@ def _add_request_flags(parser: argparse.ArgumentParser, verb: str) -> None:
         metavar="PATH",
         help="analysis-server socket (default: $REPRO_SERVER_SOCKET or a "
         "per-user runtime path)",
-    )
-    parser.add_argument(
-        "--server-timeout",
-        type=float,
-        default=None,
-        metavar="SECS",
-        help="server read timeout: give up on a server answer after this "
-        "long and fall back inline (default: 60s; pings always use a short "
-        "probe deadline)",
-    )
-    parser.add_argument(
-        "--server-retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="retry a daemon lost mid-request up to N times with jittered "
-        "exponential backoff before falling back inline (default: 2)",
     )
     parser.add_argument(
         "--jobs",
@@ -236,16 +219,10 @@ def _run_via_server(
     from .analysis.pipeline import OPS
     from .obs import get_recorder
     from .server import ServerClient, ServerError, ServerUnavailable
-    from .server.client import RetryPolicy
 
     op = OPS[op_name]
-    kwargs = {}
-    if options.server_timeout is not None:
-        kwargs["read_timeout"] = options.server_timeout
-    if options.server_retries is not None:
-        kwargs["retry"] = RetryPolicy(retries=max(0, options.server_retries))
     try:
-        with ServerClient(options.socket, **kwargs) as client:
+        with ServerClient(options.socket) as client:
             if source is not None:
                 result = op.payload_type.from_dict(client.run(op_name, source, config))
             else:
@@ -541,21 +518,6 @@ def main_served(argv: Optional[List[str]] = None) -> int:
         "--no-cache", action="store_true", help="serve without a result cache"
     )
     parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECS",
-        help="per-request wall-clock ceiling; client-requested budgets are "
-        "clamped to it (default: 30s)",
-    )
-    parser.add_argument(
-        "--max-states",
-        type=int,
-        default=None,
-        metavar="N",
-        help="per-request symbolic evaluation-step ceiling (default: 2000000)",
-    )
-    parser.add_argument(
         "--watch",
         nargs="+",
         default=None,
@@ -591,55 +553,11 @@ def main_served(argv: Optional[List[str]] = None) -> int:
         help="log a request.slow event for requests over this wall time "
         "(default: 1000ms)",
     )
-    parser.add_argument(
-        "--max-inflight",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shed requests beyond N concurrently in flight instead of "
-        "queueing them (default: 64)",
-    )
-    parser.add_argument(
-        "--drain-timeout",
-        type=float,
-        default=None,
-        metavar="SECS",
-        help="on SIGTERM (or a drain): wait this long for in-flight "
-        "requests before the hard stop abandons them (default: 5s)",
-    )
-    parser.add_argument(
-        "--frame-deadline",
-        type=float,
-        default=None,
-        metavar="SECS",
-        help="a started request frame must finish within this long or the "
-        "connection is answered with an error and closed (default: 30s)",
-    )
-    parser.add_argument(
-        "--supervise",
-        action="store_true",
-        help="restart the serving loop after a crash (bounded by "
-        "--max-restarts), reusing the warm result cache",
-    )
-    parser.add_argument(
-        "--max-restarts",
-        type=int,
-        default=5,
-        metavar="N",
-        help="give up after N supervised restarts (default: 5)",
-    )
     _add_common_flags(parser)
     options = parser.parse_args(argv)
 
     from .server import default_socket_path, serve
-    from .server.daemon import (
-        DEFAULT_CAP_DEADLINE,
-        DEFAULT_CAP_STATES,
-        DEFAULT_DRAIN_DEADLINE,
-        DEFAULT_MAX_INFLIGHT,
-        DEFAULT_SLOW_MS,
-    )
-    from .server.protocol import DEFAULT_FRAME_DEADLINE
+    from .server.daemon import DEFAULT_SLOW_MS
 
     socket_path = options.socket or default_socket_path()
     print(f"repro-served: listening on {socket_path}", file=sys.stderr)
@@ -659,36 +577,11 @@ def main_served(argv: Optional[List[str]] = None) -> int:
             jobs=options.jobs,
             cache_dir=options.cache_dir,
             no_cache=options.no_cache,
-            cap_deadline=(
-                options.timeout if options.timeout is not None else DEFAULT_CAP_DEADLINE
-            ),
-            cap_states=(
-                options.max_states
-                if options.max_states is not None
-                else DEFAULT_CAP_STATES
-            ),
             watch=options.watch,
             interval=options.interval,
             recorder=recorder,
             log=log,
             slow_ms=options.slow_ms if options.slow_ms is not None else DEFAULT_SLOW_MS,
-            max_inflight=(
-                options.max_inflight
-                if options.max_inflight is not None
-                else DEFAULT_MAX_INFLIGHT
-            ),
-            frame_deadline=(
-                options.frame_deadline
-                if options.frame_deadline is not None
-                else DEFAULT_FRAME_DEADLINE
-            ),
-            drain_deadline=(
-                options.drain_timeout
-                if options.drain_timeout is not None
-                else DEFAULT_DRAIN_DEADLINE
-            ),
-            supervised=options.supervise,
-            max_restarts=options.max_restarts,
             install_signals=True,
         )
     except KeyboardInterrupt:
@@ -851,7 +744,7 @@ def main_top(argv: Optional[List[str]] = None) -> int:
     previous = None
     while True:
         try:
-            with ServerClient(options.socket, timeout=30.0) as client:
+            with ServerClient(options.socket) as client:
                 if options.metrics:
                     print(client.metrics_text(), end="")
                     return 0

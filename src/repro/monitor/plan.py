@@ -23,7 +23,8 @@ from ..rtypes import (
     signature_for,
 )
 from ..shell import parse
-from ..shell.ast import Pipeline, SimpleCommand, walk
+from ..shell.ast import Pipeline, walk
+from ..symex.engine import _static_argv
 
 
 @dataclass
@@ -139,20 +140,3 @@ def _domain_of(signature: Signature) -> Optional[StreamType]:
                 return StreamType(tv.bound)
         return None  # ∀α with no bound: any input is fine
     return None
-
-
-def _static_argv(stage) -> Optional[List[str]]:
-    from ..shell.ast import LiteralPart
-
-    if not isinstance(stage, SimpleCommand):
-        return None
-    argv = []
-    for word in stage.words:
-        chunks = []
-        for part in word.parts:
-            if isinstance(part, LiteralPart):
-                chunks.append(part.text)
-            else:
-                return None
-        argv.append("".join(chunks))
-    return argv if argv else None

@@ -9,10 +9,13 @@ client (:mod:`.client`, CLI ``repro-analyze --server``) falls back to
 inline analysis when no daemon is running, and :mod:`.watch` keeps the
 cache warm as files change on disk.
 
-The crash-only layer: :mod:`.supervise` restarts a crashed serving
-loop against the same warm cache and evicts stale socket files (after
-proving nobody live owns them); the client carries bounded retries
-with jittered backoff and a per-socket circuit breaker; and
+Failure handling is crash-only and has one path.  A daemon that dies
+is started again: startup (:mod:`.supervise`) evicts the stale socket
+file after proving nobody live owns it, and the on-disk result cache
+makes the new daemon warm at once.  A client that loses its daemon
+sends nothing twice; it falls back inline, and a per-socket circuit
+breaker keeps later requests from re-probing a dead socket.  The
+daemon's and client's limits are fixed module constants.
 :mod:`.chaos` provides the deterministic fault-injection substrate the
 ``tests/chaos`` suite drives all of it with.
 """
@@ -20,7 +23,6 @@ with jittered backoff and a per-socket circuit breaker; and
 from .chaos import ChaosPlan, FaultSpec, use_chaos
 from .client import (
     CircuitBreaker,
-    RetryPolicy,
     ServerClient,
     ServerError,
     ServerUnavailable,
@@ -29,7 +31,7 @@ from .client import (
 )
 from .daemon import AnalysisServer, serve
 from .protocol import PROTOCOL_VERSION, default_socket_path
-from .supervise import SocketInUse, Supervisor, ensure_socket_free, probe_socket
+from .supervise import SocketInUse, ensure_socket_free, probe_socket
 from .watch import Watcher
 
 __all__ = [
@@ -38,12 +40,10 @@ __all__ = [
     "CircuitBreaker",
     "FaultSpec",
     "PROTOCOL_VERSION",
-    "RetryPolicy",
     "ServerClient",
     "ServerError",
     "ServerUnavailable",
     "SocketInUse",
-    "Supervisor",
     "Watcher",
     "default_socket_path",
     "ensure_socket_free",

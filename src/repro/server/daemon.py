@@ -15,10 +15,10 @@ warm stores resident:
 Requests arrive over a Unix socket as line-delimited JSON (see
 :mod:`.protocol`); each connection is served on its own thread, and
 batch requests fan out across a *persistent* process pool that
-survives between requests.  Every request runs under a clamped
-:class:`~repro.analysis.resilience.ResourceBudget` — a client may ask
-for less time than the server cap, never more — so one pathological
-script cannot wedge the daemon for other clients.
+survives between requests.  Every request's budget is clamped to the
+server caps (:data:`CAP_DEADLINE`, :data:`CAP_STATES`) — a client may
+ask for less time than the cap, never more — so one pathological script
+cannot wedge the daemon for other clients.
 
 Observability (the production-service layer):
 
@@ -41,16 +41,20 @@ Observability (the production-service layer):
   and clamp/shed/error counts; the ``metrics`` op serves the same
   totals in the Prometheus text format; ``repro-top`` renders either
   as a live console.
-- **Load shedding.**  At most ``max_inflight`` requests run at once;
-  excess requests are answered immediately with a structured shed
-  error instead of queueing behind a saturated pool.
+- **Load shedding.**  At most :data:`MAX_INFLIGHT` requests run at
+  once; excess requests are answered immediately with a structured
+  shed error instead of queueing behind a saturated pool.
 
-Fault tolerance (the crash-only layer, see :mod:`.supervise` and
-:mod:`.chaos`):
+Fault tolerance is crash-only (see :mod:`.supervise`; :mod:`.chaos`
+injects the faults the ``tests/chaos`` suite drives it with).  The
+daemon never restarts itself; recovery is the normal startup path, and
+a client that loses the daemon falls back inline:
 
 - **Stale-socket takeover.**  Startup probes an existing socket file:
   a live daemon makes the bind fail loudly, a dead one is evicted with
-  a ``server.socket_takeover`` event.
+  a ``server.socket_takeover`` event.  Pool workers close their
+  inherited copy of the listening socket, so after a ``kill -9`` the
+  stale socket refuses connections instead of queueing them.
 - **Pool rebuild.**  A batch whose worker died breaks the process
   pool; affected files are retried inline (or answered degraded) by
   the batch driver, and the pool is rebuilt eagerly before the
@@ -58,15 +62,16 @@ Fault tolerance (the crash-only layer, see :mod:`.supervise` and
   never pays the rebuild.
 - **Graceful drain.**  ``SIGTERM`` (or :meth:`AnalysisServer.drain`)
   stops accepting new requests — they get an immediate structured
-  refusal — waits for in-flight requests up to a hard deadline, then
-  stops the loop.  A drain that hits the deadline abandons the
-  stragglers (``server.drain_forced``): crash-only means the hard stop
-  is always safe.
+  refusal — waits for in-flight requests up to
+  :data:`DRAIN_DEADLINE`, then stops the loop.  A drain that hits the
+  deadline abandons the stragglers (``server.drain_forced``): crash-only
+  means the hard stop is always safe.
 - **Protocol hardening.**  Frames are read through
   :class:`~.protocol.FrameReader`: oversized or stalled partial frames
-  are answered with an error envelope and the connection is closed;
-  malformed JSON is answered without dropping the connection; a client
-  that disappears mid-frame costs one counter, never a wedged thread.
+  (:data:`~.protocol.FRAME_DEADLINE`) are answered with an error
+  envelope and the connection is closed; malformed JSON is answered
+  without dropping the connection; a client that disappears mid-frame
+  costs one counter, never a wedged thread.
 """
 
 from __future__ import annotations
@@ -76,6 +81,7 @@ import os
 import socketserver
 import threading
 import time
+import weakref
 from dataclasses import replace
 from typing import List, Optional
 
@@ -83,7 +89,6 @@ from .. import __version__
 from ..analysis.batch import _make_pool, run_batch
 from ..analysis.cache import ResultCache
 from ..analysis.pipeline import OPS, BatchConfig, run_source
-from ..analysis.resilience import clamped_budget
 from ..obs import (
     MetricsSnapshot,
     NullOpsLogger,
@@ -99,8 +104,8 @@ from .chaos import chaos_delay
 from .watch import Watcher
 
 #: server-side ceilings for per-request budgets
-DEFAULT_CAP_DEADLINE = 30.0
-DEFAULT_CAP_STATES = 2_000_000
+CAP_DEADLINE = 30.0
+CAP_STATES = 2_000_000
 
 #: requests slower than this (wall-clock ms) get a ``request.slow``
 #: log event and bump ``server.slow_requests``
@@ -108,11 +113,11 @@ DEFAULT_SLOW_MS = 1000.0
 
 #: concurrent-request ceiling; excess requests are shed with a
 #: structured error rather than queued behind a saturated pool
-DEFAULT_MAX_INFLIGHT = 64
+MAX_INFLIGHT = 64
 
 #: in-flight requests get this many seconds to finish when draining
 #: before the hard stop abandons them
-DEFAULT_DRAIN_DEADLINE = 5.0
+DRAIN_DEADLINE = 5.0
 
 
 class AnalysisServer:
@@ -129,28 +134,16 @@ class AnalysisServer:
         socket_path: Optional[str] = None,
         jobs: Optional[int] = None,
         cache: Optional[ResultCache] = None,
-        cap_deadline: float = DEFAULT_CAP_DEADLINE,
-        cap_states: int = DEFAULT_CAP_STATES,
         recorder: Optional[TraceRecorder] = None,
         log: Optional[OpsLogger] = None,
         slow_ms: float = DEFAULT_SLOW_MS,
-        max_inflight: int = DEFAULT_MAX_INFLIGHT,
-        frame_deadline: Optional[float] = protocol.DEFAULT_FRAME_DEADLINE,
-        idle_timeout: Optional[float] = None,
-        drain_deadline: float = DEFAULT_DRAIN_DEADLINE,
     ):
         self.socket_path = socket_path or protocol.default_socket_path()
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
         self.cache = cache
-        self.cap_deadline = cap_deadline
-        self.cap_states = cap_states
         self.recorder = recorder or TraceRecorder()
         self.log = log or NullOpsLogger()
         self.slow_ms = slow_ms
-        self.max_inflight = max_inflight
-        self.frame_deadline = frame_deadline
-        self.idle_timeout = idle_timeout
-        self.drain_deadline = drain_deadline
         self.started_at = time.monotonic()
         self.requests_served = 0
         self.inflight = 0
@@ -209,31 +202,26 @@ class AnalysisServer:
     def _clamped(self, config: BatchConfig, request_id: Optional[str] = None) -> BatchConfig:
         """The request's config with its budget clamped to server caps;
         a request that asked for *more* than the cap is counted and
-        logged (``budget.clamp``) so over-asking tenants are visible."""
-        budget = clamped_budget(
-            config.timeout,
-            config.max_states,
-            cap_deadline=self.cap_deadline,
-            cap_states=self.cap_states,
-        )
-        over_deadline = (
-            config.timeout is not None and config.timeout > self.cap_deadline
-        )
-        over_states = (
-            config.max_states is not None and config.max_states > self.cap_states
-        )
-        if over_deadline or over_states:
+        logged (``budget.clamp``) so over-asking tenants are visible.
+        Unset limits get the caps themselves: a served request is never
+        unbounded."""
+        timeout, max_states = config.timeout, config.max_states
+        if (timeout is not None and timeout > CAP_DEADLINE) or (
+            max_states is not None and max_states > CAP_STATES
+        ):
             get_recorder().count("server.budget_clamped")
             self.log.info(
                 "budget.clamp",
                 request_id=request_id,
-                requested_timeout=config.timeout,
-                requested_max_states=config.max_states,
-                cap_deadline=self.cap_deadline,
-                cap_states=self.cap_states,
+                requested_timeout=timeout,
+                requested_max_states=max_states,
+                cap_deadline=CAP_DEADLINE,
+                cap_states=CAP_STATES,
             )
         return replace(
-            config, timeout=budget.deadline, max_states=budget.max_states
+            config,
+            timeout=CAP_DEADLINE if timeout is None else min(timeout, CAP_DEADLINE),
+            max_states=CAP_STATES if max_states is None else min(max_states, CAP_STATES),
         )
 
     # -- ops ----------------------------------------------------------------
@@ -264,7 +252,7 @@ class AnalysisServer:
                 flag="draining",
             )
         with self._inflight_lock:
-            shed = self.inflight >= self.max_inflight
+            shed = self.inflight >= MAX_INFLIGHT
             if not shed:
                 self.inflight += 1
         if shed:
@@ -353,13 +341,13 @@ class AnalysisServer:
             "request.shed",
             request_id=request_id,
             op=op,
-            max_inflight=self.max_inflight,
+            max_inflight=MAX_INFLIGHT,
         )
         return self._refused_response(
             op,
             request_id,
             started,
-            f"server overloaded: {self.max_inflight} request(s) already in "
+            f"server overloaded: {MAX_INFLIGHT} request(s) already in "
             "flight; retry later",
             counter="server.shed",
             flag="shed",
@@ -492,10 +480,9 @@ class AnalysisServer:
             "pool_rebuilds": snapshot.counter("server.pool_rebuilds"),
             "protocol_errors": snapshot.counter("server.protocol_errors"),
             "socket_takeovers": snapshot.counter("server.socket_takeovers"),
-            "restarts": snapshot.counter("server.restarts"),
             "draining": self.draining.is_set(),
             "inflight": self.inflight,
-            "max_inflight": self.max_inflight,
+            "max_inflight": MAX_INFLIGHT,
             "slow_ms": self.slow_ms,
             "jobs": self.jobs,
             "pool_alive": self.pool_alive(),
@@ -516,7 +503,7 @@ class AnalysisServer:
             gauges={
                 "server.uptime_seconds": time.monotonic() - self.started_at,
                 "server.inflight_requests": self.inflight,
-                "server.max_inflight_requests": self.max_inflight,
+                "server.max_inflight_requests": MAX_INFLIGHT,
                 "server.pool_workers": self.jobs,
                 "server.pool_alive": 1.0 if self.pool_alive() else 0.0,
             },
@@ -543,13 +530,12 @@ class AnalysisServer:
             error_type=type(exc).__name__,
         )
 
-    def drain(self, deadline: Optional[float] = None) -> bool:
+    def drain(self) -> bool:
         """Graceful stop: refuse new requests, wait for in-flight ones
-        up to ``deadline`` seconds, then shut the loop down.  Returns
-        False when the hard deadline abandoned stragglers (crash-only:
-        the hard stop is always safe — no request is half-answered,
-        its connection just closes)."""
-        deadline = self.drain_deadline if deadline is None else deadline
+        up to :data:`DRAIN_DEADLINE` seconds, then shut the loop down.
+        Returns False when the hard deadline abandoned stragglers
+        (crash-only: the hard stop is always safe — no request is
+        half-answered, its connection just closes)."""
         already = self.draining.is_set()
         self.draining.set()
         if not already:
@@ -559,9 +545,9 @@ class AnalysisServer:
             self.log.info(
                 "server.drain.start",
                 inflight=self.inflight,
-                deadline_s=deadline,
+                deadline_s=DRAIN_DEADLINE,
             )
-        expires = time.monotonic() + deadline
+        expires = time.monotonic() + DRAIN_DEADLINE
         while self.inflight > 0 and time.monotonic() < expires:
             time.sleep(0.01)
         forced = self.inflight > 0
@@ -572,7 +558,7 @@ class AnalysisServer:
             self.log.warning(
                 "server.drain.deadline",
                 abandoned=self.inflight,
-                deadline_s=deadline,
+                deadline_s=DRAIN_DEADLINE,
             )
         else:
             self.log.info("server.drain.done")
@@ -645,7 +631,7 @@ class AnalysisServer:
             pid=os.getpid(),
             version=__version__,
             jobs=self.jobs,
-            max_inflight=self.max_inflight,
+            max_inflight=MAX_INFLIGHT,
         )
         try:
             self._server.serve_forever(poll_interval=0.1)
@@ -687,12 +673,7 @@ class _Handler(socketserver.StreamRequestHandler):
         reader = protocol.FrameReader(self.connection)
         while True:
             try:
-                frame = reader.read_frame(
-                    idle_timeout=service.idle_timeout,
-                    frame_deadline=service.frame_deadline,
-                )
-            except protocol.IdleTimeout:
-                return  # nothing owed: the peer never started a request
+                frame = reader.read_frame()
             except (
                 protocol.FrameTooLarge,
                 protocol.PartialFrameTimeout,
@@ -741,6 +722,18 @@ class _SocketServer(socketserver.ThreadingMixIn, socketserver.UnixStreamServer):
     def __init__(self, socket_path: str, service: AnalysisServer):
         self.service = service
         super().__init__(socket_path, _Handler)
+        # forked pool workers must not inherit the listener: after a
+        # kill -9 they would keep the stale socket accepting connections
+        # nobody answers, and clients would wait out their read timeout
+        # instead of falling back inline at once
+        ref = weakref.ref(self)
+        os.register_at_fork(after_in_child=lambda: _close_in_child(ref))
+
+
+def _close_in_child(ref) -> None:
+    server = ref()
+    if server is not None:
+        server.socket.close()
 
 
 def serve(
@@ -748,78 +741,37 @@ def serve(
     jobs: Optional[int] = None,
     cache_dir: Optional[str] = None,
     no_cache: bool = False,
-    cap_deadline: float = DEFAULT_CAP_DEADLINE,
-    cap_states: int = DEFAULT_CAP_STATES,
     watch: Optional[List[str]] = None,
     interval: float = 1.0,
     recorder: Optional[TraceRecorder] = None,
     log: Optional[OpsLogger] = None,
     slow_ms: float = DEFAULT_SLOW_MS,
-    max_inflight: int = DEFAULT_MAX_INFLIGHT,
-    frame_deadline: Optional[float] = protocol.DEFAULT_FRAME_DEADLINE,
-    idle_timeout: Optional[float] = None,
-    drain_deadline: float = DEFAULT_DRAIN_DEADLINE,
-    supervised: bool = False,
-    max_restarts: int = 5,
     install_signals: bool = False,
 ) -> AnalysisServer:
     """Build, warm, and run a daemon (the ``repro-served`` body).
 
     Blocks until shutdown; returns the server object (tests inspect it).
-
-    ``supervised=True`` wraps the serving loop in a
-    :class:`~.supervise.Supervisor`: a crash builds a *fresh* server
-    but reuses the same on-disk cache, totals recorder, and ops logger,
-    so the restarted daemon answers warm.  ``install_signals=True``
-    (CLI only — must run on the main thread) maps ``SIGTERM`` to a
-    graceful drain with the ``drain_deadline`` hard stop.
+    ``install_signals=True`` (CLI only — must run on the main thread)
+    maps ``SIGTERM`` to a graceful drain with the
+    :data:`DRAIN_DEADLINE` hard stop.
     """
-    cache = None if no_cache else ResultCache(cache_dir)
-    recorder = recorder or TraceRecorder()
-    log = log or NullOpsLogger()
-    warmed = threading.Event()
-
-    def build() -> AnalysisServer:
-        server = AnalysisServer(
-            socket_path=socket_path,
-            jobs=jobs,
-            cache=cache,
-            cap_deadline=cap_deadline,
-            cap_states=cap_states,
-            recorder=recorder,
-            log=log,
-            slow_ms=slow_ms,
-            max_inflight=max_inflight,
-            frame_deadline=frame_deadline,
-            idle_timeout=idle_timeout,
-            drain_deadline=drain_deadline,
-        )
-        if not warmed.is_set():
-            server.warm()
-            warmed.set()
-        if watch:
-            server.start_watcher(watch, interval=interval)
-        holder["server"] = server
-        return server
-
-    holder: dict = {}
+    server = AnalysisServer(
+        socket_path=socket_path,
+        jobs=jobs,
+        cache=None if no_cache else ResultCache(cache_dir),
+        recorder=recorder,
+        log=log,
+        slow_ms=slow_ms,
+    )
+    server.warm()
+    if watch:
+        server.start_watcher(watch, interval=interval)
     if install_signals:
         import signal
 
         def _on_sigterm(signum, frame):
-            server = holder.get("server")
-            if server is not None:
-                threading.Thread(
-                    target=server.drain, daemon=True
-                ).start()
+            threading.Thread(target=server.drain, daemon=True).start()
 
         signal.signal(signal.SIGTERM, _on_sigterm)
-
-    if supervised:
-        supervisor = supervise.Supervisor(
-            build, log=log, max_restarts=max_restarts
-        )
-        return supervisor.run()
-    server = build()
     server.serve_forever()
     return server

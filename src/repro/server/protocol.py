@@ -13,8 +13,8 @@ violate:
 - **max frame size** — a frame longer than :data:`MAX_LINE_BYTES`
   raises :class:`FrameTooLarge` before the daemon buffers it whole;
 - **partial-frame deadline** — a client that sends half a frame and
-  stalls gets :class:`PartialFrameTimeout` instead of pinning a handler
-  thread forever;
+  stalls past :data:`FRAME_DEADLINE` gets :class:`PartialFrameTimeout`
+  instead of pinning a handler thread forever;
 - **truncated frames** — a connection closed mid-frame raises
   :class:`TruncatedFrame` rather than feeding garbage downstream.
 
@@ -78,9 +78,8 @@ PROTOCOL_VERSION = 1
 #: largest real script corpora sent inline
 MAX_LINE_BYTES = 64 * 1024 * 1024
 
-#: a started frame must complete within this many seconds (the daemon's
-#: default partial-frame read deadline)
-DEFAULT_FRAME_DEADLINE = 30.0
+#: a started frame must complete within this many seconds
+FRAME_DEADLINE = 30.0
 
 #: environment override for the rendezvous point
 SOCKET_ENV = "REPRO_SERVER_SOCKET"
@@ -101,11 +100,6 @@ class PartialFrameTimeout(ProtocolError):
 
 class TruncatedFrame(ProtocolError):
     """The peer closed (or reset) the connection mid-frame."""
-
-
-class IdleTimeout(ProtocolError):
-    """No frame arrived within the idle window (clean close, no error
-    response owed — the peer never started a request)."""
 
 
 def default_socket_path() -> str:
@@ -153,11 +147,11 @@ class FrameReader:
     Unlike ``rfile.readline``, this reader distinguishes the failure
     modes the daemon must handle differently: oversized frames
     (:class:`FrameTooLarge` — answer and close), stalled partial frames
-    (:class:`PartialFrameTimeout` — answer and close), truncated frames
-    (:class:`TruncatedFrame` — peer is gone, just close), and idle
-    connections (:class:`IdleTimeout` — close silently).  ``sock`` is
-    anything with ``settimeout``/``recv`` (a real socket or a test
-    double).
+    (:class:`PartialFrameTimeout` — answer and close), and truncated
+    frames (:class:`TruncatedFrame` — peer is gone, just close).  An
+    idle connection waits for its next frame without a deadline.
+    ``sock`` is anything with ``settimeout``/``recv`` (a real socket or
+    a test double).
     """
 
     CHUNK = 1 << 16
@@ -170,18 +164,11 @@ class FrameReader:
         self._buffer = bytearray()
         self._eof = False
 
-    def read_frame(
-        self,
-        idle_timeout: Optional[float] = None,
-        frame_deadline: Optional[float] = DEFAULT_FRAME_DEADLINE,
-    ) -> Optional[bytes]:
+    def read_frame(self) -> Optional[bytes]:
         """The next complete frame (without the trailing newline), or
-        ``None`` at a clean EOF between frames.
-
-        ``idle_timeout`` bounds the wait for the *first* byte of a
-        frame (``None`` = wait forever); ``frame_deadline`` bounds the
-        time from the first byte to the terminating newline.
-        """
+        ``None`` at a clean EOF between frames.  The time from a frame's
+        first byte to its terminating newline is bounded by
+        :data:`FRAME_DEADLINE`."""
         started: Optional[float] = None
         while True:
             newline = self._buffer.find(b"\n")
@@ -200,31 +187,19 @@ class FrameReader:
                     self._buffer.clear()
                     raise TruncatedFrame("connection closed mid-frame")
                 return None
+            timeout = None
             if self._buffer:
                 if started is None:
                     started = time.monotonic()
-                timeout = None
-                if frame_deadline is not None:
-                    timeout = frame_deadline - (time.monotonic() - started)
-                    if timeout <= 0:
-                        raise PartialFrameTimeout(
-                            f"partial frame stalled past the "
-                            f"{frame_deadline:g}s read deadline"
-                        )
-            else:
-                timeout = idle_timeout
+                timeout = FRAME_DEADLINE - (time.monotonic() - started)
+                if timeout <= 0:
+                    raise _stalled()
             try:
                 self._sock.settimeout(timeout)
                 chunk = self._sock.recv(self.CHUNK)
             except socket.timeout as exc:
-                if self._buffer:
-                    raise PartialFrameTimeout(
-                        f"partial frame stalled past the "
-                        f"{frame_deadline:g}s read deadline"
-                    ) from exc
-                raise IdleTimeout(
-                    f"no request within the {idle_timeout:g}s idle window"
-                ) from exc
+                # only a started frame reads under a deadline
+                raise _stalled() from exc
             except OSError as exc:
                 if self._buffer:
                     self._buffer.clear()
@@ -236,6 +211,12 @@ class FrameReader:
                 self._eof = True
             else:
                 self._buffer.extend(chunk)
+
+
+def _stalled() -> PartialFrameTimeout:
+    return PartialFrameTimeout(
+        f"partial frame stalled past the {FRAME_DEADLINE:g}s read deadline"
+    )
 
 
 def ok(result) -> dict:

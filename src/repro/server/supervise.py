@@ -1,24 +1,20 @@
-"""Crash-only supervision for the resident analysis daemon.
+"""Crash-only startup for the resident analysis daemon.
 
 Crash-only software (Candea & Fox) treats a crash as an unremarkable
 way to stop: the only recovery path is the normal startup path, so
-startup must cope with everything a crash leaves behind.  For this
-daemon that means two things:
+startup must cope with everything a crash leaves behind.  The daemon
+never restarts itself; a crashed daemon is started again, and it
+answers warm at once because the on-disk
+:class:`~repro.analysis.cache.ResultCache` survives the crash.  Its
+clients fall back to inline analysis in the meantime.
 
-- **Stale-socket takeover.**  A daemon killed with ``kill -9`` leaves
-  its Unix socket file behind, and a naive successor either refuses to
-  bind or — worse — blindly unlinks a socket a *live* daemon is still
-  serving.  :func:`ensure_socket_free` probes the socket with a short
-  ping: a live daemon makes the bind fail loudly
-  (:class:`SocketInUse`); a dead or wedged one is evicted with an
-  ops-log event and a ``server.socket_takeovers`` count.
-- **Restart, don't repair.**  :class:`Supervisor` runs the serving
-  loop and, when it dies with an unexpected exception, builds a fresh
-  server through the caller's factory and starts over (bounded
-  restarts, linear backoff).  The factory is expected to reuse the
-  warm state that survives a crash by construction — the on-disk
-  :class:`~repro.analysis.cache.ResultCache` and the totals recorder —
-  so a restarted daemon answers warm immediately.
+What startup has to cope with is the socket.  A daemon killed with
+``kill -9`` leaves its Unix socket file behind, and a naive successor
+either refuses to bind or — worse — blindly unlinks a socket a *live*
+daemon is still serving.  :func:`ensure_socket_free` probes the socket
+with a short ping (:data:`PROBE_TIMEOUT`): a live daemon makes the bind
+fail loudly (:class:`SocketInUse`); a dead or wedged one is evicted
+with an ops-log event and a ``server.socket_takeovers`` count.
 """
 
 from __future__ import annotations
@@ -26,16 +22,15 @@ from __future__ import annotations
 import errno
 import os
 import socket
-import time
-from typing import Callable, Optional
+from typing import Optional
 
-from ..obs import MetricsSnapshot, NullOpsLogger, OpsLogger
+from ..obs import MetricsSnapshot, OpsLogger
 from . import protocol
 
 #: how long the stale-socket liveness probe waits for a ping answer;
 #: a daemon too wedged to answer a ping in this window is treated as
 #: dead and evicted
-DEFAULT_PROBE_TIMEOUT = 0.5
+PROBE_TIMEOUT = 0.5
 
 
 class SocketInUse(OSError):
@@ -49,17 +44,15 @@ class SocketInUse(OSError):
         self.socket_path = socket_path
 
 
-def probe_socket(
-    socket_path: str, timeout: float = DEFAULT_PROBE_TIMEOUT
-) -> str:
+def probe_socket(socket_path: str) -> str:
     """Liveness of whatever owns ``socket_path``: ``"absent"`` (no
     file), ``"alive"`` (a daemon answered bytes to a ping), or
     ``"dead"`` (stale file: nobody listening, or a listener too wedged
-    to produce a single response byte within ``timeout``)."""
+    to produce a single response byte within :data:`PROBE_TIMEOUT`)."""
     if not os.path.exists(socket_path):
         return "absent"
     sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    sock.settimeout(timeout)
+    sock.settimeout(PROBE_TIMEOUT)
     try:
         sock.connect(socket_path)
         sock.sendall(protocol.encode({"op": "ping", "telemetry": False}))
@@ -74,12 +67,11 @@ def ensure_socket_free(
     socket_path: str,
     log: Optional[OpsLogger] = None,
     recorder=None,
-    probe_timeout: float = DEFAULT_PROBE_TIMEOUT,
 ) -> bool:
     """Make ``socket_path`` bindable: no-op when absent, raise
     :class:`SocketInUse` when a live daemon answers, evict the stale
     file otherwise.  Returns True when a takeover happened."""
-    status = probe_socket(socket_path, timeout=probe_timeout)
+    status = probe_socket(socket_path)
     if status == "absent":
         return False
     if status == "alive":
@@ -95,64 +87,3 @@ def ensure_socket_free(
             MetricsSnapshot(counters={"server.socket_takeovers": 1})
         )
     return True
-
-
-class Supervisor:
-    """Restart the serving loop after a crash; clean exits stay exits.
-
-    ``factory`` builds a ready-to-serve server object (anything with
-    ``serve_forever``); it runs once per (re)start, so warm state the
-    caller wants to survive restarts — the result cache, the totals
-    recorder, the ops logger — must be closed over by the factory, not
-    rebuilt inside it.
-    """
-
-    def __init__(
-        self,
-        factory: Callable[[], object],
-        log: Optional[OpsLogger] = None,
-        max_restarts: int = 5,
-        restart_backoff: float = 0.5,
-        sleep: Callable[[float], None] = time.sleep,
-    ):
-        self.factory = factory
-        self.log = log or NullOpsLogger()
-        self.max_restarts = max_restarts
-        self.restart_backoff = restart_backoff
-        self.sleep = sleep
-        self.restarts = 0
-        self.server: Optional[object] = None
-
-    def run(self):
-        """Serve until a clean shutdown; returns the final server.
-
-        :class:`SocketInUse` propagates immediately (restarting cannot
-        help), as does any crash past ``max_restarts`` — a daemon that
-        cannot stay up is a daemon that must stop claiming the socket.
-        """
-        while True:
-            server = self.server = self.factory()
-            try:
-                server.serve_forever()
-                return server
-            except SocketInUse:
-                raise
-            except Exception as exc:  # noqa: BLE001 — restart is the repair
-                self.restarts += 1
-                recorder = getattr(server, "recorder", None)
-                if recorder is not None:
-                    recorder.absorb(
-                        MetricsSnapshot(counters={"server.restarts": 1})
-                    )
-                self.log.error(
-                    "server.restart",
-                    error=str(exc),
-                    error_type=type(exc).__name__,
-                    restarts=self.restarts,
-                    max_restarts=self.max_restarts,
-                )
-                if self.restarts > self.max_restarts:
-                    raise
-                self.sleep(
-                    min(self.restart_backoff * self.restarts, 5.0)
-                )

@@ -1399,25 +1399,36 @@ class _DiagSink:
 
 def _assigned_names(ast: Command) -> set:
     """Names assigned anywhere in a script (incl. for vars, read/export)."""
-    from ..shell.ast import For, walk
+    from ..shell.ast import walk
 
     names = set()
     for node in walk(ast):
         if isinstance(node, SimpleCommand):
-            for assignment in node.assignments:
-                names.add(assignment.name)
-            if node.name in ("read", "export", "local", "readonly", "unset") and node.words:
-                for word in node.words[1:]:
-                    text = word.literal_text() or ""
-                    if text and not text.startswith("-"):
-                        names.add(text.split("=", 1)[0])
-            if node.name == "getopts" and len(node.words) >= 3:
-                var = node.words[2].literal_text()
-                if var:
-                    names.add(var)
-                names.update(("OPTARG", "OPTIND"))
+            names |= command_assigned_names(node)
         elif isinstance(node, For):
             names.add(node.var)
+    return names
+
+
+#: builtins whose operands name variables they (re)define
+_DEFINING_BUILTINS = frozenset({"read", "export", "local", "readonly", "unset"})
+
+
+def command_assigned_names(node: SimpleCommand) -> set:
+    """Names one simple command assigns: its prefix assignments, the
+    operands of the defining builtins (``read``/``export``/...), and
+    ``getopts``'s variable plus ``OPTARG``/``OPTIND``."""
+    names = {assignment.name for assignment in node.assignments}
+    if node.name in _DEFINING_BUILTINS:
+        for word in node.words[1:]:
+            text = word.literal_text()
+            if text and not text.startswith("-"):
+                names.add(text.split("=", 1)[0])
+    elif node.name == "getopts" and len(node.words) >= 3:
+        var = node.words[2].literal_text()
+        if var:
+            names.add(var)
+        names.update(("OPTARG", "OPTIND"))
     return names
 
 

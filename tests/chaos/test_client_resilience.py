@@ -1,32 +1,26 @@
-"""Client failure handling: bounded retries with deterministic jitter,
-separate connect/read timeouts, and the per-socket circuit breaker."""
+"""Client failure handling: one attempt per request, then the inline
+fallback; fixed connect/read/ping timeouts; and the per-socket circuit
+breaker."""
 
 import json
-import random
 import socket
 import threading
+import time
 
 import pytest
 
-from repro.analysis.resilience import jittered_backoff
+from repro import cli
 from repro.obs import TraceRecorder, use_recorder
-from repro.server import ServerClient, ServerUnavailable
+from repro.server import ServerClient, ServerUnavailable, client as client_mod
 from repro.server.chaos import ChaosPlan, FaultSpec, use_chaos
-from repro.server.client import (
-    DEFAULT_PING_TIMEOUT,
-    CircuitBreaker,
-    RetryPolicy,
-    breaker_for,
-    reset_breakers,
-)
+from repro.server.client import CircuitBreaker, breaker_for, reset_breakers
 
 
 class FlakyListener:
     """A Unix-socket listener that slams the door on the first
     ``failures`` connections (accept, then close before answering) and
     serves a canned ok-envelope afterwards — the shape of a daemon
-    dying mid-conversation and coming back under its supervisor."""
-
+    dying mid-conversation."""
     def __init__(self, socket_path: str, failures: int):
         self.socket_path = socket_path
         self.failures = failures
@@ -67,115 +61,52 @@ class FlakyListener:
 
 
 class TestRetries:
-    def test_retries_mid_conversation_loss_until_success(self, tmp_path):
-        path = str(tmp_path / "flaky.sock")
-        listener = FlakyListener(path, failures=2)
-        sleeps = []
-        recorder = TraceRecorder()
-        try:
-            client = ServerClient(
-                path,
-                retry=RetryPolicy(retries=3, jitter=0.0),
-                breaker=CircuitBreaker(threshold=100),
-                sleep=sleeps.append,
-            )
-            with use_recorder(recorder):
-                result = client.request({"op": "ping"})
-            client.close()
-        finally:
-            listener.close()
-        assert result == {"answered": True}
-        assert len(sleeps) == 2  # two failures, two backoffs
-        assert sleeps == [0.05, 0.1]  # deterministic with jitter=0
-        snapshot = recorder.snapshot()
-        assert snapshot.counter("server.client.retries") == 2
-        assert snapshot.counter("server.client.failures") == 0
+    """There are none: a request is sent once, and a lost daemon means
+    the inline fallback."""
 
-    def test_retries_exhaust_then_fail(self, tmp_path):
+    def test_mid_conversation_loss_is_not_retried(self, tmp_path):
         path = str(tmp_path / "flaky.sock")
-        listener = FlakyListener(path, failures=10)
-        sleeps = []
+        listener = FlakyListener(path, failures=1)
         recorder = TraceRecorder()
         try:
-            client = ServerClient(
-                path,
-                retry=RetryPolicy(retries=2, jitter=0.0),
-                breaker=CircuitBreaker(threshold=100),
-                sleep=sleeps.append,
-            )
+            client = ServerClient(path, breaker=CircuitBreaker())
             with use_recorder(recorder):
-                with pytest.raises(ServerUnavailable) as excinfo:
+                with pytest.raises(ServerUnavailable):
                     client.request({"op": "ping"})
             client.close()
         finally:
             listener.close()
-        assert excinfo.value.retryable
-        assert len(sleeps) == 2
-        assert recorder.snapshot().counter("server.client.failures") == 1
+        assert listener.connections == 1
+        snapshot = recorder.snapshot()
+        assert snapshot.counter("server.client.failures") == 1
+        assert snapshot.counter("server.client.retries") == 0
 
     def test_connect_refusal_is_not_retried(self, tmp_path):
-        sleeps = []
-        client = ServerClient(
-            str(tmp_path / "nobody.sock"),
-            retry=RetryPolicy(retries=5),
-            breaker=CircuitBreaker(threshold=100),
-            sleep=sleeps.append,
-        )
-        with use_recorder(TraceRecorder()):
-            with pytest.raises(ServerUnavailable) as excinfo:
+        recorder = TraceRecorder()
+        client = ServerClient(str(tmp_path / "nobody.sock"), breaker=CircuitBreaker())
+        with use_recorder(recorder):
+            with pytest.raises(ServerUnavailable):
                 client.request({"op": "ping"})
-        assert not excinfo.value.retryable
-        assert sleeps == []  # fail straight to the inline fallback
+        assert recorder.snapshot().counter("server.client.failures") == 1
 
     def test_shutdown_is_never_retried(self, tmp_path):
         path = str(tmp_path / "flaky.sock")
         listener = FlakyListener(path, failures=10)
-        sleeps = []
         try:
-            client = ServerClient(
-                path,
-                retry=RetryPolicy(retries=5, jitter=0.0),
-                breaker=CircuitBreaker(threshold=100),
-                sleep=sleeps.append,
-            )
+            client = ServerClient(path, breaker=CircuitBreaker())
             with use_recorder(TraceRecorder()):
                 with pytest.raises(ServerUnavailable):
                     client.request({"op": "shutdown"})
             client.close()
         finally:
             listener.close()
-        assert sleeps == []
-
-
-class TestBackoff:
-    def test_exponential_growth_and_cap(self):
-        delays = [
-            jittered_backoff(attempt, base=0.1, multiplier=2.0, cap=0.5, jitter=0.0)
-            for attempt in range(5)
-        ]
-        assert delays == [0.1, 0.2, 0.4, 0.5, 0.5]
-
-    def test_jitter_is_bounded_and_seeded(self):
-        rng_a = random.Random(7)
-        rng_b = random.Random(7)
-        a = [jittered_backoff(i, jitter=0.25, rng=rng_a) for i in range(20)]
-        b = [jittered_backoff(i, jitter=0.25, rng=rng_b) for i in range(20)]
-        assert a == b  # same seed, same schedule
-        for attempt, delay in enumerate(a):
-            center = min(1.0, 0.05 * (2.0 ** attempt))
-            assert center * 0.75 <= delay <= center * 1.25
-
-    def test_policy_delay_uses_client_rng(self):
-        policy = RetryPolicy(retries=2, jitter=0.25)
-        assert policy.delay(0, rng=random.Random(3)) == policy.delay(
-            0, rng=random.Random(3)
-        )
+        assert listener.connections == 1
 
 
 class TestCircuitBreaker:
     def test_opens_after_threshold_and_fast_fails(self):
         clock = FakeClock()
-        breaker = CircuitBreaker(threshold=3, cooldown=5.0, clock=clock)
+        breaker = CircuitBreaker(clock=clock)  # threshold 3, cooldown 5s
         recorder = TraceRecorder()
         with use_recorder(recorder):
             for _ in range(3):
@@ -187,9 +118,10 @@ class TestCircuitBreaker:
         assert snapshot.counter("server.client.breaker_open") == 1
         assert snapshot.counter("server.client.breaker_fastfail") == 1
 
-    def test_half_opens_after_cooldown_then_closes_on_success(self):
+    def test_half_opens_after_cooldown_then_closes_on_success(self, monkeypatch):
+        monkeypatch.setattr(client_mod, "BREAKER_THRESHOLD", 1)
         clock = FakeClock()
-        breaker = CircuitBreaker(threshold=1, cooldown=5.0, clock=clock)
+        breaker = CircuitBreaker(clock=clock)
         recorder = TraceRecorder()
         with use_recorder(recorder):
             breaker.record_failure()
@@ -203,9 +135,10 @@ class TestCircuitBreaker:
             assert breaker.allow()
         assert recorder.snapshot().counter("server.client.breaker_halfopen") == 1
 
-    def test_half_open_failure_reopens(self):
+    def test_half_open_failure_reopens(self, monkeypatch):
+        monkeypatch.setattr(client_mod, "BREAKER_THRESHOLD", 2)
         clock = FakeClock()
-        breaker = CircuitBreaker(threshold=2, cooldown=5.0, clock=clock)
+        breaker = CircuitBreaker(clock=clock)
         with use_recorder(TraceRecorder()):
             breaker.record_failure()
             breaker.record_failure()
@@ -215,9 +148,11 @@ class TestCircuitBreaker:
             assert breaker.state == "open"
             assert not breaker.allow()
 
-    def test_open_breaker_short_circuits_requests(self, tmp_path):
+    def test_open_breaker_short_circuits_requests(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(client_mod, "BREAKER_THRESHOLD", 1)
+        monkeypatch.setattr(client_mod, "BREAKER_COOLDOWN", 60.0)
         clock = FakeClock()
-        breaker = CircuitBreaker(threshold=1, cooldown=60.0, clock=clock)
+        breaker = CircuitBreaker(clock=clock)
         with use_recorder(TraceRecorder()):
             breaker.record_failure()
             client = ServerClient(str(tmp_path / "x.sock"), breaker=breaker)
@@ -235,44 +170,73 @@ class TestCircuitBreaker:
         assert breaker_for("/tmp/a.sock") is not a
 
 
+#: the chaos delay on analyze requests, well past the patched read timeout
+_DELAY_S = 1.0
+
+
+def _delayed_analyze():
+    return use_chaos(
+        ChaosPlan(0, [FaultSpec("server.delay", match="analyze", delay_s=_DELAY_S)])
+    )
+
+
+def _settle(daemon, timeout=10.0):
+    """Wait until the daemon has finished every request it accepted."""
+    deadline = time.monotonic() + timeout
+    while daemon.inflight or not daemon.recorder.snapshot().counter("server.op.analyze"):
+        assert time.monotonic() < deadline, "delayed request never finished"
+        time.sleep(0.02)
+
+
 class TestTimeouts:
-    def test_timeout_kwarg_sets_both(self, tmp_path):
-        client = ServerClient(str(tmp_path / "x.sock"), timeout=7.0)
-        assert client.connect_timeout == 7.0
-        assert client.read_timeout == 7.0
-
-    def test_split_timeouts_override(self, tmp_path):
-        client = ServerClient(
-            str(tmp_path / "x.sock"), connect_timeout=1.0, read_timeout=45.0
-        )
-        assert client.connect_timeout == 1.0
-        assert client.read_timeout == 45.0
-
-    def test_slow_daemon_trips_read_timeout_not_ping(self, daemon):
+    def test_slow_daemon_trips_read_timeout_not_ping(self, daemon, monkeypatch):
         # a chaos delay on analyze stalls the answer past the client's
-        # read timeout; the loss is retryable (the daemon may just be
-        # slow because it is restarting) but here retries=0 surfaces it
-        with use_chaos(
-            ChaosPlan(0, [FaultSpec("server.delay", match="analyze", delay_s=0.6)])
-        ):
-            client = ServerClient(
-                daemon.socket_path,
-                read_timeout=0.2,
-                retry=RetryPolicy(retries=0),
-                breaker=CircuitBreaker(threshold=100),
-            )
+        # read timeout; pings run under their own deadline, undelayed
+        monkeypatch.setattr(client_mod, "READ_TIMEOUT", 0.2)
+        with _delayed_analyze():
+            client = ServerClient(daemon.socket_path, breaker=CircuitBreaker())
             with use_recorder(TraceRecorder()):
-                with pytest.raises(ServerUnavailable) as excinfo:
+                with pytest.raises(ServerUnavailable):
                     client.analyze_source("echo hi\n")
-            assert excinfo.value.retryable
             client.close()
-            # pings carry their own short deadline and are not delayed
-            probe = ServerClient(
-                daemon.socket_path, breaker=CircuitBreaker(threshold=100)
-            )
+            probe = ServerClient(daemon.socket_path, breaker=CircuitBreaker())
             with use_recorder(TraceRecorder()):
-                assert probe.ping(timeout=DEFAULT_PING_TIMEOUT)["pid"]
+                assert probe.ping()["pid"]
             probe.close()
+
+    def test_read_timeout_sends_the_request_once(self, daemon, monkeypatch):
+        # the daemon is still busy with the request when the client
+        # gives up; a second copy would only queue behind the first
+        monkeypatch.setattr(client_mod, "READ_TIMEOUT", 0.3)
+        with _delayed_analyze():
+            client = ServerClient(daemon.socket_path, breaker=CircuitBreaker())
+            with use_recorder(TraceRecorder()):
+                with pytest.raises(ServerUnavailable):
+                    client.run("analyze", "echo once\n")
+            client.close()
+            _settle(daemon)
+        assert daemon.recorder.snapshot().counter("server.op.analyze") == 1
+
+    def test_cli_falls_back_inline_once_byte_identical(
+        self, daemon, monkeypatch, tmp_path, capsys
+    ):
+        script = tmp_path / "job.sh"
+        script.write_text('if [ "$#" -lt 1 ]; then exit 1; fi\nrm -rf "$1"/\n')
+        inline_code = cli.main(["analyze", str(script)])
+        inline = capsys.readouterr()
+
+        monkeypatch.setattr(client_mod, "READ_TIMEOUT", 0.3)
+        with _delayed_analyze():
+            code = cli.main(
+                ["analyze", "--server", "--socket", daemon.socket_path, str(script)]
+            )
+            served = capsys.readouterr()
+            _settle(daemon)
+        assert code == inline_code
+        assert served.out == inline.out
+        fallback = [line for line in served.err.splitlines() if "analyzing inline" in line]
+        assert len(fallback) == 1
+        assert daemon.recorder.snapshot().counter("server.op.analyze") == 1
 
 
 class FakeClock:

@@ -1,6 +1,6 @@
-"""Crash-only lifecycle: stale-socket takeover, graceful drain,
-supervised restarts, and the full kill-9 stories — mid-request
-fallback and warm-cache recovery — against real daemon subprocesses."""
+"""Crash-only lifecycle: stale-socket takeover, graceful drain, and the
+full kill-9 stories — mid-request fallback and warm-cache recovery —
+against real daemon subprocesses."""
 
 import json
 import os
@@ -14,21 +14,21 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs import TraceRecorder, use_recorder
+from repro.obs import TraceRecorder
 from repro.server import (
     AnalysisServer,
     ServerClient,
     ServerError,
     ServerUnavailable,
     SocketInUse,
-    Supervisor,
     ensure_socket_free,
     probe_socket,
 )
+from repro.server import daemon as daemon_mod
 from repro.server.chaos import ChaosPlan, FaultSpec
-from repro.server.client import CircuitBreaker, RetryPolicy
+from repro.server.client import CircuitBreaker
 
-from .conftest import start_daemon
+from .conftest import corpus, needs_pool, start_daemon
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -112,9 +112,10 @@ class TestDrain:
         finally:
             daemon.draining.clear()
 
-    def test_clean_drain_stops_the_loop(self, tmp_path):
+    def test_clean_drain_stops_the_loop(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(daemon_mod, "DRAIN_DEADLINE", 2.0)
         server, stop = start_daemon(tmp_path)
-        assert server.drain(deadline=2.0) is True
+        assert server.drain() is True
         deadline = time.monotonic() + 5.0
         while os.path.exists(server.socket_path):
             assert time.monotonic() < deadline, "drained daemon never stopped"
@@ -124,12 +125,13 @@ class TestDrain:
         assert snapshot.counter("server.drain_forced") == 0
         stop()
 
-    def test_deadline_abandons_stragglers(self, tmp_path):
+    def test_deadline_abandons_stragglers(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(daemon_mod, "DRAIN_DEADLINE", 0.2)
         server, stop = start_daemon(tmp_path)
         server.inflight += 1  # a request that will never finish
         try:
             started = time.monotonic()
-            assert server.drain(deadline=0.2) is False
+            assert server.drain() is False
             assert time.monotonic() - started < 5.0
             assert (
                 server.recorder.snapshot().counter("server.drain_forced") == 1
@@ -137,69 +139,6 @@ class TestDrain:
         finally:
             server.inflight -= 1
             stop()
-
-
-class TestSupervisor:
-    def test_restarts_after_crash_then_serves(self):
-        events = []
-
-        class Flaky:
-            crashes = 2
-
-            def __init__(self):
-                self.recorder = TraceRecorder()
-
-            def serve_forever(self):
-                if Flaky.crashes:
-                    Flaky.crashes -= 1
-                    events.append("crash")
-                    raise RuntimeError("boom")
-                events.append("served")
-
-        supervisor = Supervisor(Flaky, max_restarts=5, sleep=lambda s: None)
-        server = supervisor.run()
-        assert events == ["crash", "crash", "served"]
-        assert supervisor.restarts == 2
-        assert server.recorder.snapshot().counter("server.restarts") == 0
-        # each crash was counted on the server alive at the time
-
-    def test_gives_up_past_max_restarts(self):
-        class Doomed:
-            def serve_forever(self):
-                raise RuntimeError("always")
-
-        supervisor = Supervisor(Doomed, max_restarts=2, sleep=lambda s: None)
-        with pytest.raises(RuntimeError):
-            supervisor.run()
-        assert supervisor.restarts == 3  # initial + 2 allowed restarts
-
-    def test_socket_in_use_is_not_retried(self):
-        attempts = []
-
-        class Squatter:
-            def serve_forever(self):
-                attempts.append(1)
-                raise SocketInUse("/tmp/taken.sock")
-
-        supervisor = Supervisor(Squatter, max_restarts=5, sleep=lambda s: None)
-        with pytest.raises(SocketInUse):
-            supervisor.run()
-        assert len(attempts) == 1
-
-    def test_backoff_is_bounded(self):
-        sleeps = []
-
-        class Doomed:
-            def serve_forever(self):
-                raise RuntimeError("always")
-
-        supervisor = Supervisor(
-            Doomed, max_restarts=20, restart_backoff=1.0, sleep=sleeps.append
-        )
-        with pytest.raises(RuntimeError):
-            supervisor.run()
-        assert max(sleeps) == 5.0  # capped
-        assert sleeps[0] == 1.0  # linear from the first restart
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +194,23 @@ def _reap(proc):
     proc.communicate(timeout=10)
 
 
+def _children(pid: int):
+    """Pids whose parent is ``pid`` (Linux ``/proc``)."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                stat = handle.read()
+        except OSError:
+            continue
+        # the command name may hold spaces; fields resume after ")"
+        if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+            children.append(int(entry))
+    return children
+
+
 @pytest.fixture()
 def script(tmp_path):
     path = tmp_path / "job.sh"
@@ -288,6 +244,32 @@ class TestKillNineRecovery:
             assert counters.get("batch.cache.hit") == 1
             assert second["report"] == first["report"]
         finally:
+            _reap(proc)
+
+    @needs_pool
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    def test_pool_workers_do_not_keep_a_killed_daemons_socket(self, tmp_path):
+        # forked pool workers outlive a kill -9; holding the listener,
+        # they made the stale socket accept connections nobody answered
+        proc, socket_path = _spawn_served(tmp_path, "--jobs", "2")
+        workers = []
+        try:
+            with ServerClient(socket_path) as client:
+                client.batch([corpus(tmp_path, n=2)])
+            workers = _children(proc.pid)
+            assert workers, "the batch never started a pool"
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=10)  # the workers still hold its pipes
+            started = time.monotonic()
+            with pytest.raises(ServerUnavailable, match="no analysis server"):
+                ServerClient(socket_path, breaker=CircuitBreaker()).ping()
+            assert time.monotonic() - started < 1.0
+        finally:
+            for pid in workers:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
             _reap(proc)
 
     def test_kill_nine_mid_request_falls_back_byte_identical(

@@ -15,7 +15,6 @@ from repro.server.chaos import response_lines, send_raw
 from repro.server.protocol import (
     FrameReader,
     FrameTooLarge,
-    IdleTimeout,
     PartialFrameTimeout,
     TruncatedFrame,
 )
@@ -44,7 +43,7 @@ class TestFrameReaderUnits:
         result = {}
 
         def read():
-            result["frame"] = reader.read_frame(frame_deadline=5.0)
+            result["frame"] = reader.read_frame()
 
         thread = threading.Thread(target=read)
         thread.start()
@@ -83,22 +82,33 @@ class TestFrameReaderUnits:
         a.close()
         b.close()
 
-    def test_partial_frame_timeout(self):
+    def test_partial_frame_timeout(self, monkeypatch):
+        monkeypatch.setattr(protocol, "FRAME_DEADLINE", 0.2)
         a, b = self._pair()
         a.sendall(b'{"op":')  # start a frame, then stall
         reader = FrameReader(b)
         started = time.monotonic()
         with pytest.raises(PartialFrameTimeout):
-            reader.read_frame(frame_deadline=0.2)
+            reader.read_frame()
         assert time.monotonic() - started < 5.0
         a.close()
         b.close()
 
-    def test_idle_timeout_distinct_from_stall(self):
+    def test_idle_connection_waits_without_deadline(self, monkeypatch):
+        # the frame deadline starts at a frame's first byte: a client
+        # that is quiet between requests is not cut off
+        monkeypatch.setattr(protocol, "FRAME_DEADLINE", 0.1)
         a, b = self._pair()
         reader = FrameReader(b)
-        with pytest.raises(IdleTimeout):
-            reader.read_frame(idle_timeout=0.1, frame_deadline=10.0)
+        result = {}
+        thread = threading.Thread(
+            target=lambda: result.setdefault("frame", reader.read_frame())
+        )
+        thread.start()
+        time.sleep(0.3)
+        a.sendall(b'{"op":"ping"}\n')
+        thread.join(timeout=5.0)
+        assert result["frame"] == b'{"op":"ping"}'
         a.close()
         b.close()
 
@@ -137,7 +147,6 @@ class TestDaemonWireFaults:
 
         server, stop = start_daemon(tmp_path)
         try:
-            server.frame_deadline = 5.0
             huge = b'{"op":"analyze","source":"' + b"x" * 256 + b'"}\n'
             with _small_frame_limit(64):
                 raw = send_raw(server.socket_path, huge + b'{"op":"ping"}\n')
@@ -150,10 +159,11 @@ class TestDaemonWireFaults:
         finally:
             stop()
 
-    def test_stalled_partial_frame_answered_then_closed(self, tmp_path):
+    def test_stalled_partial_frame_answered_then_closed(self, tmp_path, monkeypatch):
         from .conftest import start_daemon
 
-        server, stop = start_daemon(tmp_path, frame_deadline=0.2)
+        monkeypatch.setattr(protocol, "FRAME_DEADLINE", 0.2)
+        server, stop = start_daemon(tmp_path)
         try:
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             sock.settimeout(5.0)

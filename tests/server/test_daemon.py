@@ -22,6 +22,7 @@ from repro.server import (
     Watcher,
     server_available,
 )
+from repro.server import daemon as daemon_mod
 
 
 @pytest.fixture()
@@ -136,8 +137,8 @@ class TestOps:
     def test_budget_clamped_to_server_cap(self, daemon):
         # a client asking for an hour gets the server's ceiling instead
         config = daemon._clamped(BatchConfig(timeout=3600.0))
-        assert config.timeout == daemon.cap_deadline
-        assert config.max_states == daemon.cap_states
+        assert config.timeout == daemon_mod.CAP_DEADLINE
+        assert config.max_states == daemon_mod.CAP_STATES
 
     def test_budget_smaller_request_respected(self, daemon):
         config = daemon._clamped(BatchConfig(timeout=1.0, max_states=10))
@@ -428,14 +429,14 @@ class TestMetricsOp:
 
 
 class TestLoadShedding:
-    def test_requests_beyond_max_inflight_are_shed(self, tmp_path):
+    def test_requests_beyond_max_inflight_are_shed(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(daemon_mod, "MAX_INFLIGHT", 0)  # everything sheds
         socket_path = str(tmp_path / "shed.sock")
         server = AnalysisServer(
             socket_path=socket_path,
             jobs=1,
             cache=None,
             recorder=TraceRecorder(),
-            max_inflight=0,  # everything sheds — deterministic
         )
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
