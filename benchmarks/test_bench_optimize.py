@@ -21,13 +21,9 @@ import pytest
 from conftest import emit, emit_json
 
 from repro.analysis import ResultCache
-from repro.analysis.batch import BatchConfig
-from repro.analysis.optimize import (
-    OptimizePlan,
-    build_plan,
-    plan_cache_key,
-    run_optimize_batch,
-)
+from repro.analysis.batch import BatchConfig, run_batch
+from repro.analysis.optimize import OptimizePlan, build_plan
+from repro.analysis.pipeline import OPS
 from repro.obs import TraceRecorder, use_recorder
 from repro.server import AnalysisServer, ServerClient
 
@@ -88,14 +84,14 @@ def test_warm_plan_cache_runs_zero_symex(corpus, tmp_path):
     cold_rec = TraceRecorder()
     with use_recorder(cold_rec):
         cold, cold_seconds = _timed(
-            lambda: run_optimize_batch([str(corpus)], cache=cache, jobs=1)
+            lambda: run_batch([str(corpus)], cache=cache, jobs=1, op="optimize")
         )
     assert cold.misses == CORPUS_SIZE and not cold.degraded
 
     warm_rec = TraceRecorder()
     with use_recorder(warm_rec):
         warm, warm_seconds = _timed(
-            lambda: run_optimize_batch([str(corpus)], cache=cache, jobs=1)
+            lambda: run_batch([str(corpus)], cache=cache, jobs=1, op="optimize")
         )
 
     emit(
@@ -175,7 +171,7 @@ def test_plan_cache_key_tracks_schema(tmp_path):
     source = _script(0)
     config = BatchConfig()
     plan = build_plan(source)
-    key = plan_cache_key(source, config)
+    key = OPS["optimize"].cache_key(source, config)
     cache.put(key, plan.to_dict())
 
     hit = cache.get(key, schema=OptimizePlan.SCHEMA_VERSION)

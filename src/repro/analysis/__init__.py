@@ -22,8 +22,7 @@ _LAZY = {
     "BatchConfig": "pipeline",
     **dict.fromkeys(("ResultCache", "cache_key", "default_cache_dir"), "cache"),
     **dict.fromkeys(("OptimizeBatchResult", "OptimizePlan", "build_plan",
-                     "optimize_source", "plan_cache_key", "run_optimize_batch"),
-                    "optimize"),
+                     "optimize_source"), "optimize"),
 }
 
 
@@ -42,4 +41,4 @@ __all__ = ["analyze", "Report", "parse_annotations", "AnnotationSet", "Annotatio
            "ResultCache", "cache_key", "default_cache_dir",
            "ResourceBudget", "AnalysisBudgetExceeded",
            "OptimizePlan", "OptimizeBatchResult", "build_plan",
-           "optimize_source", "plan_cache_key", "run_optimize_batch"]
+           "optimize_source"]

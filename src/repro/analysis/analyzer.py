@@ -21,9 +21,8 @@ from ..obs import get_recorder
 from ..shell import parse as parse_shell
 from ..shell.lexer import ShellSyntaxError
 from ..shell.parser import ParseDepthExceeded
-from ..specs import SpecRegistry
 from ..symex import Engine
-from .annotations import AnnotationSet, load_annotation_file, merge_annotations, parse_annotations
+from .annotations import load_annotation_file, merge_annotations, parse_annotations
 from .report import Report
 from .resilience import (
     AnalysisBudgetExceeded,
@@ -39,10 +38,8 @@ def analyze(
     n_args: Optional[int] = None,
     args: Optional[Sequence[str]] = None,
     platform_targets: Optional[Sequence[str]] = None,
-    registry: Optional[SpecRegistry] = None,
     checkers: Optional[List[Checker]] = None,
     include_lint: bool = False,
-    use_annotations: bool = True,
     annotation_files: Optional[Sequence[str]] = None,
     max_fork: int = 64,
     max_loop: int = 2,
@@ -65,28 +62,101 @@ def analyze(
     - ``races``: run the effect-graph hazard analysis (file-system races
       over ``&``/``wait``); ignored when ``checkers`` is given explicitly.
     - ``budget``: resource limits for this analysis (wall-clock deadline,
-      symbolic-state cap, DFA cap, nesting depth); exhaustion degrades
-      the report instead of raising.
+      symbolic-state cap, DFA cap); exhaustion degrades the report
+      instead of raising.
 
-    Never raises: crashes and budget exhaustion degrade to diagnostics.
+    The batch driver, the cache and the daemon pass these options from
+    one :class:`~repro.analysis.pipeline.BatchConfig`, whose fields are
+    named after them.  Never raises: crashes and budget exhaustion
+    degrade to diagnostics.
     """
     recorder = get_recorder()
     try:
-        return _analyze(
-            source,
-            n_args=n_args,
-            args=args,
-            platform_targets=platform_targets,
-            registry=registry,
+        if budget is not None:
+            budget.start()  # fresh deadline + state meter per file
+        with recorder.span("analyze.parse"):
+            annotations = parse_annotations(source)
+            if annotation_files:
+                external = [load_annotation_file(path) for path in annotation_files]
+                annotations = merge_annotations(*external, annotations)
+            if annotations.n_args is not None:
+                n_args = annotations.n_args
+            if annotations.platforms:
+                platform_targets = annotations.platforms
+            try:
+                ast = parse_shell(source)
+            except ParseDepthExceeded as exc:
+                recorder.count("analyze.degraded")
+                trip = AnalysisBudgetExceeded("parse", "depth", str(exc))
+                return Report(
+                    source=source,
+                    diagnostics=[degraded_diagnostic(trip, "nothing analyzed")],
+                )
+            except ShellSyntaxError as exc:
+                recorder.count("analyze.syntax_errors")
+                return Report(
+                    source=source,
+                    diagnostics=[
+                        Diagnostic(
+                            code="syntax-error",
+                            message=str(exc),
+                            severity=Severity.ERROR,
+                            pos=exc.pos,
+                            always=True,
+                        )
+                    ],
+                )
+        if checkers is None:
+            checkers = default_checkers(platform_targets=platform_targets, races=races)
+        engine = Engine(
             checkers=checkers,
-            include_lint=include_lint,
-            use_annotations=use_annotations,
-            annotation_files=annotation_files,
             max_fork=max_fork,
             max_loop=max_loop,
             prune=prune,
-            races=races,
-            budget=budget,
+            signature_overrides=annotations.signatures,
+            initial_env=annotations.variables,
+        )
+
+        diagnostics: List[Diagnostic] = []
+        paths_explored = paths_merged = states = truncations = 0
+        try:
+            with recorder.span("analyze.symex"), use_budget(budget):
+                result = engine.run(ast, n_args=n_args, args=args)
+        except AnalysisBudgetExceeded as exc:
+            recorder.count("analyze.degraded")
+            diagnostics.append(
+                degraded_diagnostic(
+                    exc,
+                    f"{engine.paths_explored} path step(s) analyzed before the limit",
+                )
+            )
+            paths_explored = engine.paths_explored
+            paths_merged = engine.paths_merged
+            truncations = engine.truncations
+        else:
+            diagnostics.extend(result.diagnostics)
+            paths_explored = result.paths_explored
+            paths_merged = result.paths_merged
+            states = len(result.states)
+            truncations = result.truncations
+
+        if include_lint:
+            # the syntactic baseline is independent of the semantic phases:
+            # run it even for degraded analyses, and isolate its crashes
+            with recorder.span("analyze.lint"):
+                try:
+                    diagnostics.extend(run_lint(source))
+                except Exception as exc:  # noqa: BLE001
+                    recorder.count("analyze.internal_errors")
+                    diagnostics.append(internal_error_diagnostic("lint", exc))
+
+        return Report(
+            source=source,
+            diagnostics=dedupe(diagnostics),
+            paths_explored=paths_explored,
+            paths_merged=paths_merged,
+            states=states,
+            truncations=truncations,
         )
     except AnalysisBudgetExceeded as exc:
         # a budget trip outside the per-phase guards (defensive belt)
@@ -102,115 +172,3 @@ def analyze(
             diagnostics=[internal_error_diagnostic("analysis", exc)],
         )
 
-
-def _analyze(
-    source: str,
-    n_args: Optional[int],
-    args: Optional[Sequence[str]],
-    platform_targets: Optional[Sequence[str]],
-    registry: Optional[SpecRegistry],
-    checkers: Optional[List[Checker]],
-    include_lint: bool,
-    use_annotations: bool,
-    annotation_files: Optional[Sequence[str]],
-    max_fork: int,
-    max_loop: int,
-    prune: bool,
-    races: bool,
-    budget: Optional[ResourceBudget],
-) -> Report:
-    recorder = get_recorder()
-    if budget is not None:
-        budget.start()  # fresh deadline + state meter per file
-
-    with recorder.span("analyze.parse"):
-        annotations = parse_annotations(source) if use_annotations else AnnotationSet()
-        if annotation_files:
-            external = [load_annotation_file(path) for path in annotation_files]
-            annotations = merge_annotations(*external, annotations)
-        if annotations.n_args is not None:
-            n_args = annotations.n_args
-        if annotations.platforms:
-            platform_targets = annotations.platforms
-        try:
-            max_depth = budget.max_depth if budget is not None else None
-            ast = parse_shell(source, max_depth=max_depth)
-        except ParseDepthExceeded as exc:
-            recorder.count("analyze.degraded")
-            trip = AnalysisBudgetExceeded("parse", "depth", str(exc))
-            return Report(
-                source=source,
-                diagnostics=[
-                    degraded_diagnostic(trip, "nothing analyzed"),
-                ],
-            )
-        except ShellSyntaxError as exc:
-            recorder.count("analyze.syntax_errors")
-            return Report(
-                source=source,
-                diagnostics=[
-                    Diagnostic(
-                        code="syntax-error",
-                        message=str(exc),
-                        severity=Severity.ERROR,
-                        pos=exc.pos,
-                        always=True,
-                    )
-                ],
-            )
-
-    if checkers is None:
-        checkers = default_checkers(platform_targets=platform_targets, races=races)
-
-    engine = Engine(
-        registry=registry,
-        checkers=checkers,
-        max_fork=max_fork,
-        max_loop=max_loop,
-        prune=prune,
-        signature_overrides=annotations.signatures,
-        initial_env=annotations.variables,
-        budget=budget,
-    )
-
-    diagnostics: List[Diagnostic] = []
-    paths_explored = paths_merged = states = truncations = 0
-    try:
-        with recorder.span("analyze.symex"), use_budget(budget):
-            result = engine.run(ast, n_args=n_args, args=args)
-    except AnalysisBudgetExceeded as exc:
-        recorder.count("analyze.degraded")
-        diagnostics.append(
-            degraded_diagnostic(
-                exc,
-                f"{engine.paths_explored} path step(s) analyzed before the limit",
-            )
-        )
-        paths_explored = engine.paths_explored
-        paths_merged = engine.paths_merged
-        truncations = engine.truncations
-    else:
-        diagnostics.extend(result.diagnostics)
-        paths_explored = result.paths_explored
-        paths_merged = result.paths_merged
-        states = len(result.states)
-        truncations = result.truncations
-
-    if include_lint:
-        # the syntactic baseline is independent of the semantic phases:
-        # run it even for degraded analyses, and isolate its crashes
-        with recorder.span("analyze.lint"):
-            try:
-                diagnostics.extend(run_lint(source))
-            except Exception as exc:  # noqa: BLE001
-                recorder.count("analyze.internal_errors")
-                diagnostics.append(internal_error_diagnostic("lint", exc))
-
-    return Report(
-        source=source,
-        diagnostics=dedupe(diagnostics),
-        paths_explored=paths_explored,
-        paths_merged=paths_merged,
-        states=states,
-        truncations=truncations,
-    )

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import glob as glob_mod
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Iterator, List, Optional, Sequence, Tuple
@@ -242,21 +243,38 @@ def _pool_worker(item: Tuple) -> Tuple[object, float, Optional[dict]]:
     if not traced:
         result = work(*args)
         return result, time.perf_counter() - started, None
-    from ..obs import TraceRecorder, use_thread_recorder
+    from ..obs import TraceRecorder, use_recorder
 
     recorder = TraceRecorder()
-    with use_thread_recorder(recorder):
+    with use_recorder(recorder):
         result = work(*args)
     seconds = time.perf_counter() - started
     return result, seconds, recorder.snapshot().to_dict()
 
 
+def _exit_with_parent(parent: int) -> None:
+    """Pool-worker initializer: exit once the process that made the pool
+    is gone.  A worker blocks on the pool's call queue forever, so after
+    its parent is killed (``kill -9`` of ``repro-served``, of a batch
+    ``repro-analyze`` or of a campaign) only this watch ends it: the
+    orphan is reparented, and ``os.getppid()`` stops naming ``parent``."""
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(0)
+
+    threading.Thread(target=watch, name="repro-parent-watch", daemon=True).start()
+
+
 def _make_pool(jobs: int):
-    """Pool factory (module-level so the robustness tests can substitute
-    a pool whose workers die)."""
+    """The process pool behind :func:`fan_out` and the daemon; its
+    workers exit with the process that made it."""
     import concurrent.futures as futures
 
-    return futures.ProcessPoolExecutor(max_workers=jobs)
+    return futures.ProcessPoolExecutor(
+        max_workers=jobs, initializer=_exit_with_parent, initargs=(os.getpid(),)
+    )
 
 
 def fan_out(

@@ -32,7 +32,7 @@ from ..rlang.table import run_table
 from ..shell import parse
 from ..shell.ast import Command, Sequence as SeqNode, SimpleCommand, walk
 from ..symex import Engine
-from ..symex.engine import _assigned_names, command_assigned_names
+from ..symex.engine import command_assigned_names
 from .resilience import AnalysisBudgetExceeded, ResourceBudget, use_budget
 
 #: fs operations that constitute a write (mutation) vs a read
@@ -241,9 +241,7 @@ def analyze_dependencies(
     ast = parse(source)
     commands = _top_level_commands(ast)
     functions = _assigned_functions(ast)
-    engine = Engine(checkers=default_checkers(), budget=budget)
-    engine.script_assigned = _assigned_names(ast)
-    states = [engine.initial_state(n_args=n_args)]
+    engine = Engine(checkers=default_checkers())
 
     if budget is not None:
         budget.start()
@@ -252,8 +250,10 @@ def analyze_dependencies(
 
     effects: List[CommandEffects] = []
     # evaluates commands one by one rather than through Engine.run, so it
-    # installs the run's language table itself
+    # installs the run's language table and sets up the run itself
     with use_budget(budget), run_table():
+        engine.begin(ast)
+        states = [engine.initial_state(n_args=n_args)]
         for index, command in enumerate(commands):
             raw = _render_command(command, source)
             uses, defs = _vars_of(command)

@@ -15,8 +15,6 @@ from .advisor import (
     OptimizeFileResult,
     build_plan,
     optimize_source,
-    plan_cache_key,
-    run_optimize_batch,
 )
 from .classify import classify_argv, classify_pipeline, classify_stage
 from .plan import (
@@ -39,7 +37,7 @@ from .schema import load_schema, validate_plan
 __all__ = [
     "OptimizePlan", "PipelinePlan", "StagePlan", "SplitRange", "ReorderGroup",
     "OptimizeBatchResult", "OptimizeFileResult",
-    "build_plan", "optimize_source", "plan_cache_key", "run_optimize_batch",
+    "build_plan", "optimize_source",
     "classify_argv", "classify_stage", "classify_pipeline",
     "load_schema", "validate_plan",
     "PLAN_SCHEMA_VERSION", "CLASSES",

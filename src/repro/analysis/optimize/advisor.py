@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Tuple
 
 from ...obs import get_recorder
 from ...shell import parse
@@ -36,19 +36,11 @@ from ...shell.ast import (
 )
 from ...shell.printer import render
 from ..analyzer import analyze
-from ..cache import ResultCache
 from ..deps import _top_level_commands, analyze_dependencies
-from ..pipeline import OPS, BatchConfig
+from ..pipeline import BatchConfig
 from ..resilience import ResourceBudget
 from .classify import STATE_BUILTINS, classify_pipeline
 from .plan import OptimizePlan, ReorderGroup
-
-
-def plan_cache_key(source: str, config: BatchConfig) -> str:
-    """Content address of one (script, config) plan.  The plan schema
-    version rides in the fingerprint so bumping it invalidates exactly
-    the plan entries, never the analysis reports sharing the cache."""
-    return OPS["optimize"].cache_key(source, config)
 
 
 def _via_stabilizer():
@@ -385,15 +377,3 @@ class OptimizeBatchResult:
         blocks.append(summary)
         return "\n\n".join(blocks)
 
-
-def run_optimize_batch(
-    inputs: Sequence[str],
-    config: Optional[BatchConfig] = None,
-    jobs: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-) -> OptimizeBatchResult:
-    """Plan every script reachable from ``inputs`` (files, directories,
-    globs) through the shared batch driver."""
-    from ..batch import run_batch
-
-    return run_batch(inputs, config=config, jobs=jobs, cache=cache, op="optimize")

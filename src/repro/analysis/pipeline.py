@@ -16,7 +16,7 @@ they are used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import import_module
 from typing import Callable, Optional, Tuple
 
@@ -25,13 +25,22 @@ from .analyzer import analyze
 from .resilience import ResourceBudget
 
 
+#: the :class:`BatchConfig` fields that only bound the analysis; see
+#: :meth:`BatchConfig.fingerprint`
+BUDGET_FIELDS = ("timeout", "max_states")
+
+
 @dataclass(frozen=True)
 class BatchConfig:
     """The analyzer options one request applies to every file.
 
-    Frozen + picklable (crosses the process-pool boundary) and
-    fingerprintable (feeds the cache key, so flipping any option
-    invalidates exactly the affected entries).
+    The one list of analyzer options: every field other than the budget
+    fields is an :func:`~repro.analysis.analyzer.analyze` keyword of the
+    same name, and the fingerprint, the analyzer keywords and the wire
+    form (``server.protocol``) are all derived from the fields.  Frozen +
+    picklable (crosses the process-pool boundary) and fingerprintable
+    (feeds the cache key, so flipping any option invalidates exactly the
+    affected entries).
     """
 
     #: ``None`` models argv as unknown-at-entry (the default);
@@ -54,23 +63,16 @@ class BatchConfig:
     max_states: Optional[int] = None
 
     def fingerprint(self) -> str:
-        return (
-            f"n_args={self.n_args};args={self.args};"
-            f"platforms={self.platform_targets};"
-            f"lint={self.include_lint};max_fork={self.max_fork};"
-            f"max_loop={self.max_loop};prune={self.prune};races={self.races}"
-        )
+        """The cache-key text: every analyzer option, no budget field."""
+        options = self.analyze_kwargs()
+        return ";".join(f"{name}={value!r}" for name, value in options.items())
 
     def analyze_kwargs(self) -> dict:
+        """The analyzer options: every field but the budget fields."""
         return {
-            "n_args": self.n_args,
-            "args": self.args,
-            "platform_targets": self.platform_targets,
-            "include_lint": self.include_lint,
-            "max_fork": self.max_fork,
-            "max_loop": self.max_loop,
-            "prune": self.prune,
-            "races": self.races,
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in BUDGET_FIELDS
         }
 
     def budget(self) -> Optional[ResourceBudget]:

@@ -8,24 +8,25 @@ corpora for shell tooling).  This module makes termination and crash
 containment enforced properties rather than hopes:
 
 - :class:`ResourceBudget` — a wall-clock deadline plus caps on symbolic
-  states, DFA construction size, and parser nesting depth, threaded
-  through the hot layers (``symex.engine``, ``rlang.ops``/``rlang.dfa``,
-  ``shell.parser``).  Exhaustion raises the single exception type
-  :class:`AnalysisBudgetExceeded`, which the analyzer converts into a
-  *partial* report carrying an ``analysis-degraded`` diagnostic — never
-  an uncaught exception.
-- an active-budget registry (:func:`get_budget` / :func:`use_budget`),
-  mirroring the observability recorder, so lower layers that cannot
-  take a budget parameter (DFA products deep inside expansions) still
-  honour the caps.
+  states and DFA construction size, threaded through the hot layers
+  (``symex.engine``, ``rlang.ops``/``rlang.dfa``).  Exhaustion raises
+  the single exception type :class:`AnalysisBudgetExceeded`, which the
+  analyzer converts into a *partial* report carrying an
+  ``analysis-degraded`` diagnostic — never an uncaught exception.  The
+  parser's nesting cap (``shell.parser.MAX_NESTING_DEPTH``) is fixed
+  and degrades the report the same way.
+- the active budget (:func:`get_budget` / :func:`use_budget`), scoped
+  to the calling thread like the observability recorder, so lower
+  layers that cannot take a budget parameter (the engine, DFA products
+  deep inside expansions) still honour the caps.
 - :class:`GuardedChecker` — per-checker fault isolation: a crashing
   checker yields an ``internal-error`` diagnostic with an exception
   digest and is disabled for the rest of the run, instead of aborting
   the file.
 
 Budget trips are counted under ``budget.*`` (``budget.deadline``,
-``budget.states``, ``budget.dfa_states``, ``budget.depth``); checker
-crashes under ``checker.faults``.
+``budget.states``, ``budget.dfa_states``); checker crashes under
+``checker.faults``.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from typing import List, Optional, Sequence
 
 from ..diag import Diagnostic, Severity
 from ..obs import get_recorder
-from ..shell.parser import MAX_NESTING_DEPTH as DEFAULT_MAX_NESTING
 
 #: Unconditional ceiling on DFA product/determinisation size, enforced
 #: even outside any budgeted analysis so pathological regex
@@ -82,12 +82,10 @@ class ResourceBudget:
         deadline: Optional[float] = None,
         max_states: Optional[int] = None,
         max_dfa_states: Optional[int] = None,
-        max_depth: Optional[int] = None,
     ):
         self.deadline = deadline
         self.max_states = max_states
         self.max_dfa_states = max_dfa_states
-        self.max_depth = max_depth
         self.start()
 
     # -- lifecycle ----------------------------------------------------------
@@ -150,12 +148,11 @@ class ResourceBudget:
             deadline=shrink(self.deadline, 10.0),
             max_states=shrink(self.max_states, 50_000),
             max_dfa_states=shrink(self.max_dfa_states, HARD_DFA_STATE_CAP // 2),
-            max_depth=shrink(self.max_depth, DEFAULT_MAX_NESTING),
         )
 
     def __repr__(self) -> str:
         parts = []
-        for name in ("deadline", "max_states", "max_dfa_states", "max_depth"):
+        for name in ("deadline", "max_states", "max_dfa_states"):
             value = getattr(self, name)
             if value is not None:
                 parts.append(f"{name}={value}")
@@ -177,21 +174,16 @@ def get_budget() -> Optional[ResourceBudget]:
     return getattr(_tls, "budget", None)
 
 
-def set_budget(budget: Optional[ResourceBudget]) -> Optional[ResourceBudget]:
-    """Install ``budget`` for the current thread; returns the previous."""
-    previous = getattr(_tls, "budget", None)
-    _tls.budget = budget
-    return previous
-
-
 @contextmanager
 def use_budget(budget: Optional[ResourceBudget]):
-    """Scoped installation; the previous budget is restored on exit."""
-    previous = set_budget(budget)
+    """Install ``budget`` for the calling thread; the previous budget is
+    restored on exit."""
+    previous = getattr(_tls, "budget", None)
+    _tls.budget = budget
     try:
         yield budget
     finally:
-        set_budget(previous)
+        _tls.budget = previous
 
 
 def enforce_dfa_cap(n_states: int, phase: str = "rlang") -> None:

@@ -561,48 +561,31 @@ def main_served(argv: Optional[List[str]] = None) -> int:
 
     socket_path = options.socket or default_socket_path()
     print(f"repro-served: listening on {socket_path}", file=sys.stderr)
-    recorder = None
-    if options.stats or options.trace:
-        from .obs import TraceRecorder
-
-        recorder = TraceRecorder()
     log = None
     if options.log_file:
         from .obs import OpsLogger
 
         log = OpsLogger(options.log_file, level=options.log_level)
     try:
-        server = serve(
-            socket_path=socket_path,
-            jobs=options.jobs,
-            cache_dir=options.cache_dir,
-            no_cache=options.no_cache,
-            watch=options.watch,
-            interval=options.interval,
-            recorder=recorder,
-            log=log,
-            slow_ms=options.slow_ms if options.slow_ms is not None else DEFAULT_SLOW_MS,
-            install_signals=True,
-        )
+        with _observed("repro-served", options) as recorder:
+            server = serve(
+                socket_path=socket_path,
+                jobs=options.jobs,
+                cache_dir=options.cache_dir,
+                no_cache=options.no_cache,
+                watch=options.watch,
+                interval=options.interval,
+                recorder=recorder,
+                log=log,
+                slow_ms=options.slow_ms if options.slow_ms is not None else DEFAULT_SLOW_MS,
+                install_signals=True,
+            )
     except KeyboardInterrupt:
         print("repro-served: interrupted", file=sys.stderr)
         return 0
     except OSError as exc:
         print(f"repro-served: cannot serve: {exc}", file=sys.stderr)
         return 2
-    if recorder is not None:
-        from .obs.export import render_stats, write_chrome_trace
-
-        if options.trace:
-            try:
-                write_chrome_trace(recorder, options.trace)
-            except OSError as exc:
-                print(
-                    f"repro-served: cannot write trace file: {exc}",
-                    file=sys.stderr,
-                )
-        if options.stats:
-            print(render_stats(recorder), file=sys.stderr)
     print(
         f"repro-served: stopped after {server.requests_served} request(s)",
         file=sys.stderr,

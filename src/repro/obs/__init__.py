@@ -24,7 +24,10 @@ Usage::
 
 Instrumented code never holds a recorder directly; it asks
 :func:`get_recorder` (or captures it per run) so the active recorder can
-be swapped per invocation.
+be swapped per invocation.  :func:`use_recorder` is the one way to
+install a recorder, and it scopes to the calling thread, like
+``resilience.use_budget``: concurrent server requests each record into
+their own.
 """
 
 from .log import NullOpsLogger, OpsLogger
@@ -35,10 +38,8 @@ from .recorder import (
     SpanRecord,
     TraceRecorder,
     get_recorder,
-    set_recorder,
     traced,
     use_recorder,
-    use_thread_recorder,
 )
 
 __all__ = [
@@ -51,8 +52,6 @@ __all__ = [
     "SpanRecord",
     "TraceRecorder",
     "get_recorder",
-    "set_recorder",
     "traced",
     "use_recorder",
-    "use_thread_recorder",
 ]

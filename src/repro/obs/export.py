@@ -8,8 +8,10 @@ Four views of the same run:
 - :func:`render_stats` — a summary table of counters, histograms, and
   per-span-name aggregate wall time (the ``--stats`` output);
 - :func:`prometheus_text` — the Prometheus text exposition format for
-  a :class:`~repro.obs.MetricsSnapshot` (the server's ``metrics`` op),
-  so any standard scraper can consume the daemon's counters.
+  a :class:`~repro.obs.MetricsSnapshot` (``repro-top --metrics``
+  renders it client-side from one ``stats`` response; the daemon has
+  no separate ``metrics`` op), so any standard scraper can consume the
+  daemon's counters.
 """
 
 from __future__ import annotations

@@ -242,58 +242,31 @@ class TraceRecorder(Recorder):
 # ---------------------------------------------------------------------------
 
 _NULL = NullRecorder()
-_current: Recorder = _NULL
 _tls = threading.local()
 
 
 def get_recorder() -> Recorder:
-    """The currently active recorder (the no-op recorder by default).
-
-    A thread-local override (see :func:`use_thread_recorder`) wins over
-    the process-global recorder: the analysis server uses it to give
-    every concurrently-handled request its own recorder without the
-    requests clobbering each other."""
-    stack = getattr(_tls, "stack", None)
-    if stack:
-        return stack[-1]
-    return _current
-
-
-def set_recorder(recorder: Optional[Recorder]) -> Recorder:
-    """Install ``recorder`` (None restores the no-op); returns the previous."""
-    global _current
-    previous = _current
-    _current = recorder if recorder is not None else _NULL
-    return previous
+    """The recorder active on the calling thread (the no-op recorder by
+    default)."""
+    return getattr(_tls, "recorder", _NULL)
 
 
 @contextmanager
 def use_recorder(recorder: Recorder):
-    """Scoped installation: the previous recorder is restored on exit."""
-    previous = set_recorder(recorder)
-    try:
-        yield recorder
-    finally:
-        set_recorder(previous)
+    """Scoped installation visible only to the *calling thread*; the
+    previous recorder is restored on exit.
 
-
-@contextmanager
-def use_thread_recorder(recorder: Recorder):
-    """Scoped installation visible only to the *current thread*.
-
-    Unlike :func:`use_recorder` (a process-global swap), this override
-    isolates concurrent request handlers from one another: each server
-    thread records into its own request-scoped recorder while other
-    threads keep seeing theirs (or the global default).
+    Thread scoping isolates concurrent request handlers from one
+    another: each server thread records into its own request-scoped
+    recorder while other threads keep seeing theirs (or the no-op
+    default).  Work handed to another thread does not inherit it.
     """
-    stack = getattr(_tls, "stack", None)
-    if stack is None:
-        stack = _tls.stack = []
-    stack.append(recorder)
+    previous = getattr(_tls, "recorder", _NULL)
+    _tls.recorder = recorder
     try:
         yield recorder
     finally:
-        stack.pop()
+        _tls.recorder = previous
 
 
 def traced(name=None, **attrs):

@@ -246,8 +246,22 @@ class ServerClient:
         return self.request({"op": "stats"})
 
     def metrics_text(self) -> str:
-        """The daemon's totals in Prometheus text exposition format."""
-        return self.request({"op": "metrics"})["text"]
+        """The daemon's totals in Prometheus text exposition format,
+        rendered from one ``stats`` response (snapshot plus gauges)."""
+        from ..obs import MetricsSnapshot
+        from ..obs.export import prometheus_text
+
+        stats = self.stats()
+        return prometheus_text(
+            MetricsSnapshot.from_dict(stats["metrics"]),
+            gauges={
+                "server.uptime_seconds": stats["uptime_s"],
+                "server.inflight_requests": stats["inflight"],
+                "server.max_inflight_requests": stats["max_inflight"],
+                "server.pool_workers": stats["jobs"],
+                "server.pool_alive": 1.0 if stats["pool_alive"] else 0.0,
+            },
+        )
 
     def shutdown(self) -> dict:
         return self.request({"op": "shutdown"})

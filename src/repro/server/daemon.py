@@ -23,8 +23,9 @@ cannot wedge the daemon for other clients.
 Observability (the production-service layer):
 
 - **Request-scoped telemetry.**  Every request gets a request id and
-  its own :class:`~repro.obs.TraceRecorder`, installed thread-locally
-  so concurrent requests cannot contaminate each other; worker-side
+  its own :class:`~repro.obs.TraceRecorder`, installed with
+  ``use_recorder`` (which scopes to the handler thread) so concurrent
+  requests cannot contaminate each other; worker-side
   metric snapshots from the process pool are folded in, the request's
   snapshot is returned in the response envelope (``request_id``,
   ``elapsed_ms``, ``metrics``), and then absorbed into the server's
@@ -36,11 +37,11 @@ Observability (the production-service layer):
   ``request.error`` / ``request.shed``), slow requests over
   ``--slow-ms`` (``request.slow``), watch-loop rescans and stat
   failures, budget clamps, and daemon start/stop.
-- **Metrics exposition.**  The extended ``stats`` op reports uptime,
-  request rates, per-op latency quantiles, cache hit rate, pool state,
-  and clamp/shed/error counts; the ``metrics`` op serves the same
-  totals in the Prometheus text format; ``repro-top`` renders either
-  as a live console.
+- **Metrics exposition.**  The ``stats`` op reports uptime, request
+  rates, per-op latency quantiles, cache hit rate, pool state,
+  clamp/shed/error counts and the raw metrics snapshot; ``repro-top``
+  renders it as a live console, or (``--metrics``) as Prometheus text
+  built client-side from the same response.
 - **Load shedding.**  At most :data:`MAX_INFLIGHT` requests run at
   once; excess requests are answered immediately with a structured
   shed error instead of queueing behind a saturated pool.
@@ -54,7 +55,8 @@ a client that loses the daemon falls back inline:
   a live daemon makes the bind fail loudly, a dead one is evicted with
   a ``server.socket_takeover`` event.  Pool workers close their
   inherited copy of the listening socket, so after a ``kill -9`` the
-  stale socket refuses connections instead of queueing them.
+  stale socket refuses connections instead of queueing them, and they
+  exit on their own once the daemon is gone (``batch._make_pool``).
 - **Pool rebuild.**  A batch whose worker died breaks the process
   pool; affected files are retried inline (or answered degraded) by
   the batch driver, and the pool is rebuilt eagerly before the
@@ -96,9 +98,7 @@ from ..obs import (
     TraceRecorder,
     get_recorder,
     use_recorder,
-    use_thread_recorder,
 )
-from ..obs.export import prometheus_text
 from . import protocol, supervise
 from .chaos import chaos_delay
 from .watch import Watcher
@@ -267,7 +267,7 @@ class AnalysisServer:
         error_text: Optional[str] = None
         result = None
         try:
-            with use_thread_recorder(request_recorder):
+            with use_recorder(request_recorder):
                 request_recorder.count("server.requests")
                 request_recorder.count(f"server.op.{op or 'unknown'}")
                 try:
@@ -281,8 +281,6 @@ class AnalysisServer:
                             result = self._op_batch(message, request_id)
                     elif op == "stats":
                         result = self._op_stats()
-                    elif op == "metrics":
-                        result = self._op_metrics()
                     elif op == "shutdown":
                         self._initiate_shutdown()
                         result = {"stopping": True}
@@ -496,20 +494,6 @@ class AnalysisServer:
             "metrics": snapshot.to_dict(),
         }
 
-    def _op_metrics(self) -> dict:
-        """Server totals in the Prometheus text exposition format."""
-        text = prometheus_text(
-            self.recorder.snapshot(),
-            gauges={
-                "server.uptime_seconds": time.monotonic() - self.started_at,
-                "server.inflight_requests": self.inflight,
-                "server.max_inflight_requests": MAX_INFLIGHT,
-                "server.pool_workers": self.jobs,
-                "server.pool_alive": 1.0 if self.pool_alive() else 0.0,
-            },
-        )
-        return {"text": text, "content_type": "text/plain; version=0.0.4"}
-
     # -- lifecycle ----------------------------------------------------------
 
     def _initiate_shutdown(self) -> None:
@@ -577,7 +561,7 @@ class AnalysisServer:
             while not self._watcher_stop.wait(interval):
                 round_recorder = TraceRecorder()
                 try:
-                    with use_thread_recorder(round_recorder):
+                    with use_recorder(round_recorder):
                         changed, _ = watcher.scan()
                         if changed:
                             round_recorder.count("server.watch_rounds")

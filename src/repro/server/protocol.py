@@ -37,9 +37,9 @@ Requests are objects with an ``op`` field:
   response carries per-file serialized reports (or plans)
 - ``{"op": "stats"}`` — the operational picture: uptime, request
   rates, per-op latency quantiles, cache hit rate, pool/shed/clamp
-  state, and a metrics snapshot of the daemon's totals
-- ``{"op": "metrics"}`` — the same totals as Prometheus text
-  exposition (``result.text``), for scrapers and ``repro-top``
+  state, and a metrics snapshot of the daemon's totals.  There is no
+  separate ``metrics`` op: ``repro-top --metrics`` renders Prometheus
+  text from this one response
 - ``{"op": "shutdown"}`` — acknowledge, then stop serving
 
 Responses are ``{"ok": true, "result": ...}`` or
@@ -68,6 +68,7 @@ import os
 import socket
 import tempfile
 import time
+from dataclasses import fields
 from typing import IO, Optional
 
 #: bump on any incompatible request/response shape change
@@ -235,25 +236,11 @@ def error(message: str) -> dict:
 def config_to_wire(config) -> dict:
     """A :class:`~repro.analysis.pipeline.BatchConfig` as a wire dict
     (only non-default fields, so old servers tolerate new clients)."""
-    from ..analysis.pipeline import BatchConfig
-
-    defaults = BatchConfig()
     wire = {}
-    for name in (
-        "n_args",
-        "args",
-        "platform_targets",
-        "include_lint",
-        "max_fork",
-        "max_loop",
-        "prune",
-        "races",
-        "timeout",
-        "max_states",
-    ):
-        value = getattr(config, name)
-        if value != getattr(defaults, name):
-            wire[name] = list(value) if isinstance(value, tuple) else value
+    for field in fields(config):
+        value = getattr(config, field.name)
+        if value != field.default:
+            wire[field.name] = list(value) if isinstance(value, tuple) else value
     return wire
 
 
@@ -261,12 +248,11 @@ def config_from_wire(data: Optional[dict]):
     """The inverse of :func:`config_to_wire`; unknown fields ignored."""
     from ..analysis.pipeline import BatchConfig
 
-    data = data or {}
-    kwargs = {}
-    for name, value in data.items():
-        if name not in BatchConfig.__dataclass_fields__:
-            continue
-        if name in ("args", "platform_targets") and value is not None:
-            value = tuple(value)
-        kwargs[name] = value
-    return BatchConfig(**kwargs)
+    names = {field.name for field in fields(BatchConfig)}
+    return BatchConfig(
+        **{
+            name: tuple(value) if isinstance(value, list) else value
+            for name, value in (data or {}).items()
+            if name in names
+        }
+    )

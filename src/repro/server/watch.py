@@ -42,10 +42,7 @@ class Watcher:
     def __init__(self, inputs: Sequence[str], log: Optional[OpsLogger] = None):
         self.inputs = list(inputs)
         self.log = log or NullOpsLogger()
-        self.stat_errors = 0
-        self.deletions = 0
         self._signatures: Dict[str, tuple] = {}
-        self._primed = False
 
     def scan(self) -> ScanResult:
         """Paths new/modified — and paths deleted — since the last scan.
@@ -67,7 +64,6 @@ class Watcher:
         except OSError as exc:
             # a whole corpus root going away (unmounted, permissions
             # yanked) must not kill the watch thread
-            self.stat_errors += 1
             recorder.count("watch.stat_errors")
             self.log.warning(
                 "watch.stat_error",
@@ -80,7 +76,6 @@ class Watcher:
             try:
                 stat = os.stat(path)
             except OSError as exc:
-                self.stat_errors += 1
                 recorder.count("watch.stat_errors")
                 self.log.warning(
                     "watch.stat_error",
@@ -99,8 +94,6 @@ class Watcher:
             if path not in seen:
                 del self._signatures[path]
                 deleted.append(path)
-                self.deletions += 1
                 recorder.count("watch.deleted")
                 self.log.info("watch.deleted", path=path)
-        self._primed = True
         return ScanResult(changed, deleted)

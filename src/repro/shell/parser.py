@@ -49,11 +49,10 @@ class ParseDepthExceeded(ShellSyntaxError):
 
 
 class Parser:
-    def __init__(self, source: str, max_depth: Optional[int] = None, depth: int = 0):
+    def __init__(self, source: str, depth: int = 0):
         self.source = source
         self.tokens = tokenize(source)
         self.idx = 0
-        self.max_depth = MAX_NESTING_DEPTH if max_depth is None else max_depth
         #: current nesting depth; inherited by sub-parsers so command
         #: substitutions count toward the same ceiling
         self.depth = depth
@@ -98,9 +97,7 @@ class Parser:
     def _parse_sub(self, source: str) -> Command:
         """Parse a command substitution's body, inheriting the nesting
         depth so ``$($($(...)))`` chains count toward the same ceiling."""
-        return Parser(
-            source, max_depth=self.max_depth, depth=self.depth
-        ).parse_program()
+        return Parser(source, depth=self.depth).parse_program()
 
     # -- entry -------------------------------------------------------------
 
@@ -194,9 +191,9 @@ class Parser:
     def parse_command(self) -> Command:
         self.depth += 1
         try:
-            if self.depth > self.max_depth:
+            if self.depth > MAX_NESTING_DEPTH:
                 raise ParseDepthExceeded(
-                    f"command nesting exceeds {self.max_depth} levels",
+                    f"command nesting exceeds {MAX_NESTING_DEPTH} levels",
                     self.peek().pos,
                 )
             return self._parse_command()
@@ -430,11 +427,11 @@ def _pos_of(command: Command) -> Position:
     return getattr(command, "pos", Position())
 
 
-def parse(source: str, max_depth: Optional[int] = None) -> Command:
+def parse(source: str) -> Command:
     """Parse shell ``source`` into a command AST.
 
-    ``max_depth`` bounds construct nesting (default
-    :data:`MAX_NESTING_DEPTH`); exceeding it raises
-    :class:`ParseDepthExceeded` rather than :class:`RecursionError`.
+    Construct nesting is bounded by :data:`MAX_NESTING_DEPTH`; exceeding
+    it raises :class:`ParseDepthExceeded` rather than
+    :class:`RecursionError`.
     """
-    return Parser(source, max_depth=max_depth).parse_program()
+    return Parser(source).parse_program()

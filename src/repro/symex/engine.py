@@ -55,7 +55,6 @@ from ..specs import (
     PathKind,
     ReadsFile,
     Sel,
-    SpecRegistry,
     WritesFile,
     default_registry,
 )
@@ -85,49 +84,58 @@ class ExecResult:
         return any(d.code == code for d in self.diagnostics)
 
 
+#: function calls nest at most this deep; a deeper call yields an
+#: unknown status instead of being evaluated
+MAX_CALL_DEPTH = 8
+
+
 class Engine:
-    """Configurable symbolic executor."""
+    """Configurable symbolic executor.
+
+    The recorder and the resource budget are not options: each run picks
+    up the ones active on the calling thread (``obs.use_recorder``,
+    ``analysis.resilience.use_budget``) in :meth:`begin`."""
 
     def __init__(
         self,
-        registry: Optional[SpecRegistry] = None,
         checkers: Optional[List[Checker]] = None,
         max_fork: int = 64,
         max_loop: int = 2,
-        max_call_depth: int = 8,
         prune: bool = True,
         signature_overrides: Optional[Dict[str, "object"]] = None,
         initial_env: Optional[Dict[str, "object"]] = None,
-        recorder: Optional[Recorder] = None,
-        budget: Optional["object"] = None,
     ):
-        self.registry = registry if registry is not None else default_registry()
+        self.registry = default_registry()
         self.checkers = checkers if checkers is not None else []
         self.max_fork = max_fork
         self.max_loop = max_loop
-        self.max_call_depth = max_call_depth
         self.prune = prune
         #: annotation-supplied stream signatures, keyed by command name or
         #: by the full argv string (the more specific key wins)
         self.signature_overrides = dict(signature_overrides or {})
         #: annotation-supplied initial variable constraints (name -> Regex)
         self.initial_env = dict(initial_env or {})
+        self.begin()
+
+    def begin(self, ast: Optional[Command] = None) -> None:
+        """Set up a run of ``ast``: reset the per-run state and pick up
+        the recorder and budget active on the calling thread.  Called on
+        construction, by :meth:`run`, and by callers that evaluate
+        ``ast``'s commands one at a time (``analysis.deps``); exhausting
+        the budget raises ``AnalysisBudgetExceeded`` out of the
+        evaluation."""
+        from ..analysis.resilience import get_budget
+
+        self._rec: Recorder = get_recorder()
+        self._budget = get_budget()
         #: variable names assigned anywhere in the current script; names
         #: never assigned are treated as inherited environment variables
         #: (symbolic, possibly empty) rather than silently-empty unsets
-        self.script_assigned: set = set()
+        self.script_assigned = _assigned_names(ast) if ast is not None else set()
         self.paths_explored = 0
         self.paths_merged = 0
         #: how many times `_prune` dropped states past the `max_fork` budget
         self.truncations = 0
-        #: explicit recorder, or None to pick up the active one per run
-        self.recorder = recorder
-        self._rec: Recorder = recorder if recorder is not None else get_recorder()
-        #: explicit ResourceBudget, or None to pick up the active one per
-        #: run (see repro.analysis.resilience); exhaustion raises
-        #: AnalysisBudgetExceeded out of run()
-        self.budget = budget
-        self._budget = budget
         #: per-command success feasibility, aggregated across every path
         #: reaching it: id(node) -> [node, feasible_count, visit_count]
         self._success_tracker: Dict[int, list] = {}
@@ -220,23 +228,8 @@ class Engine:
         n_args: Optional[int],
         args: Optional[Sequence[str]],
     ) -> ExecResult:
-        rec = self._rec = self.recorder if self.recorder is not None else get_recorder()
-        if self.budget is not None:
-            self._budget = self.budget
-        else:
-            from ..analysis.resilience import get_budget
-
-            self._budget = get_budget()
-        self.paths_explored = 0
-        self.paths_merged = 0
-        self.truncations = 0
-        self.script_assigned = _assigned_names(ast)
-        self._success_tracker = {}
-        self._region_counter = 0
-        self._origin_cache = {}
-        self._arm_langs = {}
-        self._literal_fields = {}
-        self.loop_depth = 0
+        self.begin(ast)
+        rec = self._rec
         if state is None:
             state = self.initial_state(n_args=n_args, args=args)
         with rec.span("symex.run"):
@@ -448,7 +441,7 @@ class Engine:
     def _call_function(
         self, name: str, argv: List[SymString], state: SymState
     ) -> List[SymState]:
-        if state.depth >= self.max_call_depth:
+        if state.depth >= MAX_CALL_DEPTH:
             state.status = None
             return [state]
         body = state.functions[name]

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import analyze
-from repro.analysis.batch import BatchConfig
+from repro.analysis.batch import BatchConfig, run_batch
 from repro.analysis.cache import ResultCache
 from repro.analysis.optimize import (
     BLOCKING,
@@ -22,10 +22,9 @@ from repro.analysis.optimize import (
     build_plan,
     classify_argv,
     optimize_source,
-    plan_cache_key,
-    run_optimize_batch,
     validate_plan,
 )
+from repro.analysis.pipeline import OPS
 
 FANOUT = """mkdir -p /srv/out
 grep ERROR /var/log/a.log > /srv/out/a.txt
@@ -335,8 +334,8 @@ class TestBudget:
         (scripts / "a.sh").write_text(FANOUT)
         cache = ResultCache(str(tmp_path / "cache"))
         config = BatchConfig(max_states=1)
-        run_optimize_batch([str(scripts)], config=config, jobs=1, cache=cache)
-        key = plan_cache_key(FANOUT, config)
+        run_batch([str(scripts)], config=config, jobs=1, cache=cache, op="optimize")
+        key = OPS["optimize"].cache_key(FANOUT, config)
         assert cache.get(key, schema=PLAN_SCHEMA_VERSION) is None
 
 
@@ -347,8 +346,8 @@ class TestPlanCache:
         (scripts / "a.sh").write_text(FANOUT)
         (scripts / "b.sh").write_text("grep a /x > /a\ngrep b /y > /b\n")
         cache = ResultCache(str(tmp_path / "cache"))
-        cold = run_optimize_batch([str(scripts)], jobs=1, cache=cache)
-        warm = run_optimize_batch([str(scripts)], jobs=1, cache=cache)
+        cold = run_batch([str(scripts)], jobs=1, cache=cache, op="optimize")
+        warm = run_batch([str(scripts)], jobs=1, cache=cache, op="optimize")
         assert cold.misses == 2 and cold.hits == 0
         assert warm.hits == 2 and warm.misses == 0
         assert warm.render() == cold.render()
@@ -357,13 +356,13 @@ class TestPlanCache:
         from repro.analysis.cache import cache_key
 
         config = BatchConfig()
-        assert plan_cache_key(FANOUT, config) != cache_key(
+        assert OPS["optimize"].cache_key(FANOUT, config) != cache_key(
             FANOUT, config.fingerprint()
         )
 
     def test_stale_plan_schema_reads_as_miss(self, tmp_path):
         cache = ResultCache(str(tmp_path))
-        key = plan_cache_key(FANOUT, BatchConfig())
+        key = OPS["optimize"].cache_key(FANOUT, BatchConfig())
         cache.put(key, optimize_source(FANOUT))
         assert cache.get(key, schema=PLAN_SCHEMA_VERSION) is not None
         # entries written by an older plan schema must read as misses

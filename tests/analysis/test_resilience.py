@@ -79,7 +79,6 @@ class TestResourceBudget:
         assert tight.max_states == 500
         # unset limits acquire conservative defaults: a retry is always bounded
         assert tight.max_dfa_states is not None
-        assert tight.max_depth is not None
         fully_default = ResourceBudget().tightened()
         assert fully_default.deadline is not None
         assert fully_default.max_states is not None

@@ -211,6 +211,15 @@ def _children(pid: int):
     return children
 
 
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (an unreaped zombie is not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
 @pytest.fixture()
 def script(tmp_path):
     path = tmp_path / "job.sh"
@@ -249,8 +258,9 @@ class TestKillNineRecovery:
     @needs_pool
     @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
     def test_pool_workers_do_not_keep_a_killed_daemons_socket(self, tmp_path):
-        # forked pool workers outlive a kill -9; holding the listener,
-        # they made the stale socket accept connections nobody answered
+        # forked pool workers outlive a kill -9 briefly; holding the
+        # listener, they made the stale socket accept connections nobody
+        # answered
         proc, socket_path = _spawn_served(tmp_path, "--jobs", "2")
         workers = []
         try:
@@ -264,6 +274,34 @@ class TestKillNineRecovery:
             with pytest.raises(ServerUnavailable, match="no analysis server"):
                 ServerClient(socket_path, breaker=CircuitBreaker()).ping()
             assert time.monotonic() - started < 1.0
+        finally:
+            for pid in workers:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            _reap(proc)
+
+    @needs_pool
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    def test_pool_workers_exit_with_a_killed_daemon(self, tmp_path):
+        # a worker blocks on the pool's queue forever; only its watch on
+        # the parent pid can end it once the daemon is gone
+        proc, socket_path = _spawn_served(tmp_path, "--jobs", "2")
+        workers = []
+        try:
+            with ServerClient(socket_path) as client:
+                client.batch([corpus(tmp_path, n=2)])
+            workers = _children(proc.pid)
+            assert workers, "the batch never started a pool"
+            os.kill(proc.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 5.0
+            while any(_running(pid) for pid in workers):
+                assert time.monotonic() < deadline, (
+                    f"pool workers outlived the daemon: "
+                    f"{[pid for pid in workers if _running(pid)]}"
+                )
+                time.sleep(0.1)
         finally:
             for pid in workers:
                 try:

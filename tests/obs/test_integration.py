@@ -82,8 +82,8 @@ class TestAnalyzerTelemetry:
 class TestTruncationSurfaced:
     def test_engine_counts_truncations_and_warns(self):
         recorder = TraceRecorder()
-        engine = Engine(max_fork=4, recorder=recorder)
-        result = engine.run_script(BRANCHY)
+        with use_recorder(recorder):
+            result = Engine(max_fork=4).run_script(BRANCHY)
         assert result.truncations > 0
         assert recorder.counter("symex.truncations") == result.truncations
         [diag] = [d for d in result.diagnostics if d.code == "analysis-truncated"]

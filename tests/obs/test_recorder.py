@@ -9,7 +9,6 @@ from repro.obs import (
     NullRecorder,
     TraceRecorder,
     get_recorder,
-    set_recorder,
     traced,
     use_recorder,
 )
@@ -162,12 +161,16 @@ class TestScoping:
                 raise ValueError()
         assert get_recorder() is outer
 
-    def test_set_recorder_none_restores_noop(self):
-        previous = set_recorder(None)
-        try:
-            assert get_recorder().enabled is False
-        finally:
-            set_recorder(previous)
+    def test_use_recorder_scopes_to_the_calling_thread(self):
+        recorder = make_recorder()
+        seen = []
+        with use_recorder(recorder):
+            other = threading.Thread(target=lambda: seen.append(get_recorder()))
+            other.start()
+            other.join(5)
+            assert not other.is_alive()
+            assert get_recorder() is recorder
+        assert seen[0].enabled is False
 
 
 class TestTracedDecorator:

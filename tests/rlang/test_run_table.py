@@ -277,9 +277,9 @@ class TestScope:
         assert active_table() is None
 
     def test_table_dropped_when_run_raises(self):
-        engine = Engine(budget=ResourceBudget(max_states=3))
-        with pytest.raises(AnalysisBudgetExceeded):
-            engine.run_script(generate(5, safe=True))
+        with use_budget(ResourceBudget(max_states=3)):
+            with pytest.raises(AnalysisBudgetExceeded):
+                Engine().run_script(generate(5, safe=True))
         assert active_table() is None
 
     def test_threads_never_share_a_table(self):

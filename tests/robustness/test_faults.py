@@ -126,13 +126,11 @@ class TestWorkerDeath:
 
     @needs_pool
     def test_killed_workers_keep_optimize_batch_order(self, corpus, monkeypatch):
-        from repro.analysis.optimize import run_optimize_batch
-
-        clean = run_optimize_batch([str(corpus)], jobs=1)
+        clean = run_batch([str(corpus)], jobs=1, op="optimize")
         monkeypatch.setattr(batch_mod, "_pool_worker", _kill_worker)
         recorder = TraceRecorder()
         with use_recorder(recorder):
-            batch = run_optimize_batch([str(corpus)], jobs=2)
+            batch = run_batch([str(corpus)], jobs=2, op="optimize")
         assert [r.path for r in batch.results] == [r.path for r in clean.results]
         assert not any(r.quarantined for r in batch.results)
         assert recorder.counter("optimize.retries") == 4
