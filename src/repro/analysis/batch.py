@@ -252,16 +252,23 @@ def _pool_worker(item: Tuple) -> Tuple[object, float, Optional[dict]]:
     return result, seconds, recorder.snapshot().to_dict()
 
 
-def _exit_with_parent(parent: int) -> None:
+def _exit_with_parent() -> None:
     """Pool-worker initializer: exit once the process that made the pool
     is gone.  A worker blocks on the pool's call queue forever, so after
-    its parent is killed (``kill -9`` of ``repro-served``, of a batch
-    ``repro-analyze`` or of a campaign) only this watch ends it: the
-    orphan is reparented, and ``os.getppid()`` stops naming ``parent``."""
+    its maker is killed (``kill -9`` of ``repro-served``, of a batch
+    ``repro-analyze`` or of a campaign) only this watch ends it.  It waits
+    on multiprocessing's parent sentinel, which closes when the maker
+    dies under every start method.  The worker's OS parent is no guide:
+    under ``forkserver`` (the Linux default from Python 3.14) it is the
+    fork server, which outlives the maker while any worker remains."""
+    import multiprocessing
+
+    parent = multiprocessing.parent_process()
+    if parent is None:
+        return
 
     def watch() -> None:
-        while os.getppid() == parent:
-            time.sleep(0.5)
+        parent.join()
         os._exit(0)
 
     threading.Thread(target=watch, name="repro-parent-watch", daemon=True).start()
@@ -272,9 +279,7 @@ def _make_pool(jobs: int):
     workers exit with the process that made it."""
     import concurrent.futures as futures
 
-    return futures.ProcessPoolExecutor(
-        max_workers=jobs, initializer=_exit_with_parent, initargs=(os.getpid(),)
-    )
+    return futures.ProcessPoolExecutor(max_workers=jobs, initializer=_exit_with_parent)
 
 
 def fan_out(

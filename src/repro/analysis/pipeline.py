@@ -16,18 +16,13 @@ they are used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from importlib import import_module
 from typing import Callable, Optional, Tuple
 
 from ..obs import get_recorder
 from .analyzer import analyze
 from .resilience import ResourceBudget
-
-
-#: the :class:`BatchConfig` fields that only bound the analysis; see
-#: :meth:`BatchConfig.fingerprint`
-BUDGET_FIELDS = ("timeout", "max_states")
 
 
 @dataclass(frozen=True)
@@ -54,13 +49,14 @@ class BatchConfig:
     max_loop: int = 2
     prune: bool = True
     races: bool = True
-    #: resource limits (``--timeout`` / ``--max-states``).  Deliberately
+    #: resource limits (``--timeout`` / ``--max-states``), each marked
+    #: with the :class:`ResourceBudget` limit it sets.  Deliberately
     #: EXCLUDED from :meth:`fingerprint`: a completed report does not
     #: depend on how generous the budget was, and budget-exhausted
     #: (degraded) reports are never cached — so results computed under
     #: one budget are safely reusable under any other.
-    timeout: Optional[float] = None
-    max_states: Optional[int] = None
+    timeout: Optional[float] = field(default=None, metadata={"budget": "deadline"})
+    max_states: Optional[int] = field(default=None, metadata={"budget": "max_states"})
 
     def fingerprint(self) -> str:
         """The cache-key text: every analyzer option, no budget field."""
@@ -72,14 +68,19 @@ class BatchConfig:
         return {
             f.name: getattr(self, f.name)
             for f in fields(self)
-            if f.name not in BUDGET_FIELDS
+            if "budget" not in f.metadata
         }
 
     def budget(self) -> Optional[ResourceBudget]:
         """The per-file budget this config implies, or None."""
-        if self.timeout is None and self.max_states is None:
+        limits = {
+            f.metadata["budget"]: getattr(self, f.name)
+            for f in fields(self)
+            if "budget" in f.metadata
+        }
+        if all(value is None for value in limits.values()):
             return None
-        return ResourceBudget(deadline=self.timeout, max_states=self.max_states)
+        return ResourceBudget(**limits)
 
 
 # -- workers: module-level, so they pickle across the pool boundary ----------

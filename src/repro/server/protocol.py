@@ -38,8 +38,9 @@ Requests are objects with an ``op`` field:
 - ``{"op": "stats"}`` — the operational picture: uptime, request
   rates, per-op latency quantiles, cache hit rate, pool/shed/clamp
   state, and a metrics snapshot of the daemon's totals.  There is no
-  separate ``metrics`` op: ``repro-top --metrics`` renders Prometheus
-  text from this one response
+  separate ``metrics`` op (version 1 had one; its removal made version
+  2): ``repro-top --metrics`` renders Prometheus text from this one
+  response
 - ``{"op": "shutdown"}`` — acknowledge, then stop serving
 
 Responses are ``{"ok": true, "result": ...}`` or
@@ -72,7 +73,7 @@ from dataclasses import fields
 from typing import IO, Optional
 
 #: bump on any incompatible request/response shape change
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: refuse request lines longer than this (a malformed or malicious
 #: client must not balloon daemon memory); generous enough for the

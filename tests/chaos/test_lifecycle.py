@@ -3,6 +3,7 @@ full kill-9 stories — mid-request fallback and warm-cache recovery —
 against real daemon subprocesses."""
 
 import json
+import multiprocessing
 import os
 import signal
 import socket
@@ -220,6 +221,21 @@ def _running(pid: int) -> bool:
         return False
 
 
+#: make a pool under the start method in argv[1]; run a job, pause, run
+#: another on the same workers, print the worker pids, then wait to be killed
+_POOL_PROBE = """
+import multiprocessing, os, sys, time
+from repro.analysis.batch import _make_pool
+multiprocessing.set_start_method(sys.argv[1])
+pool = _make_pool(2)
+first = pool.submit(pow, 2, 10).result(timeout=60)
+time.sleep(1.0)
+print(first, pool.submit(pow, 3, 3).result(timeout=60), flush=True)
+print(*{pool.submit(os.getpid).result(timeout=60) for _ in range(4)}, flush=True)
+time.sleep(600)
+"""
+
+
 @pytest.fixture()
 def script(tmp_path):
     path = tmp_path / "job.sh"
@@ -286,7 +302,7 @@ class TestKillNineRecovery:
     @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
     def test_pool_workers_exit_with_a_killed_daemon(self, tmp_path):
         # a worker blocks on the pool's queue forever; only its watch on
-        # the parent pid can end it once the daemon is gone
+        # the pool's maker can end it once the daemon is gone
         proc, socket_path = _spawn_served(tmp_path, "--jobs", "2")
         workers = []
         try:
@@ -299,6 +315,43 @@ class TestKillNineRecovery:
             while any(_running(pid) for pid in workers):
                 assert time.monotonic() < deadline, (
                     f"pool workers outlived the daemon: "
+                    f"{[pid for pid in workers if _running(pid)]}"
+                )
+                time.sleep(0.1)
+        finally:
+            for pid in workers:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            _reap(proc)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+    def test_pool_workers_serve_then_exit_with_their_maker(self, method):
+        # under forkserver (the Linux default from Python 3.14) a worker's
+        # OS parent is the fork server, not the pool's maker: a watch keyed
+        # on the maker's pid kills every worker at once, and one keyed on
+        # the OS parent never fires while the fork server waits on it
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _POOL_PROBE, method],
+            env=_cli_env(),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        workers = []
+        try:
+            if proc.stdout.readline().split() != ["1024", "27"]:
+                proc.kill()
+                pytest.fail(f"{method} pool lost its jobs: {proc.communicate()[1]}")
+            workers = [int(pid) for pid in proc.stdout.readline().split()]
+            assert workers
+            os.kill(proc.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 5.0
+            while any(_running(pid) for pid in workers):
+                assert time.monotonic() < deadline, (
+                    f"{method} pool workers outlived their maker: "
                     f"{[pid for pid in workers if _running(pid)]}"
                 )
                 time.sleep(0.1)

@@ -64,7 +64,7 @@ def _corpus(tmp_path):
 class TestOps:
     def test_ping(self, daemon):
         result = ServerClient(daemon.socket_path).ping()
-        assert result["protocol"] == 1
+        assert result["protocol"] == 2
         assert result["pid"] == os.getpid() or result["pid"] > 0
 
     def test_analyze_source(self, daemon):
@@ -127,7 +127,7 @@ class TestOps:
         with pytest.raises(ServerError):
             client.request({"op": "frobnicate"})
         # the connection survives the error
-        assert client.ping()["protocol"] == 1
+        assert client.ping()["protocol"] == 2
 
     def test_malformed_request_payload(self, daemon):
         client = ServerClient(daemon.socket_path)
