@@ -13,9 +13,9 @@ scripts stay fully compatible with existing interpreters::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..records import Record
 from ..rlang import Regex, RegexSyntaxError
 from ..rtypes import Signature, named_type, simple
 
@@ -24,12 +24,20 @@ class AnnotationError(ValueError):
     """A malformed annotation comment."""
 
 
-@dataclass
-class AnnotationSet:
-    variables: Dict[str, Regex] = field(default_factory=dict)
-    signatures: Dict[str, Signature] = field(default_factory=dict)
-    n_args: Optional[int] = None
-    platforms: List[str] = field(default_factory=list)
+class AnnotationSet(Record):
+    __slots__ = ("variables", "signatures", "n_args", "platforms")
+
+    def __init__(
+        self,
+        variables: Optional[Dict[str, Regex]] = None,
+        signatures: Optional[Dict[str, Signature]] = None,
+        n_args: Optional[int] = None,
+        platforms: Optional[List[str]] = None,
+    ):
+        self.variables = {} if variables is None else variables
+        self.signatures = {} if signatures is None else signatures
+        self.n_args = n_args
+        self.platforms = [] if platforms is None else platforms
 
     def is_empty(self) -> bool:
         return not (

@@ -19,10 +19,10 @@ which is what the hazard detection in :mod:`.hazards` exploits.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from ...fs import FsEvent, FsOp, Origin
+from ...records import FrozenRecord, Record, set_field
 from ...rlang import Regex
 from ...symstr import ConstraintStore
 
@@ -36,15 +36,25 @@ _SYM_SEGMENT = re.compile(r"^<v(-?\d+)>$")
 _SYM_ANY = re.compile(r"<v(-?\d+)>")
 
 
-@dataclass(frozen=True)
-class Window:
-    """The open interval of a background region in the event trace."""
+class Window(FrozenRecord):
+    """The open interval of a background region in the event trace
+    (``close_idx`` None = never joined, open at exit)."""
 
-    region: int
-    label: str
-    origin: Optional[Origin]
-    open_idx: int
-    close_idx: Optional[int] = None  # None = never joined (open at exit)
+    __slots__ = ("region", "label", "origin", "open_idx", "close_idx")
+
+    def __init__(
+        self,
+        region: int,
+        label: str,
+        origin: Optional[Origin],
+        open_idx: int,
+        close_idx: Optional[int] = None,
+    ):
+        set_field(self, "region", region)
+        set_field(self, "label", label)
+        set_field(self, "origin", origin)
+        set_field(self, "open_idx", open_idx)
+        set_field(self, "close_idx", close_idx)
 
     def covers(self, index: int) -> bool:
         if index < self.open_idx:
@@ -58,16 +68,26 @@ class Window:
         return self.close_idx is None or lo < self.close_idx
 
 
-@dataclass(frozen=True)
-class Access:
+class Access(FrozenRecord):
     """One attributed file-system access."""
 
-    index: int
-    op: FsOp
-    path: str
-    node: Optional[int]
-    origin: Optional[Origin]
-    task: int
+    __slots__ = ("index", "op", "path", "node", "origin", "task")
+
+    def __init__(
+        self,
+        index: int,
+        op: FsOp,
+        path: str,
+        node: Optional[int],
+        origin: Optional[Origin],
+        task: int,
+    ):
+        set_field(self, "index", index)
+        set_field(self, "op", op)
+        set_field(self, "path", path)
+        set_field(self, "node", node)
+        set_field(self, "origin", origin)
+        set_field(self, "task", task)
 
     @property
     def is_write(self) -> bool:
@@ -82,15 +102,24 @@ class Access:
         return f"{who} {self.op.name.lower()}s {display_path(self.path)}"
 
 
-@dataclass
-class EffectNode:
+class EffectNode(Record):
     """All accesses of one command within one task."""
 
-    origin: Optional[Origin]
-    task: int
-    accesses: List[Access] = field(default_factory=list)
-    first_index: int = 0
-    last_index: int = 0
+    __slots__ = ("origin", "task", "accesses", "first_index", "last_index")
+
+    def __init__(
+        self,
+        origin: Optional[Origin],
+        task: int,
+        accesses: Optional[List[Access]] = None,
+        first_index: int = 0,
+        last_index: int = 0,
+    ):
+        self.origin = origin
+        self.task = task
+        self.accesses = [] if accesses is None else accesses
+        self.first_index = first_index
+        self.last_index = last_index
 
     @property
     def reads(self) -> Set[str]:
@@ -112,11 +141,13 @@ class EffectNode:
         return self.origin.label if self.origin else "?"
 
 
-@dataclass(frozen=True)
-class Edge:
-    src: int
-    dst: int
-    kind: str  # "seq" | "fork" | "join"
+class Edge(FrozenRecord):
+    __slots__ = ("src", "dst", "kind")
+
+    def __init__(self, src: int, dst: int, kind: str):
+        set_field(self, "src", src)
+        set_field(self, "dst", dst)
+        set_field(self, "kind", kind)  # "seq" | "fork" | "join"
 
 
 class EffectGraph:

@@ -19,10 +19,10 @@ happens, only that no ordering in the script prevents it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
 from ...fs import FsOp
+from ...records import FrozenRecord, set_field
 from .graph import Access, EffectGraph, display_path
 
 #: cap on reported hazards per explored path; belt-and-braces against
@@ -30,14 +30,24 @@ from .graph import Access, EffectGraph, display_path
 MAX_HAZARDS_PER_PATH = 64
 
 
-@dataclass(frozen=True)
-class Hazard:
-    code: str
-    message: str
-    pos: Optional[object]
-    related: Tuple[str, ...]
-    path: str
-    witness: str = ""
+class Hazard(FrozenRecord):
+    __slots__ = ("code", "message", "pos", "related", "path", "witness")
+
+    def __init__(
+        self,
+        code: str,
+        message: str,
+        pos: Optional[object],
+        related: Tuple[str, ...],
+        path: str,
+        witness: str = "",
+    ):
+        set_field(self, "code", code)
+        set_field(self, "message", message)
+        set_field(self, "pos", pos)
+        set_field(self, "related", related)
+        set_field(self, "path", path)
+        set_field(self, "witness", witness)
 
     def key(self) -> Tuple:
         return (self.code, self.path, frozenset(self.related))

@@ -21,6 +21,7 @@ from importlib import import_module
 from typing import Callable, Optional, Tuple
 
 from ..obs import get_recorder
+from ..records import FrozenRecord, set_field
 from .analyzer import analyze
 from .resilience import ResourceBudget
 
@@ -115,28 +116,49 @@ def _resolve(path: str):
     return getattr(import_module(module), name)
 
 
-@dataclass(frozen=True)
-class Op:
-    """One row of the op table (keyed by the protocol op and CLI tool)."""
+class Op(FrozenRecord):
+    """One row of the op table (keyed by the protocol op and CLI tool).
 
-    #: counter namespace: ``{prefix}.cache.hit``, ``{prefix}.files``, ...
-    prefix: str
-    #: the payload's key in daemon responses and its field on file results
-    wire: str
-    #: what the CLI says it does inline when the daemon is unavailable
-    verb: str
-    #: ``(source, config, budget=None) -> payload dict``
-    worker: Callable[..., dict]
-    #: ``module:Class`` of the payload (``from_dict``, ``SCHEMA_VERSION``,
-    #: ``degraded``, ``unsafe``, ``failure``); imported on first use
-    payload_path: str
-    #: ``module:Class`` of the batch result (``file_type``, ``render``)
-    batch_path: str
-    #: fingerprint suffix keeping this op's cache entries apart from the
-    #: other op's; ``{schema}`` is the payload's schema version
-    salt: str = ""
-    #: which loaded payloads may be stored in the cache
-    cacheable: Callable[[object], bool] = _complete
+    - ``prefix``: counter namespace: ``{prefix}.cache.hit``,
+      ``{prefix}.files``, ...
+    - ``wire``: the payload's key in daemon responses and its field on
+      file results
+    - ``verb``: what the CLI says it does inline when the daemon is
+      unavailable
+    - ``worker``: ``(source, config, budget=None) -> payload dict``
+    - ``payload_path``: ``module:Class`` of the payload (``from_dict``,
+      ``SCHEMA_VERSION``, ``degraded``, ``unsafe``, ``failure``);
+      imported on first use
+    - ``batch_path``: ``module:Class`` of the batch result
+      (``file_type``, ``render``)
+    - ``salt``: fingerprint suffix keeping this op's cache entries apart
+      from the other op's; ``{schema}`` is the payload's schema version
+    - ``cacheable``: which loaded payloads may be stored in the cache
+    """
+
+    __slots__ = (
+        "prefix", "wire", "verb", "worker", "payload_path", "batch_path", "salt", "cacheable"
+    )
+
+    def __init__(
+        self,
+        prefix: str,
+        wire: str,
+        verb: str,
+        worker: Callable[..., dict],
+        payload_path: str,
+        batch_path: str,
+        salt: str = "",
+        cacheable: Callable[[object], bool] = _complete,
+    ):
+        set_field(self, "prefix", prefix)
+        set_field(self, "wire", wire)
+        set_field(self, "verb", verb)
+        set_field(self, "worker", worker)
+        set_field(self, "payload_path", payload_path)
+        set_field(self, "batch_path", batch_path)
+        set_field(self, "salt", salt)
+        set_field(self, "cacheable", cacheable)
 
     @property
     def payload_type(self):

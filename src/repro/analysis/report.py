@@ -2,24 +2,37 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..diag import Diagnostic, Severity
+from ..records import Record
 
 
-@dataclass
-class Report:
-    """The analyzer's verdict on one script."""
+class Report(Record):
+    """The analyzer's verdict on one script.
 
-    source: str
-    diagnostics: List[Diagnostic] = field(default_factory=list)
-    paths_explored: int = 0
-    paths_merged: int = 0
-    states: int = 0
-    #: times the engine dropped states past its path budget (`max_fork`);
-    #: nonzero means the diagnostics may be incomplete
-    truncations: int = 0
+    ``truncations`` counts the times the engine dropped states past its
+    path budget (`max_fork`); nonzero means the diagnostics may be
+    incomplete.
+    """
+
+    __slots__ = ("source", "diagnostics", "paths_explored", "paths_merged", "states", "truncations")
+
+    def __init__(
+        self,
+        source: str,
+        diagnostics: Optional[List[Diagnostic]] = None,
+        paths_explored: int = 0,
+        paths_merged: int = 0,
+        states: int = 0,
+        truncations: int = 0,
+    ):
+        self.source = source
+        self.diagnostics = [] if diagnostics is None else diagnostics
+        self.paths_explored = paths_explored
+        self.paths_merged = paths_merged
+        self.states = states
+        self.truncations = truncations
 
     # -- queries ------------------------------------------------------------
 

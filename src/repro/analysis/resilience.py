@@ -31,7 +31,6 @@ Budget trips are counted under ``budget.*`` (``budget.deadline``,
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 from contextlib import contextmanager
@@ -215,6 +214,8 @@ def exception_digest(exc: BaseException) -> str:
     """A short, stable identifier for an exception (type + message),
     suitable for grouping crash reports without leaking full tracebacks
     into diagnostics."""
+    import hashlib  # only crash and quarantine paths get here: keep it off start-up
+
     summary = f"{type(exc).__name__}: {exc}"
     digest = hashlib.sha256(summary.encode("utf-8", "replace")).hexdigest()[:8]
     if len(summary) > 120:

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional, Tuple
 
+from .records import FrozenRecord, set_field
 from .shell.tokens import Position
 
 
@@ -26,20 +26,41 @@ class Severity(Enum):
         return self.rank < other.rank
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    code: str            # e.g. "dangerous-deletion", "dead-stream"
-    message: str
-    severity: Severity = Severity.WARNING
-    pos: Optional[Position] = None
-    #: does the issue hold on every execution path ("always") or only on
-    #: some feasible path ("may")?
-    always: bool = False
-    #: evidence: e.g. a concrete variable assignment triggering the bug
-    witness: str = ""
-    source: str = "semantic"  # "semantic" | "lint" | "types" | "platform"
-    #: other program points involved (e.g. both commands of a race)
-    related: Tuple[str, ...] = ()
+class Diagnostic(FrozenRecord):
+    """One finding.
+
+    ``code`` names it (e.g. "dangerous-deletion", "dead-stream").
+    ``always`` says whether the issue holds on every execution path
+    ("always") or only on some feasible path ("may").  ``witness`` is
+    evidence, e.g. a concrete variable assignment triggering the bug.
+    ``source`` is "semantic", "lint", "types" or "platform".
+    ``related`` lists other program points involved (e.g. both commands
+    of a race).
+    """
+
+    __slots__ = (
+        "code", "message", "severity", "pos", "always", "witness", "source", "related"
+    )
+
+    def __init__(
+        self,
+        code: str,
+        message: str,
+        severity: Severity = Severity.WARNING,
+        pos: Optional[Position] = None,
+        always: bool = False,
+        witness: str = "",
+        source: str = "semantic",
+        related: Tuple[str, ...] = (),
+    ):
+        set_field(self, "code", code)
+        set_field(self, "message", message)
+        set_field(self, "severity", severity)
+        set_field(self, "pos", pos)
+        set_field(self, "always", always)
+        set_field(self, "witness", witness)
+        set_field(self, "source", source)
+        set_field(self, "related", related)
 
     def render(self) -> str:
         location = f"{self.pos}: " if self.pos else ""

@@ -19,9 +19,10 @@ naive per-fork copy made heavy scripts O(events x forks).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, auto
 from typing import Iterator, List, Optional
+
+from ..records import FrozenRecord, set_field
 
 
 class FsOp(Enum):
@@ -40,8 +41,7 @@ class FsOp(Enum):
         return self in (FsOp.BG_OPEN, FsOp.BG_CLOSE)
 
 
-@dataclass(frozen=True)
-class Origin:
+class Origin(FrozenRecord):
     """Provenance of an event: the command that caused it.
 
     ``label`` is a short source rendering (``grep x f``); ``pos`` is the
@@ -49,8 +49,11 @@ class Origin:
     the fs layer stays independent of the shell front end).
     """
 
-    label: str = ""
-    pos: Optional[object] = None
+    __slots__ = ("label", "pos")
+
+    def __init__(self, label: str = "", pos: Optional[object] = None):
+        set_field(self, "label", label)
+        set_field(self, "pos", pos)
 
     def where(self) -> str:
         return f"{self.pos}" if self.pos is not None else "?"
@@ -61,18 +64,31 @@ class Origin:
         return f"`{self.label}`"
 
 
-@dataclass(frozen=True)
-class FsEvent:
-    op: FsOp
-    path: str
-    node: Optional[int] = None
-    detail: str = ""
-    #: the command this event belongs to (None for untagged/legacy events)
-    origin: Optional[Origin] = None
-    #: 0 = foreground; otherwise the background region id that ran it
-    task: int = 0
-    #: for BG_OPEN/BG_CLOSE markers: the region being opened/closed
-    region: Optional[int] = None
+class FsEvent(FrozenRecord):
+    """``origin`` is the command this event belongs to (None for
+    untagged/legacy events); ``task`` is 0 for the foreground, otherwise
+    the background region id that ran it; ``region``, for
+    BG_OPEN/BG_CLOSE markers, is the region being opened/closed."""
+
+    __slots__ = ("op", "path", "node", "detail", "origin", "task", "region")
+
+    def __init__(
+        self,
+        op: FsOp,
+        path: str,
+        node: Optional[int] = None,
+        detail: str = "",
+        origin: Optional[Origin] = None,
+        task: int = 0,
+        region: Optional[int] = None,
+    ):
+        set_field(self, "op", op)
+        set_field(self, "path", path)
+        set_field(self, "node", node)
+        set_field(self, "detail", detail)
+        set_field(self, "origin", origin)
+        set_field(self, "task", task)
+        set_field(self, "region", region)
 
     def __str__(self) -> str:
         extra = f" ({self.detail})" if self.detail else ""

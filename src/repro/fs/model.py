@@ -14,10 +14,10 @@ States fork cheaply: node records are immutable and replaced on change.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
 from enum import Enum, auto
 from typing import Dict, List, Optional, Tuple
 
+from ..records import FrozenRecord, set_field
 from .events import EventLog, FsOp
 from .path import Component, SymPath, SymSegment
 
@@ -35,19 +35,38 @@ class NodeKind(Enum):
     UNKNOWN = auto()
 
 
-@dataclass(frozen=True)
-class NodeRecord:
-    node_id: int
-    existence: Existence = Existence.UNKNOWN
-    kind: NodeKind = NodeKind.UNKNOWN
-    #: children: segment name (str or SymSegment) -> node id
-    children: Tuple[Tuple[Component, int], ...] = ()
-    parent: Optional[int] = None
-    name: str = ""
-    #: for SYMLINK nodes: the node the link points at (enables §4's
-    #: "identity of filesystem locations referrable to by arbitrarily
-    #: many path-strings")
-    link_target: Optional[int] = None
+class NodeRecord(FrozenRecord):
+    """``children`` maps a segment name (str or SymSegment) to a node id;
+    for SYMLINK nodes, ``link_target`` is the node the link points at
+    (enables §4's "identity of filesystem locations referrable to by
+    arbitrarily many path-strings")."""
+
+    __slots__ = ("node_id", "existence", "kind", "children", "parent", "name", "link_target")
+
+    def __init__(
+        self,
+        node_id: int,
+        existence: Existence = Existence.UNKNOWN,
+        kind: NodeKind = NodeKind.UNKNOWN,
+        children: Tuple[Tuple[Component, int], ...] = (),
+        parent: Optional[int] = None,
+        name: str = "",
+        link_target: Optional[int] = None,
+    ):
+        set_field(self, "node_id", node_id)
+        set_field(self, "existence", existence)
+        set_field(self, "kind", kind)
+        set_field(self, "children", children)
+        set_field(self, "parent", parent)
+        set_field(self, "name", name)
+        set_field(self, "link_target", link_target)
+
+    def with_state(self, existence: Existence, kind: Optional[NodeKind] = None) -> "NodeRecord":
+        """This record with a new existence (and kind, when given)."""
+        return NodeRecord(
+            self.node_id, existence, self.kind if kind is None else kind,
+            self.children, self.parent, self.name, self.link_target,
+        )
 
     def child_map(self) -> Dict[Component, int]:
         return dict(self.children)
@@ -120,7 +139,10 @@ class FileSystem:
             return None
         child = self._new_node(parent_id, str(name))
         mapping[name] = child.node_id
-        self._set(replace(parent, children=tuple(mapping.items())))
+        self._set(NodeRecord(
+            parent.node_id, parent.existence, parent.kind, tuple(mapping.items()),
+            parent.parent, parent.name, parent.link_target,
+        ))
         return child.node_id
 
     def sym_root(self, vid: int) -> int:
@@ -178,14 +200,10 @@ class FileSystem:
     def make_symlink(self, node_id: int, target_id: int) -> None:
         """Record that ``node_id`` is a symlink to ``target_id``."""
         record = self._get(node_id)
-        self._set(
-            replace(
-                record,
-                existence=Existence.EXISTS,
-                kind=NodeKind.SYMLINK,
-                link_target=target_id,
-            )
-        )
+        self._set(NodeRecord(
+            record.node_id, Existence.EXISTS, NodeKind.SYMLINK, record.children,
+            record.parent, record.name, target_id,
+        ))
         self.log.record(
             FsOp.CREATE, self.path_of(node_id), node_id,
             f"symlink -> {self.path_of(target_id)}",
@@ -254,7 +272,7 @@ class FileSystem:
                 self.path_of(node_id),
             )
         new_kind = kind if record.kind is NodeKind.UNKNOWN else record.kind
-        self._set(replace(record, existence=Existence.EXISTS, kind=new_kind))
+        self._set(record.with_state(Existence.EXISTS, new_kind))
         self.log.record(FsOp.STAT, self.path_of(node_id), node_id, "exists")
         # ancestors must be existing directories
         current = record.parent
@@ -265,13 +283,10 @@ class FileSystem:
                     f"{self.path_of(current)} is a file but is used as a directory",
                     self.path_of(current),
                 )
-            self._set(
-                replace(
-                    parent,
-                    existence=Existence.EXISTS,
-                    kind=NodeKind.DIR if parent.kind is NodeKind.UNKNOWN else parent.kind,
-                )
-            )
+            self._set(parent.with_state(
+                Existence.EXISTS,
+                NodeKind.DIR if parent.kind is NodeKind.UNKNOWN else parent.kind,
+            ))
             current = parent.parent
 
     def assume_absent(self, node_id: int) -> None:
@@ -281,7 +296,7 @@ class FileSystem:
                 f"path {self.path_of(node_id)} is known to exist",
                 self.path_of(node_id),
             )
-        self._set(replace(record, existence=Existence.ABSENT))
+        self._set(record.with_state(Existence.ABSENT))
         self.log.record(FsOp.STAT, self.path_of(node_id), node_id, "absent")
 
     # -- mutations ----------------------------------------------------------------
@@ -305,7 +320,7 @@ class FileSystem:
             elif ensure_parents and self._get(parent).existence is not Existence.EXISTS:
                 self.create(parent, NodeKind.DIR, ensure_parents=True)
         already = record.existence is Existence.EXISTS
-        self._set(replace(record, existence=Existence.EXISTS, kind=kind))
+        self._set(record.with_state(Existence.EXISTS, kind))
         if not already:
             self.log.record(
                 FsOp.CREATE, self.path_of(node_id), node_id, kind.name.lower()
@@ -317,7 +332,7 @@ class FileSystem:
         if recursive:
             for _, child_id in record.children:
                 self.delete(child_id, recursive=True)
-        self._set(replace(record, existence=Existence.ABSENT))
+        self._set(record.with_state(Existence.ABSENT))
         self.log.record(FsOp.DELETE, self.path_of(node_id), node_id)
 
     def write_file(self, node_id: int) -> None:

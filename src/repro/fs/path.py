@@ -12,30 +12,34 @@ variable reach the same node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
+from ..records import FrozenRecord, set_field
 from ..symstr import GlobAtom, LitAtom, SymString
 
 
-@dataclass(frozen=True)
-class SymSegment:
+class SymSegment(FrozenRecord):
     """A path segment whose name is an unexpanded symbolic variable."""
 
-    vid: int
+    __slots__ = ("vid",)
+
+    def __init__(self, vid: int):
+        set_field(self, "vid", vid)
 
 
 Component = Union[str, SymSegment]
 
 
-@dataclass(frozen=True)
-class SymPath:
+class SymPath(FrozenRecord):
     """``absolute`` paths start at "/"; otherwise resolution starts at the
     current working directory — unless the first component is symbolic, in
     which case the path hangs off that variable's own abstract root."""
 
-    components: Tuple[Component, ...]
-    absolute: bool
+    __slots__ = ("components", "absolute")
+
+    def __init__(self, components: Tuple[Component, ...], absolute: bool):
+        set_field(self, "components", components)
+        set_field(self, "absolute", absolute)
 
     @property
     def sym_rooted(self) -> bool:

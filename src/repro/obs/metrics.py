@@ -7,8 +7,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
+
+from ..records import Record
 
 #: reservoir capacity per histogram.  512 doubles is ~4KiB and gives a
 #: p99 estimate within a couple of rank positions at any stream length.
@@ -27,8 +28,7 @@ def _mix(value: int) -> int:
     return value ^ (value >> 31)
 
 
-@dataclass
-class Histogram:
+class Histogram(Record):
     """Streaming summary of an observed distribution.
 
     Exact ``count``/``total``/``min``/``max`` plus a bounded reservoir
@@ -38,14 +38,25 @@ class Histogram:
     else is exact.
     """
 
-    count: int = 0
-    total: float = 0.0
-    minimum: Optional[float] = None
-    maximum: Optional[float] = None
-    samples: List[float] = field(default_factory=list)
-    _rng: Optional[random.Random] = field(
-        default=None, repr=False, compare=False
-    )
+    __slots__ = ("count", "total", "minimum", "maximum", "samples", "_rng")
+    #: the reservoir's PRNG is no part of equality or repr
+    _fields = ("count", "total", "minimum", "maximum", "samples")
+
+    def __init__(
+        self,
+        count: int = 0,
+        total: float = 0.0,
+        minimum: Optional[float] = None,
+        maximum: Optional[float] = None,
+        samples: Optional[List[float]] = None,
+        _rng: Optional[random.Random] = None,
+    ):
+        self.count = count
+        self.total = total
+        self.minimum = minimum
+        self.maximum = maximum
+        self.samples = [] if samples is None else samples
+        self._rng = _rng
 
     def add(self, value: float) -> None:
         self.count += 1
@@ -150,8 +161,7 @@ class Histogram:
         }
 
 
-@dataclass
-class MetricsSnapshot:
+class MetricsSnapshot(Record):
     """A point-in-time copy of a recorder's counters and histograms.
 
     Snapshots are the unit of metric *transport*: workers ship them
@@ -161,8 +171,15 @@ class MetricsSnapshot:
     everything, reservoir samples included.
     """
 
-    counters: Dict[str, int] = field(default_factory=dict)
-    histograms: Dict[str, Histogram] = field(default_factory=dict)
+    __slots__ = ("counters", "histograms")
+
+    def __init__(
+        self,
+        counters: Optional[Dict[str, int]] = None,
+        histograms: Optional[Dict[str, Histogram]] = None,
+    ):
+        self.counters = {} if counters is None else counters
+        self.histograms = {} if histograms is None else histograms
 
     def merge(self, other: "MetricsSnapshot") -> None:
         for name, value in other.counters.items():

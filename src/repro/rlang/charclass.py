@@ -49,6 +49,9 @@ class CharSet:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("CharSet is immutable")
 
+    def __reduce__(self):
+        return CharSet, (self.intervals,)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

@@ -10,16 +10,15 @@ matter of flipping accepting states.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..obs import get_recorder
+from ..records import Record
 from .charclass import CharSet, partition
 from .nfa import NFA
 
 
-@dataclass
-class DFA:
+class DFA(Record):
     """Complete DFA over a partitioned alphabet.
 
     ``atoms`` are disjoint charsets covering every character that appears
@@ -28,14 +27,20 @@ class DFA:
     atom index (including the "other" index) to a target state.
     """
 
-    atoms: List[CharSet]
-    delta: List[List[int]]
-    accepting: Set[int]
-    start: int = 0
+    #: ``table_tag`` is the ``(token, key)`` set by the
+    #: :class:`~repro.rlang.table.RunTable` that last keyed this DFA (not
+    #: a field: no part of equality)
+    __slots__ = ("atoms", "delta", "accepting", "start", "table_tag")
+    _fields = ("atoms", "delta", "accepting", "start")
 
-    #: ``(token, key)`` set by the :class:`~repro.rlang.table.RunTable`
-    #: that last keyed this DFA (not a field: no part of equality)
-    table_tag = None
+    def __init__(
+        self, atoms: List[CharSet], delta: List[List[int]], accepting: Set[int], start: int = 0
+    ):
+        self.atoms = atoms
+        self.delta = delta
+        self.accepting = accepting
+        self.start = start
+        self.table_tag = None
 
     @property
     def n_states(self) -> int:

@@ -2,26 +2,35 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from ..records import Record
 from .charclass import CharSet
 from .syntax import Alt, Concat, Empty, Epsilon, Lit, Node, Repeat, Star
 
 
-@dataclass
-class NFA:
+class NFA(Record):
     """Nondeterministic finite automaton.
 
     States are dense integers.  ``transitions[s]`` is a list of
     ``(charset, target)`` pairs; ``epsilons[s]`` is a set of targets.
     """
 
-    start: int = 0
-    accept: int = 1
-    transitions: Dict[int, List[Tuple[CharSet, int]]] = field(default_factory=dict)
-    epsilons: Dict[int, Set[int]] = field(default_factory=dict)
-    n_states: int = 2
+    __slots__ = ("start", "accept", "transitions", "epsilons", "n_states")
+
+    def __init__(
+        self,
+        start: int = 0,
+        accept: int = 1,
+        transitions: Optional[Dict[int, List[Tuple[CharSet, int]]]] = None,
+        epsilons: Optional[Dict[int, Set[int]]] = None,
+        n_states: int = 2,
+    ):
+        self.start = start
+        self.accept = accept
+        self.transitions = {} if transitions is None else transitions
+        self.epsilons = {} if epsilons is None else epsilons
+        self.n_states = n_states
 
     def add_state(self) -> int:
         state = self.n_states

@@ -11,9 +11,9 @@ higher-level type layer decides which reading it wants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from ..records import FrozenRecord, set_field
 from .charclass import CharSet
 
 
@@ -31,57 +31,65 @@ class RegexSyntaxError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class Node:
+class Node(FrozenRecord):
     """Base class for regex AST nodes."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Empty(Node):
     """The empty language (matches nothing)."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Epsilon(Node):
     """The language containing only the empty string."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Lit(Node):
     """A single character drawn from a character set."""
 
-    charset: CharSet
+    __slots__ = ("charset",)
+
+    def __init__(self, charset: CharSet):
+        set_field(self, "charset", charset)
 
 
-@dataclass(frozen=True)
 class Concat(Node):
-    left: Node
-    right: Node
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Node, right: Node):
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Alt(Node):
-    left: Node
-    right: Node
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Node, right: Node):
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Star(Node):
-    inner: Node
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: Node):
+        set_field(self, "inner", inner)
 
 
-@dataclass(frozen=True)
 class Repeat(Node):
     """Bounded repetition ``inner{lo,hi}``; ``hi=None`` means unbounded."""
 
-    inner: Node
-    lo: int
-    hi: Optional[int]
+    __slots__ = ("inner", "lo", "hi")
+
+    def __init__(self, inner: Node, lo: int, hi: Optional[int]):
+        set_field(self, "inner", inner)
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
 
 
 def concat_all(*nodes: Node) -> Node:

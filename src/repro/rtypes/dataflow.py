@@ -11,33 +11,46 @@ over a finite lattice region converge; a widening bound guards the rest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from graphlib import CycleError
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..digraph import is_acyclic, simple_cycles, topological_generations
+from ..records import Record
 from ..rlang import Regex
 from .signatures import Signature, TypeError_, apply_signature
 from .types import StreamType
 
 
-@dataclass
-class Stage:
-    """One node in the dataflow graph."""
+class Stage(Record):
+    """One node in the dataflow graph.  A source node injects its
+    ``seed`` type regardless of inputs (e.g. ``cat seed``)."""
 
-    name: str
-    signature: Optional[Signature] = None
-    #: Source nodes inject this type regardless of inputs (e.g. ``cat seed``).
-    seed: Optional[StreamType] = None
+    __slots__ = ("name", "signature", "seed")
+
+    def __init__(
+        self, name: str, signature: Optional[Signature] = None, seed: Optional[StreamType] = None
+    ):
+        self.name = name
+        self.signature = signature
+        self.seed = seed
 
 
-@dataclass
-class FixpointResult:
-    types: Dict[str, StreamType]
-    iterations: int
-    converged: bool
-    widened: List[str] = field(default_factory=list)
-    errors: List[str] = field(default_factory=list)
+class FixpointResult(Record):
+    __slots__ = ("types", "iterations", "converged", "widened", "errors")
+
+    def __init__(
+        self,
+        types: Dict[str, StreamType],
+        iterations: int,
+        converged: bool,
+        widened: Optional[List[str]] = None,
+        errors: Optional[List[str]] = None,
+    ):
+        self.types = types
+        self.iterations = iterations
+        self.converged = converged
+        self.widened = [] if widened is None else widened
+        self.errors = [] if errors is None else errors
 
     def type_of(self, stage: str) -> StreamType:
         return self.types[stage]

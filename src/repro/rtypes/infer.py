@@ -12,10 +12,10 @@ each stage's signature, collecting:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum, auto
 from typing import List, Optional, Sequence
 
+from ..records import Record
 from .library import PRODUCES_ON_EMPTY, signature_for
 from .signatures import Signature, TypeError_, apply_signature
 from .types import StreamType
@@ -27,20 +27,24 @@ class StageIssueKind(Enum):
     UNTYPED = auto()
 
 
-@dataclass
-class StageIssue:
-    kind: StageIssueKind
-    stage: int
-    command: str
-    message: str
+class StageIssue(Record):
+    __slots__ = ("kind", "stage", "command", "message")
+
+    def __init__(self, kind: StageIssueKind, stage: int, command: str, message: str):
+        self.kind = kind
+        self.stage = stage
+        self.command = command
+        self.message = message
 
 
-@dataclass
-class PipelineTypes:
+class PipelineTypes(Record):
     """Result of typing a pipeline: per-stage output types and issues."""
 
-    stage_types: List[StreamType]
-    issues: List[StageIssue] = field(default_factory=list)
+    __slots__ = ("stage_types", "issues")
+
+    def __init__(self, stage_types: List[StreamType], issues: Optional[List[StageIssue]] = None):
+        self.stage_types = stage_types
+        self.issues = [] if issues is None else issues
 
     @property
     def output(self) -> StreamType:

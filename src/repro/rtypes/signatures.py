@@ -15,9 +15,9 @@ variable intersected with a filter language.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
+from ..records import FrozenRecord, set_field
 from ..rlang import Regex
 from .types import StreamType
 
@@ -26,12 +26,14 @@ class TypeError_(Exception):
     """A stream type mismatch (named to avoid shadowing the builtin)."""
 
 
-@dataclass(frozen=True)
-class TypeVarT:
+class TypeVarT(FrozenRecord):
     """A quantified type variable, optionally bounded: ``∀α ⊆ bound``."""
 
-    name: str
-    bound: Optional[Regex] = None
+    __slots__ = ("name", "bound")
+
+    def __init__(self, name: str, bound: Optional[Regex] = None):
+        set_field(self, "name", name)
+        set_field(self, "bound", bound)
 
     def __str__(self) -> str:
         if self.bound is not None:
@@ -39,70 +41,86 @@ class TypeVarT:
         return self.name
 
 
-class TypeExpr:
+class TypeExpr(FrozenRecord):
     """Base class for type expressions."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Concrete(TypeExpr):
-    lang: Regex
+    __slots__ = ("lang",)
+
+    def __init__(self, lang: Regex):
+        set_field(self, "lang", lang)
 
     def __str__(self) -> str:
         return self.lang.pattern or "<lang>"
 
 
-@dataclass(frozen=True)
 class Var(TypeExpr):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        set_field(self, "name", name)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
 class ConcatT(TypeExpr):
     """Concatenation of parts, e.g. ``0xα``."""
 
-    parts: tuple
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple):
+        set_field(self, "parts", parts)
 
     def __str__(self) -> str:
         return "".join(str(p) for p in self.parts)
 
 
-@dataclass(frozen=True)
 class Filtered(TypeExpr):
     """``α ∩ F`` — the filter reading of grep-like commands."""
 
-    var: str
-    filter: Regex
+    __slots__ = ("var", "filter")
+
+    def __init__(self, var: str, filter: Regex):
+        set_field(self, "var", var)
+        set_field(self, "filter", filter)
 
     def __str__(self) -> str:
         return f"{self.var}∩{self.filter.pattern or '<lang>'}"
 
 
-@dataclass(frozen=True, eq=False)
 class Mapped(TypeExpr):
     """``h(α)`` — the homomorphic image of the input under a
-    per-character map (the type of ``tr SET1 SET2``)."""
+    per-character map (the type of ``tr SET1 SET2``).  Compared and
+    hashed by identity: ``translate`` is a function."""
 
-    var: str
-    translate: object  # Callable[[CharSet], CharSet]
-    label: str = "h"
+    __slots__ = ("var", "translate", "label")
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, var: str, translate: object, label: str = "h"):
+        set_field(self, "var", var)
+        set_field(self, "translate", translate)  # Callable[[CharSet], CharSet]
+        set_field(self, "label", label)
 
     def __str__(self) -> str:
         return f"{self.label}({self.var})"
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(FrozenRecord):
     """``∀vars. input -> output`` over line languages."""
 
-    input: TypeExpr
-    output: TypeExpr
-    vars: tuple = ()
-    label: str = ""
+    __slots__ = ("input", "output", "vars", "label")
+
+    def __init__(self, input: TypeExpr, output: TypeExpr, vars: tuple = (), label: str = ""):
+        set_field(self, "input", input)
+        set_field(self, "output", output)
+        set_field(self, "vars", vars)
+        set_field(self, "label", label)
 
     def __str__(self) -> str:
         quant = ""

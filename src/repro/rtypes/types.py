@@ -9,7 +9,6 @@ which is exactly the Fig. 5 bug signal (``grep '^desc'`` composed with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
 from ..rlang import Regex

@@ -8,9 +8,9 @@ suffix-strip operation on ``$0``, not as an opaque string.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
+from ..records import Record
 from .tokens import Position
 
 # ---------------------------------------------------------------------------
@@ -18,22 +18,23 @@ from .tokens import Position
 # ---------------------------------------------------------------------------
 
 
-class Part:
+class Part(Record):
     """Base class for word parts."""
 
     __slots__ = ()
 
 
-@dataclass
 class LiteralPart(Part):
     """Literal text; ``quoted`` marks text under quotes or backslashes
     (immune to field splitting and pathname expansion)."""
 
-    text: str
-    quoted: bool = False
+    __slots__ = ("text", "quoted")
+
+    def __init__(self, text: str, quoted: bool = False):
+        self.text = text
+        self.quoted = quoted
 
 
-@dataclass
 class ParamPart(Part):
     """Parameter expansion ``$name`` / ``${name}`` / ``${name<op>word}``.
 
@@ -42,48 +43,72 @@ class ParamPart(Part):
     ``quoted`` is True inside double quotes (no field splitting).
     """
 
-    name: str
-    op: Optional[str] = None
-    arg: Optional["Word"] = None
-    quoted: bool = False
+    __slots__ = ("name", "op", "arg", "quoted")
+
+    def __init__(
+        self,
+        name: str,
+        op: Optional[str] = None,
+        arg: Optional["Word"] = None,
+        quoted: bool = False,
+    ):
+        self.name = name
+        self.op = op
+        self.arg = arg
+        self.quoted = quoted
 
 
-@dataclass
 class CmdSubPart(Part):
     """Command substitution ``$(...)`` or `` `...` ``."""
 
-    command: "Command"
-    source: str = ""
-    quoted: bool = False
+    __slots__ = ("command", "source", "quoted")
+
+    def __init__(self, command: "Command", source: str = "", quoted: bool = False):
+        self.command = command
+        self.source = source
+        self.quoted = quoted
 
 
-@dataclass
 class ArithPart(Part):
     """Arithmetic expansion ``$((expr))`` (expression kept as text)."""
 
-    expr: str
-    quoted: bool = False
+    __slots__ = ("expr", "quoted")
+
+    def __init__(self, expr: str, quoted: bool = False):
+        self.expr = expr
+        self.quoted = quoted
 
 
-@dataclass
 class GlobPart(Part):
     """An unquoted pathname-expansion metacharacter (``*`` or ``?``)."""
 
-    char: str
+    __slots__ = ("char",)
+
+    def __init__(self, char: str):
+        self.char = char
 
 
-@dataclass
 class TildePart(Part):
     """A leading unquoted ``~`` or ``~user``."""
 
-    user: str = ""
+    __slots__ = ("user",)
+
+    def __init__(self, user: str = ""):
+        self.user = user
 
 
-@dataclass
-class Word:
-    parts: List[Part] = field(default_factory=list)
-    raw: str = ""
-    pos: Position = field(default_factory=Position)
+class Word(Record):
+    __slots__ = ("parts", "raw", "pos")
+
+    def __init__(
+        self,
+        parts: Optional[List[Part]] = None,
+        raw: str = "",
+        pos: Optional[Position] = None,
+    ):
+        self.parts = [] if parts is None else parts
+        self.raw = raw
+        self.pos = Position() if pos is None else pos
 
     def literal_text(self) -> Optional[str]:
         """The word's static string value, or None if any part expands
@@ -118,36 +143,60 @@ class Word:
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
+#
+# A list- or Position-valued parameter left out (or passed as None) gets
+# a fresh object per instance.
 
 
-class Command:
+class Command(Record):
     """Base class for command AST nodes."""
 
     __slots__ = ()
 
 
-@dataclass
-class Redirect:
-    op: str  # one of < > >> << <<- <& >& <> >|
-    target: Word
-    fd: Optional[int] = None  # explicit IO_NUMBER if present
-    heredoc_body: Optional[str] = None
-    heredoc_quoted: bool = False
+class Redirect(Record):
+    # ``op``: one of < > >> << <<- <& >& <> >|; ``fd``: the explicit
+    # IO_NUMBER if present
+    __slots__ = ("op", "target", "fd", "heredoc_body", "heredoc_quoted")
+
+    def __init__(
+        self,
+        op: str,
+        target: Word,
+        fd: Optional[int] = None,
+        heredoc_body: Optional[str] = None,
+        heredoc_quoted: bool = False,
+    ):
+        self.op = op
+        self.target = target
+        self.fd = fd
+        self.heredoc_body = heredoc_body
+        self.heredoc_quoted = heredoc_quoted
 
 
-@dataclass
-class Assignment:
-    name: str
-    value: Word
-    pos: Position = field(default_factory=Position)
+class Assignment(Record):
+    __slots__ = ("name", "value", "pos")
+
+    def __init__(self, name: str, value: Word, pos: Optional[Position] = None):
+        self.name = name
+        self.value = value
+        self.pos = Position() if pos is None else pos
 
 
-@dataclass
 class SimpleCommand(Command):
-    words: List[Word] = field(default_factory=list)
-    assignments: List[Assignment] = field(default_factory=list)
-    redirects: List[Redirect] = field(default_factory=list)
-    pos: Position = field(default_factory=Position)
+    __slots__ = ("words", "assignments", "redirects", "pos")
+
+    def __init__(
+        self,
+        words: Optional[List[Word]] = None,
+        assignments: Optional[List[Assignment]] = None,
+        redirects: Optional[List[Redirect]] = None,
+        pos: Optional[Position] = None,
+    ):
+        self.words = [] if words is None else words
+        self.assignments = [] if assignments is None else assignments
+        self.redirects = [] if redirects is None else redirects
+        self.pos = Position() if pos is None else pos
 
     @property
     def name(self) -> Optional[str]:
@@ -157,108 +206,176 @@ class SimpleCommand(Command):
         return None
 
 
-@dataclass
 class Pipeline(Command):
     """``a | b | c`` with optional leading ``!``."""
 
-    commands: List[Command]
-    negated: bool = False
-    pos: Position = field(default_factory=Position)
+    __slots__ = ("commands", "negated", "pos")
+
+    def __init__(
+        self, commands: List[Command], negated: bool = False, pos: Optional[Position] = None
+    ):
+        self.commands = commands
+        self.negated = negated
+        self.pos = Position() if pos is None else pos
 
 
-@dataclass
 class AndOr(Command):
     """``left && right`` or ``left || right`` (left associative)."""
 
-    left: Command
-    op: str  # "&&" or "||"
-    right: Command
-    pos: Position = field(default_factory=Position)
+    __slots__ = ("left", "op", "right", "pos")
+
+    def __init__(
+        self, left: Command, op: str, right: Command, pos: Optional[Position] = None
+    ):
+        self.left = left
+        self.op = op  # "&&" or "||"
+        self.right = right
+        self.pos = Position() if pos is None else pos
 
 
-@dataclass
 class Sequence(Command):
     """Commands separated by ``;`` or newline."""
 
-    commands: List[Command]
-    pos: Position = field(default_factory=Position)
+    __slots__ = ("commands", "pos")
+
+    def __init__(self, commands: List[Command], pos: Optional[Position] = None):
+        self.commands = commands
+        self.pos = Position() if pos is None else pos
 
 
-@dataclass
 class Background(Command):
     """``cmd &``"""
 
-    command: Command
-    pos: Position = field(default_factory=Position)
+    __slots__ = ("command", "pos")
+
+    def __init__(self, command: Command, pos: Optional[Position] = None):
+        self.command = command
+        self.pos = Position() if pos is None else pos
 
 
-@dataclass
 class Subshell(Command):
-    body: Command
-    redirects: List[Redirect] = field(default_factory=list)
-    pos: Position = field(default_factory=Position)
+    __slots__ = ("body", "redirects", "pos")
+
+    def __init__(
+        self,
+        body: Command,
+        redirects: Optional[List[Redirect]] = None,
+        pos: Optional[Position] = None,
+    ):
+        self.body = body
+        self.redirects = [] if redirects is None else redirects
+        self.pos = Position() if pos is None else pos
 
 
-@dataclass
 class BraceGroup(Command):
-    body: Command
-    redirects: List[Redirect] = field(default_factory=list)
-    pos: Position = field(default_factory=Position)
+    __slots__ = ("body", "redirects", "pos")
+
+    def __init__(
+        self,
+        body: Command,
+        redirects: Optional[List[Redirect]] = None,
+        pos: Optional[Position] = None,
+    ):
+        self.body = body
+        self.redirects = [] if redirects is None else redirects
+        self.pos = Position() if pos is None else pos
 
 
-@dataclass
 class If(Command):
-    cond: Command
-    then: Command
-    elifs: List["ElifClause"] = field(default_factory=list)
-    else_: Optional[Command] = None
-    redirects: List[Redirect] = field(default_factory=list)
-    pos: Position = field(default_factory=Position)
+    __slots__ = ("cond", "then", "elifs", "else_", "redirects", "pos")
+
+    def __init__(
+        self,
+        cond: Command,
+        then: Command,
+        elifs: Optional[List["ElifClause"]] = None,
+        else_: Optional[Command] = None,
+        redirects: Optional[List[Redirect]] = None,
+        pos: Optional[Position] = None,
+    ):
+        self.cond = cond
+        self.then = then
+        self.elifs = [] if elifs is None else elifs
+        self.else_ = else_
+        self.redirects = [] if redirects is None else redirects
+        self.pos = Position() if pos is None else pos
 
 
-@dataclass
-class ElifClause:
-    cond: Command
-    then: Command
+class ElifClause(Record):
+    __slots__ = ("cond", "then")
+
+    def __init__(self, cond: Command, then: Command):
+        self.cond = cond
+        self.then = then
 
 
-@dataclass
 class While(Command):
-    cond: Command
-    body: Command
-    until: bool = False  # True for `until` loops
-    redirects: List[Redirect] = field(default_factory=list)
-    pos: Position = field(default_factory=Position)
+    __slots__ = ("cond", "body", "until", "redirects", "pos")
+
+    def __init__(
+        self,
+        cond: Command,
+        body: Command,
+        until: bool = False,
+        redirects: Optional[List[Redirect]] = None,
+        pos: Optional[Position] = None,
+    ):
+        self.cond = cond
+        self.body = body
+        self.until = until  # True for `until` loops
+        self.redirects = [] if redirects is None else redirects
+        self.pos = Position() if pos is None else pos
 
 
-@dataclass
 class For(Command):
-    var: str
-    words: Optional[List[Word]]  # None means implicit `in "$@"`
-    body: Command
-    redirects: List[Redirect] = field(default_factory=list)
-    pos: Position = field(default_factory=Position)
+    __slots__ = ("var", "words", "body", "redirects", "pos")
+
+    def __init__(
+        self,
+        var: str,
+        words: Optional[List[Word]],
+        body: Command,
+        redirects: Optional[List[Redirect]] = None,
+        pos: Optional[Position] = None,
+    ):
+        self.var = var
+        self.words = words  # None means implicit `in "$@"`
+        self.body = body
+        self.redirects = [] if redirects is None else redirects
+        self.pos = Position() if pos is None else pos
 
 
-@dataclass
-class CaseItem:
-    patterns: List[Word]
-    body: Optional[Command]
+class CaseItem(Record):
+    __slots__ = ("patterns", "body")
+
+    def __init__(self, patterns: List[Word], body: Optional[Command]):
+        self.patterns = patterns
+        self.body = body
 
 
-@dataclass
 class Case(Command):
-    subject: Word
-    items: List[CaseItem] = field(default_factory=list)
-    redirects: List[Redirect] = field(default_factory=list)
-    pos: Position = field(default_factory=Position)
+    __slots__ = ("subject", "items", "redirects", "pos")
+
+    def __init__(
+        self,
+        subject: Word,
+        items: Optional[List[CaseItem]] = None,
+        redirects: Optional[List[Redirect]] = None,
+        pos: Optional[Position] = None,
+    ):
+        self.subject = subject
+        self.items = [] if items is None else items
+        self.redirects = [] if redirects is None else redirects
+        self.pos = Position() if pos is None else pos
 
 
-@dataclass
 class FunctionDef(Command):
-    name: str
-    body: Command
-    pos: Position = field(default_factory=Position)
+    __slots__ = ("name", "body", "pos")
+
+    def __init__(self, name: str, body: Command, pos: Optional[Position] = None):
+        self.name = name
+        self.body = body
+        self.pos = Position() if pos is None else pos
 
 
 def walk(node: Union[Command, None]):

@@ -10,7 +10,6 @@ uninformative, metamorphic relation).
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import List, Optional
 
 from .ast import (
@@ -51,7 +50,7 @@ def _quotable(raw: str) -> bool:
 
 def _quote_word(word: Word, enabled: bool) -> Word:
     if enabled and _quotable(word.raw):
-        return replace(word, raw=f'"{word.raw}"')
+        return Word(word.parts, f'"{word.raw}"', word.pos)
     return word
 
 
@@ -73,52 +72,44 @@ def quote_literals(node: Command) -> Command:
             Assignment(a.name, _quote_word(a.value, enabled=True), a.pos)
             for a in node.assignments
         ]
-        return replace(node, words=words, assignments=assignments)
+        return SimpleCommand(words, assignments, node.redirects, node.pos)
     if isinstance(node, Pipeline):
-        return replace(node, commands=[quote_literals(c) for c in node.commands])
+        return Pipeline([quote_literals(c) for c in node.commands], node.negated, node.pos)
     if isinstance(node, AndOr):
-        return replace(
-            node, left=quote_literals(node.left), right=quote_literals(node.right)
-        )
+        return AndOr(quote_literals(node.left), node.op, quote_literals(node.right), node.pos)
     if isinstance(node, Sequence):
-        return replace(node, commands=[quote_literals(c) for c in node.commands])
+        return Sequence([quote_literals(c) for c in node.commands], node.pos)
     if isinstance(node, Background):
-        return replace(node, command=quote_literals(node.command))
+        return Background(quote_literals(node.command), node.pos)
     if isinstance(node, (Subshell, BraceGroup)):
-        return replace(node, body=quote_literals(node.body))
+        return type(node)(quote_literals(node.body), node.redirects, node.pos)
     if isinstance(node, If):
-        return replace(
-            node,
-            cond=quote_literals(node.cond),
-            then=quote_literals(node.then),
-            elifs=[
-                ElifClause(quote_literals(e.cond), quote_literals(e.then))
-                for e in node.elifs
-            ],
-            else_=quote_literals(node.else_) if node.else_ is not None else None,
+        return If(
+            quote_literals(node.cond),
+            quote_literals(node.then),
+            [ElifClause(quote_literals(e.cond), quote_literals(e.then)) for e in node.elifs],
+            quote_literals(node.else_) if node.else_ is not None else None,
+            node.redirects,
+            node.pos,
         )
     if isinstance(node, While):
-        return replace(
-            node, cond=quote_literals(node.cond), body=quote_literals(node.body)
+        return While(
+            quote_literals(node.cond), quote_literals(node.body), node.until,
+            node.redirects, node.pos,
         )
     if isinstance(node, For):
         words: Optional[List[Word]] = node.words
         if words is not None:
             words = [_quote_word(w, enabled=True) for w in words]
-        return replace(node, words=words, body=quote_literals(node.body))
+        return For(node.var, words, quote_literals(node.body), node.redirects, node.pos)
     if isinstance(node, Case):
-        return replace(
-            node,
-            items=[
-                CaseItem(
-                    item.patterns,
-                    quote_literals(item.body) if item.body is not None else None,
-                )
-                for item in node.items
-            ],
-        )
+        items = [
+            CaseItem(item.patterns, quote_literals(item.body) if item.body is not None else None)
+            for item in node.items
+        ]
+        return Case(node.subject, items, node.redirects, node.pos)
     if isinstance(node, FunctionDef):
-        return replace(node, body=quote_literals(node.body))
+        return FunctionDef(node.name, quote_literals(node.body), node.pos)
     return node
 
 

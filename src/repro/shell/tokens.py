@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum, auto
 from typing import Optional
+
+from ..records import Record
 
 
 class TokenKind(Enum):
@@ -59,30 +60,43 @@ RESERVED_WORDS = {
 }
 
 
-@dataclass
-class Position:
+class Position(Record):
     """Line/column position (1-based) within the source script."""
 
-    line: int = 1
-    col: int = 1
-    offset: int = 0
+    __slots__ = ("line", "col", "offset")
+
+    def __init__(self, line: int = 1, col: int = 1, offset: int = 0):
+        self.line = line
+        self.col = col
+        self.offset = offset
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}"
 
 
-@dataclass
-class Token:
-    kind: TokenKind
-    text: str
-    pos: Position = field(default_factory=Position)
-    #: For WORD tokens: the raw source slice including quotes/expansions.
-    #: (``text`` equals ``raw`` for words; kept separate for clarity.)
-    raw: Optional[str] = None
-    #: For ``<<`` heredoc redirections, the collected body (filled by lexer).
-    heredoc_body: Optional[str] = None
-    #: True when a heredoc delimiter was quoted (suppresses expansion).
-    heredoc_quoted: bool = False
+class Token(Record):
+    # ``raw``: for WORD tokens, the raw source slice including
+    # quotes/expansions (``text`` equals ``raw`` for words; kept separate
+    # for clarity).  ``heredoc_body``: for ``<<`` heredoc redirections,
+    # the collected body (filled by the lexer).  ``heredoc_quoted``: the
+    # heredoc delimiter was quoted (suppresses expansion).
+    __slots__ = ("kind", "text", "pos", "raw", "heredoc_body", "heredoc_quoted")
+
+    def __init__(
+        self,
+        kind: TokenKind,
+        text: str,
+        pos: Optional[Position] = None,
+        raw: Optional[str] = None,
+        heredoc_body: Optional[str] = None,
+        heredoc_quoted: bool = False,
+    ):
+        self.kind = kind
+        self.text = text
+        self.pos = Position() if pos is None else pos
+        self.raw = raw
+        self.heredoc_body = heredoc_body
+        self.heredoc_quoted = heredoc_quoted
 
     def is_op(self, *texts: str) -> bool:
         return self.kind is TokenKind.OPERATOR and self.text in texts

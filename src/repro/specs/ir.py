@@ -15,10 +15,10 @@ the effects, and continues with the clause's exit code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum, auto
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from ..records import FrozenRecord, Record, set_field
 from ..rtypes import Signature, StreamType
 
 
@@ -42,30 +42,36 @@ class Sel(Enum):
 # -- preconditions -------------------------------------------------------------
 
 
-class Pre:
+class Pre(FrozenRecord):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Exists(Pre):
-    sel: Sel = Sel.EACH
-    kind: PathKind = PathKind.ANY
+    __slots__ = ("sel", "kind")
+
+    def __init__(self, sel: Sel = Sel.EACH, kind: PathKind = PathKind.ANY):
+        set_field(self, "sel", sel)
+        set_field(self, "kind", kind)
 
     def __str__(self) -> str:
         return f"(∃ {_sel(self.sel)}:{self.kind.name.lower()})"
 
 
-@dataclass(frozen=True)
 class Absent(Pre):
-    sel: Sel = Sel.EACH
+    __slots__ = ("sel",)
+
+    def __init__(self, sel: Sel = Sel.EACH):
+        set_field(self, "sel", sel)
 
     def __str__(self) -> str:
         return f"(∄ {_sel(self.sel)})"
 
 
-@dataclass(frozen=True)
 class ParentExists(Pre):
-    sel: Sel = Sel.EACH
+    __slots__ = ("sel",)
+
+    def __init__(self, sel: Sel = Sel.EACH):
+        set_field(self, "sel", sel)
 
     def __str__(self) -> str:
         return f"(∃ dirname {_sel(self.sel)})"
@@ -74,67 +80,82 @@ class ParentExists(Pre):
 # -- effects ----------------------------------------------------------------------
 
 
-class Effect:
+class Effect(FrozenRecord):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Deletes(Effect):
-    sel: Sel = Sel.EACH
-    recursive: bool = False
+    __slots__ = ("sel", "recursive")
+
+    def __init__(self, sel: Sel = Sel.EACH, recursive: bool = False):
+        set_field(self, "sel", sel)
+        set_field(self, "recursive", recursive)
 
     def __str__(self) -> str:
         extra = " -r" if self.recursive else ""
         return f"delete{extra} {_sel(self.sel)}"
 
 
-@dataclass(frozen=True)
 class Creates(Effect):
-    sel: Sel = Sel.EACH
-    kind: PathKind = PathKind.FILE
-    ensure_parents: bool = False
+    __slots__ = ("sel", "kind", "ensure_parents")
+
+    def __init__(
+        self, sel: Sel = Sel.EACH, kind: PathKind = PathKind.FILE, ensure_parents: bool = False
+    ):
+        set_field(self, "sel", sel)
+        set_field(self, "kind", kind)
+        set_field(self, "ensure_parents", ensure_parents)
 
     def __str__(self) -> str:
         return f"create {self.kind.name.lower()} {_sel(self.sel)}"
 
 
-@dataclass(frozen=True)
 class WritesFile(Effect):
-    sel: Sel = Sel.EACH
+    __slots__ = ("sel",)
+
+    def __init__(self, sel: Sel = Sel.EACH):
+        set_field(self, "sel", sel)
 
     def __str__(self) -> str:
         return f"write {_sel(self.sel)}"
 
 
-@dataclass(frozen=True)
 class ReadsFile(Effect):
-    sel: Sel = Sel.EACH
+    __slots__ = ("sel",)
+
+    def __init__(self, sel: Sel = Sel.EACH):
+        set_field(self, "sel", sel)
 
     def __str__(self) -> str:
         return f"read {_sel(self.sel)}"
 
 
-@dataclass(frozen=True)
 class ListsDir(Effect):
-    sel: Sel = Sel.EACH
+    __slots__ = ("sel",)
+
+    def __init__(self, sel: Sel = Sel.EACH):
+        set_field(self, "sel", sel)
 
     def __str__(self) -> str:
         return f"list {_sel(self.sel)}"
 
 
-@dataclass(frozen=True)
 class CopiesTo(Effect):
     """Copy/move sources to the last operand."""
 
-    move: bool = False
+    __slots__ = ("move",)
+
+    def __init__(self, move: bool = False):
+        set_field(self, "move", move)
 
     def __str__(self) -> str:
         return "move sources -> last" if self.move else "copy sources -> last"
 
 
-@dataclass(frozen=True)
 class LinksTo(Effect):
     """Create the last operand as a symlink to the first (ln -s)."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return "symlink $dst -> $p0"
@@ -152,18 +173,35 @@ def _sel(sel: Sel) -> str:
 # -- clauses and specs -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Clause:
-    """A guarded Hoare triple."""
+class Clause(FrozenRecord):
+    """A guarded Hoare triple.
 
-    pre: Tuple[Pre, ...] = ()
-    effects: Tuple[Effect, ...] = ()
-    exit_code: int = 0
-    #: guard: flags that must all be present / absent for this clause
-    requires_flags: FrozenSet[str] = frozenset()
-    forbids_flags: FrozenSet[str] = frozenset()
-    stderr: bool = False  # clause produces stderr output
-    note: str = ""
+    The guard: ``requires_flags`` must all be present and
+    ``forbids_flags`` all absent for this clause; ``stderr`` marks a
+    clause that produces stderr output.
+    """
+
+    __slots__ = (
+        "pre", "effects", "exit_code", "requires_flags", "forbids_flags", "stderr", "note"
+    )
+
+    def __init__(
+        self,
+        pre: Tuple[Pre, ...] = (),
+        effects: Tuple[Effect, ...] = (),
+        exit_code: int = 0,
+        requires_flags: FrozenSet[str] = frozenset(),
+        forbids_flags: FrozenSet[str] = frozenset(),
+        stderr: bool = False,
+        note: str = "",
+    ):
+        set_field(self, "pre", pre)
+        set_field(self, "effects", effects)
+        set_field(self, "exit_code", exit_code)
+        set_field(self, "requires_flags", requires_flags)
+        set_field(self, "forbids_flags", forbids_flags)
+        set_field(self, "stderr", stderr)
+        set_field(self, "note", note)
 
     def applicable(self, flags: FrozenSet[str]) -> bool:
         return self.requires_flags <= flags and not (self.forbids_flags & flags)
@@ -177,14 +215,19 @@ class Clause:
         return f"{{{pre}}} {invocation} {{{post}}}"
 
 
-@dataclass
-class Invocation:
-    """A parsed argv: flags (with values) and positional operands."""
+class Invocation(Record):
+    """A parsed argv: flags (with values) and positional operands
+    (indices into the original word list)."""
 
-    name: str
-    flags: FrozenSet[str]
-    flag_values: Dict[str, str]
-    operands: List[int]  # indices into the original word list
+    __slots__ = ("name", "flags", "flag_values", "operands")
+
+    def __init__(
+        self, name: str, flags: FrozenSet[str], flag_values: Dict[str, str], operands: List[int]
+    ):
+        self.name = name
+        self.flags = flags
+        self.flag_values = flag_values
+        self.operands = operands
 
     def has(self, *flags: str) -> bool:
         return any(f in self.flags for f in flags)
@@ -194,31 +237,54 @@ class SpecParseError(ValueError):
     """argv does not satisfy the command's invocation syntax."""
 
 
-@dataclass
-class CommandSpec:
-    """Specification of one command."""
+class CommandSpec(Record):
+    """Specification of one command.
 
-    name: str
-    #: single-char flags; value = True when the flag consumes an argument
-    options: Dict[str, bool] = field(default_factory=dict)
-    long_options: Dict[str, bool] = field(default_factory=dict)
-    clauses: List[Clause] = field(default_factory=list)
-    min_operands: int = 0
-    max_operands: Optional[int] = None
-    #: output stream type produced on success (None = no stdout / unknown)
-    stdout: Optional[StreamType] = None
-    #: stream-transformer signature (overrides stdout when present)
-    signature: Optional[Signature] = None
-    #: flags available per platform (E15); missing flag = portable
-    platform_flags: Dict[str, FrozenSet[str]] = field(default_factory=dict)
-    #: operands are paths (drives fs reasoning)
-    operands_are_paths: bool = True
-    #: index of the first path operand, for commands whose leading
-    #: operand(s) are not paths (``grep pattern file...`` → 1); only
-    #: meaningful when ``operands_are_paths`` is True
-    path_operands_from: int = 0
-    #: free-form documentation line (mirrors the man page's NAME section)
-    summary: str = ""
+    ``options``/``long_options`` map a flag to True when it consumes an
+    argument.  ``stdout`` is the output stream type produced on success
+    (None = no stdout / unknown); ``signature``, when present, is the
+    stream-transformer signature and overrides it.  ``platform_flags``
+    gives the platforms each flag is available on (E15); a missing flag
+    is portable.  ``operands_are_paths`` drives fs reasoning;
+    ``path_operands_from`` is the index of the first path operand, for
+    commands whose leading operand(s) are not paths (``grep pattern
+    file...`` → 1).  ``summary`` is a free-form documentation line
+    (mirrors the man page's NAME section).
+    """
+
+    __slots__ = (
+        "name", "options", "long_options", "clauses", "min_operands", "max_operands",
+        "stdout", "signature", "platform_flags", "operands_are_paths",
+        "path_operands_from", "summary",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        options: Optional[Dict[str, bool]] = None,
+        long_options: Optional[Dict[str, bool]] = None,
+        clauses: Optional[List[Clause]] = None,
+        min_operands: int = 0,
+        max_operands: Optional[int] = None,
+        stdout: Optional[StreamType] = None,
+        signature: Optional[Signature] = None,
+        platform_flags: Optional[Dict[str, FrozenSet[str]]] = None,
+        operands_are_paths: bool = True,
+        path_operands_from: int = 0,
+        summary: str = "",
+    ):
+        self.name = name
+        self.options = {} if options is None else options
+        self.long_options = {} if long_options is None else long_options
+        self.clauses = [] if clauses is None else clauses
+        self.min_operands = min_operands
+        self.max_operands = max_operands
+        self.stdout = stdout
+        self.signature = signature
+        self.platform_flags = {} if platform_flags is None else platform_flags
+        self.operands_are_paths = operands_are_paths
+        self.path_operands_from = path_operands_from
+        self.summary = summary
 
     # -- argv parsing (XBD utility syntax guidelines) -------------------------
 

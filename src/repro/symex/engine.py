@@ -8,13 +8,13 @@ variables, and prunes via concrete state whenever possible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..checkers.base import Checker
 from ..diag import Diagnostic, Severity, dedupe
 from ..fs import FsContradiction, FsOp, NodeKind, Origin, parse_sympath
 from ..obs import Recorder, get_recorder
+from ..records import Record
 from ..rlang import Regex
 from ..rlang.table import run_table
 from ..rtypes import StreamType, check_pipeline
@@ -67,15 +67,24 @@ from .state import BgJob, SymState
 SCRIPT_PATH_RE = r"/?([^/\n]*/)*[^/\n]+"
 
 
-@dataclass
-class ExecResult:
+class ExecResult(Record):
     """Outcome of exploring a script."""
 
-    states: List[SymState]
-    diagnostics: List[Diagnostic]
-    paths_explored: int = 0
-    paths_merged: int = 0
-    truncations: int = 0
+    __slots__ = ("states", "diagnostics", "paths_explored", "paths_merged", "truncations")
+
+    def __init__(
+        self,
+        states: List[SymState],
+        diagnostics: List[Diagnostic],
+        paths_explored: int = 0,
+        paths_merged: int = 0,
+        truncations: int = 0,
+    ):
+        self.states = states
+        self.diagnostics = diagnostics
+        self.paths_explored = paths_explored
+        self.paths_merged = paths_merged
+        self.truncations = truncations
 
     def by_code(self, code: str) -> List[Diagnostic]:
         return [d for d in self.diagnostics if d.code == code]

@@ -20,11 +20,11 @@ merging hashes a state without sorting its bindings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..diag import Diagnostic
 from ..fs import FileSystem
+from ..records import FrozenRecord, Record, set_field
 from ..rlang import Regex
 from ..rtypes import StreamType
 from ..shell.ast import Command
@@ -36,33 +36,48 @@ Status = Optional[int]
 STATUS_UNKNOWN: Status = None
 
 
-@dataclass(frozen=True)
-class BgJob:
+class BgJob(FrozenRecord):
     """A live (unwaited) background job on one symbolic path.
 
     ``number`` is the shell job number (1-based, in launch order, the
     ``%1`` of ``wait %1``); ``region`` is the event-log region id whose
     open/close markers delimit where the job's effects may interleave.
+    ``pos`` is the source position, excluded from equality and hashing:
+    Position is mutable, and two states differing only in a job's
+    position should still merge.
     """
 
-    number: int
-    region: int
-    label: str = ""
-    #: source position (excluded from identity: Position is mutable, and
-    #: two states differing only in a job's position should still merge)
-    pos: Optional[object] = field(default=None, compare=False)
+    __slots__ = ("number", "region", "label", "pos")
+
+    def __init__(self, number: int, region: int, label: str = "", pos: Optional[object] = None):
+        set_field(self, "number", number)
+        set_field(self, "region", region)
+        set_field(self, "label", label)
+        set_field(self, "pos", pos)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.number, self.region, self.label) == (
+                other.number, other.region, other.label
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.number, self.region, self.label))
 
 
-@dataclass
-class StdoutChunk:
+class StdoutChunk(Record):
     """A piece of captured standard output.
 
     Either concrete-ish ``text`` (a SymString) or a stream of lines with
     a regular ``stream`` type (from a pipeline or an opaque command).
     """
 
-    text: Optional[SymString] = None
-    stream: Optional[StreamType] = None
+    __slots__ = ("text", "stream")
+
+    def __init__(self, text: Optional[SymString] = None, stream: Optional[StreamType] = None):
+        self.text = text
+        self.stream = stream
 
     @classmethod
     def of_text(cls, text: SymString) -> "StdoutChunk":

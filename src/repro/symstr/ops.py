@@ -10,25 +10,32 @@ the two-outcome analysis the paper walks through for the Steam bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from ..records import Record
 from ..rlang import Regex
 from .store import ConstraintStore
 from .value import SymString
 
 
-@dataclass
-class ExpansionCase:
+class ExpansionCase(Record):
     """One outcome of a symbolic expansion.
 
     ``refinements`` narrow existing variables in the forked path where
     this case holds; ``note`` documents the case for diagnostics.
     """
 
-    result: SymString
-    refinements: List[Tuple[int, Regex]] = field(default_factory=list)
-    note: str = ""
+    __slots__ = ("result", "refinements", "note")
+
+    def __init__(
+        self,
+        result: SymString,
+        refinements: Optional[List[Tuple[int, Regex]]] = None,
+        note: str = "",
+    ):
+        self.result = result
+        self.refinements = [] if refinements is None else refinements
+        self.note = note
 
 
 def strip_suffix(

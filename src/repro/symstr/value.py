@@ -2,25 +2,28 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple, Union
 
+from ..records import FrozenRecord, set_field
 from ..rlang import Regex
 from .store import ConstraintStore
 
 
-@dataclass(frozen=True)
-class LitAtom:
-    text: str
+class LitAtom(FrozenRecord):
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        set_field(self, "text", text)
 
 
-@dataclass(frozen=True)
-class VarAtom:
-    vid: int
+class VarAtom(FrozenRecord):
+    __slots__ = ("vid",)
+
+    def __init__(self, vid: int):
+        set_field(self, "vid", vid)
 
 
-@dataclass(frozen=True)
-class GlobAtom:
+class GlobAtom(FrozenRecord):
     """An unexpanded pathname-expansion wildcard (``*`` or ``?``).
 
     In argument position a glob stands for *the matching pathnames*; its
@@ -28,7 +31,10 @@ class GlobAtom:
     pathname expansion does not cross ``/`` boundaries.
     """
 
-    char: str
+    __slots__ = ("char",)
+
+    def __init__(self, char: str):
+        set_field(self, "char", char)
 
 
 Atom = Union[LitAtom, VarAtom, GlobAtom]
@@ -51,6 +57,9 @@ class SymString:
 
     def __setattr__(self, name, value):
         raise AttributeError("SymString is immutable")
+
+    def __reduce__(self):
+        return SymString, (self.atoms,)
 
     # -- constructors --------------------------------------------------------
 

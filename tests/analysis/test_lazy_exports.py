@@ -50,7 +50,14 @@ ONESHOT = """
 import json, sys
 from repro.cli import main
 code = main(["analyze", "examples/scripts/steam_updater.sh"])
-print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+dataclasses = sorted(
+    f"{name}.{value.__qualname__}"
+    for name, module in list(sys.modules.items()) if name.startswith("repro")
+    for value in vars(module).values()
+    if isinstance(value, type) and value.__module__ == name
+    and "__dataclass_fields__" in value.__dict__
+)
+print(json.dumps({"code": code, "modules": sorted(sys.modules), "dataclasses": dataclasses}))
 """
 
 #: what the pipeline, batch and server paths need and a one-shot never does
@@ -68,3 +75,11 @@ def test_one_script_analyze_stays_off_the_batch_and_server_paths(tmp_path):
               if any(name == heavy or name.startswith(heavy + ".") for heavy in HEAVY)]
     assert loaded == []
     assert not (tmp_path / "cache").exists()
+    # each @dataclass exec-compiles its methods at import; see DESIGN.md,
+    # "Record classes", for why the one-shot path uses slotted records
+    assert result["dataclasses"] == ["repro.analysis.pipeline.BatchConfig"], (
+        "a one-shot repro-analyze imports a new @dataclass; make it a "
+        "repro.records record (DESIGN.md, 'Record classes')"
+    )
+    # sha256 is only for crash digests and cache keys
+    assert "hashlib" not in result["modules"]

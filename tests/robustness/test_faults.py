@@ -5,7 +5,6 @@ degraded/internal-error/quarantine entry, never an uncaught exception,
 and degraded results must be provably absent from the cache."""
 
 import os
-from dataclasses import replace
 
 import pytest
 
@@ -162,7 +161,11 @@ class TestWorkerDeath:
                 raise MemoryError("inline crash")
             return real_analyze_source(source, config, budget)
 
-        analyze_op = replace(pipeline_mod.OPS["analyze"], worker=selective_bomb)
+        real_op = pipeline_mod.OPS["analyze"]
+        analyze_op = pipeline_mod.Op(
+            real_op.prefix, real_op.wire, real_op.verb, selective_bomb,
+            real_op.payload_path, real_op.batch_path, real_op.salt, real_op.cacheable,
+        )
         monkeypatch.setitem(pipeline_mod.OPS, "analyze", analyze_op)
         recorder = TraceRecorder()
         with use_recorder(recorder):

@@ -5,10 +5,9 @@ for the structure-preserving rewrites (roundtrip, newlines), and must
 reparse cleanly for all of them.
 """
 
-import dataclasses
-
 import pytest
 
+from repro.records import Record
 from repro.shell.ast import BraceGroup, Sequence
 from repro.shell.parser import parse
 from repro.shell.printer import render
@@ -23,11 +22,9 @@ from repro.shell.rewrite import (
 
 
 def strip_pos(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+    if isinstance(obj, Record):
         return (type(obj).__name__,) + tuple(
-            strip_pos(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-            if f.name != "pos"
+            strip_pos(getattr(obj, name)) for name in obj._fields if name != "pos"
         )
     if isinstance(obj, list):
         return tuple(strip_pos(x) for x in obj)

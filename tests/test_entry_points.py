@@ -31,8 +31,11 @@ SCRIPTS = project_scripts(PYPROJECT.read_text(encoding="utf-8"))
 
 
 def test_every_tool_has_an_entry_point():
-    for tool, function in cli._TOOLS.items():
-        assert SCRIPTS.get(f"repro-{tool}") == f"repro.cli:{function.__name__}", tool
+    """... and every entry point is a tool: the two name the same tools
+    and functions."""
+    assert SCRIPTS == {
+        f"repro-{tool}": f"repro.cli:{function.__name__}" for tool, function in cli._TOOLS.items()
+    }
 
 
 def test_every_entry_point_resolves():
