@@ -17,16 +17,13 @@ and Back Again: Static Analysis for Unix Shell Programs"* (HotOS '25):
 - :mod:`repro.analysis` — the end-to-end analyzer
 """
 
+from .lazy import exports
+
 __version__ = "0.1.0"
 
 __all__ = ["analyze", "Report", "__version__"]
 
-
-def __getattr__(name):
-    # Lazy imports keep `import repro` cheap and avoid import cycles while
-    # submodules are still being assembled.
-    if name in ("analyze", "Report"):
-        from . import analysis
-
-        return getattr(analysis, name)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+#: lazily exported name -> the submodule defining it (lazy imports keep
+#: ``import repro`` cheap and avoid import cycles)
+_LAZY = dict.fromkeys(("analyze", "Report"), "analysis")
+__getattr__ = exports(globals(), _LAZY)

@@ -3,8 +3,7 @@
 The batch, cache and optimize names load on first use (PEP 562), so a
 one-script ``repro-analyze`` does not import those modules."""
 
-from importlib import import_module
-
+from ..lazy import exports
 from .analyzer import analyze
 from .annotations import (
     AnnotationError,
@@ -24,15 +23,7 @@ _LAZY = {
     **dict.fromkeys(("OptimizeBatchResult", "OptimizePlan", "build_plan",
                      "optimize_source"), "optimize"),
 }
-
-
-def __getattr__(name):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
+__getattr__ = exports(globals(), _LAZY)
 
 
 __all__ = ["analyze", "Report", "parse_annotations", "AnnotationSet", "AnnotationError",

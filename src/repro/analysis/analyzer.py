@@ -16,7 +16,6 @@ from typing import List, Optional, Sequence
 
 from ..checkers import Checker, default_checkers
 from ..diag import Diagnostic, Severity, dedupe
-from ..lint import lint as run_lint
 from ..obs import get_recorder
 from ..shell import parse as parse_shell
 from ..shell.lexer import ShellSyntaxError
@@ -31,6 +30,14 @@ from .resilience import (
     internal_error_diagnostic,
     use_budget,
 )
+
+
+def run_lint(source: str) -> List[Diagnostic]:
+    """The syntactic baseline ``include_lint`` merges in; its rules load
+    on first use, so an analysis without it never imports them."""
+    from ..lint import lint
+
+    return lint(source)
 
 
 def analyze(

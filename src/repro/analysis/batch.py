@@ -38,7 +38,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Iterator, List, Optional, Sequence, Tuple
 
-from ..diag import Diagnostic, Severity
+from ..diag import Severity
 from ..obs import get_recorder
 from .cache import ResultCache
 from .pipeline import OPS, BatchConfig
@@ -176,11 +176,8 @@ def run_batch(
             try:
                 with open(path, "r", encoding="utf-8") as handle:
                     source = handle.read()
-            except OSError as exc:
-                unreadable = Diagnostic(
-                    code="read-error", message=str(exc), severity=Severity.ERROR, always=True
-                )
-                slots.append(batch.file_type(path, payload.failure("", unreadable)))
+            except (OSError, UnicodeDecodeError) as exc:
+                slots.append(batch.file_type(path, spec.read_failure(exc)))
                 continue
             key = None
             if cache is not None:

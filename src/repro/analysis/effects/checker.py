@@ -1,9 +1,10 @@
 """The race checker: effect-graph hazard analysis as a Checker.
 
 Runs once per exploration (in ``finish``): builds the effect graph of
-every final state, scans each for interleaving hazards, and aggregates
-the findings across paths (a race found on several paths is reported
-once).
+every final state that started a background job (of every final state
+when the recorder is on), scans each for interleaving hazards, and
+aggregates the findings across paths (a race found on several paths is
+reported once).  The graph and hazard modules load only then.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from ...checkers.base import Checker
 from ...diag import Diagnostic, Severity
 from ...fs import FsOp
 from ...obs import get_recorder
-from .graph import build_effect_graph
-from .hazards import find_hazards
 
 
 class RaceChecker(Checker):
@@ -28,12 +27,19 @@ class RaceChecker(Checker):
         diagnostics: List[Diagnostic] = []
         seen: Set[Tuple] = set()
         with rec.span("analysis.effects"):
-            for state in states:
-                has_bg = any(
-                    event.op is FsOp.BG_OPEN for event in state.fs.log
-                )
-                if not has_bg and not rec.enabled:
-                    continue  # no background jobs: nothing can interleave
+            # without background jobs nothing can interleave: the graph
+            # is built only for the trace, and its modules load only then
+            graphed = [
+                state
+                for state in states
+                if rec.enabled or any(event.op is FsOp.BG_OPEN for event in state.fs.log)
+            ]
+            if not graphed:
+                return diagnostics
+            from .graph import build_effect_graph
+            from .hazards import find_hazards
+
+            for state in graphed:
                 graph = build_effect_graph(state)
                 rec.count("effects.graph_nodes", len(graph.nodes))
                 open_regions = len(graph.open_at_exit)

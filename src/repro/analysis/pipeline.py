@@ -16,48 +16,83 @@ they are used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from importlib import import_module
 from typing import Callable, Optional, Tuple
 
+from ..diag import Diagnostic, Severity
 from ..obs import get_recorder
 from ..records import FrozenRecord, set_field
 from .analyzer import analyze
 from .resilience import ResourceBudget
 
 
-@dataclass(frozen=True)
-class BatchConfig:
+class BatchConfig(FrozenRecord):
     """The analyzer options one request applies to every file.
 
     The one list of analyzer options: every field other than the budget
     fields is an :func:`~repro.analysis.analyzer.analyze` keyword of the
     same name, and the fingerprint, the analyzer keywords and the wire
-    form (``server.protocol``) are all derived from the fields.  Frozen +
-    picklable (crosses the process-pool boundary) and fingerprintable
-    (feeds the cache key, so flipping any option invalidates exactly the
-    affected entries).
+    form (``server.protocol``) are all derived from :attr:`FIELDS`.
+    Frozen + picklable (crosses the process-pool boundary) and
+    fingerprintable (feeds the cache key, so flipping any option
+    invalidates exactly the affected entries).
     """
 
-    #: ``None`` models argv as unknown-at-entry (the default);
-    #: an int asks for that many symbolic positional parameters
-    n_args: Optional[int] = None
-    #: concrete argument values (``--args a b c``); wins over ``n_args``
-    args: Optional[Tuple[str, ...]] = None
-    platform_targets: Optional[Tuple[str, ...]] = None
-    include_lint: bool = False
-    max_fork: int = 64
-    max_loop: int = 2
-    prune: bool = True
-    races: bool = True
-    #: resource limits (``--timeout`` / ``--max-states``), each marked
-    #: with the :class:`ResourceBudget` limit it sets.  Deliberately
-    #: EXCLUDED from :meth:`fingerprint`: a completed report does not
-    #: depend on how generous the budget was, and budget-exhausted
-    #: (degraded) reports are never cached — so results computed under
-    #: one budget are safely reusable under any other.
-    timeout: Optional[float] = field(default=None, metadata={"budget": "deadline"})
-    max_states: Optional[int] = field(default=None, metadata={"budget": "max_states"})
+    __slots__ = (
+        "n_args", "args", "platform_targets", "include_lint", "max_fork", "max_loop",
+        "prune", "races", "timeout", "max_states",
+    )
+
+    #: the field table, in ``__init__`` order: ``(name, default, limit)``.
+    #:
+    #: - ``n_args``: ``None`` models argv as unknown-at-entry (the
+    #:   default); an int asks for that many symbolic positional parameters
+    #: - ``args``: concrete argument values (``--args a b c``); wins over
+    #:   ``n_args``
+    #: - ``timeout`` and ``max_states`` are the resource limits
+    #:   (``--timeout`` / ``--max-states``); ``limit`` names the
+    #:   :class:`ResourceBudget` keyword each sets, and is None for every
+    #:   analyzer option.  The budget fields are deliberately EXCLUDED
+    #:   from :meth:`fingerprint`: a completed report does not depend on
+    #:   how generous the budget was, and budget-exhausted (degraded)
+    #:   reports are never cached — so results computed under one budget
+    #:   are safely reusable under any other.
+    FIELDS = (
+        ("n_args", None, None),
+        ("args", None, None),
+        ("platform_targets", None, None),
+        ("include_lint", False, None),
+        ("max_fork", 64, None),
+        ("max_loop", 2, None),
+        ("prune", True, None),
+        ("races", True, None),
+        ("timeout", None, "deadline"),
+        ("max_states", None, "max_states"),
+    )
+
+    def __init__(
+        self,
+        n_args: Optional[int] = None,
+        args: Optional[Tuple[str, ...]] = None,
+        platform_targets: Optional[Tuple[str, ...]] = None,
+        include_lint: bool = False,
+        max_fork: int = 64,
+        max_loop: int = 2,
+        prune: bool = True,
+        races: bool = True,
+        timeout: Optional[float] = None,
+        max_states: Optional[int] = None,
+    ):
+        set_field(self, "n_args", n_args)
+        set_field(self, "args", args)
+        set_field(self, "platform_targets", platform_targets)
+        set_field(self, "include_lint", include_lint)
+        set_field(self, "max_fork", max_fork)
+        set_field(self, "max_loop", max_loop)
+        set_field(self, "prune", prune)
+        set_field(self, "races", races)
+        set_field(self, "timeout", timeout)
+        set_field(self, "max_states", max_states)
 
     def fingerprint(self) -> str:
         """The cache-key text: every analyzer option, no budget field."""
@@ -66,22 +101,19 @@ class BatchConfig:
 
     def analyze_kwargs(self) -> dict:
         """The analyzer options: every field but the budget fields."""
-        return {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if "budget" not in f.metadata
-        }
+        return {name: getattr(self, name) for name, _, limit in self.FIELDS if limit is None}
 
     def budget(self) -> Optional[ResourceBudget]:
         """The per-file budget this config implies, or None."""
-        limits = {
-            f.metadata["budget"]: getattr(self, f.name)
-            for f in fields(self)
-            if "budget" in f.metadata
-        }
+        limits = {limit: getattr(self, name) for name, _, limit in self.FIELDS if limit}
         if all(value is None for value in limits.values()):
             return None
         return ResourceBudget(**limits)
+
+    def replace(self, **changes) -> "BatchConfig":
+        """A copy with ``changes`` applied (``dataclasses.replace``)."""
+        fields = {name: getattr(self, name) for name in self._fields}
+        return BatchConfig(**{**fields, **changes})
 
 
 # -- workers: module-level, so they pickle across the pool boundary ----------
@@ -180,6 +212,15 @@ class Op(FrozenRecord):
         data = cache.get(key, schema=self.payload_type.SCHEMA_VERSION)
         get_recorder().count(f"{self.prefix}.cache.{'miss' if data is None else 'hit'}")
         return key, data
+
+    def read_failure(self, exc: Exception):
+        """The payload standing in for a script that could not be read
+        (``exc``: an ``OSError``, or a ``UnicodeDecodeError`` for a
+        script that is not UTF-8)."""
+        unreadable = Diagnostic(
+            code="read-error", message=str(exc), severity=Severity.ERROR, always=True
+        )
+        return self.payload_type.failure("", unreadable)
 
     def store(self, cache, key: str, data: dict, value) -> None:
         """Cache ``data`` (``value`` is its loaded form) if it may be."""

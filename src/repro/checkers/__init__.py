@@ -1,9 +1,12 @@
-"""The incorrectness-criteria catalog (paper §4)."""
+"""The incorrectness-criteria catalog (paper §4).
 
+``PlatformChecker`` loads on first use (PEP 562): it runs only when the
+analysis has platform targets."""
+
+from ..lazy import exports
 from .base import Checker
 from .deletion import DangerousDeletionChecker
 from .idempotence import IdempotenceChecker
-from .platform import PlatformChecker
 from .streams import AlwaysFailsChecker, DeadCaseChecker, StreamTypeChecker
 
 
@@ -30,6 +33,8 @@ def default_checkers(platform_targets=None, races=True, isolate=True):
 
         checkers.append(RaceChecker())
     if platform_targets:
+        from .platform import PlatformChecker
+
         checkers.append(PlatformChecker(platform_targets))
     if isolate:
         from ..analysis.resilience import guard_checkers
@@ -37,6 +42,10 @@ def default_checkers(platform_targets=None, races=True, isolate=True):
         checkers = guard_checkers(checkers)
     return checkers
 
+
+#: lazily exported name -> the submodule defining it
+_LAZY = {"PlatformChecker": "platform"}
+__getattr__ = exports(globals(), _LAZY)
 
 __all__ = [
     "Checker",

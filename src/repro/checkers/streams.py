@@ -7,7 +7,6 @@ input's type is the empty language) and the §4 polymorphic-type checks.
 from __future__ import annotations
 
 from ..diag import Diagnostic, Severity
-from ..rtypes import StageIssueKind
 from ..shell.ast import Case, CaseItem, Pipeline
 from .base import Checker
 
@@ -16,6 +15,8 @@ class StreamTypeChecker(Checker):
     name = "stream-types"
 
     def on_pipeline(self, state, node: Pipeline, issues) -> None:
+        from ..rtypes.infer import StageIssueKind  # loaded by the engine's check
+
         for issue in issues:
             if issue.kind is StageIssueKind.DEAD_STREAM:
                 state.warn(

@@ -17,10 +17,9 @@ Without a build step the same entry points are available as
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import List, Optional
 
 from . import __version__
@@ -167,24 +166,31 @@ def _run_op(op_name: str, prog: str, options: argparse.Namespace, emit) -> int:
     """The request path analyze and optimize share: single script versus
     batch, ``--server`` with the inline fallback, the cache flags and the
     exit status.  ``emit(result, single)`` prints the op's result."""
-    from .analysis.pipeline import OPS, BatchConfig
-
-    op = OPS[op_name]
     inputs = options.script
     single = len(inputs) == 1 and (inputs[0] == "-" or os.path.isfile(inputs[0]))
-    source = _read_script(inputs[0]) if single else None
-    config = BatchConfig(
-        n_args=options.n_args,
-        args=tuple(options.args) if options.args else None,
-        platform_targets=tuple(options.platforms) if options.platforms else None,
-        include_lint=options.lint,
-        races=options.races,
-        timeout=options.timeout,
-        max_states=options.max_states,
-    )
-    with _observed(prog, options):
-        result = None
-        if options.server:
+    with _observed(prog, options) as recorder:
+        # the analysis code is most of a one-shot process's cost: --stats
+        # shows its import as a phase of its own
+        with recorder.span("cli.import") if recorder else nullcontext():
+            from .analysis.pipeline import OPS, BatchConfig
+
+        op = OPS[op_name]
+        config = BatchConfig(
+            n_args=options.n_args,
+            args=tuple(options.args) if options.args else None,
+            platform_targets=tuple(options.platforms) if options.platforms else None,
+            include_lint=options.lint,
+            races=options.races,
+            timeout=options.timeout,
+            max_states=options.max_states,
+        )
+        result = source = None
+        if single:
+            try:
+                source = _read_script(inputs[0])
+            except (OSError, UnicodeDecodeError) as exc:
+                result = op.read_failure(exc)  # as batch mode reports it
+        if result is None and options.server:
             result = _run_via_server(prog, op_name, options, config, source, inputs)
         if result is None:
             cache = None
@@ -330,6 +336,8 @@ def main_optimize(argv: Optional[List[str]] = None) -> int:
     def emit(result, single: bool) -> None:
         print(result.render())
         if options.plan:
+            import json
+
             document = (
                 result.to_dict()
                 if single
@@ -915,6 +923,8 @@ def main_difftest(argv: Optional[List[str]] = None) -> int:
         )
 
     if options.baseline:
+        import json
+
         try:
             with open(options.baseline, "r", encoding="utf-8") as handle:
                 baseline = json.load(handle)

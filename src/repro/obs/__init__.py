@@ -28,10 +28,12 @@ be swapped per invocation.  :func:`use_recorder` is the one way to
 install a recorder, and it scopes to the calling thread, like
 ``resilience.use_budget``: concurrent server requests each record into
 their own.
+
+The ops logger and the metric types load on first use (PEP 562): an
+analysis with the no-op recorder never imports them.
 """
 
-from .log import NullOpsLogger, OpsLogger
-from .metrics import Histogram, MetricsSnapshot
+from ..lazy import exports
 from .recorder import (
     NullRecorder,
     Recorder,
@@ -41,6 +43,14 @@ from .recorder import (
     traced,
     use_recorder,
 )
+
+#: lazily exported name -> the submodule defining it
+_LAZY = {
+    **dict.fromkeys(("NullOpsLogger", "OpsLogger"), "log"),
+    **dict.fromkeys(("Histogram", "MetricsSnapshot"), "metrics"),
+}
+__getattr__ = exports(globals(), _LAZY)
+
 
 __all__ = [
     "Histogram",

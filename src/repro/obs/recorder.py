@@ -18,9 +18,10 @@ import functools
 import threading
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional
 
-from .metrics import Histogram, MetricsSnapshot
+if TYPE_CHECKING:  # imported where a histogram or a snapshot is built
+    from .metrics import Histogram, MetricsSnapshot
 
 
 class SpanRecord:
@@ -82,6 +83,8 @@ class Recorder:
         return 0
 
     def snapshot(self) -> MetricsSnapshot:
+        from .metrics import MetricsSnapshot
+
         return MetricsSnapshot()
 
     def absorb(self, snapshot: MetricsSnapshot) -> None:
@@ -189,6 +192,8 @@ class TraceRecorder(Recorder):
     def observe(self, name: str, value: float) -> None:
         histogram = self.histograms.get(name)
         if histogram is None:
+            from .metrics import Histogram
+
             histogram = self.histograms[name] = Histogram()
         histogram.add(value)
 
@@ -196,9 +201,13 @@ class TraceRecorder(Recorder):
         return self.counters.get(name, 0)
 
     def histogram(self, name: str) -> Histogram:
+        from .metrics import Histogram
+
         return self.histograms.get(name, Histogram())
 
     def snapshot(self) -> MetricsSnapshot:
+        from .metrics import MetricsSnapshot
+
         return MetricsSnapshot(
             counters=dict(self.counters),
             histograms={
@@ -216,6 +225,8 @@ class TraceRecorder(Recorder):
             for name, histogram in snapshot.histograms.items():
                 mine = self.histograms.get(name)
                 if mine is None:
+                    from .metrics import Histogram
+
                     mine = self.histograms[name] = Histogram()
                 mine.merge(histogram)
 

@@ -1,11 +1,10 @@
-"""Regular types for stream contents (paper §3-§4)."""
+"""Regular types for stream contents (paper §3-§4).
 
-from .infer import (
-    PipelineTypes,
-    StageIssue,
-    StageIssueKind,
-    check_pipeline,
-)
+Pipeline inference (``infer``) and the dataflow fixpoint (``dataflow``)
+load on first use (PEP 562): the analyzer reaches them only for a
+pipeline whose stages have static argv."""
+
+from ..lazy import exports
 from .library import (
     GENERAL_NUMERIC,
     PRODUCES_ON_EMPTY,
@@ -42,8 +41,14 @@ __all__ = [
     "check_pipeline", "PipelineTypes", "StageIssue", "StageIssueKind",
     "named_type", "named_type_names", "register_named_type", "type_of",
     "signature_for", "grep_line_language", "GENERAL_NUMERIC", "PRODUCES_ON_EMPTY",
+    "DataflowGraph", "FixpointResult", "Stage", "ring_invariant",
 ]
 
-from .dataflow import DataflowGraph, FixpointResult, Stage, ring_invariant  # noqa: E402
-
-__all__ += ["DataflowGraph", "FixpointResult", "Stage", "ring_invariant"]
+#: lazily exported name -> the submodule defining it
+_LAZY = {
+    **dict.fromkeys(("check_pipeline", "PipelineTypes", "StageIssue", "StageIssueKind"),
+                    "infer"),
+    **dict.fromkeys(("DataflowGraph", "FixpointResult", "Stage", "ring_invariant"),
+                    "dataflow"),
+}
+__getattr__ = exports(globals(), _LAZY)

@@ -84,7 +84,6 @@ import socketserver
 import threading
 import time
 import weakref
-from dataclasses import replace
 from typing import List, Optional
 
 from .. import __version__
@@ -218,8 +217,7 @@ class AnalysisServer:
                 cap_deadline=CAP_DEADLINE,
                 cap_states=CAP_STATES,
             )
-        return replace(
-            config,
+        return config.replace(
             timeout=CAP_DEADLINE if timeout is None else min(timeout, CAP_DEADLINE),
             max_states=CAP_STATES if max_states is None else min(max_states, CAP_STATES),
         )

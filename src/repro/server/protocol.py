@@ -69,7 +69,6 @@ import os
 import socket
 import tempfile
 import time
-from dataclasses import fields
 from typing import IO, Optional
 
 #: bump on any incompatible request/response shape change
@@ -238,10 +237,10 @@ def config_to_wire(config) -> dict:
     """A :class:`~repro.analysis.pipeline.BatchConfig` as a wire dict
     (only non-default fields, so old servers tolerate new clients)."""
     wire = {}
-    for field in fields(config):
-        value = getattr(config, field.name)
-        if value != field.default:
-            wire[field.name] = list(value) if isinstance(value, tuple) else value
+    for name, default, _ in config.FIELDS:
+        value = getattr(config, name)
+        if value != default:
+            wire[name] = list(value) if isinstance(value, tuple) else value
     return wire
 
 
@@ -249,7 +248,7 @@ def config_from_wire(data: Optional[dict]):
     """The inverse of :func:`config_to_wire`; unknown fields ignored."""
     from ..analysis.pipeline import BatchConfig
 
-    names = {field.name for field in fields(BatchConfig)}
+    names = {name for name, _, _ in BatchConfig.FIELDS}
     return BatchConfig(
         **{
             name: tuple(value) if isinstance(value, list) else value

@@ -17,7 +17,7 @@ from ..obs import Recorder, get_recorder
 from ..records import Record
 from ..rlang import Regex
 from ..rlang.table import run_table
-from ..rtypes import StreamType, check_pipeline
+from ..rtypes import StreamType
 from ..shell import parse as parse_shell
 from ..shell.ast import (
     AndOr,
@@ -841,6 +841,8 @@ class Engine:
             argvs.append(argv)
         output_type: Optional[StreamType] = None
         if static:
+            from ..rtypes.infer import check_pipeline
+
             overrides = None
             if self.signature_overrides:
                 overrides = []

@@ -294,6 +294,18 @@ class TestRunBatch:
         # the rest of the corpus is still analyzed
         assert len(batch.results) == 5
 
+    @pytest.mark.parametrize("op", ["analyze", "optimize"])
+    def test_non_utf8_file_reported_not_fatal(self, corpus, op):
+        (corpus / "latin1.sh").write_bytes(b"\xff rm -rf /\n")
+        batch = run_batch([str(corpus)], jobs=1, op=op)
+        assert len(batch.results) == 5  # the rest of the corpus is still analyzed
+        latin1 = [r for r in batch.results if r.path.endswith("latin1.sh")]
+        assert latin1 and "can't decode byte 0xff" in batch.render()
+        if op == "analyze":
+            assert latin1[0].report.has("read-error")
+        else:
+            assert latin1[0].plan.degraded
+
     def test_parallel_matches_serial(self, corpus):
         serial = run_batch([str(corpus)], jobs=1)
         parallel = run_batch([str(corpus)], jobs=4)

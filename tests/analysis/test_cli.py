@@ -167,3 +167,41 @@ class TestSingleFileCacheRule:
                                     "--no-cache", "--stats"], capsys)
         assert not cache_dir.exists()
         assert f"{prefix}.cache" not in err
+
+
+class TestNonUtf8Script:
+    """A script that is not UTF-8 gets the batch driver's read-error
+    result in single-file mode too, with the exit status batch mode gives
+    it, instead of a traceback."""
+
+    TOOLS = [(cli.main_analyze, 1), (cli.main_optimize, 3)]
+
+    @pytest.fixture
+    def latin1(self, tmp_path):
+        path = tmp_path / "only" / "latin1.sh"
+        path.parent.mkdir()
+        path.write_bytes(b"\xff rm -rf /\n")
+        return path
+
+    @pytest.mark.parametrize("main, status", TOOLS)
+    def test_single_file_is_a_read_error(self, main, status, latin1, capsys):
+        code, out, err = run_tool(main, [str(latin1)], capsys)
+        assert code == status
+        assert "can't decode byte 0xff" in out
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("main, status", TOOLS)
+    def test_single_file_matches_batch_mode(self, main, status, latin1, capsys):
+        single = run_tool(main, [str(latin1)], capsys)
+        batch = run_tool(main, [str(latin1.parent), "--no-cache", "--jobs", "1"], capsys)
+        assert single[0] == batch[0] == status
+        assert f"== {latin1} ==\n{single[1]}" in batch[1]
+
+    @pytest.mark.parametrize("main, status", TOOLS)
+    def test_batch_still_analyzes_the_other_files(self, main, status, latin1, capsys):
+        (latin1.parent / "ok.sh").write_text("echo hi\n")
+        code, out, _ = run_tool(main, [str(latin1.parent), "--no-cache", "--jobs", "1"],
+                                capsys)
+        assert code == status
+        assert f"== {latin1.parent / 'ok.sh'} ==" in out
+        assert "2 file(s)" in out

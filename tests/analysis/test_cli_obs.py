@@ -3,6 +3,7 @@
 availability."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -43,3 +44,11 @@ def test_stats_and_trace_flags_advertised(tool):
     assert "--stats" in result.stdout
     assert "--trace" in result.stdout
     assert "--version" in result.stdout
+
+
+def test_stats_names_the_import_phase():
+    """Importing the analysis code is most of a one-shot process; --stats
+    shows it as a span of its own."""
+    result = run_cli("analyze", "--stats", "examples/scripts/steam_updater.sh")
+    assert result.returncode == 1, result.stderr
+    assert re.search(r"^  cli\.import \.+ n=1 total=", result.stderr, re.M), result.stderr

@@ -1,6 +1,5 @@
 """Wire-protocol unit tests: framing, config marshalling, socket paths."""
 
-import dataclasses
 import inspect
 import io
 
@@ -11,16 +10,21 @@ from repro.analysis.batch import BatchConfig
 from repro.server import protocol
 
 
-def _non_default(field: dataclasses.Field):
-    """A value other than ``field``'s default, chosen from its type."""
-    if isinstance(field.default, bool):
-        return not field.default
-    if isinstance(field.default, (int, float)):
-        return field.default + 1
-    for marker, value in (("Tuple", ("x",)), ("float", 0.5), ("int", 3)):
-        if marker in str(field.type):
-            return value
-    raise AssertionError(f"no sample value for {field.name}: {field.type}")
+#: a value for each field whose default is None
+SAMPLES = {"n_args": 3, "args": ("x",), "platform_targets": ("x",), "timeout": 0.5,
+           "max_states": 3}
+
+
+def _non_default(field):
+    """A value other than the default of ``field``, a row of
+    ``BatchConfig.FIELDS``."""
+    name, default, _ = field
+    if isinstance(default, bool):
+        return not default
+    if isinstance(default, (int, float)):
+        return default + 1
+    assert name in SAMPLES, f"no sample value for {name}"
+    return SAMPLES[name]
 
 
 class TestFraming:
@@ -83,19 +87,18 @@ class TestConfigMarshalling:
     def test_none_config(self):
         assert protocol.config_from_wire(None) == BatchConfig()
 
-    @pytest.mark.parametrize(
-        "field", dataclasses.fields(BatchConfig), ids=lambda field: field.name
-    )
+    @pytest.mark.parametrize("field", BatchConfig.FIELDS, ids=lambda field: field[0])
     def test_every_field_is_one_place(self, field):
         """Each option round-trips over the wire, and keys the cache and
         reaches analyze() exactly when it is not a budget limit."""
-        config = BatchConfig(**{field.name: _non_default(field)})
+        name = field[0]
+        config = BatchConfig(**{name: _non_default(field)})
         assert protocol.config_from_wire(protocol.config_to_wire(config)) == config
         is_budget = config.budget() is not None
         assert (config.fingerprint() != BatchConfig().fingerprint()) is not is_budget
-        assert (field.name in config.analyze_kwargs()) is not is_budget
+        assert (name in config.analyze_kwargs()) is not is_budget
         if not is_budget:
-            assert field.name in inspect.signature(analyze).parameters
+            assert name in inspect.signature(analyze).parameters
 
 
 class TestSocketPath:

@@ -16,9 +16,14 @@ from pathlib import Path
 
 import pytest
 
-# every module of the one-shot analyze path that defines records
-import repro.analysis.effects  # noqa: F401
-import repro.analysis.pipeline  # noqa: F401
+# every module of the analyze path that defines records, including those a
+# one-shot run loads only when its script needs them, so that each record
+# class is a case of the test below
+import repro.analysis.effects.hazards  # noqa: F401
+import repro.obs.metrics  # noqa: F401
+import repro.rtypes.dataflow  # noqa: F401
+import repro.rtypes.infer  # noqa: F401
+from repro.analysis.pipeline import BatchConfig
 from repro.records import FrozenRecord, Record
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples" / "scripts"
@@ -69,6 +74,8 @@ def _drive():
     Regex.compile("a{2,3}(b|c)*[x-z]")
     ring_invariant([("cat", identity("cat"))], seed=StreamType.of("[a-z]+"))
     default_registry().get("rm").parse_argv(["rm", "-rf", "x"])
+    BatchConfig()
+    BatchConfig(n_args=2, args=("a", "b"), platform_targets=("linux",), timeout=3.0)
 
 
 @pytest.fixture(scope="module")
@@ -152,3 +159,54 @@ def test_records_keep_dataclass_semantics(cls, instances):
     assert instances[cls], f"nothing built a {cls.__module__}.{cls.__qualname__}"
     for value in instances[cls]:
         _check(value)
+
+
+#: the cache-key text of the default config; a change invalidates every
+#: cache entry, so it must never change by accident
+DEFAULT_FINGERPRINT = (
+    "n_args=None;args=None;platform_targets=None;include_lint=False;"
+    "max_fork=64;max_loop=2;prune=True;races=True"
+)
+
+
+def _sample_config():
+    return BatchConfig(n_args=2, platform_targets=("linux", "macos"), include_lint=True,
+                       races=False, timeout=3.0, max_states=50)
+
+
+def test_batch_config_field_table_is_its_init():
+    assert tuple(name for name, _, _ in BatchConfig.FIELDS) == BatchConfig._fields
+    default = BatchConfig()
+    for name, value, _ in BatchConfig.FIELDS:
+        assert getattr(default, name) == value
+
+
+def test_batch_config_equality_hash_and_pickle():
+    config = _sample_config()
+    assert config == _sample_config()
+    assert hash(config) == hash(_sample_config())
+    assert config != BatchConfig()
+    assert BatchConfig() != BatchConfig(max_fork=16)
+    restored = pickle.loads(pickle.dumps(config))
+    assert restored == config and hash(restored) == hash(config)
+    with pytest.raises(AttributeError):
+        config.n_args = 3
+    assert config.replace(races=True, timeout=None) == BatchConfig(
+        n_args=2, platform_targets=("linux", "macos"), include_lint=True, max_states=50
+    )
+
+
+def test_batch_config_repr_is_the_dataclass_form():
+    assert repr(BatchConfig()) == (
+        "BatchConfig(n_args=None, args=None, platform_targets=None, include_lint=False, "
+        "max_fork=64, max_loop=2, prune=True, races=True, timeout=None, max_states=None)"
+    )
+
+
+def test_batch_config_fingerprints_are_pinned():
+    assert BatchConfig().fingerprint() == DEFAULT_FINGERPRINT
+    # the budget fields stay out of the cache key
+    assert _sample_config().fingerprint() == (
+        "n_args=2;args=None;platform_targets=('linux', 'macos');include_lint=True;"
+        "max_fork=64;max_loop=2;prune=True;races=False"
+    )
