@@ -16,6 +16,7 @@ properties anchor the subsystem:
 import os
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from conftest import emit, emit_json
@@ -178,3 +179,37 @@ def test_plan_cache_key_tracks_schema(tmp_path):
     assert hit is not None
     assert OptimizePlan.from_dict(hit).to_dict() == plan.to_dict()
     assert cache.get(key, schema=OptimizePlan.SCHEMA_VERSION + 1) is None
+
+
+def test_optimize_counts():
+    """Count guard for one optimize request paying for each analysis
+    once: deps, classify, the baseline and the rewrite check share one
+    language table, and aliasing between concrete paths is decided on
+    text.  One ``log_fanout.sh`` optimize (after a warm-up that builds
+    the process's constant languages) runs 6 subset constructions and
+    evaluates 183 symbolic states; it was 49 constructions when each
+    analysis had its own table and every alias test built a product.
+    Counts, not milliseconds, so the guard is machine-stable."""
+    examples = Path(__file__).resolve().parents[1] / "examples" / "scripts"
+    source = (examples / "log_fanout.sh").read_text(encoding="utf-8")
+    build_plan(source)
+    recorder = TraceRecorder()
+    with use_recorder(recorder):
+        plan = build_plan(source)
+    counts = {
+        name: recorder.counter(name)
+        for name in (
+            "symex.states_explored",
+            "rlang.determinise_calls",
+            "rlang.product_calls",
+            "optimize.cross_checks",
+        )
+    }
+    emit(
+        "E-optimize-once (one log_fanout.sh optimize)",
+        [f"{name}={value}" for name, value in counts.items()],
+    )
+    emit_json("optimize", counts, section="log_fanout_counts")
+    assert plan.groups and plan.groups[0].verified
+    assert counts["symex.states_explored"] == 183
+    assert counts["rlang.determinise_calls"] == 6

@@ -71,9 +71,13 @@ class DependencyGraph:
         deps: List[Dependency],
         degraded: bool = False,
         degraded_reason: Optional[str] = None,
+        commands: Sequence[Command] = (),
     ):
         self.effects = effects
         self.dependencies = deps
+        #: the parsed top-level commands, one per effect (so a caller
+        #: need not parse the script again)
+        self.commands = list(commands)
         #: the symbolic evaluation ran out of budget part-way: commands
         #: past the trip point are conservatively marked external, so the
         #: graph stays sound but over-ordered (a partial schedule)
@@ -285,6 +289,10 @@ def analyze_dependencies(
                             elif event.op in _READS:
                                 effect.reads.add(event.node)
                         next_states.append(result)
+                # the join Engine.eval_many applies, restricted to states
+                # whose file systems agree too, so no node id an edge
+                # needs is lost (events were collected above)
+                states = engine.merge_states(next_states, same_fs=True)
             except AnalysisBudgetExceeded as exc:
                 degraded = True
                 degraded_reason = str(exc)
@@ -301,11 +309,14 @@ def analyze_dependencies(
             )
             effect.external = has_unknown
             effects.append(effect)
-            states = next_states[: engine.max_fork]
 
     deps = _derive_dependencies(effects)
     return DependencyGraph(
-        effects, deps, degraded=degraded, degraded_reason=degraded_reason
+        effects,
+        deps,
+        degraded=degraded,
+        degraded_reason=degraded_reason,
+        commands=commands,
     )
 
 
@@ -334,20 +345,20 @@ def _derive_dependencies(effects: List[CommandEffects]) -> List[Dependency]:
     for j, later in enumerate(effects):
         for i in range(j):
             earlier = effects[i]
-            # sorted: the first `via` node must not depend on set order
+            # sorted: the first `via` must not depend on set order
             for node in sorted(earlier.writes & later.reads):
                 add(i, j, "flow", f"node {node}")
             for node in sorted(earlier.reads & later.writes):
                 add(i, j, "anti", f"node {node}")
             for node in sorted(earlier.writes & later.writes):
                 add(i, j, "output", f"node {node}")
-            for name in earlier.var_defs & later.var_uses:
+            for name in sorted(earlier.var_defs & later.var_uses):
                 add(i, j, "var", f"${name}")
-            for name in earlier.var_uses & later.var_defs:
+            for name in sorted(earlier.var_uses & later.var_defs):
                 # WAR on a variable: reordering would let the later
                 # redefinition clobber the value the earlier command read
                 add(i, j, "var", f"${name} (write-after-read)")
-            for name in earlier.var_defs & later.var_defs:
+            for name in sorted(earlier.var_defs & later.var_defs):
                 add(i, j, "var", f"${name} (redefinition)")
             if earlier.external or later.external:
                 add(i, j, "external", "opaque command effects")

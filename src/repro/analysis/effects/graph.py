@@ -25,6 +25,7 @@ from ...fs import FsEvent, FsOp, Origin
 from ...records import FrozenRecord, Record, set_field
 from ...rlang import Regex
 from ...symstr import ConstraintStore
+from ..resilience import dfa_state_cap
 
 #: operations that mutate the file system
 WRITE_OPS = frozenset({FsOp.WRITE, FsOp.CREATE, FsOp.DELETE})
@@ -150,6 +151,23 @@ class Edge(FrozenRecord):
         set_field(self, "kind", kind)  # "seq" | "fork" | "join"
 
 
+class _PathForm:
+    """A trace path split the way :meth:`EffectGraph.path_language`
+    reads it: a leading ``/`` (or none) and the non-empty segments.
+    ``text`` is the one string the path denotes when no segment is
+    ``<vN>``, else None; ``language`` is filled in when first built."""
+
+    __slots__ = ("lead", "segments", "text", "language")
+
+    def __init__(self, path: str):
+        self.lead = "/" if path.startswith("/") else ""
+        self.segments = [s for s in path.split("/") if s]
+        self.text: Optional[str] = None
+        if not any(_SYM_SEGMENT.match(s) for s in self.segments):
+            self.text = self.lead + "/".join(self.segments)
+        self.language: Optional[Regex] = None
+
+
 class EffectGraph:
     """The effect summary of one explored path."""
 
@@ -166,7 +184,8 @@ class EffectGraph:
         self.nodes = nodes
         self.edges = edges
         self.store = store
-        self._languages: Dict[str, Regex] = {}
+        #: trace path -> its parsed form (see :meth:`_form`)
+        self._forms: Dict[str, _PathForm] = {}
         # Canonical display names for symbolic segments.  Raw trace paths
         # render variables as ``<vN>`` where N comes from a process-global
         # counter — deterministic *identity*, but not a deterministic
@@ -228,6 +247,12 @@ class EffectGraph:
 
     # -- aliasing -----------------------------------------------------------
 
+    def _form(self, path: str) -> "_PathForm":
+        form = self._forms.get(path)
+        if form is None:
+            form = self._forms[path] = _PathForm(path)
+        return form
+
     def path_language(self, path: str) -> Regex:
         """The regular language of concrete paths a trace path denotes.
 
@@ -236,12 +261,12 @@ class EffectGraph:
         string when unconstrained, e.g. the abstract cwd root ``<v-1>``),
         literal segments by themselves.
         """
-        cached = self._languages.get(path)
-        if cached is not None:
-            return cached
-        lang = Regex.literal("/") if path.startswith("/") else Regex.literal("")
+        form = self._form(path)
+        if form.language is not None:
+            return form.language
+        lang = Regex.literal(form.lead)
         first = True
-        for segment in (s for s in path.split("/") if s):
+        for segment in form.segments:
             if not first:
                 lang = lang + Regex.literal("/")
             match = _SYM_SEGMENT.match(segment)
@@ -254,7 +279,7 @@ class EffectGraph:
             else:
                 lang = lang + Regex.literal(segment)
             first = False
-        self._languages[path] = lang
+        form.language = lang
         return lang
 
     def may_alias(self, a: Access, b: Access) -> Optional[str]:
@@ -264,11 +289,32 @@ class EffectGraph:
         node (definite), ``"language"`` when their symbolic path
         languages intersect (possible), or None when they are provably
         distinct files.
+
+        A concrete path's language is its one string, so with a concrete
+        side the answer is decided on text: equal spellings, or
+        membership in the other side's language.  That skips automata
+        only where none of them could trip the DFA-state cap: a concrete
+        path's language and each construction on the way to it have at
+        most ``len(text) + 2`` states, and a product at most the product
+        of its operands' states.  Otherwise the languages and their
+        product are built, so a tight cap degrades where it always did.
         """
         if a.node is not None and a.node == b.node:
             return "node"
         if a.path == b.path:
             return "node"
+        a_text = self._form(a.path).text
+        b_text = self._form(b.path).text
+        if a_text is not None or b_text is not None:
+            cap = dfa_state_cap()
+            if a_text is not None and b_text is not None:
+                if (len(a_text) + 2) * (len(b_text) + 2) <= cap:
+                    return "language" if a_text == b_text else None
+            else:
+                text, other = (a_text, b.path) if b_text is None else (b_text, a.path)
+                language = self.path_language(other)
+                if (len(text) + 2) * language.dfa.n_states <= cap:
+                    return "language" if language.matches(text) else None
         intersection = self.path_language(a.path) & self.path_language(b.path)
         if not intersection.is_empty():
             return "language"

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import ClassVar, Dict, List, Optional, Tuple
 
 from ...obs import get_recorder
-from ...shell import parse
+from ...rlang.table import run_table
 from ...shell.ast import (
     Background,
     Command,
@@ -36,7 +36,7 @@ from ...shell.ast import (
 )
 from ...shell.printer import render
 from ..analyzer import analyze
-from ..deps import _top_level_commands, analyze_dependencies
+from ..deps import analyze_dependencies
 from ..pipeline import BatchConfig
 from ..resilience import ResourceBudget
 from .classify import STATE_BUILTINS, classify_pipeline
@@ -172,7 +172,10 @@ def build_plan(
     plan = OptimizePlan(
         source_sha256=hashlib.sha256(source.encode("utf-8")).hexdigest()
     )
-    with rec.span("optimize.run"):
+    # one language table for the whole request: deps, classify, the
+    # baseline and every rewrite check share leaves and constructions;
+    # it is dropped when the request returns or raises
+    with rec.span("optimize.run"), run_table():
         rec.count("optimize.runs")
 
         with rec.span("optimize.deps"):
@@ -194,7 +197,7 @@ def build_plan(
         ]
         plan.schedule = graph.stages()
 
-        nodes = _top_level_commands(parse(source))
+        nodes = graph.commands
         with rec.span("optimize.classify"):
             for index, node in enumerate(nodes):
                 for sub in walk(node):

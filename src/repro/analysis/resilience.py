@@ -185,10 +185,24 @@ def use_budget(budget: Optional[ResourceBudget]):
         _tls.budget = previous
 
 
+def dfa_state_cap() -> int:
+    """The most states a construction may reach on this thread without
+    tripping :func:`enforce_dfa_cap`."""
+    budget = getattr(_tls, "budget", None)
+    if budget is None or budget.max_dfa_states is None:
+        return HARD_DFA_STATE_CAP
+    return min(HARD_DFA_STATE_CAP, budget.max_dfa_states)
+
+
 def enforce_dfa_cap(n_states: int, phase: str = "rlang") -> None:
-    """Called by DFA constructions as they grow: enforces the active
-    budget's cap *and* the unconditional :data:`HARD_DFA_STATE_CAP`."""
-    if n_states > HARD_DFA_STATE_CAP:
+    """Called by DFA constructions as they grow: enforces
+    :func:`dfa_state_cap`, the active budget's cap *and* the
+    unconditional :data:`HARD_DFA_STATE_CAP`."""
+    budget = getattr(_tls, "budget", None)
+    if n_states > dfa_state_cap():
+        if n_states <= HARD_DFA_STATE_CAP:
+            # the budget's cap is the tighter one: it trips
+            budget.check_dfa_states(n_states, phase)
         get_recorder().count("budget.dfa_states")
         raise AnalysisBudgetExceeded(
             phase,
@@ -196,9 +210,7 @@ def enforce_dfa_cap(n_states: int, phase: str = "rlang") -> None:
             f"automaton construction exceeded the hard cap of "
             f"{HARD_DFA_STATE_CAP} states",
         )
-    budget = getattr(_tls, "budget", None)
     if budget is not None:
-        budget.check_dfa_states(n_states, phase)
         # automaton blowups can spend seconds inside one symbolic step,
         # between the engine's own deadline checks — sample the clock
         # here too so wall-clock budgets stay responsive

@@ -117,6 +117,15 @@ class FileSystem:
     def fork(self) -> "FileSystem":
         return FileSystem(self.nodes, self.sym_roots, self.log.fork(), self.denied)
 
+    def same_facts(self, other: "FileSystem") -> bool:
+        """Do both file systems hold the same nodes and facts?  (Their
+        event logs are not compared.)"""
+        return (
+            self.nodes == other.nodes
+            and self.sym_roots == other.sym_roots
+            and self.denied == other.denied
+        )
+
     # -- node bookkeeping ---------------------------------------------------
 
     def _get(self, node_id: int) -> NodeRecord:

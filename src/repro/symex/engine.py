@@ -143,7 +143,7 @@ class Engine:
         self.script_assigned = _assigned_names(ast) if ast is not None else set()
         self.paths_explored = 0
         self.paths_merged = 0
-        #: how many times `_prune` dropped states past the `max_fork` budget
+        #: how many times `merge_states` dropped states past `max_fork`
         self.truncations = 0
         #: per-command success feasibility, aggregated across every path
         #: reaching it: id(node) -> [node, feasible_count, visit_count]
@@ -305,13 +305,13 @@ class Engine:
 
     def _eval_node(self, node: Command, state: SymState) -> List[SymState]:
         if isinstance(node, SimpleCommand):
-            return self._prune(self.eval_simple(node, state))
+            return self.merge_states(self.eval_simple(node, state))
         if isinstance(node, Pipeline):
-            return self._prune(self.eval_pipeline(node, state))
+            return self.merge_states(self.eval_pipeline(node, state))
         if isinstance(node, AndOr):
-            return self._prune(self.eval_andor(node, state))
+            return self.merge_states(self.eval_andor(node, state))
         if isinstance(node, SeqNode):
-            return self._prune(self.eval_sequence(node, state))
+            return self.merge_states(self.eval_sequence(node, state))
         if isinstance(node, Background):
             return self.eval_background(node, state)
         if isinstance(node, Subshell):
@@ -320,13 +320,13 @@ class Engine:
             states = self.eval(node.body, state)
             return self._apply_redirect_list(node.redirects, states, owner=node)
         if isinstance(node, If):
-            return self._prune(self.eval_if(node, state))
+            return self.merge_states(self.eval_if(node, state))
         if isinstance(node, While):
-            return self._prune(self.eval_while(node, state))
+            return self.merge_states(self.eval_while(node, state))
         if isinstance(node, For):
-            return self._prune(self.eval_for(node, state))
+            return self.merge_states(self.eval_for(node, state))
         if isinstance(node, Case):
-            return self._prune(self.eval_case(node, state))
+            return self.merge_states(self.eval_case(node, state))
         if isinstance(node, FunctionDef):
             state.define_function(node.name, node.body)
             return [state.with_status(0)]
@@ -336,7 +336,7 @@ class Engine:
         results: List[SymState] = []
         for state in states:
             results.extend(self.eval(node, state))
-        return self._prune(results)
+        return self.merge_states(results)
 
     def _fork(self, state: SymState, note: str) -> SymState:
         self._rec.count("symex.states_forked")
@@ -868,7 +868,7 @@ class Engine:
                 for result in self.eval(stage, st):
                     result.stdout = saved_stdout
                     next_states.append(result)
-            states = self._prune(next_states)
+            states = self.merge_states(next_states)
 
         for result in states:
             if output_type is not None:
@@ -1134,7 +1134,7 @@ class Engine:
                         for s in success:
                             s.note("loop truncated at iteration bound")
                             exits.append(s)
-                current = self._prune(next_current)
+                current = self.merge_states(next_current)
                 if not current:
                     break
             for st in current:
@@ -1182,7 +1182,7 @@ class Engine:
                                 self.eval(node.body, s), next_states, exited
                             )
                         )
-                    states = self._prune(next_states)
+                    states = self.merge_states(next_states)
                     if not states:
                         break
                 if open_tail:
@@ -1229,7 +1229,7 @@ class Engine:
                         self.eval(node.body, s), next_pending, exited
                     )
                 )
-            pending = self._prune(next_pending)
+            pending = self.merge_states(next_pending)
             if not pending:
                 break
         return finished
@@ -1304,7 +1304,16 @@ class Engine:
 
     # -- state management -----------------------------------------------------------------
 
-    def _prune(self, states: List[SymState]) -> List[SymState]:
+    def merge_states(
+        self, states: List[SymState], same_fs: bool = False
+    ) -> List[SymState]:
+        """Merge equal states and cap the rest at ``max_fork``: the join
+        every compound evaluation applies to its results.
+
+        A merge keeps the first state's file-system facts.  With
+        ``same_fs`` two states merge only when their cwd node and file
+        systems also agree, so no node id or fs fact is lost
+        (``analysis.deps`` joins top-level commands this way)."""
         if len(states) <= 1:
             return states
         if self._budget is not None:
@@ -1345,6 +1354,13 @@ class Engine:
                         kept.env == st.env
                         and kept.store.same_as(st.store)
                         and kept.same_functions(st)
+                        and (
+                            not same_fs
+                            or (
+                                kept.cwd_node == st.cwd_node
+                                and kept.fs.same_facts(st.fs)
+                            )
+                        )
                     ):
                         break
                 else:

@@ -174,14 +174,14 @@ class TestMergeKeys:
         for a in states:
             for b in states:
                 if a is not b:
-                    merges = len(Engine()._prune([a, b])) == 1
+                    merges = len(Engine().merge_states([a, b])) == 1
                     assert merges == (legacy_key(a) == legacy_key(b))
         # the whole join: same states, same order, same diagnostics
         for state, held in zip(states, diagnostics):
             state.diagnostics = held
         want, want_diagnostics, want_merges = legacy_prune(states)
         engine = Engine(max_fork=len(states))
-        got = engine._prune(list(states))
+        got = engine.merge_states(list(states))
         assert got == want
         assert [state.diagnostics for state in got] == want_diagnostics
         assert engine.paths_merged == want_merges

@@ -1,12 +1,12 @@
 """Test-only references for state merging.
 
-``Engine._prune`` hashes a state from a few scalars and three
+``Engine.merge_states`` hashes a state from a few scalars and three
 fingerprints its variables, functions and constraint store keep up to
 date on every write.  This module holds what the tests check that
 against:
 
 - each fingerprint recomputed from scratch;
-- the merge key ``_prune`` built before the fingerprints, a sorted tuple
+- the merge key ``merge_states`` built before the fingerprints, a sorted tuple
   of every binding and every constraint;
 - a prune built on that key, with the same diagnostic merge rule.
 """

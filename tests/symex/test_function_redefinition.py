@@ -56,11 +56,11 @@ class TestRedefinitionShadowing:
         body_b = object()
         s1 = SymState(functions={"f": body_a}, status=0)
         s2 = SymState(functions={"f": body_b}, status=0)
-        assert len(engine._prune([s1, s2])) == 2
+        assert len(engine.merge_states([s1, s2])) == 2
 
     def test_prune_still_merges_identical_bindings(self):
         engine = Engine()
         body = object()
         s1 = SymState(functions={"f": body}, status=0)
         s2 = SymState(functions={"f": body}, status=0)
-        assert len(engine._prune([s1, s2])) == 1
+        assert len(engine.merge_states([s1, s2])) == 1

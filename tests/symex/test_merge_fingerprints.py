@@ -38,7 +38,7 @@ def checked(monkeypatch):
     """Check the fingerprints of every state entering a prune and of
     every final state."""
     seen = Checked()
-    run, prune = Engine.run, Engine._prune
+    run, prune = Engine.run, Engine.merge_states
 
     def checked_run(self, *args, **kwargs):
         result = run(self, *args, **kwargs)
@@ -53,7 +53,7 @@ def checked(monkeypatch):
         return prune(self, states)
 
     monkeypatch.setattr(Engine, "run", checked_run)
-    monkeypatch.setattr(Engine, "_prune", checked_prune)
+    monkeypatch.setattr(Engine, "merge_states", checked_prune)
     return seen
 
 
@@ -74,7 +74,7 @@ def test_equal_fingerprints_alone_do_not_merge():
     a.set_var("x", SymString.lit("1"))
     b.set_var("x", SymString.lit("2"))
     b.env_fingerprint = a.env_fingerprint
-    assert Engine()._prune([a, b]) == [a, b]
+    assert Engine().merge_states([a, b]) == [a, b]
 
 
 def test_function_bodies_compare_by_identity():
@@ -87,7 +87,7 @@ def test_function_bodies_compare_by_identity():
     b.define_function("f", twin)
     c.define_function("f", body)
     engine = Engine()
-    assert engine._prune([a, b, c]) == [a, b]
+    assert engine.merge_states([a, b, c]) == [a, b]
     assert engine.paths_merged == 1
 
 

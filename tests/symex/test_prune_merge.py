@@ -1,6 +1,6 @@
 """Merging states at a join keeps every diagnostic once, in order.
 
-``Engine._prune`` keeps the first state per merge key and appends the
+``Engine.merge_states`` keeps the first state per merge key and appends the
 diagnostics of each state merged into it that it does not hold yet.  The
 check is a seen-set per kept state, so a wide join costs linear time in
 its diagnostics; the result must be the list the old per-diagnostic
@@ -41,7 +41,7 @@ def test_duplicate_and_overlapping_diagnostics_merge_like_the_list_scan():
     ]
     states = [SymState(status=0, diagnostics=list(group)) for group in groups]
     engine = Engine()
-    merged = engine._prune(states)
+    merged = engine.merge_states(states)
     assert merged == [states[0]]
     assert engine.paths_merged == 3
     assert merged[0].diagnostics == _scan_merge(groups)
@@ -56,7 +56,7 @@ def test_each_merge_key_keeps_its_own_diagnostics():
         SymState(status=0, diagnostics=[_diag("shared", 1), _diag("zero", 3)]),
         SymState(status=1, diagnostics=[_diag("shared", 1)]),
     ]
-    merged = Engine()._prune(states)
+    merged = Engine().merge_states(states)
     assert [st.status for st in merged] == [0, 1]
     assert merged[0].diagnostics == [shared, _diag("zero", 3)]
     assert merged[1].diagnostics == [_diag("other", 2), _diag("shared", 1)]
@@ -93,8 +93,26 @@ def test_capturing_states_merge_on_equal_text_only():
         return state
 
     a, b, c = capturing("/tmp/x\n"), capturing("/\n"), capturing("/tmp/x\n")
-    assert Engine()._prune([a, b, c]) == [a, b]
+    assert Engine().merge_states([a, b, c]) == [a, b]
     # outside a capture, stdout is not part of the state
     d, e = SymState(), SymState()
     d.emit_text(SymString.lit("x"))
-    assert Engine()._prune([d, e]) == [d]
+    assert Engine().merge_states([d, e]) == [d]
+
+
+def test_same_fs_merges_only_states_whose_file_systems_agree():
+    """The engine's joins keep the first state's file-system facts;
+    ``same_fs`` (the join ``analysis.deps`` uses) also requires equal
+    fs nodes, facts and cwd node, so no node id is lost."""
+    from repro.fs import NodeKind
+
+    base = SymState()
+    same, new_node, denied, moved = (base.fork() for _ in range(4))
+    new_node.fs.sym_root(7)
+    denied.fs.deny_kind(base.fs.ROOT, NodeKind.DIR)
+    moved.cwd_node = base.fs.ROOT
+    states = [base, same, new_node, denied, moved]
+    assert Engine().merge_states(list(states)) == [base]
+    assert Engine().merge_states(list(states), same_fs=True) == [
+        base, new_node, denied, moved
+    ]
