@@ -227,15 +227,6 @@ def _pool_worker(item: Tuple) -> Tuple[object, float, Optional[dict]]:
     only metric type that crosses the process boundary — recorders
     don't pickle)."""
     work, args, traced = item
-    if os.environ.get("REPRO_CHAOS"):
-        # chaos plans ride the environment into pool workers (pickling
-        # is by name, so parent-side monkeypatching can't reach here);
-        # lazy import keeps the hot path free of the server package.
-        # Every worker takes the script source first.
-        from ..server.chaos import chaos_point
-
-        if chaos_point("worker.kill", args[0]):
-            os._exit(137)
     started = time.perf_counter()
     if not traced:
         result = work(*args)

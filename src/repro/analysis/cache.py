@@ -78,12 +78,6 @@ def cache_key(source: str, config_fingerprint: str) -> str:
 _write_warned = False
 
 
-def reset_write_warning() -> None:
-    """Re-arm the once-per-process write-failure warning (tests)."""
-    global _write_warned
-    _write_warned = False
-
-
 class ResultCache:
     """Load/store serialized reports under a root directory."""
 
@@ -149,7 +143,7 @@ class ResultCache:
             return False
         return True
 
-    # -- filesystem layer (overridable: chaos injection wraps these) --------
+    # -- filesystem layer (a subclass may override these) -----------------
 
     def _read(self, path: str) -> str:
         with open(path, "r", encoding="utf-8") as handle:

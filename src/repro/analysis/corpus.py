@@ -428,9 +428,5 @@ def corpus() -> List[LabelledScript]:
     return list(CORPUS)
 
 
-def buggy_scripts() -> List[LabelledScript]:
-    return [s for s in CORPUS if s.buggy]
-
-
 def safe_scripts() -> List[LabelledScript]:
     return [s for s in CORPUS if not s.buggy]

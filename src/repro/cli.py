@@ -594,10 +594,8 @@ def main_served(argv: Optional[List[str]] = None) -> int:
     except OSError as exc:
         print(f"repro-served: cannot serve: {exc}", file=sys.stderr)
         return 2
-    print(
-        f"repro-served: stopped after {server.requests_served} request(s)",
-        file=sys.stderr,
-    )
+    requests = server.recorder.counter("server.requests")
+    print(f"repro-served: stopped after {requests} request(s)", file=sys.stderr)
     return 0
 
 

@@ -16,11 +16,8 @@ makes the new daemon warm at once.  A client that loses its daemon
 sends nothing twice; it falls back inline, and a per-socket circuit
 breaker keeps later requests from re-probing a dead socket.  The
 daemon's and client's limits are fixed module constants.
-:mod:`.chaos` provides the deterministic fault-injection substrate the
-``tests/chaos`` suite drives all of it with.
 """
 
-from .chaos import ChaosPlan, FaultSpec, use_chaos
 from .client import (
     CircuitBreaker,
     ServerClient,
@@ -36,9 +33,7 @@ from .watch import Watcher
 
 __all__ = [
     "AnalysisServer",
-    "ChaosPlan",
     "CircuitBreaker",
-    "FaultSpec",
     "PROTOCOL_VERSION",
     "ServerClient",
     "ServerError",
@@ -51,5 +46,4 @@ __all__ = [
     "reset_breakers",
     "serve",
     "server_available",
-    "use_chaos",
 ]

@@ -46,9 +46,8 @@ Observability (the production-service layer):
   once; excess requests are answered immediately with a structured
   shed error instead of queueing behind a saturated pool.
 
-Fault tolerance is crash-only (see :mod:`.supervise`; :mod:`.chaos`
-injects the faults the ``tests/chaos`` suite drives it with).  The
-daemon never restarts itself; recovery is the normal startup path, and
+Fault tolerance is crash-only (see :mod:`.supervise`).  The daemon
+never restarts itself; recovery is the normal startup path, and
 a client that loses the daemon falls back inline:
 
 - **Stale-socket takeover.**  Startup probes an existing socket file:
@@ -99,7 +98,6 @@ from ..obs import (
     use_recorder,
 )
 from . import protocol, supervise
-from .chaos import chaos_delay
 from .watch import Watcher
 
 #: server-side ceilings for per-request budgets
@@ -117,6 +115,9 @@ MAX_INFLIGHT = 64
 #: in-flight requests get this many seconds to finish when draining
 #: before the hard stop abandons them
 DRAIN_DEADLINE = 5.0
+
+#: every op the daemon answers; any other name is an ``unknown op`` error
+_SERVED_OPS = frozenset(OPS) | {"ping", "batch", "stats", "shutdown"}
 
 
 class AnalysisServer:
@@ -144,7 +145,6 @@ class AnalysisServer:
         self.log = log or NullOpsLogger()
         self.slow_ms = slow_ms
         self.started_at = time.monotonic()
-        self.requests_served = 0
         self.inflight = 0
         self.draining = threading.Event()
         self._inflight_lock = threading.Lock()
@@ -236,9 +236,11 @@ class AnalysisServer:
         metrics and the ``stats`` op always agree.
         """
         op = message.get("op")
+        # metric names come from this label, never from raw client input:
+        # an op the daemon does not serve counts as ``unknown``
+        label = op if isinstance(op, str) and op in _SERVED_OPS else "unknown"
         request_id = self._next_request_id()
         started = time.perf_counter()
-        self.requests_served += 1
 
         if self.draining.is_set():
             return self._refused_response(
@@ -256,10 +258,6 @@ class AnalysisServer:
         if shed:
             return self._shed_response(op, request_id, started)
 
-        delay = chaos_delay("server.delay", op or "")
-        if delay:
-            time.sleep(delay)
-
         request_recorder = TraceRecorder()
         self.log.debug("request.accept", request_id=request_id, op=op)
         error_text: Optional[str] = None
@@ -267,19 +265,19 @@ class AnalysisServer:
         try:
             with use_recorder(request_recorder):
                 request_recorder.count("server.requests")
-                request_recorder.count(f"server.op.{op or 'unknown'}")
+                request_recorder.count(f"server.op.{label}")
                 try:
-                    if op == "ping":
+                    if label == "ping":
                         result = self._op_ping()
-                    elif op in OPS:
-                        with request_recorder.span(f"server.{op}"):
-                            result = self._op_source(op, message, request_id)
-                    elif op == "batch":
+                    elif label in OPS:
+                        with request_recorder.span(f"server.{label}"):
+                            result = self._op_source(label, message, request_id)
+                    elif label == "batch":
                         with request_recorder.span("server.batch"):
                             result = self._op_batch(message, request_id)
-                    elif op == "stats":
+                    elif label == "stats":
                         result = self._op_stats()
-                    elif op == "shutdown":
+                    elif label == "shutdown":
                         self._initiate_shutdown()
                         result = {"stopping": True}
                     else:
@@ -301,7 +299,7 @@ class AnalysisServer:
 
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         request_recorder.observe("server.request_ms", elapsed_ms)
-        request_recorder.observe(f"server.request_ms.{op or 'unknown'}", elapsed_ms)
+        request_recorder.observe(f"server.request_ms.{label}", elapsed_ms)
         if elapsed_ms >= self.slow_ms:
             request_recorder.count("server.slow_requests")
             self.log.warning(
@@ -445,6 +443,7 @@ class AnalysisServer:
         plus the raw metrics snapshot for programmatic consumers."""
         snapshot = self.recorder.snapshot()
         uptime = time.monotonic() - self.started_at
+        requests = snapshot.counter("server.requests")
         hits = snapshot.counter("batch.cache.hit")
         misses = snapshot.counter("batch.cache.miss")
         lookups = hits + misses
@@ -467,8 +466,8 @@ class AnalysisServer:
             "protocol": protocol.PROTOCOL_VERSION,
             "pid": os.getpid(),
             "uptime_s": uptime,
-            "requests": self.requests_served,
-            "request_rate_rps": self.requests_served / uptime if uptime else 0.0,
+            "requests": requests,
+            "request_rate_rps": requests / uptime if uptime else 0.0,
             "errors": snapshot.counter("server.errors"),
             "shed": snapshot.counter("server.shed"),
             "slow_requests": snapshot.counter("server.slow_requests"),
@@ -627,7 +626,7 @@ class AnalysisServer:
             server.server_close()
             self.log.info(
                 "server.stop",
-                requests=self.requests_served,
+                requests=self.recorder.counter("server.requests"),
                 uptime_s=round(time.monotonic() - self.started_at, 3),
             )
         with self._pool_lock:

@@ -1,9 +1,8 @@
-"""Shared fixtures for the deterministic chaos suite.
+"""Shared fixtures for the chaos suite.
 
-Every test here is seeded: fault schedules are pure functions of
-``(seed, injection point, firing count)``, so a red run replays
-exactly.  The daemon fixtures mirror ``tests/server`` (real Unix
-socket, tmp-path cache) but expose the pieces chaos tests need to
+Faults are injected through the seams in :mod:`.faults` and fire
+deterministically.  The daemon fixtures mirror ``tests/server`` (real
+Unix socket, tmp-path cache) but expose the pieces chaos tests need to
 reach: the server object, its socket, its recorder, and its cache
 directory.
 """
@@ -14,7 +13,8 @@ import time
 
 import pytest
 
-from repro.analysis.cache import ResultCache, reset_write_warning
+from repro.analysis import cache as cache_mod
+from repro.analysis.cache import ResultCache
 from repro.obs import TraceRecorder
 from repro.server import (
     AnalysisServer,
@@ -23,7 +23,6 @@ from repro.server import (
     ServerUnavailable,
     reset_breakers,
 )
-from repro.server.chaos import uninstall
 
 
 def _pool_available() -> bool:
@@ -42,16 +41,12 @@ needs_pool = pytest.mark.skipif(
 
 
 @pytest.fixture(autouse=True)
-def _clean_chaos_state():
-    """No chaos plan, breaker state, or warning latch leaks across tests."""
-    uninstall()
+def _clean_state(monkeypatch):
+    """No breaker state or warning latch leaks across tests."""
     reset_breakers()
-    reset_write_warning()
+    monkeypatch.setattr(cache_mod, "_write_warned", False)
     yield
-    uninstall()
     reset_breakers()
-    reset_write_warning()
-    os.environ.pop("REPRO_CHAOS", None)
 
 
 def start_daemon(tmp_path, jobs=1, cache=None, **kwargs):
@@ -93,8 +88,8 @@ def daemon(tmp_path):
 
 
 def corpus(tmp_path, n=3, marker=""):
-    """n tiny scripts; ``marker`` is embedded in selected sources so
-    substring-matched faults (worker.kill) hit exactly those files."""
+    """n tiny scripts; ``marker`` is embedded in the first source so a
+    marker-matched fault (a worker kill) hits exactly that file."""
     scripts = tmp_path / "scripts"
     scripts.mkdir(exist_ok=True)
     for index in range(n):

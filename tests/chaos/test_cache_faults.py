@@ -8,11 +8,12 @@ import warnings
 import pytest
 
 from repro.analysis import BatchConfig, run_batch
-from repro.analysis.cache import ResultCache, cache_key, reset_write_warning
+from repro.analysis import cache as cache_mod
+from repro.analysis.cache import ResultCache
 from repro.obs import TraceRecorder, use_recorder
-from repro.server.chaos import ChaosCache, ChaosInjector, ChaosPlan, FaultSpec
 
 from .conftest import corpus
+from .faults import FaultyCache
 
 
 def _render(tmp_path, cache):
@@ -26,8 +27,7 @@ def _render(tmp_path, cache):
 
 class TestWriteFaults:
     def test_enospc_degrades_to_uncached_not_fatal(self, tmp_path):
-        injector = ChaosInjector(ChaosPlan(0, [FaultSpec("cache.enospc")]))
-        cache = ChaosCache(str(tmp_path / "cache"), injector)
+        cache = FaultyCache(str(tmp_path / "cache"), "enospc")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             output, snapshot, batch = _render(tmp_path, cache)
@@ -39,16 +39,15 @@ class TestWriteFaults:
         runtime = [w for w in caught if w.category is RuntimeWarning]
         assert len(runtime) == 1  # once per process, not per file
 
-    def test_write_warning_fires_once_per_process(self, tmp_path):
-        injector = ChaosInjector(ChaosPlan(0, [FaultSpec("cache.enospc")]))
-        cache = ChaosCache(str(tmp_path / "cache"), injector)
+    def test_write_warning_fires_once_per_process(self, tmp_path, monkeypatch):
+        cache = FaultyCache(str(tmp_path / "cache"), "enospc")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with use_recorder(TraceRecorder()):
                 assert cache.put("aa" * 32, {"schema": 1}) is False
                 assert cache.put("bb" * 32, {"schema": 1}) is False
         assert len([w for w in caught if w.category is RuntimeWarning]) == 1
-        reset_write_warning()
+        monkeypatch.setattr(cache_mod, "_write_warned", False)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with use_recorder(TraceRecorder()):
@@ -57,10 +56,7 @@ class TestWriteFaults:
 
     def test_output_byte_identical_to_fault_free_run(self, tmp_path):
         healthy, _, _ = _render(tmp_path, ResultCache(str(tmp_path / "h")))
-        injector = ChaosInjector(ChaosPlan(0, [FaultSpec("cache.enospc")]))
-        faulty, _, _ = _render(
-            tmp_path, ChaosCache(str(tmp_path / "f"), injector)
-        )
+        faulty, _, _ = _render(tmp_path, FaultyCache(str(tmp_path / "f"), "enospc"))
         uncached, _, _ = _render(tmp_path, None)
         assert faulty == healthy == uncached
 
@@ -91,8 +87,7 @@ class TestReadFaults:
 
     def test_chaos_torn_write_recovers_byte_identically(self, tmp_path):
         healthy, _, _ = _render(tmp_path, None)
-        injector = ChaosInjector(ChaosPlan(0, [FaultSpec("cache.corrupt")]))
-        cache = ChaosCache(str(tmp_path / "cache"), injector)
+        cache = FaultyCache(str(tmp_path / "cache"), "torn")
         first, _, _ = _render(tmp_path, cache)  # writes land torn
         second, snapshot, _ = _render(tmp_path, cache)  # reads the tears
         assert first == second == healthy

@@ -12,8 +12,10 @@ import pytest
 from repro import cli
 from repro.obs import TraceRecorder, use_recorder
 from repro.server import ServerClient, ServerUnavailable, client as client_mod
-from repro.server.chaos import ChaosPlan, FaultSpec, use_chaos
+from repro.server import daemon as daemon_mod
 from repro.server.client import CircuitBreaker, breaker_for, reset_breakers
+
+from .faults import slowed
 
 
 class FlakyListener:
@@ -170,13 +172,13 @@ class TestCircuitBreaker:
         assert breaker_for("/tmp/a.sock") is not a
 
 
-#: the chaos delay on analyze requests, well past the patched read timeout
+#: the stall on analyze requests, well past the patched read timeout
 _DELAY_S = 1.0
 
 
-def _delayed_analyze():
-    return use_chaos(
-        ChaosPlan(0, [FaultSpec("server.delay", match="analyze", delay_s=_DELAY_S)])
+def _delay_analyze(monkeypatch):
+    monkeypatch.setattr(
+        daemon_mod, "run_source", slowed(daemon_mod.run_source, _DELAY_S)
     )
 
 
@@ -190,31 +192,31 @@ def _settle(daemon, timeout=10.0):
 
 class TestTimeouts:
     def test_slow_daemon_trips_read_timeout_not_ping(self, daemon, monkeypatch):
-        # a chaos delay on analyze stalls the answer past the client's
-        # read timeout; pings run under their own deadline, undelayed
+        # a stall on analyze holds the answer past the client's read
+        # timeout; pings run under their own deadline, undelayed
         monkeypatch.setattr(client_mod, "READ_TIMEOUT", 0.2)
-        with _delayed_analyze():
-            client = ServerClient(daemon.socket_path, breaker=CircuitBreaker())
-            with use_recorder(TraceRecorder()):
-                with pytest.raises(ServerUnavailable):
-                    client.analyze_source("echo hi\n")
-            client.close()
-            probe = ServerClient(daemon.socket_path, breaker=CircuitBreaker())
-            with use_recorder(TraceRecorder()):
-                assert probe.ping()["pid"]
-            probe.close()
+        _delay_analyze(monkeypatch)
+        client = ServerClient(daemon.socket_path, breaker=CircuitBreaker())
+        with use_recorder(TraceRecorder()):
+            with pytest.raises(ServerUnavailable):
+                client.analyze_source("echo hi\n")
+        client.close()
+        probe = ServerClient(daemon.socket_path, breaker=CircuitBreaker())
+        with use_recorder(TraceRecorder()):
+            assert probe.ping()["pid"]
+        probe.close()
 
     def test_read_timeout_sends_the_request_once(self, daemon, monkeypatch):
         # the daemon is still busy with the request when the client
         # gives up; a second copy would only queue behind the first
         monkeypatch.setattr(client_mod, "READ_TIMEOUT", 0.3)
-        with _delayed_analyze():
-            client = ServerClient(daemon.socket_path, breaker=CircuitBreaker())
-            with use_recorder(TraceRecorder()):
-                with pytest.raises(ServerUnavailable):
-                    client.run("analyze", "echo once\n")
-            client.close()
-            _settle(daemon)
+        _delay_analyze(monkeypatch)
+        client = ServerClient(daemon.socket_path, breaker=CircuitBreaker())
+        with use_recorder(TraceRecorder()):
+            with pytest.raises(ServerUnavailable):
+                client.run("analyze", "echo once\n")
+        client.close()
+        _settle(daemon)
         assert daemon.recorder.snapshot().counter("server.op.analyze") == 1
 
     def test_cli_falls_back_inline_once_byte_identical(
@@ -226,12 +228,12 @@ class TestTimeouts:
         inline = capsys.readouterr()
 
         monkeypatch.setattr(client_mod, "READ_TIMEOUT", 0.3)
-        with _delayed_analyze():
-            code = cli.main(
-                ["analyze", "--server", "--socket", daemon.socket_path, str(script)]
-            )
-            served = capsys.readouterr()
-            _settle(daemon)
+        _delay_analyze(monkeypatch)
+        code = cli.main(
+            ["analyze", "--server", "--socket", daemon.socket_path, str(script)]
+        )
+        served = capsys.readouterr()
+        _settle(daemon)
         assert code == inline_code
         assert served.out == inline.out
         fallback = [line for line in served.err.splitlines() if "analyzing inline" in line]

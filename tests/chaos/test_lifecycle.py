@@ -26,7 +26,6 @@ from repro.server import (
     probe_socket,
 )
 from repro.server import daemon as daemon_mod
-from repro.server.chaos import ChaosPlan, FaultSpec
 from repro.server.client import CircuitBreaker
 
 from .conftest import corpus, needs_pool, start_daemon
@@ -147,24 +146,31 @@ class TestDrain:
 # ---------------------------------------------------------------------------
 
 
-def _cli_env(extra=None):
+def _cli_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = (
         str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     )
-    env.pop("REPRO_CHAOS", None)
-    if extra:
-        env.update(extra)
     return env
 
 
-def _spawn_served(tmp_path, *extra_args, env_extra=None):
+#: a daemon whose analyze requests stall for 30 s before they run
+_SLOW_SERVED = """
+import sys
+from repro import cli
+from repro.server import daemon
+from tests.chaos.faults import slowed
+daemon.run_source = slowed(daemon.run_source, 30.0)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def _spawn_served(tmp_path, *extra_args, slow=False):
     socket_path = str(tmp_path / "served.sock")
     proc = subprocess.Popen(
         [
             sys.executable,
-            "-m",
-            "repro.cli",
+            *(["-c", _SLOW_SERVED] if slow else ["-m", "repro.cli"]),
             "served",
             "--socket",
             socket_path,
@@ -174,7 +180,7 @@ def _spawn_served(tmp_path, *extra_args, env_extra=None):
             str(tmp_path / "cache"),
             *extra_args,
         ],
-        env=_cli_env(env_extra),
+        env=_cli_env(),
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -374,12 +380,9 @@ class TestKillNineRecovery:
             cwd=str(REPO_ROOT),
         )
 
-        # the daemon stalls analyze requests for 30s (chaos delay), so
-        # the request is reliably in flight when the SIGKILL lands
-        plan = ChaosPlan(0, [FaultSpec("server.delay", match="analyze", delay_s=30.0)])
-        proc, socket_path = _spawn_served(
-            tmp_path, env_extra={"REPRO_CHAOS": plan.to_json()}
-        )
+        # the daemon stalls analyze requests for 30s, so the request
+        # is reliably in flight when the SIGKILL lands
+        proc, socket_path = _spawn_served(tmp_path, slow=True)
         try:
             cli = subprocess.Popen(
                 [

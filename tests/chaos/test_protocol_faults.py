@@ -11,13 +11,14 @@ import time
 import pytest
 
 from repro.server import protocol
-from repro.server.chaos import response_lines, send_raw
 from repro.server.protocol import (
     FrameReader,
     FrameTooLarge,
     PartialFrameTimeout,
     TruncatedFrame,
 )
+
+from .faults import read_until_closed, response_lines, send_raw
 
 
 class TestFrameReaderUnits:
@@ -136,10 +137,10 @@ class TestDaemonWireFaults:
         assert isinstance(envelopes[1]["result"]["pid"], int)
 
     def test_truncated_frame_closes_silently(self, daemon):
-        before = daemon.requests_served
+        before = daemon.recorder.counter("server.requests")
         raw = send_raw(daemon.socket_path, b'{"op":"pi')  # EOF mid-frame
         assert response_lines(raw) == []  # peer is gone; nothing owed
-        assert daemon.requests_served == before
+        assert daemon.recorder.counter("server.requests") == before
         assert daemon.recorder.snapshot().counter("server.protocol_errors") >= 1
 
     def test_oversized_frame_answered_then_closed(self, tmp_path):
@@ -169,17 +170,8 @@ class TestDaemonWireFaults:
             sock.settimeout(5.0)
             sock.connect(server.socket_path)
             sock.sendall(b'{"op":"ana')  # start, then stall
-            chunks = []
-            while True:
-                try:
-                    chunk = sock.recv(1 << 16)
-                except socket.timeout:
-                    break
-                if not chunk:
-                    break
-                chunks.append(chunk)
+            envelopes = response_lines(read_until_closed(sock))
             sock.close()
-            envelopes = response_lines(b"".join(chunks))
             assert len(envelopes) == 1
             assert envelopes[0]["ok"] is False
             assert "deadline" in envelopes[0]["error"]

@@ -2,21 +2,25 @@
 segfault) must cost a retry, never a lost file — and the daemon must
 rebuild its pool inside the failing request so the next one runs warm.
 
-The kill is injected through the ``REPRO_CHAOS`` environment variable
-(pool workers pickle functions by name, so parent-side monkeypatching
-cannot reach them): ``worker.kill`` with a source marker kills exactly
-the worker that draws the marked file, deterministically.
+The kill is injected by monkeypatching ``batch._pool_worker`` with
+:func:`.faults.kill_marked_worker`.  The pool pickles the function by
+its qualified name, so the patch made in this process reaches the
+workers under every start method: the worker that draws the marked
+file dies, deterministically.
 """
+
+import concurrent.futures as futures
+import multiprocessing
 
 import pytest
 
+from repro.analysis import batch, run_batch
 from repro.analysis.cache import ResultCache
+from repro.obs import TraceRecorder, use_recorder
 from repro.server import ServerClient
-from repro.server.chaos import ChaosPlan, FaultSpec
 
 from .conftest import corpus, needs_pool, start_daemon
-
-MARKER = "CHAOS-KILL-ME"
+from .faults import MARKER, kill_marked_worker
 
 
 @needs_pool
@@ -24,18 +28,17 @@ class TestDaemonPoolDeath:
     def test_worker_kill_mid_batch_recovers_in_request(
         self, tmp_path, monkeypatch
     ):
-        plan = ChaosPlan(seed=0, faults=[FaultSpec("worker.kill", match=MARKER)])
-        monkeypatch.setenv("REPRO_CHAOS", plan.to_json())
+        monkeypatch.setattr(batch, "_pool_worker", kill_marked_worker)
         scripts = corpus(tmp_path, n=4, marker=MARKER)
         cache = ResultCache(str(tmp_path / "cache"))
         server, stop = start_daemon(tmp_path, jobs=2, cache=cache)
         try:
             with ServerClient(server.socket_path) as client:
-                batch = client.batch([scripts])
+                batch_result = client.batch([scripts])
             # the envelope is well-formed and no file is missing: the
             # marked file was retried inline after its worker died
-            assert len(batch.results) == 4
-            assert not any(r.quarantined for r in batch.results)
+            assert len(batch_result.results) == 4
+            assert not any(r.quarantined for r in batch_result.results)
             snapshot = server.recorder.snapshot()
             assert snapshot.counter("batch.worker_failures") >= 1
             assert snapshot.counter("batch.retries") >= 1
@@ -65,12 +68,11 @@ class TestDaemonPoolDeath:
         finally:
             stop()
 
-        plan = ChaosPlan(seed=0, faults=[FaultSpec("worker.kill", match=MARKER)])
-        monkeypatch.setenv("REPRO_CHAOS", plan.to_json())
-        chaos_dir = tmp_path / "chaos-home"
-        chaos_dir.mkdir()
+        monkeypatch.setattr(batch, "_pool_worker", kill_marked_worker)
+        faulty_dir = tmp_path / "faulty-home"
+        faulty_dir.mkdir()
         server, stop = start_daemon(
-            chaos_dir, jobs=2, cache=ResultCache(str(tmp_path / "faulty"))
+            faulty_dir, jobs=2, cache=ResultCache(str(tmp_path / "faulty"))
         )
         try:
             with ServerClient(server.socket_path) as client:
@@ -78,3 +80,28 @@ class TestDaemonPoolDeath:
         finally:
             stop()
         assert faulty == healthy
+
+
+@needs_pool
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_worker_kill_under_every_start_method(tmp_path, monkeypatch, method):
+    context = multiprocessing.get_context(method)
+
+    def make_pool(jobs):
+        return futures.ProcessPoolExecutor(
+            max_workers=jobs,
+            mp_context=context,
+            initializer=batch._exit_with_parent,
+        )
+
+    monkeypatch.setattr(batch, "_make_pool", make_pool)
+    monkeypatch.setattr(batch, "_pool_worker", kill_marked_worker)
+    scripts = corpus(tmp_path, n=4, marker=MARKER)
+    recorder = TraceRecorder()
+    with use_recorder(recorder):
+        faulty = run_batch([scripts], jobs=2)
+    failures = recorder.counter("batch.worker_failures")
+    assert failures >= 1
+    assert recorder.counter("batch.retries") == failures
+    assert not any(r.quarantined for r in faulty.results)
+    assert faulty.render() == run_batch([scripts], jobs=1).render()

@@ -129,6 +129,20 @@ class TestOps:
         # the connection survives the error
         assert client.ping()["protocol"] == 2
 
+    def test_unknown_op_names_do_not_grow_the_metrics(self, daemon):
+        for index in range(50):
+            envelope = daemon.handle_request({"op": f"junk{index}"})
+            assert envelope["error"] == f"unknown op: 'junk{index}'"
+        envelope = daemon.handle_request({"op": ["a"]})
+        assert envelope["error"] == "unknown op: ['a']"
+        snapshot = daemon.recorder.snapshot()
+        assert snapshot.counter("server.op.unknown") == 51
+        names = [*snapshot.counters, *snapshot.histograms]
+        assert not [name for name in names if "junk" in name]
+        assert set(daemon.handle_request({"op": "stats"})["result"]["latency_ms"]) == {
+            "unknown"
+        }
+
     def test_malformed_request_payload(self, daemon):
         client = ServerClient(daemon.socket_path)
         with pytest.raises(ServerError):
