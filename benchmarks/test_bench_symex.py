@@ -17,7 +17,11 @@ from conftest import emit
 from repro.analysis import analyze
 from repro.analysis.difftest.campaign import CampaignConfig
 from repro.analysis.difftest.gen import generate
+from repro.analysis.resilience import GuardedChecker
 from repro.obs import TraceRecorder, use_recorder
+from repro.rlang.dfa import DFA
+from repro.symex import Engine
+from repro.symex import engine as engine_mod
 from repro.symstr import SymString
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -86,4 +90,69 @@ def test_path_counts(seeds_run):
     emit("E-symex-keys (paths over the generator seeds)",
          [f"explored={explored} merged={merged} over {analyses} analyses"])
     assert analyses == 15
+    assert (explored, merged) == (7108, 1459)
+
+
+#: the checker hooks the engine dispatches
+HOOKS = ("on_command", "on_delete", "on_case_arm", "on_always_fails", "on_pipeline", "finish")
+
+
+def test_state_independent_counts(monkeypatch):
+    """Facts that depend on no state are computed once: a path is parsed
+    once per operand and run, a hook reaches only the checkers that
+    override it, and a DFA walks for emptiness once.  Per pass over the
+    generator seeds, after a warm-up pass that builds the process's
+    constant languages: 169 path parses in the engine, one per distinct
+    operand of a run (6 620 when every resolve and file test parsed),
+    5 940 hook dispatches (35 640 when every checker got every hook) and
+    105 emptiness walks (3 870 when every query walked)."""
+    kwargs = CampaignConfig().analyze_kwargs()
+    sources = [generate(seed, safe=True) for seed in _generator_seeds()]
+    for source in sources:
+        analyze(source, **kwargs)
+
+    counts = {"parses": 0, "distinct": 0, "walks": 0, "dispatches": 0}
+    operands = set()
+    parse, sympath = engine_mod.parse_sympath, Engine.sympath
+    walk = DFA._walk_empty
+
+    def counted_parse(value):
+        counts["parses"] += 1
+        return parse(value)
+
+    def counted_sympath(self, value):
+        operands.add(value)
+        return sympath(self, value)
+
+    def counted_walk(self):
+        counts["walks"] += 1
+        return walk(self)
+
+    def counted_hook(name):
+        real = getattr(GuardedChecker, name)
+
+        def hook(self, *args):
+            counts["dispatches"] += 1
+            return real(self, *args)
+
+        return hook
+
+    monkeypatch.setattr(engine_mod, "parse_sympath", counted_parse)
+    monkeypatch.setattr(Engine, "sympath", counted_sympath)
+    monkeypatch.setattr(DFA, "_walk_empty", counted_walk)
+    for name in HOOKS:
+        monkeypatch.setattr(GuardedChecker, name, counted_hook(name))
+    recorder = TraceRecorder()
+    with use_recorder(recorder):
+        for source in sources:
+            operands.clear()
+            analyze(source, **kwargs)
+            counts["distinct"] += len(operands)
+    explored = recorder.counter("symex.states_explored")
+    merged = recorder.counter("symex.states_merged")
+    emit("E-symex-once (state-independent work per pass over the generator seeds)",
+         [f"{name}={value}" for name, value in counts.items()]
+         + [f"explored={explored} merged={merged}"])
+    assert counts["parses"] <= counts["distinct"]
+    assert counts == {"parses": 169, "distinct": 169, "walks": 105, "dispatches": 5940}
     assert (explored, merged) == (7108, 1459)

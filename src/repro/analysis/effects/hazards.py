@@ -80,25 +80,32 @@ def find_hazards(graph: EffectGraph) -> List[Hazard]:
             seen.add(hazard.key())
             hazards.append(hazard)
 
-    material = [
-        a for a in graph.accesses
-        if a.is_write or a.is_read or a.op is FsOp.STAT
-    ]
+    # the pair loop is quadratic: classify each access once, before it.
+    # Metadata checks (STAT) feed the TOCTOU rule only; the pair rule
+    # sees the reads and writes, each with whether it writes
+    material: List[Access] = []
+    contents: List[Tuple[Access, bool]] = []
+    for access in graph.accesses:
+        if access.op is FsOp.STAT:
+            material.append(access)
+            continue
+        write = access.is_write
+        if write or access.is_read:
+            material.append(access)
+            contents.append((access, write))
 
-    for i, a in enumerate(material):
-        for b in material[i + 1:]:
-            if not (a.is_write or b.is_write):
+    for i, (a, a_write) in enumerate(contents):
+        for b, b_write in contents[i + 1:]:
+            if not (a_write or b_write):
                 continue
             if not graph.interleavable(a, b):
                 continue
-            if a.op is FsOp.STAT or b.op is FsOp.STAT:
-                continue  # metadata checks feed the TOCTOU rule instead
             if graph.may_alias(a, b) is None:
                 continue
             shown = graph.display(b.path if b.task == 0 else a.path)
             anchor = _anchor(a, b)
             related = (_describe(a), _describe(b))
-            if a.is_write and b.is_write:
+            if a_write and b_write:
                 add(Hazard(
                     code="race-write-write",
                     message=(
@@ -111,7 +118,7 @@ def find_hazards(graph: EffectGraph) -> List[Hazard]:
                     path=shown,
                 ))
             else:
-                reader, writer = (a, b) if b.is_write else (b, a)
+                reader, writer = (a, b) if b_write else (b, a)
                 add(Hazard(
                     code="race-read-write",
                     message=(

@@ -10,6 +10,8 @@ $STEAMROOT$c`` (§3).
 
 from __future__ import annotations
 
+from typing import Callable, Optional, Tuple
+
 from ..diag import Diagnostic, Severity
 from ..rlang import Regex
 from ..shell.ast import SimpleCommand
@@ -26,6 +28,11 @@ DANGER_PATTERN = r"/+((\.{1,2})/+)*(\.{1,2}|[^/\n]*)(/+(\.{1,2})?)*"
 #: Home-directory deletions: ~ or $HOME directly.
 HOME_PATTERN = r"/home/[^/\n]+/?|/root/?"
 
+#: ``analysis.resilience.dfa_state_cap``, bound on first use (that
+#: package imports this one, so it cannot be bound at import)
+_dfa_state_cap: Optional[Callable[[], int]] = None
+
+
 class DangerousDeletionChecker(Checker):
     name = "dangerous-deletion"
 
@@ -39,30 +46,62 @@ class DangerousDeletionChecker(Checker):
         operand: SymString,
         recursive: bool,
     ) -> None:
-        lang = operand.to_regex(state.store)
-        if lang.is_empty():
+        finding = self.finding(operand, state.store)
+        if finding is None:
             return
+        code, witness, always = finding
+        target = operand.describe(state.store)
+        if code == "dangerous-deletion":
+            message = (
+                f"deletion target {target!r} can resolve inside the file-system root"
+                + (" (recursively)" if recursive else "")
+            )
+            severity = Severity.ERROR
+        else:
+            message = f"deletion target {target!r} may be an entire home directory"
+            severity = Severity.INFO
+        state.warn(
+            Diagnostic(
+                code=code,
+                message=message,
+                severity=severity,
+                pos=node.pos,
+                always=always,
+                witness=witness,
+            )
+        )
+
+    def finding(self, operand: SymString, store) -> Optional[Tuple[str, str, bool]]:
+        """``(code, witness, always)`` of the deletion's finding, or None.
+
+        A concrete operand ``t`` denotes the one string ``t``: it meets
+        the danger language iff the language matches ``t``, the witness
+        is ``t`` and the finding holds always; a finite language never
+        makes a home finding.  That skips automata only where none could
+        trip the DFA-state cap: ``t``'s language has ``len(t) + 2``
+        states and a product at most the product of its operands'
+        states.  Otherwise the languages are built, so a tight cap
+        degrades where it always did."""
+        global _dfa_state_cap
+        text = operand.concrete_value()
+        if text is not None:
+            if _dfa_state_cap is None:
+                from ..analysis.resilience import dfa_state_cap as _dfa_state_cap
+            danger = Regex.constant(DANGER_PATTERN)
+            if (len(text) + 2) * (danger.dfa.n_states + 1) <= _dfa_state_cap():
+                return ("dangerous-deletion", text, True) if danger.matches(text) else None
+        return self.language_finding(operand, store)
+
+    def language_finding(self, operand: SymString, store) -> Optional[Tuple[str, str, bool]]:
+        """:meth:`finding` decided on the operand's language."""
+        lang = operand.to_regex(store)
+        if lang.is_empty():
+            return None
 
         danger = Regex.constant(DANGER_PATTERN)
         overlap = lang & danger
         if not overlap.is_empty():
-            witness = overlap.example() or ""
-            always = lang <= danger
-            state.warn(
-                Diagnostic(
-                    code="dangerous-deletion",
-                    message=(
-                        f"deletion target {operand.describe(state.store)!r} can "
-                        f"resolve inside the file-system root"
-                        + (" (recursively)" if recursive else "")
-                    ),
-                    severity=Severity.ERROR,
-                    pos=node.pos,
-                    always=always,
-                    witness=witness,
-                )
-            )
-            return
+            return "dangerous-deletion", overlap.example() or "", lang <= danger
 
         if self.include_home and not operand.has_glob():
             # `dir/*` deletes dir's children, never dir itself; only a
@@ -70,15 +109,5 @@ class DangerousDeletionChecker(Checker):
             overlap = lang & Regex.constant(HOME_PATTERN)
             if not overlap.is_empty() and not lang.is_finite():
                 # a *symbolic* operand that may be exactly a home directory
-                state.warn(
-                    Diagnostic(
-                        code="home-deletion",
-                        message=(
-                            f"deletion target {operand.describe(state.store)!r} "
-                            "may be an entire home directory"
-                        ),
-                        severity=Severity.INFO,
-                        pos=node.pos,
-                        witness=overlap.example() or "",
-                    )
-                )
+                return "home-deletion", overlap.example() or "", False
+        return None

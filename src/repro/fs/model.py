@@ -94,6 +94,7 @@ class FileSystem:
         sym_roots: Optional[Dict[int, int]] = None,
         log: Optional[EventLog] = None,
         denied: Optional[Dict[int, frozenset]] = None,
+        paths: Optional[Dict[int, str]] = None,
     ):
         if nodes is None:
             nodes = {
@@ -113,9 +114,15 @@ class FileSystem:
         #: absence — X may still exist as a file).  Weaker than
         #: tri-state existence, but enough for guard reasoning.
         self.denied: Dict[int, frozenset] = dict(denied or {})
+        #: node id -> :meth:`path_of`, one map shared by this file
+        #: system's forks: node ids are never reused, and no record
+        #: replacement changes a node's name or parent
+        self._paths: Dict[int, str] = paths if paths is not None else {}
 
     def fork(self) -> "FileSystem":
-        return FileSystem(self.nodes, self.sym_roots, self.log.fork(), self.denied)
+        return FileSystem(
+            self.nodes, self.sym_roots, self.log.fork(), self.denied, self._paths
+        )
 
     def same_facts(self, other: "FileSystem") -> bool:
         """Do both file systems hold the same nodes and facts?  (Their
@@ -141,15 +148,16 @@ class FileSystem:
 
     def _child(self, parent_id: int, name: Component, create: bool = True) -> Optional[int]:
         parent = self._get(parent_id)
-        mapping = parent.child_map()
-        if name in mapping:
-            return mapping[name]
+        # a directory has few children: scan them rather than build a dict
+        for child_name, child_id in parent.children:
+            if child_name == name:
+                return child_id
         if not create:
             return None
         child = self._new_node(parent_id, str(name))
-        mapping[name] = child.node_id
         self._set(NodeRecord(
-            parent.node_id, parent.existence, parent.kind, tuple(mapping.items()),
+            parent.node_id, parent.existence, parent.kind,
+            parent.children + ((name, child.node_id),),
             parent.parent, parent.name, parent.link_target,
         ))
         return child.node_id
@@ -219,6 +227,12 @@ class FileSystem:
         )
 
     def path_of(self, node_id: int) -> str:
+        path = self._paths.get(node_id)
+        if path is None:
+            path = self._paths[node_id] = self._walk_path(node_id)
+        return path
+
+    def _walk_path(self, node_id: int) -> str:
         parts: List[str] = []
         current: Optional[int] = node_id
         while current is not None:

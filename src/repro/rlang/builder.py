@@ -77,7 +77,7 @@ class Regex:
 
     @classmethod
     def nothing(cls) -> "Regex":
-        return cls.compile("[^\\x00-\\x10]") & cls.compile("[\\x00-\\x10]")
+        return cls.constant("[^\\x00-\\x10]") & cls.constant("[\\x00-\\x10]")
 
     # -- core automaton access ---------------------------------------------
 

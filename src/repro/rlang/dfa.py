@@ -28,9 +28,10 @@ class DFA(Record):
     """
 
     #: ``table_tag`` is the ``(token, key)`` set by the
-    #: :class:`~repro.rlang.table.RunTable` that last keyed this DFA (not
-    #: a field: no part of equality)
-    __slots__ = ("atoms", "delta", "accepting", "start", "table_tag")
+    #: :class:`~repro.rlang.table.RunTable` that last keyed this DFA, and
+    #: ``_empty`` the memoised :meth:`is_empty` (not fields: no part of
+    #: equality)
+    __slots__ = ("atoms", "delta", "accepting", "start", "table_tag", "_empty")
     _fields = ("atoms", "delta", "accepting", "start")
 
     def __init__(
@@ -41,6 +42,7 @@ class DFA(Record):
         self.accepting = accepting
         self.start = start
         self.table_tag = None
+        self._empty: Optional[bool] = None
 
     @property
     def n_states(self) -> int:
@@ -98,7 +100,13 @@ class DFA(Record):
         return reachable & coreachable
 
     def is_empty(self) -> bool:
-        """No accepting state is reachable from ``start``."""
+        """No accepting state is reachable from ``start``.  No DFA is
+        mutated after construction, so the walk runs once per DFA."""
+        if self._empty is None:
+            self._empty = self._walk_empty()
+        return self._empty
+
+    def _walk_empty(self) -> bool:
         accepting = self.accepting
         if self.start in accepting:
             return False

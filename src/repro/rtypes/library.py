@@ -103,9 +103,9 @@ def grep_line_language(pattern: str, whole_line: bool = False) -> Regex:
     if whole_line:
         return lang
     if not anchored_start:
-        lang = Regex.compile(".*") + lang
+        lang = Regex.constant(".*") + lang
     if not anchored_end:
-        lang = lang + Regex.compile(".*")
+        lang = lang + Regex.constant(".*")
     return lang
 
 
@@ -432,7 +432,7 @@ from .signatures import Var as Var_  # noqa: E402
 
 
 def _any_expr():
-    return _Concrete(Regex.compile("(.|\\n)*"))
+    return _Concrete(Regex.constant("(.|\\n)*"))
 
 
 def _concrete_expr(lang: Regex):

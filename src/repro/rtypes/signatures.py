@@ -178,10 +178,13 @@ def suffix_sig(suffix: str, label: str = "") -> Signature:
 
 
 def producer(output_pattern: str, label: str = "") -> Signature:
-    """A source command: any input (ignored), fixed output language."""
+    """A source command: any input (ignored), fixed output language.
+
+    ``output_pattern`` is written in the analyzer's source, never taken
+    from a script, so both languages are process-wide constants."""
     return Signature(
-        Concrete(Regex.compile("(.|\\n)*")),
-        Concrete(Regex.compile(output_pattern)),
+        Concrete(Regex.constant("(.|\\n)*")),
+        Concrete(Regex.constant(output_pattern)),
         label=label,
     )
 

@@ -31,12 +31,12 @@ class StreamType:
 
     @classmethod
     def any(cls) -> "StreamType":
-        return cls(Regex.compile(".*"), "any")
+        return cls(Regex.constant(".*"), "any")
 
     @classmethod
     def dead(cls) -> "StreamType":
         """A stream that cannot carry any line."""
-        return cls(Regex.compile("a") & Regex.compile("b"), "dead")
+        return cls(Regex.constant("a") & Regex.constant("b"), "dead")
 
     # -- queries ----------------------------------------------------------------
 

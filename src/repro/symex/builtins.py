@@ -7,7 +7,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from ..diag import Diagnostic, Severity
-from ..fs import FsContradiction, NodeKind, parse_sympath
+from ..fs import FsContradiction, NodeKind
 from ..rlang import Regex
 from ..symstr import SymString
 from .state import SymState
@@ -65,7 +65,7 @@ def builtin_cd(argv: List[SymString], state: SymState, engine: "Engine") -> List
                 success = None
         if success is not None:
             feasible = True
-            path = parse_sympath(target)
+            path = engine.sympath(target)
             if path is not None:
                 node = success.fs.resolve(path, cwd=success.cwd_node)
                 try:
@@ -218,7 +218,7 @@ def _eval_unary(
             note=f"-n {operand.describe(state.store)}",
         )
     if op in ("-e", "-f", "-d", "-r", "-w", "-x", "-s", "-h", "-L"):
-        return _eval_file_test(op, operand, state, negate)
+        return _eval_file_test(op, operand, state, engine, negate)
     # unknown unary: fork
     yes = state.fork().with_status(0 if not negate else 1)
     no = state.fork().with_status(1 if not negate else 0)
@@ -226,14 +226,14 @@ def _eval_unary(
 
 
 def _eval_file_test(
-    op: str, operand: SymString, state: SymState, negate: bool
+    op: str, operand: SymString, state: SymState, engine: "Engine", negate: bool
 ) -> List[SymState]:
     kind = NodeKind.UNKNOWN
     if op == "-f":
         kind = NodeKind.FILE
     elif op == "-d":
         kind = NodeKind.DIR
-    path = parse_sympath(operand)
+    path = engine.sympath(operand)
     results: List[SymState] = []
 
     exists_state = state.fork(note=f"test {op} {operand.describe(state.store)}: holds")

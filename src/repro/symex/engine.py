@@ -12,7 +12,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..checkers.base import Checker
 from ..diag import Diagnostic, Severity, dedupe
-from ..fs import FsContradiction, FsOp, NodeKind, Origin, parse_sympath
+from ..fs import FsContradiction, FsOp, NodeKind, Origin, SymPath, parse_sympath
 from ..obs import Recorder, get_recorder
 from ..records import Record
 from ..rlang import Regex
@@ -65,6 +65,33 @@ from .state import BgJob, SymState
 
 #: Script paths ($0): §3's example constraint.
 SCRIPT_PATH_RE = r"/?([^/\n]*/)*[^/\n]+"
+
+#: the node kind an ``Exists`` precondition assumes
+_EXISTS_KIND = {
+    PathKind.FILE: NodeKind.FILE,
+    PathKind.DIR: NodeKind.DIR,
+    PathKind.ANY: NodeKind.UNKNOWN,
+}
+
+#: the checker hooks the engine calls
+_HOOKS = ("on_command", "on_delete", "on_case_arm", "on_always_fails", "on_pipeline", "finish")
+
+
+def _listeners(checkers: Sequence, hook: str) -> List:
+    """The checkers whose ``hook`` may do something.  A checker whose
+    hook is :class:`Checker`'s own no-op is left out; a guarded checker
+    (``analysis.resilience.GuardedChecker``) is judged by the checker it
+    wraps, and an object that is no :class:`Checker` gets every hook."""
+    from ..analysis.resilience import GuardedChecker
+
+    noop = getattr(Checker, hook)
+    result = []
+    for checker in checkers:
+        inner = checker.inner if isinstance(checker, GuardedChecker) else checker
+        method = getattr(inner, hook, None)
+        if getattr(method, "__func__", None) is not noop:
+            result.append(checker)
+    return result
 
 
 class ExecResult(Record):
@@ -166,6 +193,13 @@ class Engine:
         #: id(word) -> (word, fields): they do not depend on the state, so
         #: they are split once per run
         self._literal_fields: Dict[int, Tuple[Word, Optional[List[SymString]]]] = {}
+        #: each operand's path shape (None: not a path), parsed once per
+        #: run: it depends on the operand's atoms alone
+        self._sympaths: Dict[SymString, Optional[SymPath]] = {}
+        #: per hook, the checkers that override it (see :func:`_listeners`)
+        self._hooks: Dict[str, List] = {
+            hook: _listeners(self.checkers, hook) for hook in _HOOKS
+        }
 
     # -- entry points -------------------------------------------------------
 
@@ -256,10 +290,10 @@ class Engine:
                             "its preconditions contradict established "
                             "file-system facts"
                         )
-                        for checker in self.checkers:
+                        for checker in self._hooks["on_always_fails"]:
                             checker.on_always_fails(sink, node, reason)
                 diagnostics.extend(sink.diagnostics)
-                for checker in self.checkers:
+                for checker in self._hooks["finish"]:
                     diagnostics.extend(checker.finish(finals))
         if self.truncations:
             diagnostics.append(
@@ -421,7 +455,7 @@ class Engine:
             return with_redirects(self._call_function(name, argv, state))
 
         spec = self.registry.get(name)
-        for checker in self.checkers:
+        for checker in self._hooks["on_command"]:
             checker.on_command(state, node, argv, spec)
 
         if builtins_mod.is_builtin(name):
@@ -604,11 +638,7 @@ class Engine:
 
     def _assume_pre(self, pre, operands: List[SymString], state: SymState) -> None:
         if isinstance(pre, Exists):
-            kind = {
-                PathKind.FILE: NodeKind.FILE,
-                PathKind.DIR: NodeKind.DIR,
-                PathKind.ANY: NodeKind.UNKNOWN,
-            }[pre.kind]
+            kind = _EXISTS_KIND[pre.kind]
             for value in self._select(pre.sel, operands):
                 node_id = self._resolve(value, state)
                 if node_id is not None:
@@ -631,7 +661,7 @@ class Engine:
     ) -> None:
         if isinstance(effect, Deletes):
             for value in self._select(effect.sel, operands):
-                for checker in self.checkers:
+                for checker in self._hooks["on_delete"]:
                     checker.on_delete(state, node, value, effect.recursive)
                 target = value.without_globs() if value.has_glob() else value
                 node_id = self._resolve(target, state)
@@ -695,10 +725,18 @@ class Engine:
                     break
                 atoms.append(atom)
             value = SymString(atoms)
-        path = parse_sympath(value)
+        path = self.sympath(value)
         if path is None:
             return None
         return state.fs.resolve(path, cwd=state.cwd_node)
+
+    def sympath(self, value: SymString) -> Optional[SymPath]:
+        """``parse_sympath(value)``, parsed once per run."""
+        try:
+            return self._sympaths[value]
+        except KeyError:
+            path = self._sympaths[value] = parse_sympath(value)
+            return path
 
     # -- redirects --------------------------------------------------------------------
 
@@ -853,7 +891,7 @@ class Engine:
                     overrides.append(sig)
             self._rec.count("rtypes.pipeline_checks")
             types = check_pipeline(argvs, signatures=overrides)
-            for checker in self.checkers:
+            for checker in self._hooks["on_pipeline"]:
                 checker.on_pipeline(state, node, types.issues)
             output_type = types.output
 
@@ -1253,11 +1291,11 @@ class Engine:
 
                 feasible_lang = remaining & pattern_lang
                 feasible = not feasible_lang.is_empty()
-                if self.checkers:
+                if self._hooks["on_case_arm"]:
                     # report against the *original* subject language so a
                     # pattern shadowed by earlier arms is not misreported
                     original_feasible = not (subject_lang & pattern_lang).is_empty()
-                    for checker in self.checkers:
+                    for checker in self._hooks["on_case_arm"]:
                         checker.on_case_arm(
                             subj_state, node, item, original_feasible, True
                         )

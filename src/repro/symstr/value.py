@@ -47,13 +47,21 @@ class SymString:
     atom's language under a given :class:`ConstraintStore`.
     """
 
-    __slots__ = ("atoms", "_hash")
+    __slots__ = ("atoms", "_hash", "_text")
 
     def __init__(self, atoms: Iterable[Atom] = ()):
         atoms = _normalise(atoms)
         object.__setattr__(self, "atoms", atoms)
         # state merging hashes every value of every state: hash once
         object.__setattr__(self, "_hash", hash(atoms))
+        # normalising merged adjacent literals, so a concrete value is at
+        # most one literal atom; every state asks, so answer once
+        text: Optional[str] = None
+        if not atoms:
+            text = ""
+        elif len(atoms) == 1 and isinstance(atoms[0], LitAtom):
+            text = atoms[0].text
+        object.__setattr__(self, "_text", text)
 
     def __setattr__(self, name, value):
         raise AttributeError("SymString is immutable")
@@ -85,12 +93,10 @@ class SymString:
         return SymString(self.atoms + other.atoms)
 
     def is_concrete(self) -> bool:
-        return all(isinstance(a, LitAtom) for a in self.atoms)
+        return self._text is not None
 
     def concrete_value(self) -> Optional[str]:
-        if not self.is_concrete():
-            return None
-        return "".join(a.text for a in self.atoms)
+        return self._text
 
     def variables(self) -> List[int]:
         return [a.vid for a in self.atoms if isinstance(a, VarAtom)]
@@ -139,7 +145,7 @@ class SymString:
                     pattern = "[^/.\\n][^/\\n]*" if component_start else "[^/\\n]*"
                 else:
                     pattern = "[^/.\\n]" if component_start else "[^/\\n]"
-                piece = Regex.compile(pattern)
+                piece = Regex.constant(pattern)
             else:
                 piece = store.constraint(atom.vid)
             result = piece if result is None else result + piece

@@ -2,7 +2,7 @@
 with the number of checkers or with the number of forked states that
 reach the same `case`."""
 
-from repro.checkers import default_checkers
+from repro.checkers import DeadCaseChecker, default_checkers
 from repro.checkers.deletion import DangerousDeletionChecker
 from repro.obs import TraceRecorder, use_recorder
 from repro.symex import Engine
@@ -30,11 +30,14 @@ def _product_calls(checkers, source=CASE):
 
 class TestCaseArmCost:
     def test_product_calls_do_not_scale_with_checkers(self):
+        """One case-arm listener costs what six checkers cost; a checker
+        that does not listen to case arms costs no arm report at all."""
         checkers = default_checkers()
         assert len(checkers) == 6
-        one = _product_calls([DangerousDeletionChecker()])
+        one = _product_calls([DeadCaseChecker()])
         assert one > 0
         assert _product_calls(checkers) == one
+        assert 0 < _product_calls([DangerousDeletionChecker()]) < one
 
     def test_pattern_compiled_once_across_forks(self, monkeypatch):
         compiled = []
