@@ -8,6 +8,7 @@ input.
 
 from conftest import emit
 
+from repro.rlang import Regex
 from repro.rtypes import (
     StreamType,
     apply_signature,
@@ -62,7 +63,7 @@ def test_polymorphic_application_cost(benchmark):
 
 
 def test_bounded_identity_cost(benchmark):
-    sig = identity("sort -g", bound="0x[0-9a-f]+.*")
+    sig = identity("sort -g", bound=Regex.compile("0x[0-9a-f]+.*"))
     input_type = StreamType.of("0x[0-9a-f]+")
     benchmark(apply_signature, sig, input_type)
 

@@ -19,7 +19,7 @@ import time
 from conftest import emit
 
 from repro.analysis import analyze
-from repro.analysis.resilience import ResourceBudget
+from repro.budget import ResourceBudget
 
 REPS = 5
 

@@ -8,6 +8,7 @@ milliseconds, so they do not depend on the machine.
 """
 
 import ast
+import json
 import re
 from pathlib import Path
 
@@ -17,7 +18,8 @@ from conftest import emit
 from repro.analysis import analyze
 from repro.analysis.difftest.campaign import CampaignConfig
 from repro.analysis.difftest.gen import generate
-from repro.analysis.resilience import GuardedChecker
+from repro.analysis.optimize import build_plan
+from repro.checkers import Checker, default_checkers
 from repro.obs import TraceRecorder, use_recorder
 from repro.rlang.dfa import DFA
 from repro.symex import Engine
@@ -128,9 +130,7 @@ def test_state_independent_counts(monkeypatch):
         counts["walks"] += 1
         return walk(self)
 
-    def counted_hook(name):
-        real = getattr(GuardedChecker, name)
-
+    def counted_hook(real):
         def hook(self, *args):
             counts["dispatches"] += 1
             return real(self, *args)
@@ -140,8 +140,13 @@ def test_state_independent_counts(monkeypatch):
     monkeypatch.setattr(engine_mod, "parse_sympath", counted_parse)
     monkeypatch.setattr(Engine, "sympath", counted_sympath)
     monkeypatch.setattr(DFA, "_walk_empty", counted_walk)
-    for name in HOOKS:
-        monkeypatch.setattr(GuardedChecker, name, counted_hook(name))
+    # count at the checkers' own hooks: only the ones a class overrides,
+    # since the engine dispatches to no other
+    for cls in {type(checker) for checker in default_checkers()}:
+        for name in HOOKS:
+            real = getattr(cls, name)
+            if real is not getattr(Checker, name):
+                monkeypatch.setattr(cls, name, counted_hook(real))
     recorder = TraceRecorder()
     with use_recorder(recorder):
         for source in sources:
@@ -156,3 +161,19 @@ def test_state_independent_counts(monkeypatch):
     assert counts["parses"] <= counts["distinct"]
     assert counts == {"parses": 169, "distinct": 169, "walks": 105, "dispatches": 5940}
     assert (explored, merged) == (7108, 1459)
+
+
+def test_safe_seeds_analyse_and_plan_without_internal_errors():
+    """A spec effect that contradicts the path's facts makes its clause
+    infeasible, so no safe generator seed ends in an ``internal-error``:
+    analysed at the default fork budget and planned by ``build_plan``
+    (seeds 25 and 32 used to raise ``FsContradiction`` out of both)."""
+    failing = []
+    for seed in range(40):
+        source = generate(seed, safe=True)
+        if analyze(source).has("internal-error"):
+            failing.append(f"analyze {seed}")
+        if "internal-error" in json.dumps(build_plan(source).to_dict()):
+            failing.append(f"build_plan {seed}")
+    emit("E-symex-clean (safe generator seeds 0-39)", [f"failing={failing}"])
+    assert failing == []

@@ -3,6 +3,7 @@
 The batch, cache and optimize names load on first use (PEP 562), so a
 one-script ``repro-analyze`` does not import those modules."""
 
+from ..budget import AnalysisBudgetExceeded, ResourceBudget
 from ..lazy import exports
 from .analyzer import analyze
 from .annotations import (
@@ -13,7 +14,6 @@ from .annotations import (
     parse_annotations,
 )
 from .report import Report
-from .resilience import AnalysisBudgetExceeded, ResourceBudget
 
 #: lazily exported name -> the submodule defining it
 _LAZY = {

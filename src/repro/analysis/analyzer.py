@@ -14,8 +14,15 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+from ..budget import AnalysisBudgetExceeded, ResourceBudget, use_budget
 from ..checkers import Checker, default_checkers
-from ..diag import Diagnostic, Severity, dedupe
+from ..diag import (
+    Diagnostic,
+    Severity,
+    dedupe,
+    degraded_diagnostic,
+    internal_error_diagnostic,
+)
 from ..obs import get_recorder
 from ..shell import parse as parse_shell
 from ..shell.lexer import ShellSyntaxError
@@ -23,13 +30,6 @@ from ..shell.parser import ParseDepthExceeded
 from ..symex import Engine
 from .annotations import load_annotation_file, merge_annotations, parse_annotations
 from .report import Report
-from .resilience import (
-    AnalysisBudgetExceeded,
-    ResourceBudget,
-    degraded_diagnostic,
-    internal_error_diagnostic,
-    use_budget,
-)
 
 
 def run_lint(source: str) -> List[Diagnostic]:

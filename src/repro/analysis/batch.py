@@ -14,7 +14,7 @@ campaign shares: each item is submitted to the pool as its own future,
 so one item killing its worker (OOM, segfault in an extension,
 ``os._exit``) cannot take the rest of the batch with it.  An item whose
 worker died is retried once inline under a *tightened*
-:class:`~repro.analysis.resilience.ResourceBudget`; if the retry also
+:class:`~repro.budget.ResourceBudget`; if the retry also
 fails, the item is quarantined — a file still gets a renderable result
 carrying an ``analysis-quarantined`` diagnostic.  Degraded and
 quarantined results are never written to the result cache, so a later
@@ -38,12 +38,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Iterator, List, Optional, Sequence, Tuple
 
-from ..diag import Severity
+from ..budget import ResourceBudget
+from ..diag import Severity, quarantine_diagnostic
 from ..obs import get_recorder
 from .cache import ResultCache
 from .pipeline import OPS, BatchConfig
 from .report import Report
-from .resilience import ResourceBudget, quarantine_diagnostic
 
 #: extensions treated as shell scripts when scanning a directory
 SCRIPT_EXTENSIONS = (".sh", ".bash")

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..budget import AnalysisBudgetExceeded, ResourceBudget, use_budget
 from ..checkers import default_checkers
 from ..digraph import descendants, reachability, topological_generations
 from ..fs import FsOp
@@ -33,7 +34,6 @@ from ..shell import parse
 from ..shell.ast import Command, Sequence as SeqNode, SimpleCommand, walk
 from ..symex import Engine
 from ..symex.engine import command_assigned_names
-from .resilience import AnalysisBudgetExceeded, ResourceBudget, use_budget
 
 #: fs operations that constitute a write (mutation) vs a read
 _WRITES = {FsOp.WRITE, FsOp.CREATE, FsOp.DELETE}

@@ -22,7 +22,7 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..resilience import ResourceBudget
+from ...budget import ResourceBudget
 from . import dynamic as dynamic_oracle
 from . import metamorphic as metamorphic_oracle
 from .dynamic import CHECKERS, Disagreement

@@ -21,11 +21,11 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Optional, Set, Tuple
 
+from ...budget import dfa_state_cap
 from ...fs import FsEvent, FsOp, Origin
 from ...records import FrozenRecord, Record, set_field
 from ...rlang import Regex
 from ...symstr import ConstraintStore
-from ..resilience import dfa_state_cap
 
 #: operations that mutate the file system
 WRITE_OPS = frozenset({FsOp.WRITE, FsOp.CREATE, FsOp.DELETE})

@@ -24,6 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import ClassVar, Dict, List, Optional, Tuple
 
+from ...budget import ResourceBudget
 from ...obs import get_recorder
 from ...rlang.table import run_table
 from ...shell.ast import (
@@ -38,7 +39,6 @@ from ...shell.printer import render
 from ..analyzer import analyze
 from ..deps import analyze_dependencies
 from ..pipeline import BatchConfig
-from ..resilience import ResourceBudget
 from .classify import STATE_BUILTINS, classify_pipeline
 from .plan import OptimizePlan, ReorderGroup
 

@@ -25,12 +25,11 @@ from typing import List, Optional, Tuple
 
 from ...rtypes import (
     ConcatT,
-    DataflowGraph,
     Filtered,
     Mapped,
     Signature,
-    Stage,
     Var,
+    check_pipeline,
     signature_for,
 )
 from ...shell.ast import Command, Pipeline, SimpleCommand
@@ -260,20 +259,12 @@ def classify_stage(node: Command, index: int) -> StagePlan:
 
 
 def _infer_stream_types(stages: List[StagePlan]) -> None:
-    """Annotate each stage with its inferred output line language by
-    running the rtypes dataflow fixpoint over the pipeline chain."""
-    graph = DataflowGraph()
-    for stage in stages:
-        sig = signature_for(stage.argv) if stage.argv else None
-        graph.add_stage(f"s{stage.index}", signature=sig)
-    for left, right in zip(stages, stages[1:]):
-        graph.connect(f"s{left.index}", f"s{right.index}")
-    result = graph.infer(max_iterations=16)
-    for stage in stages:
-        inferred = result.types.get(f"s{stage.index}")
-        if inferred is None or inferred.is_dead():
-            continue
-        stage.stream_type = inferred.describe()
+    """Annotate each stage with its inferred output line language, typed
+    as the engine types the pipeline (:func:`rtypes.check_pipeline`)."""
+    types = check_pipeline([stage.argv or [] for stage in stages])
+    for stage, inferred in zip(stages, types.stage_types):
+        if not inferred.is_dead():
+            stage.stream_type = inferred.describe()
 
 
 def _split_ranges(stages: List[StagePlan]) -> List[SplitRange]:

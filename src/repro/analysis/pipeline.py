@@ -19,11 +19,11 @@ from __future__ import annotations
 from importlib import import_module
 from typing import Callable, Optional, Tuple
 
+from ..budget import ResourceBudget
 from ..diag import Diagnostic, Severity
 from ..obs import get_recorder
 from ..records import FrozenRecord, set_field
 from .analyzer import analyze
-from .resilience import ResourceBudget
 
 
 class BatchConfig(FrozenRecord):
@@ -244,7 +244,9 @@ OPS = {
         worker=plan_source,
         payload_path="repro.analysis.optimize.plan:OptimizePlan",
         batch_path="repro.analysis.optimize.advisor:OptimizeBatchResult",
-        salt=";optimize-plan-v{schema}",
+        # "-r2" since plan stages are typed by rtypes.check_pipeline: a
+        # plan cached before that is not served
+        salt=";optimize-plan-v{schema}-r2",
     ),
 }
 

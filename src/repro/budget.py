@@ -1,11 +1,10 @@
-"""Resource budgets and crash isolation for the analysis pipeline.
+"""Resource budgets: the bound on every layer of the analysis.
 
 The ahead-of-time framing only works if the analyzer is *always safe to
-run*: a pre-command analysis that hangs, blows the stack, or crashes on
-one pathological script is worse than no analysis at all (cf. Bagnara
-et al. on resource-bounded static analyzers, and ShellFuzzer's crash
-corpora for shell tooling).  This module makes termination and crash
-containment enforced properties rather than hopes:
+run*: a pre-command analysis that hangs or blows up on one pathological
+script is worse than no analysis at all (cf. Bagnara et al. on
+resource-bounded static analyzers).  This bottom-layer module makes
+termination an enforced property rather than a hope:
 
 - :class:`ResourceBudget` — a wall-clock deadline plus caps on symbolic
   states and DFA construction size, threaded through the hot layers
@@ -19,14 +18,12 @@ containment enforced properties rather than hopes:
   to the calling thread like the observability recorder, so lower
   layers that cannot take a budget parameter (the engine, DFA products
   deep inside expansions) still honour the caps.
-- :class:`GuardedChecker` — per-checker fault isolation: a crashing
-  checker yields an ``internal-error`` diagnostic with an exception
-  digest and is disabled for the rest of the run, instead of aborting
-  the file.
+- :func:`enforce_dfa_cap` and :data:`HARD_DFA_STATE_CAP`, which bound
+  every automaton construction, budgeted or not.
 
-Budget trips are counted under ``budget.*`` (``budget.deadline``,
-``budget.states``, ``budget.dfa_states``); checker crashes under
-``checker.faults``.
+It depends on :mod:`repro.obs` alone, so every layer it bounds imports
+it at module top.  Budget trips are counted under ``budget.*``
+(``budget.deadline``, ``budget.states``, ``budget.dfa_states``).
 """
 
 from __future__ import annotations
@@ -34,16 +31,16 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import List, Optional, Sequence
+from typing import Optional
 
-from ..diag import Diagnostic, Severity
-from ..obs import get_recorder
+from .obs import get_recorder
 
 #: Unconditional ceiling on DFA product/determinisation size, enforced
 #: even outside any budgeted analysis so pathological regex
 #: intersections cannot allocate unboundedly (each state row holds one
 #: int per alphabet atom).  Orders of magnitude above anything the
-#: analyzer builds for real scripts.
+#: analyzer builds for real scripts (see the ``rlang.product_states``
+#: histogram).
 HARD_DFA_STATE_CAP = 100_000
 
 
@@ -215,129 +212,3 @@ def enforce_dfa_cap(n_states: int, phase: str = "rlang") -> None:
         # between the engine's own deadline checks — sample the clock
         # here too so wall-clock budgets stay responsive
         budget.check_deadline(phase)
-
-
-# ---------------------------------------------------------------------------
-# Crash isolation
-# ---------------------------------------------------------------------------
-
-
-def exception_digest(exc: BaseException) -> str:
-    """A short, stable identifier for an exception (type + message),
-    suitable for grouping crash reports without leaking full tracebacks
-    into diagnostics."""
-    import hashlib  # only crash and quarantine paths get here: keep it off start-up
-
-    summary = f"{type(exc).__name__}: {exc}"
-    digest = hashlib.sha256(summary.encode("utf-8", "replace")).hexdigest()[:8]
-    if len(summary) > 120:
-        summary = summary[:117] + "..."
-    return f"{summary} [{digest}]"
-
-
-def internal_error_diagnostic(where: str, exc: BaseException) -> Diagnostic:
-    """The diagnostic standing in for a crashed component."""
-    return Diagnostic(
-        code="internal-error",
-        message=f"{where} crashed: {exception_digest(exc)}; "
-        "results may be incomplete",
-        severity=Severity.INFO,
-        always=True,
-        source="internal",
-    )
-
-
-def degraded_diagnostic(exc: AnalysisBudgetExceeded, analyzed: str) -> Diagnostic:
-    """The diagnostic recording a budget-bounded partial analysis."""
-    return Diagnostic(
-        code="analysis-degraded",
-        message=f"analysis degraded: {exc.budget} budget exhausted during "
-        f"the {exc.phase} phase ({exc.detail}); {analyzed}",
-        severity=Severity.INFO,
-        always=True,
-        source="internal",
-    )
-
-
-def quarantine_diagnostic(cause: BaseException, retry: Optional[BaseException]) -> Diagnostic:
-    """The diagnostic standing in for a file the batch driver gave up
-    on: the first attempt killed its worker (or crashed), and the
-    bounded inline retry failed too."""
-    message = f"file quarantined: analysis failed ({exception_digest(cause)})"
-    if retry is not None and retry is not cause:
-        message += f"; retry failed ({exception_digest(retry)})"
-    return Diagnostic(
-        code="analysis-quarantined",
-        message=message,
-        severity=Severity.INFO,
-        always=True,
-        source="internal",
-    )
-
-
-class GuardedChecker:
-    """Fault-isolation proxy around one checker.
-
-    Every hook delegates to the wrapped checker inside a try/except: on
-    the first crash the checker is disabled for the rest of the run and
-    an ``internal-error`` diagnostic (with an exception digest) is
-    attached to the current state, so one buggy criterion can never
-    abort the whole file.  Budget exhaustion is *not* a fault and
-    propagates untouched.
-    """
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.name = getattr(inner, "name", type(inner).__name__)
-        self.disabled = False
-        self.fault: Optional[BaseException] = None
-
-    def _guard(self, sink, method: str, *args) -> List[Diagnostic]:
-        """Run one hook; ``sink`` is anything with ``.warn`` (a SymState
-        or the engine's diagnostic sink), or None for ``finish``."""
-        if self.disabled:
-            return []
-        try:
-            result = getattr(self.inner, method)(*args)
-            return result if result is not None else []
-        except AnalysisBudgetExceeded:
-            raise
-        except Exception as exc:  # noqa: BLE001 — isolation is the point
-            self.disabled = True
-            self.fault = exc
-            get_recorder().count("checker.faults")
-            diagnostic = internal_error_diagnostic(
-                f"checker {self.name!r} ({method})", exc
-            )
-            if sink is not None:
-                sink.warn(diagnostic)
-                return []
-            return [diagnostic]
-
-    # -- Checker hooks ------------------------------------------------------
-
-    def on_command(self, state, node, argv, spec) -> None:
-        self._guard(state, "on_command", state, node, argv, spec)
-
-    def on_delete(self, state, node, operand, recursive) -> None:
-        self._guard(state, "on_delete", state, node, operand, recursive)
-
-    def on_case_arm(self, state, node, item, feasible, static_pattern) -> None:
-        self._guard(state, "on_case_arm", state, node, item, feasible, static_pattern)
-
-    def on_always_fails(self, state, node, reason) -> None:
-        self._guard(state, "on_always_fails", state, node, reason)
-
-    def on_pipeline(self, state, node, issues) -> None:
-        self._guard(state, "on_pipeline", state, node, issues)
-
-    def finish(self, states) -> List[Diagnostic]:
-        return self._guard(None, "finish", states)
-
-
-def guard_checkers(checkers: Sequence) -> List[GuardedChecker]:
-    """Wrap each checker in a :class:`GuardedChecker` (idempotent)."""
-    return [
-        checker if isinstance(checker, GuardedChecker) else GuardedChecker(checker)
-        for checker in checkers
-    ]

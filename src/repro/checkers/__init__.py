@@ -10,14 +10,13 @@ from .idempotence import IdempotenceChecker
 from .streams import AlwaysFailsChecker, DeadCaseChecker, StreamTypeChecker
 
 
-def default_checkers(platform_targets=None, races=True, isolate=True):
+def default_checkers(platform_targets=None, races=True):
     """The standard catalog used by the analyzer.
 
-    With ``isolate`` (the default) every checker is wrapped in a
-    fault-isolation proxy: a crashing criterion yields an
-    ``internal-error`` diagnostic and is disabled for the rest of the
-    run instead of aborting the file (see
-    :mod:`repro.analysis.resilience`).
+    The engine isolates every checker's faults, these and any other: a
+    crashing criterion yields an ``internal-error`` diagnostic and is
+    disabled for the rest of the run instead of aborting the file (see
+    :meth:`repro.symex.Engine.notify`).
     """
     checkers = [
         DangerousDeletionChecker(),
@@ -36,10 +35,6 @@ def default_checkers(platform_targets=None, races=True, isolate=True):
         from .platform import PlatformChecker
 
         checkers.append(PlatformChecker(platform_targets))
-    if isolate:
-        from ..analysis.resilience import guard_checkers
-
-        checkers = guard_checkers(checkers)
     return checkers
 
 

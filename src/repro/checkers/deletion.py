@@ -10,8 +10,9 @@ $STEAMROOT$c`` (§3).
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
+from ..budget import dfa_state_cap
 from ..diag import Diagnostic, Severity
 from ..rlang import Regex
 from ..shell.ast import SimpleCommand
@@ -27,11 +28,6 @@ DANGER_PATTERN = r"/+((\.{1,2})/+)*(\.{1,2}|[^/\n]*)(/+(\.{1,2})?)*"
 
 #: Home-directory deletions: ~ or $HOME directly.
 HOME_PATTERN = r"/home/[^/\n]+/?|/root/?"
-
-#: ``analysis.resilience.dfa_state_cap``, bound on first use (that
-#: package imports this one, so it cannot be bound at import)
-_dfa_state_cap: Optional[Callable[[], int]] = None
-
 
 class DangerousDeletionChecker(Checker):
     name = "dangerous-deletion"
@@ -82,13 +78,10 @@ class DangerousDeletionChecker(Checker):
         states and a product at most the product of its operands'
         states.  Otherwise the languages are built, so a tight cap
         degrades where it always did."""
-        global _dfa_state_cap
         text = operand.concrete_value()
         if text is not None:
-            if _dfa_state_cap is None:
-                from ..analysis.resilience import dfa_state_cap as _dfa_state_cap
             danger = Regex.constant(DANGER_PATTERN)
-            if (len(text) + 2) * (danger.dfa.n_states + 1) <= _dfa_state_cap():
+            if (len(text) + 2) * (danger.dfa.n_states + 1) <= dfa_state_cap():
                 return ("dangerous-deletion", text, True) if danger.matches(text) else None
         return self.language_finding(operand, store)
 

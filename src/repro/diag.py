@@ -1,13 +1,18 @@
-"""Diagnostics shared by the engine, checkers, linter, and analyzer."""
+"""Diagnostics shared by the engine, checkers, linter, and analyzer,
+and the ones that stand in for a crashed component or a bounded
+analysis."""
 
 from __future__ import annotations
 
 import functools
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .records import FrozenRecord, set_field
 from .shell.tokens import Position
+
+if TYPE_CHECKING:
+    from .budget import AnalysisBudgetExceeded
 
 
 @functools.total_ordering
@@ -130,3 +135,61 @@ def dedupe(diagnostics: List[Diagnostic]) -> List[Diagnostic]:
         elif diag.always and not chosen[key].always:
             chosen[key] = diag
     return [chosen[k] for k in order]
+
+
+# ---------------------------------------------------------------------------
+# Crash and degradation diagnostics
+# ---------------------------------------------------------------------------
+
+
+def exception_digest(exc: BaseException) -> str:
+    """A short, stable identifier for an exception (type + message),
+    suitable for grouping crash reports without leaking full tracebacks
+    into diagnostics."""
+    import hashlib  # only crash and quarantine paths get here: keep it off start-up
+
+    summary = f"{type(exc).__name__}: {exc}"
+    digest = hashlib.sha256(summary.encode("utf-8", "replace")).hexdigest()[:8]
+    if len(summary) > 120:
+        summary = summary[:117] + "..."
+    return f"{summary} [{digest}]"
+
+
+def internal_error_diagnostic(where: str, exc: BaseException) -> Diagnostic:
+    """The diagnostic standing in for a crashed component."""
+    return Diagnostic(
+        code="internal-error",
+        message=f"{where} crashed: {exception_digest(exc)}; "
+        "results may be incomplete",
+        severity=Severity.INFO,
+        always=True,
+        source="internal",
+    )
+
+
+def degraded_diagnostic(exc: "AnalysisBudgetExceeded", analyzed: str) -> Diagnostic:
+    """The diagnostic recording a budget-bounded partial analysis."""
+    return Diagnostic(
+        code="analysis-degraded",
+        message=f"analysis degraded: {exc.budget} budget exhausted during "
+        f"the {exc.phase} phase ({exc.detail}); {analyzed}",
+        severity=Severity.INFO,
+        always=True,
+        source="internal",
+    )
+
+
+def quarantine_diagnostic(cause: BaseException, retry: Optional[BaseException]) -> Diagnostic:
+    """The diagnostic standing in for a file the batch driver gave up
+    on: the first attempt killed its worker (or crashed), and the
+    bounded inline retry failed too."""
+    message = f"file quarantined: analysis failed ({exception_digest(cause)})"
+    if retry is not None and retry is not cause:
+        message += f"; retry failed ({exception_digest(retry)})"
+    return Diagnostic(
+        code="analysis-quarantined",
+        message=message,
+        severity=Severity.INFO,
+        always=True,
+        source="internal",
+    )

@@ -16,17 +16,18 @@ three pieces:
 Usage::
 
     from repro.obs import TraceRecorder, use_recorder
+    from repro.obs.export import render_stats
 
     recorder = TraceRecorder()
     with use_recorder(recorder):
         analyze(source)
-    print(recorder.render_stats())
+    print(render_stats(recorder))
 
 Instrumented code never holds a recorder directly; it asks
 :func:`get_recorder` (or captures it per run) so the active recorder can
 be swapped per invocation.  :func:`use_recorder` is the one way to
 install a recorder, and it scopes to the calling thread, like
-``resilience.use_budget``: concurrent server requests each record into
+``budget.use_budget``: concurrent server requests each record into
 their own.
 
 The ops logger and the metric types load on first use (PEP 562): an
@@ -40,7 +41,6 @@ from .recorder import (
     SpanRecord,
     TraceRecorder,
     get_recorder,
-    traced,
     use_recorder,
 )
 
@@ -62,6 +62,5 @@ __all__ = [
     "SpanRecord",
     "TraceRecorder",
     "get_recorder",
-    "traced",
     "use_recorder",
 ]

@@ -14,7 +14,6 @@ Design constraints (see ISSUE 1):
 
 from __future__ import annotations
 
-import functools
 import threading
 import time
 from contextlib import contextmanager
@@ -230,23 +229,6 @@ class TraceRecorder(Recorder):
                     mine = self.histograms[name] = Histogram()
                 mine.merge(histogram)
 
-    # -- rendering (delegates; import is lazy to keep this module light) ----
-
-    def to_chrome_trace(self) -> dict:
-        from .export import chrome_trace
-
-        return chrome_trace(self)
-
-    def render_tree(self, max_depth: Optional[int] = None) -> str:
-        from .export import render_tree
-
-        return render_tree(self, max_depth=max_depth)
-
-    def render_stats(self) -> str:
-        from .export import render_stats
-
-        return render_stats(self)
-
 
 # ---------------------------------------------------------------------------
 # The active recorder
@@ -278,27 +260,3 @@ def use_recorder(recorder: Recorder):
         yield recorder
     finally:
         _tls.recorder = previous
-
-
-def traced(name=None, **attrs):
-    """Decorator: wrap calls in a span when the active recorder is enabled.
-
-    Usable bare (``@traced``) or with a name (``@traced("phase.parse")``).
-    """
-
-    def decorate(fn):
-        label = name if isinstance(name, str) else fn.__qualname__
-
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            recorder = get_recorder()
-            if not recorder.enabled:
-                return fn(*args, **kwargs)
-            with recorder.span(label, **attrs):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    if callable(name):  # bare @traced
-        return decorate(name)
-    return decorate

@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from ..budget import enforce_dfa_cap
 from ..obs import get_recorder
 from ..records import Record
 from .charclass import CharSet, partition
@@ -270,8 +271,6 @@ def determinise(nfa: NFA) -> DFA:
     it grows, so exponential blowups degrade instead of exhausting
     memory.
     """
-    from ..analysis.resilience import enforce_dfa_cap
-
     all_sets = [cs for edges in nfa.transitions.values() for cs, _ in edges]
     atoms = partition(all_sets)
     other_idx = len(atoms)

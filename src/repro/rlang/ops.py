@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Set, Tuple
 
+from ..budget import HARD_DFA_STATE_CAP, enforce_dfa_cap
 from ..obs import get_recorder
 from .charclass import MAX_CODEPOINT, CharSet
 from .dfa import DFA, determinise
@@ -74,28 +75,20 @@ def _embed(nfa: NFA, dfa: DFA, translate=None) -> int:
     return offset
 
 
-#: Unconditional ceiling on product-construction size: pathological
-#: regex intersections cannot allocate unboundedly even outside a
-#: budgeted analysis.  Kept in lock-step with the recorded
-#: ``rlang.product_states`` histogram — any legitimate construction in
-#: this codebase is orders of magnitude smaller.
-PRODUCT_STATE_CAP = 100_000
-
 #: How often (in explored states) the growth checks sample the cap and
-#: the active :class:`~repro.analysis.resilience.ResourceBudget`.
+#: the active :class:`~repro.budget.ResourceBudget`.
 _CAP_STRIDE = 64
 
 
 def product(a: DFA, b: DFA, accept: Callable[[bool, bool], bool]) -> DFA:
     """Product DFA whose acceptance combines the operands' with ``accept``.
 
-    Growth is bounded: the construction checks :data:`PRODUCT_STATE_CAP`
-    and the active analysis budget as it explores, raising
-    :class:`~repro.analysis.resilience.AnalysisBudgetExceeded` instead
-    of allocating without bound.
+    Growth is bounded: the construction checks
+    :data:`~repro.budget.HARD_DFA_STATE_CAP` and the active analysis
+    budget as it explores, raising
+    :class:`~repro.budget.AnalysisBudgetExceeded` instead of allocating
+    without bound.
     """
-    from ..analysis.resilience import enforce_dfa_cap
-
     atoms, map_a, map_b = _align(a, b)
     columns = list(zip(map_a, map_b))
 
@@ -106,7 +99,7 @@ def product(a: DFA, b: DFA, accept: Callable[[bool, bool], bool]) -> DFA:
 
     pos = 0
     while pos < len(order):
-        if pos % _CAP_STRIDE == 0 or len(order) > PRODUCT_STATE_CAP:
+        if pos % _CAP_STRIDE == 0 or len(order) > HARD_DFA_STATE_CAP:
             enforce_dfa_cap(len(order), "rlang.product")
         sa, sb = order[pos]
         if accept(sa in a.accepting, sb in b.accepting):

@@ -37,6 +37,7 @@ import threading
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
+from ..budget import enforce_dfa_cap
 from .dfa import DFA
 
 _tls = threading.local()
@@ -93,19 +94,9 @@ class RunTable:
         return dfa
 
 
-#: ``analysis.resilience.enforce_dfa_cap``, bound on the first recheck
-#: (that package imports this one, so it cannot be bound at import)
-_enforce_dfa_cap: Optional[Callable[[int, str], None]] = None
-
-
 def _recheck(dfa: DFA, phase: str) -> None:
     """Apply the checks a rebuild of ``dfa`` would have made."""
-    global _enforce_dfa_cap
-    if _enforce_dfa_cap is None:
-        from ..analysis.resilience import enforce_dfa_cap
-
-        _enforce_dfa_cap = enforce_dfa_cap
-    _enforce_dfa_cap(dfa.n_states, phase)
+    enforce_dfa_cap(dfa.n_states, phase)
 
 
 def active_table() -> Optional[RunTable]:

@@ -211,7 +211,7 @@ def _sig_sort(args: List[str]) -> Signature:
     flags, _ = _split_flags(args)
     flagchars = set("".join(f[1:] for f in flags if not f.startswith("--")))
     if flagchars & {"g", "n"}:
-        return identity(label="sort -g", bound=GENERAL_NUMERIC)
+        return identity(label="sort -g", bound=Regex.constant(GENERAL_NUMERIC))
     return identity(label="sort")
 
 
@@ -243,7 +243,7 @@ def _sig_uniq(args: List[str]) -> Signature:
     if any("c" in f for f in flags):
         return Signature(
             Var_("α"),
-            _concrete_then_var(r"\s*[0-9]+ ", "α"),
+            _concrete_then_var(Regex.constant(r"\s*[0-9]+ "), "α"),
             vars=(TypeVarT_("α"),),
             label="uniq -c",
         )
@@ -415,7 +415,7 @@ def _sig_awk(args: List[str]) -> Optional[Signature]:
 def _sig_nl(args: List[str]) -> Signature:
     return Signature(
         Var_("α"),
-        _concrete_then_var(r"\s*[0-9]+\t", "α"),
+        _concrete_then_var(Regex.constant(r"\s*[0-9]+\t"), "α"),
         vars=(TypeVarT_("α"),),
         label="nl",
     )
@@ -439,8 +439,8 @@ def _concrete_expr(lang: Regex):
     return _Concrete(lang)
 
 
-def _concrete_then_var(pattern: str, var: str):
-    return _ConcatT((_Concrete(Regex.compile(pattern)), Var_(var)))
+def _concrete_then_var(lang: Regex, var: str):
+    return _ConcatT((_Concrete(lang), Var_(var)))
 
 
 def _filter(lang: Regex, label: str) -> Signature:

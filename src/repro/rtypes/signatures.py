@@ -141,9 +141,9 @@ def simple(input_pattern: str, output_pattern: str, label: str = "") -> Signatur
     )
 
 
-def identity(label: str = "", bound: Optional[str] = None) -> Signature:
+def identity(label: str = "", bound: Optional[Regex] = None) -> Signature:
     """``∀α[⊆bound]. α -> α`` — sort, cat, uniq, tac, head, tail..."""
-    tv = TypeVarT("α", Regex.compile(bound) if bound else None)
+    tv = TypeVarT("α", bound)
     return Signature(Var("α"), Var("α"), vars=(tv,), label=label)
 
 

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..budget import AnalysisBudgetExceeded, get_budget
 from ..checkers.base import Checker
-from ..diag import Diagnostic, Severity, dedupe
+from ..diag import Diagnostic, Severity, dedupe, internal_error_diagnostic
 from ..fs import FsContradiction, FsOp, NodeKind, Origin, SymPath, parse_sympath
 from ..obs import Recorder, get_recorder
 from ..records import Record
@@ -78,18 +79,14 @@ _HOOKS = ("on_command", "on_delete", "on_case_arm", "on_always_fails", "on_pipel
 
 
 def _listeners(checkers: Sequence, hook: str) -> List:
-    """The checkers whose ``hook`` may do something.  A checker whose
-    hook is :class:`Checker`'s own no-op is left out; a guarded checker
-    (``analysis.resilience.GuardedChecker``) is judged by the checker it
-    wraps, and an object that is no :class:`Checker` gets every hook."""
-    from ..analysis.resilience import GuardedChecker
-
+    """The checkers whose ``hook`` may do something: a checker that lacks
+    the hook, or whose hook is :class:`Checker`'s own no-op, is left out
+    (a checker need not subclass :class:`Checker`)."""
     noop = getattr(Checker, hook)
     result = []
     for checker in checkers:
-        inner = checker.inner if isinstance(checker, GuardedChecker) else checker
-        method = getattr(inner, hook, None)
-        if getattr(method, "__func__", None) is not noop:
+        method = getattr(checker, hook, None)
+        if method is not None and getattr(method, "__func__", None) is not noop:
             result.append(checker)
     return result
 
@@ -130,7 +127,12 @@ class Engine:
 
     The recorder and the resource budget are not options: each run picks
     up the ones active on the calling thread (``obs.use_recorder``,
-    ``analysis.resilience.use_budget``) in :meth:`begin`."""
+    ``budget.use_budget``) in :meth:`begin`.
+
+    Every checker's faults are isolated (:meth:`notify`): the first hook
+    that raises disables its checker for the rest of the run and leaves
+    an ``internal-error`` diagnostic, so one buggy criterion never costs
+    the file its other findings."""
 
     def __init__(
         self,
@@ -160,8 +162,6 @@ class Engine:
         ``ast``'s commands one at a time (``analysis.deps``); exhausting
         the budget raises ``AnalysisBudgetExceeded`` out of the
         evaluation."""
-        from ..analysis.resilience import get_budget
-
         self._rec: Recorder = get_recorder()
         self._budget = get_budget()
         #: variable names assigned anywhere in the current script; names
@@ -200,6 +200,36 @@ class Engine:
         self._hooks: Dict[str, List] = {
             hook: _listeners(self.checkers, hook) for hook in _HOOKS
         }
+
+    # -- checker dispatch ---------------------------------------------------
+
+    def notify(self, hook: str, state, *args) -> None:
+        """Call ``hook(state, *args)`` on every checker that overrides it.
+
+        A checker that raises is disabled for the rest of the run, in
+        every hook, and ``state`` (anything with ``.warn``) gets an
+        ``internal-error`` diagnostic.  Budget exhaustion is no fault: it
+        propagates."""
+        for checker in self._hooks[hook]:
+            self._call(checker, hook, state, state, *args)
+
+    def _call(self, checker, hook: str, sink, *args):
+        """``checker.hook(*args)``, or None once it raised: then the
+        checker leaves every hook list of this run and ``sink`` gets the
+        ``internal-error`` diagnostic."""
+        try:
+            return getattr(checker, hook)(*args)
+        except AnalysisBudgetExceeded:
+            raise
+        except Exception as exc:  # noqa: BLE001 — isolation is the point
+            self._hooks = {
+                name: [c for c in listeners if c is not checker]
+                for name, listeners in self._hooks.items()
+            }
+            self._rec.count("checker.faults")
+            name = getattr(checker, "name", type(checker).__name__)
+            sink.warn(internal_error_diagnostic(f"checker {name!r} ({hook})", exc))
+            return None
 
     # -- entry points -------------------------------------------------------
 
@@ -290,11 +320,10 @@ class Engine:
                             "its preconditions contradict established "
                             "file-system facts"
                         )
-                        for checker in self._hooks["on_always_fails"]:
-                            checker.on_always_fails(sink, node, reason)
-                diagnostics.extend(sink.diagnostics)
+                        self.notify("on_always_fails", sink, node, reason)
                 for checker in self._hooks["finish"]:
-                    diagnostics.extend(checker.finish(finals))
+                    sink.diagnostics.extend(self._call(checker, "finish", sink, finals) or ())
+                diagnostics.extend(sink.diagnostics)
         if self.truncations:
             diagnostics.append(
                 Diagnostic(
@@ -327,7 +356,7 @@ class Engine:
             return [state]
         self.paths_explored += 1
         if self._budget is not None:
-            # the hot resilience point: one eval step = one budget charge
+            # the hot budget point: one eval step = one budget charge
             # (trips on max_states, and on the deadline every few steps)
             self._budget.charge_state()
         rec = self._rec
@@ -455,8 +484,7 @@ class Engine:
             return with_redirects(self._call_function(name, argv, state))
 
         spec = self.registry.get(name)
-        for checker in self._hooks["on_command"]:
-            checker.on_command(state, node, argv, spec)
+        self.notify("on_command", state, node, argv, spec)
 
         if builtins_mod.is_builtin(name):
             return with_redirects(builtins_mod.run_builtin(name, argv, state, self))
@@ -627,13 +655,15 @@ class Engine:
             return True, ""
         if spec.path_operands_from:
             operands = operands[spec.path_operands_from:]
+        # a precondition or an effect that contradicts the state's
+        # file-system facts makes the clause infeasible on this path
         try:
             for pre in clause.pre:
                 self._assume_pre(pre, operands, state)
+            for effect in clause.effects:
+                self._apply_effect(effect, operands, state, node)
         except FsContradiction as exc:
             return False, str(exc)
-        for effect in clause.effects:
-            self._apply_effect(effect, operands, state, node)
         return True, ""
 
     def _assume_pre(self, pre, operands: List[SymString], state: SymState) -> None:
@@ -661,8 +691,7 @@ class Engine:
     ) -> None:
         if isinstance(effect, Deletes):
             for value in self._select(effect.sel, operands):
-                for checker in self._hooks["on_delete"]:
-                    checker.on_delete(state, node, value, effect.recursive)
+                self.notify("on_delete", state, node, value, effect.recursive)
                 target = value.without_globs() if value.has_glob() else value
                 node_id = self._resolve(target, state)
                 if node_id is not None:
@@ -891,8 +920,7 @@ class Engine:
                     overrides.append(sig)
             self._rec.count("rtypes.pipeline_checks")
             types = check_pipeline(argvs, signatures=overrides)
-            for checker in self._hooks["on_pipeline"]:
-                checker.on_pipeline(state, node, types.issues)
+            self.notify("on_pipeline", state, node, types.issues)
             output_type = types.output
 
         # effects: thread states through each stage, discarding stdout of
@@ -1295,10 +1323,9 @@ class Engine:
                     # report against the *original* subject language so a
                     # pattern shadowed by earlier arms is not misreported
                     original_feasible = not (subject_lang & pattern_lang).is_empty()
-                    for checker in self._hooks["on_case_arm"]:
-                        checker.on_case_arm(
-                            subj_state, node, item, original_feasible, True
-                        )
+                    self.notify(
+                        "on_case_arm", subj_state, node, item, original_feasible, True
+                    )
                 if not feasible:
                     continue
                 taken = self._fork(

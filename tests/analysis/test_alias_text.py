@@ -13,7 +13,7 @@ from repro.analysis import analyze
 from repro.analysis.effects import graph as graph_mod
 from repro.analysis.effects.graph import Access, EffectGraph
 from repro.analysis.optimize import build_plan
-from repro.analysis.resilience import ResourceBudget
+from repro.budget import ResourceBudget
 from repro.fs import FsOp
 from repro.obs import TraceRecorder, use_recorder
 from repro.rlang import Regex

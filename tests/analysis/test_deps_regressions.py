@@ -4,7 +4,7 @@ substitutions and compound forms, the WAR variable edge, and budgeted
 (degrading, never raising) dependence analysis."""
 
 from repro.analysis.deps import _vars_of, analyze_dependencies
-from repro.analysis.resilience import ResourceBudget
+from repro.budget import ResourceBudget
 from repro.shell import parse
 
 

@@ -140,6 +140,17 @@ class TestPipelinePlan:
         stages = plan.pipelines[0].stages
         assert stages[0].stream_type is not None  # seq produces numbers
 
+    def test_stage_types_match_the_engines_pipeline_check(self):
+        from repro.rtypes import check_pipeline
+
+        argvs = [["seq", "3"], ["grep", "x"], ["wc", "-l"]]
+        stages = build_plan("seq 3 | grep x | wc -l\n").pipelines[0].stages
+        # grep passes no line of seq's numbers; wc -l still prints a count
+        assert stages[1].stream_type is None
+        count = check_pipeline(argvs).stage_types[2]
+        assert not count.is_dead()
+        assert stages[2].stream_type == count.describe()
+
     def test_write_redirect_stage_is_unsafe(self):
         plan = build_plan("grep a /l | sort > /out\n")
         assert plan.pipelines[0].stages[-1].klass == UNSAFE

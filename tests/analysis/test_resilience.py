@@ -5,19 +5,22 @@ import threading
 import pytest
 
 from repro.analysis import analyze
-from repro.analysis.resilience import (
+from repro.budget import (
     HARD_DFA_STATE_CAP,
     AnalysisBudgetExceeded,
-    GuardedChecker,
     ResourceBudget,
-    exception_digest,
+    enforce_dfa_cap,
     get_budget,
-    guard_checkers,
-    internal_error_diagnostic,
-    quarantine_diagnostic,
     use_budget,
 )
-from repro.diag import Severity
+from repro.checkers import default_checkers
+from repro.diag import (
+    Severity,
+    exception_digest,
+    internal_error_diagnostic,
+    quarantine_diagnostic,
+)
+from repro.symex import Engine
 from repro.obs import TraceRecorder, use_recorder
 
 BRANCHY = "\n".join(
@@ -129,8 +132,6 @@ class TestResourceBudget:
         assert later == [None]
 
     def test_hard_dfa_cap_is_unconditional(self):
-        from repro.analysis.resilience import enforce_dfa_cap
-
         enforce_dfa_cap(HARD_DFA_STATE_CAP)
         with pytest.raises(AnalysisBudgetExceeded):
             enforce_dfa_cap(HARD_DFA_STATE_CAP + 1)
@@ -175,23 +176,37 @@ class _CrashingChecker:
 
 
 class TestGuardedChecker:
+    """The engine guards every checker against its own faults: checkers
+    are passed to ``analyze()`` and ``Engine()`` as they are, unwrapped."""
+
     def test_crash_becomes_internal_error_diag(self):
-        checkers = guard_checkers([_CrashingChecker()])
-        report = analyze("echo one\necho two\n", checkers=checkers)
-        assert report.has("internal-error")
+        report = analyze("echo one\necho two\n", checkers=[_CrashingChecker()])
+        [diag] = report.by_code("internal-error")
+        assert "checker 'crasher' (on_command) crashed: RuntimeError: checker bug" in diag.message
         assert report.degraded
 
     def test_checker_disabled_after_first_crash(self):
-        inner = _CrashingChecker()
-        [guarded] = guard_checkers([inner])
-        analyze("echo one\necho two\necho three\n", checkers=[guarded])
-        assert inner.calls == 1
-        assert guarded.disabled
+        checker = _CrashingChecker()
+        analyze("echo one\necho two\necho three\n", checkers=[checker])
+        assert checker.calls == 1
+
+    def test_disabled_in_every_hook(self):
+        class TwoHooks(_CrashingChecker):
+            finished = False
+
+            def finish(self, states):
+                self.finished = True
+                return []
+
+        checker = TwoHooks()
+        result = Engine(checkers=[checker]).run_script("echo one\necho two\n")
+        assert checker.calls == 1 and not checker.finished
+        assert len(result.by_code("internal-error")) == 1
 
     def test_faults_are_counted(self):
         recorder = TraceRecorder()
         with use_recorder(recorder):
-            analyze("echo hi", checkers=guard_checkers([_CrashingChecker()]))
+            analyze("echo hi\necho again\n", checkers=[_CrashingChecker()])
         assert recorder.counter("checker.faults") == 1
 
     def test_budget_exhaustion_propagates_through_guard(self):
@@ -201,25 +216,17 @@ class TestGuardedChecker:
             def on_command(self, state, node, argv, spec):
                 raise AnalysisBudgetExceeded("symex", "states", "test")
 
-            def finish(self, states):
-                return []
-
-        [guarded] = guard_checkers([Budgeted()])
         with pytest.raises(AnalysisBudgetExceeded):
-            guarded.on_command(None, None, ["echo"], None)
-        assert not guarded.disabled
-
-    def test_guard_is_idempotent(self):
-        once = guard_checkers([_CrashingChecker()])
-        twice = guard_checkers(once)
-        assert twice[0] is once[0]
+            Engine(checkers=[Budgeted()]).run_script("echo hi\n")
+        report = analyze("echo hi\n", checkers=[Budgeted()])
+        assert report.degraded
+        assert report.has("analysis-degraded")
+        assert not report.has("internal-error")
 
     def test_other_checkers_still_report(self):
-        from repro.checkers import default_checkers
-
-        checkers = default_checkers(isolate=False) + [_CrashingChecker()]
-        report = analyze("rm -rf /", checkers=guard_checkers(checkers))
+        report = analyze("rm -rf /\n", checkers=default_checkers() + [_CrashingChecker()])
         assert report.has("internal-error")
+        assert report.has("dangerous-deletion")
         assert report.unsafe  # the deletion checker still fired
 
 

@@ -12,7 +12,7 @@ from repro.analysis import analyze
 from repro.analysis.corpus import corpus
 from repro.analysis.difftest.campaign import CampaignConfig
 from repro.analysis.difftest.gen import generate
-from repro.analysis.resilience import ResourceBudget
+from repro.budget import ResourceBudget
 from repro.checkers.deletion import DangerousDeletionChecker
 from repro.obs import TraceRecorder, use_recorder
 from repro.symstr import ConstraintStore, SymString

@@ -9,7 +9,6 @@ from repro.obs import (
     NullRecorder,
     TraceRecorder,
     get_recorder,
-    traced,
     use_recorder,
 )
 
@@ -171,37 +170,6 @@ class TestScoping:
             assert not other.is_alive()
             assert get_recorder() is recorder
         assert seen[0].enabled is False
-
-
-class TestTracedDecorator:
-    def test_records_span_when_enabled(self):
-        recorder = make_recorder()
-
-        @traced("phase.demo")
-        def work():
-            return 42
-
-        with use_recorder(recorder):
-            assert work() == 42
-        assert [s.name for s in recorder.roots] == ["phase.demo"]
-
-    def test_bare_decorator_uses_qualname(self):
-        recorder = make_recorder()
-
-        @traced
-        def plain():
-            return "ok"
-
-        with use_recorder(recorder):
-            assert plain() == "ok"
-        assert "plain" in recorder.roots[0].name
-
-    def test_noop_without_active_recorder(self):
-        @traced("never")
-        def work():
-            return 1
-
-        assert work() == 1  # no recorder installed: no error, no records
 
 
 class TestThreadSafety:

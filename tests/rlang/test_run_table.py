@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis import analyze
 from repro.analysis.difftest.gen import generate
-from repro.analysis.resilience import (
+from repro.budget import (
     AnalysisBudgetExceeded,
     ResourceBudget,
     use_budget,
@@ -192,7 +192,7 @@ class TestConstants:
 _CAPPED_RENDERS = """
 import sys
 from repro.analysis import analyze
-from repro.analysis.resilience import ResourceBudget
+from repro.budget import ResourceBudget
 source, order = sys.argv[1], sys.argv[2]
 if order == "after-default":
     analyze(source)

@@ -25,7 +25,7 @@ except ImportError:  # run as a script, not a package member
     from script_gen import generate
 
 from repro.analysis import Report, analyze
-from repro.analysis.resilience import ResourceBudget
+from repro.budget import ResourceBudget
 
 
 def smoke_budget() -> ResourceBudget:

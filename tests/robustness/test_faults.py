@@ -17,7 +17,7 @@ from repro.analysis import (
     pipeline as pipeline_mod,
     run_batch,
 )
-from repro.analysis.resilience import (
+from repro.budget import (
     AnalysisBudgetExceeded,
     ResourceBudget,
     use_budget,
@@ -56,13 +56,17 @@ def corpus(tmp_path):
 
 
 class TestCheckerCrash:
-    def test_default_checkers_are_isolated(self):
-        from repro.analysis.resilience import GuardedChecker
-        from repro.checkers import default_checkers
+    def test_default_checkers_are_isolated(self, monkeypatch):
+        from repro.checkers import IdempotenceChecker
 
-        assert all(
-            isinstance(checker, GuardedChecker) for checker in default_checkers()
-        )
+        def crash(self, state, node, argv, spec):
+            raise KeyError("idempotence bug")
+
+        monkeypatch.setattr(IdempotenceChecker, "on_command", crash)
+        report = analyze("mkdir /opt/x\nrm -rf /\n")
+        [diag] = report.by_code("internal-error")
+        assert "checker 'idempotence' (on_command) crashed: KeyError" in diag.message
+        assert report.has("dangerous-deletion")
 
     def test_crash_in_finish_hook(self):
         class FinishBomb:
@@ -71,10 +75,9 @@ class TestCheckerCrash:
             def finish(self, states):
                 raise ZeroDivisionError("finish bug")
 
-        from repro.analysis.resilience import guard_checkers
-
-        report = analyze("echo hi", checkers=guard_checkers([FinishBomb()]))
-        assert report.has("internal-error")
+        report = analyze("echo hi", checkers=[FinishBomb()])
+        [diag] = report.by_code("internal-error")
+        assert "checker 'finish-bomb' (finish) crashed" in diag.message
         report.render()
 
 

@@ -5,7 +5,7 @@ standalone for more iterations)."""
 import pytest
 
 from repro.analysis import Report, analyze, run_batch
-from repro.analysis.resilience import ResourceBudget
+from repro.budget import ResourceBudget
 
 from .fuzz_smoke import check_seed, run, smoke_budget
 from .script_gen import generate

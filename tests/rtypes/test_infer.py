@@ -1,5 +1,6 @@
 """Unit tests for pipeline checking and dataflow fixpoints."""
 
+from repro.rlang import Regex
 from repro.rtypes import (
     DataflowGraph,
     StageIssueKind,
@@ -144,7 +145,7 @@ class TestDataflow:
     def test_bound_violation_surfaces_error(self):
         graph = DataflowGraph()
         graph.add_stage("src", None, seed=StreamType.of("[a-z]+"))
-        graph.add_stage("sortg", identity("sort -g", bound="[0-9]+.*"))
+        graph.add_stage("sortg", identity("sort -g", bound=Regex.compile("[0-9]+.*")))
         graph.connect("src", "sortg")
         result = graph.infer()
         assert result.errors

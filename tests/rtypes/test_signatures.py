@@ -80,12 +80,12 @@ class TestPolymorphism:
 
     def test_bounded_quantification_ok(self):
         # sort -g :: ∀α ⊆ BOUND. α -> α
-        sig = identity("sort -g", bound="0x[0-9a-f]+.*")
+        sig = identity("sort -g", bound=Regex.compile("0x[0-9a-f]+.*"))
         out = apply_signature(sig, StreamType.of("0x[0-9a-f]+"))
         assert out.admits("0xff")
 
     def test_bounded_quantification_violation(self):
-        sig = identity("sort -g", bound="0x[0-9a-f]+.*")
+        sig = identity("sort -g", bound=Regex.compile("0x[0-9a-f]+.*"))
         with pytest.raises(TypeError_) as exc_info:
             apply_signature(sig, StreamType.of("0x.*"))
         assert "bound" in str(exc_info.value)
@@ -94,12 +94,12 @@ class TestPolymorphism:
         """The full §4 derivation: instantiate sed's α with grep's output."""
         grep_out = StreamType.of("[0-9a-f]+")
         sed_out = apply_signature(prefix_sig("0x", "sed"), grep_out)
-        sort_sig = identity("sort -g", bound="0x[0-9a-f]+.*")
+        sort_sig = identity("sort -g", bound=Regex.compile("0x[0-9a-f]+.*"))
         sort_out = apply_signature(sort_sig, sed_out)
         assert sort_out == sed_out
 
     def test_str_rendering(self):
-        sig = identity("sort -g", bound="0x[0-9a-f]+.*")
+        sig = identity("sort -g", bound=Regex.compile("0x[0-9a-f]+.*"))
         text = str(sig)
         assert "∀" in text and "->" in text
 

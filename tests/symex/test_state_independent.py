@@ -9,7 +9,6 @@ import pickle
 from repro.analysis import analyze
 from repro.analysis.difftest.campaign import CampaignConfig
 from repro.analysis.difftest.gen import generate
-from repro.analysis.resilience import GuardedChecker, guard_checkers
 from repro.checkers import Checker
 from repro.fs import FileSystem, NodeKind, parse_sympath
 from repro.rlang import dfa as dfa_mod
@@ -114,12 +113,11 @@ class _Exploding(Checker):
 
 def test_a_raising_on_command_is_disabled_with_an_internal_error():
     checker = _Exploding()
-    guarded = guard_checkers([checker])
-    result = Engine(checkers=guarded).run_script("echo a\necho b\ntrue\n")
+    result = Engine(checkers=[checker]).run_script("echo a\necho b\ntrue\n")
     errors = [d for d in result.diagnostics if d.code == "internal-error"]
     assert len(errors) == 1
     assert "'exploding' (on_command)" in errors[0].message
-    assert guarded[0].disabled and checker.calls == 1
+    assert checker.calls == 1
 
 
 class _DuckTyped:
@@ -159,12 +157,20 @@ HOOKED = (
 
 
 def test_a_duck_typed_checker_receives_every_hook():
-    for wrap in (list, guard_checkers):
-        checker = _DuckTyped()
-        checkers = wrap([checker])
-        assert isinstance(checkers[0], GuardedChecker) == (wrap is guard_checkers)
-        Engine(checkers=checkers).run_script(HOOKED, n_args=1)
-        assert set(checker.calls) == {
-            "on_command", "on_delete", "on_case_arm",
-            "on_always_fails", "on_pipeline", "finish",
-        }
+    checker = _DuckTyped()
+    Engine(checkers=[checker]).run_script(HOOKED, n_args=1)
+    assert set(checker.calls) == {
+        "on_command", "on_delete", "on_case_arm",
+        "on_always_fails", "on_pipeline", "finish",
+    }
+
+
+def test_a_checker_lacking_a_hook_is_not_called_for_it():
+    class OnlyFinish:
+        name = "only-finish"
+
+        def finish(self, states):
+            return []
+
+    result = Engine(checkers=[OnlyFinish()]).run_script(HOOKED, n_args=1)
+    assert not any(d.code == "internal-error" for d in result.diagnostics)
