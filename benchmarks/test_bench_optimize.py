@@ -1,9 +1,9 @@
 """E-optimize: plan construction cost and amortisation guards.
 
 Building an optimization plan is the most expensive query in the
-repo: a dependence analysis (symbolic execution), a classification
-pass, and one extra race-detector run per candidate rewrite.  Three
-properties anchor the subsystem:
+repo: a dependence analysis (symbolic execution, which is also the
+baseline race run), a classification pass, and one race-detector run of
+the rewrite.  Three properties anchor the subsystem:
 
 1. **Plans amortise** — a warm ``ResultCache`` retrieval of a plan must
    cost far less than building it cold.
@@ -13,7 +13,6 @@ properties anchor the subsystem:
    ``optimize`` request from cache must beat the cold in-process build.
 """
 
-import os
 import threading
 import time
 from pathlib import Path
@@ -27,6 +26,7 @@ from repro.analysis.optimize import OptimizePlan, build_plan
 from repro.analysis.pipeline import OPS
 from repro.obs import TraceRecorder, use_recorder
 from repro.server import AnalysisServer, ServerClient
+from tests.serving import wait_until_serving
 
 CORPUS_SIZE = 6
 
@@ -63,11 +63,7 @@ def daemon(tmp_path):
     )
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    deadline = time.monotonic() + 5.0
-    while not os.path.exists(server.socket_path):
-        if time.monotonic() > deadline:
-            pytest.fail("daemon socket never appeared")
-        time.sleep(0.01)
+    wait_until_serving(server.socket_path)
     yield server
     server._initiate_shutdown()
     thread.join(timeout=5.0)
@@ -183,11 +179,14 @@ def test_plan_cache_key_tracks_schema(tmp_path):
 
 def test_optimize_counts():
     """Count guard for one optimize request paying for each analysis
-    once: deps, classify, the baseline and the rewrite check share one
-    language table, and aliasing between concrete paths is decided on
-    text.  One ``log_fanout.sh`` optimize (after a warm-up that builds
-    the process's constant languages) runs 1 subset construction and
-    evaluates 183 symbolic states; it was 49 constructions when each
+    once: the deps walk is the baseline race run, one re-analysis of
+    the whole rewrite is the gate, deps, classify and the rewrite check
+    share one language table, and aliasing between concrete paths is
+    decided on text.  One ``log_fanout.sh`` optimize (after a warm-up
+    that builds the process's constant languages) makes 2 symbolic runs,
+    runs 1 subset construction and evaluates 159 symbolic states; it
+    evaluated 183 in three explorations while a separate ``analyze`` was
+    the baseline, and it was 49 constructions when each
     analysis had its own table and every alias test built a product,
     6 while the stream types' source-written languages (``.*`` around a
     grep pattern, a producer's input) were compiled per run, and 3 while
@@ -202,6 +201,7 @@ def test_optimize_counts():
     counts = {
         name: recorder.counter(name)
         for name in (
+            "symex.runs",
             "symex.states_explored",
             "rlang.determinise_calls",
             "rlang.product_calls",
@@ -214,5 +214,6 @@ def test_optimize_counts():
     )
     emit_json("optimize", counts, section="log_fanout_counts")
     assert plan.groups and plan.groups[0].verified
-    assert counts["symex.states_explored"] == 183
+    assert counts["symex.runs"] == 2
+    assert counts["symex.states_explored"] == 159
     assert counts["rlang.determinise_calls"] == 1

@@ -27,6 +27,7 @@ from conftest import emit, emit_json
 from repro.analysis import ResultCache
 from repro.obs import TraceRecorder
 from repro.server import AnalysisServer, ServerClient
+from tests.serving import wait_until_serving
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CORPUS_SIZE = 24
@@ -68,11 +69,7 @@ def daemon(tmp_path):
     )
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    deadline = time.monotonic() + 5.0
-    while not os.path.exists(server.socket_path):
-        if time.monotonic() > deadline:
-            pytest.fail("daemon socket never appeared")
-        time.sleep(0.01)
+    wait_until_serving(server.socket_path)
     yield server
     server._initiate_shutdown()
     thread.join(timeout=5.0)

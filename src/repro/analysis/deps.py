@@ -18,15 +18,21 @@ dependence relations on abstract fs nodes:
 
 Environment-variable def/use pairs contribute dependencies the same way.
 Commands unrelated by any edge can be reordered or parallelised.
+
+The walk runs the default checkers and ends as a run does, so it is the
+script's race analysis as well: an optimize request explores the script
+once, and compares its rewrite's hazards with the graph's ``race_keys``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..budget import AnalysisBudgetExceeded, ResourceBudget, use_budget
 from ..checkers import default_checkers
+from ..diag import Diagnostic
 from ..digraph import descendants, reachability, topological_generations
 from ..fs import FsOp
 from ..rlang.table import run_table
@@ -72,17 +78,21 @@ class DependencyGraph:
         degraded: bool = False,
         degraded_reason: Optional[str] = None,
         commands: Sequence[Command] = (),
+        race_keys: Optional[Counter] = None,
     ):
         self.effects = effects
         self.dependencies = deps
         #: the parsed top-level commands, one per effect (so a caller
         #: need not parse the script again)
         self.commands = list(commands)
-        #: the symbolic evaluation ran out of budget part-way: commands
+        #: the symbolic evaluation ran out of budget part-way (commands
         #: past the trip point are conservatively marked external, so the
-        #: graph stays sound but over-ordered (a partial schedule)
+        #: graph stays sound but over-ordered: a partial schedule), or a
+        #: checker crashed, so ``race_keys`` may miss hazards
         self.degraded = degraded
         self.degraded_reason = degraded_reason
+        #: the race hazards of the walk, as :func:`race_keys` counts them
+        self.race_keys = race_keys if race_keys is not None else Counter()
         #: command index -> indices of the commands that must follow it
         self.successors: Dict[int, Set[int]] = {e.index: set() for e in effects}
         for dep in deps:
@@ -233,45 +243,48 @@ def analyze_dependencies(
     source: str,
     n_args: int = 0,
     budget: Optional[ResourceBudget] = None,
+    **options,
 ) -> DependencyGraph:
     """Build the dependency graph of a script's top-level commands.
+
+    The walk runs the default checkers and ends as a run does
+    (:meth:`~repro.symex.Engine.finish`), so the graph also carries the
+    run's race hazards (``race_keys``): the baseline an optimize request
+    compares its rewrite with.  ``options`` (``max_fork``, ``max_loop``,
+    ``prune``) go to the :class:`~repro.symex.Engine`.
 
     ``budget`` bounds the per-command symbolic evaluation (wall clock and
     state count).  On exhaustion the analysis does not raise: the command
     that tripped the budget and every later command are conservatively
     marked external (ordered after everything), and the returned graph
-    carries ``degraded=True`` with the reason.
+    carries ``degraded=True`` with the reason.  A checker that crashed
+    degrades the graph too, as it degrades a report.
     """
     ast = parse(source)
     commands = _top_level_commands(ast)
     functions = _assigned_functions(ast)
-    engine = Engine(checkers=default_checkers())
+    engine = Engine(checkers=default_checkers(), **options)
+    effects: List[CommandEffects] = []
+    for index, command in enumerate(commands):
+        uses, defs = _vars_of(command)
+        raw = _render_command(command, source)
+        # external until evaluated: a budget trip leaves the command that
+        # tripped it and every later one conservatively ordered
+        effects.append(CommandEffects(index, raw, var_uses=uses, var_defs=defs, external=True))
 
     if budget is not None:
         budget.start()
-    degraded = False
     degraded_reason: Optional[str] = None
-
-    effects: List[CommandEffects] = []
+    keys: Counter = Counter()
     # evaluates commands one by one rather than through Engine.run, so it
-    # installs the run's language table and sets up the run itself
+    # installs the run's language table and begins and finishes the run
     with use_budget(budget), run_table():
         engine.begin(ast)
         states = [engine.initial_state(n_args=n_args)]
-        for index, command in enumerate(commands):
-            raw = _render_command(command, source)
-            uses, defs = _vars_of(command)
-            effect = CommandEffects(
-                index=index, source=raw, var_uses=uses, var_defs=defs
-            )
-            if degraded:
-                # past the budget trip: no evaluation, conservative order
-                effect.external = True
-                effects.append(effect)
-                continue
-            marks = [(state, len(state.fs.log)) for state in states]
-            next_states = []
-            try:
+        try:
+            for command, effect in zip(commands, effects):
+                marks = [(state, len(state.fs.log)) for state in states]
+                next_states = []
                 for state, mark in marks:
                     for result in engine.eval(command, state):
                         for event in result.fs.log.since(mark):
@@ -293,31 +306,38 @@ def analyze_dependencies(
                 # whose file systems agree too, so no node id an edge
                 # needs is lost (events were collected above)
                 states = engine.merge_states(next_states, same_fs=True)
-            except AnalysisBudgetExceeded as exc:
-                degraded = True
-                degraded_reason = str(exc)
-                effect.external = True
-                effects.append(effect)
-                continue
-            has_unknown = any(
-                isinstance(sub, SimpleCommand)
-                and sub.name is not None
-                and engine.registry.get(sub.name) is None
-                and not _is_builtin_name(sub.name)
-                and sub.name not in functions
-                for sub in walk(command)
+                effect.external = any(
+                    isinstance(sub, SimpleCommand)
+                    and sub.name is not None
+                    and engine.registry.get(sub.name) is None
+                    and not _is_builtin_name(sub.name)
+                    and sub.name not in functions
+                    for sub in walk(command)
+                )
+            diagnostics = engine.finish(states)
+        except AnalysisBudgetExceeded as exc:
+            degraded_reason = str(exc)
+        else:
+            keys = race_keys(diagnostics)
+            degraded_reason = next(
+                (d.message for d in diagnostics if d.code == "internal-error"), None
             )
-            effect.external = has_unknown
-            effects.append(effect)
 
     deps = _derive_dependencies(effects)
     return DependencyGraph(
         effects,
         deps,
-        degraded=degraded,
+        degraded=degraded_reason is not None,
         degraded_reason=degraded_reason,
         commands=commands,
+        race_keys=keys,
     )
+
+
+def race_keys(diagnostics: Sequence[Diagnostic]) -> Counter:
+    """The race hazards among ``diagnostics``, as a multiset of
+    ``(code, message)``: what a rewrite's hazards are compared by."""
+    return Counter((d.code, d.message) for d in diagnostics if d.code.startswith("race-"))
 
 
 def _is_builtin_name(name: str) -> bool:

@@ -8,13 +8,16 @@ would change inside a background subshell (assignments, state builtins,
 function definitions).  The pipeline half classifies every stage via
 :mod:`.classify`.
 
-**The safety gate**: every suggested reordering is *re-analyzed*.  The
-advisor synthesizes the rewritten script (group members under ``&`` plus
-a ``wait`` barrier), runs the effect-graph race detector over it, and
-compares hazards against the original.  A candidate group survives only
-if the rewrite introduces **zero new hazards** — so the advisor provably
-never suggests a transform that trips its own race detector.  Groups that
-fail the gate are reported under ``rejected`` with the evidence.
+**The safety gate**: the suggested reordering is *re-analyzed*.  The
+advisor synthesizes the rewritten script (every group's members under
+``&`` plus a ``wait`` barrier), runs the effect-graph race detector over
+it once, and compares hazards against the original's, which the
+dependence walk found (it is the request's baseline race run, so the
+script is explored once).  The groups survive only if the rewrite
+introduces **zero new hazards** — so the advisor provably never suggests
+a transform that trips its own race detector.  Otherwise every group is
+reported under ``rejected`` with the rewrite's evidence.  A request thus
+runs symbolic execution at most twice.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, List, Optional, Tuple
+from typing import ClassVar, Dict, List, Optional
 
 from ...budget import ResourceBudget
 from ...obs import get_recorder
@@ -37,7 +40,7 @@ from ...shell.ast import (
 )
 from ...shell.printer import render
 from ..analyzer import analyze
-from ..deps import analyze_dependencies
+from ..deps import DependencyGraph, analyze_dependencies, race_keys
 from ..pipeline import BatchConfig
 from .classify import STATE_BUILTINS, classify_pipeline
 from .plan import OptimizePlan, ReorderGroup
@@ -116,27 +119,6 @@ def _synthesize(
     return "\n".join(lines) + "\n"
 
 
-def _race_keys(report) -> Counter:
-    return Counter((d.code, d.message) for d in report.races())
-
-
-def _verify(
-    rewritten: str,
-    config: BatchConfig,
-    budget: Optional[ResourceBudget],
-    baseline_keys: Counter,
-    rec,
-) -> Tuple[bool, Counter]:
-    """Run the race detector over the rewritten script; safe iff zero
-    hazards beyond the original's and the analysis fully completed."""
-    rec.count("optimize.cross_checks")
-    kwargs = config.analyze_kwargs()
-    kwargs["races"] = True
-    report = analyze(rewritten, budget=budget, **kwargs)
-    new = _race_keys(report) - baseline_keys
-    return (not new and not report.degraded), new
-
-
 def _rejection_reason(new_hazards: Counter) -> str:
     if not new_hazards:
         return "race-detector re-analysis did not complete (degraded)"
@@ -162,8 +144,9 @@ def build_plan(
 
     Budget exhaustion (``config.timeout`` / ``config.max_states``, or
     ``budget`` when given) degrades the plan — dependence edges past the
-    trip point go conservative and the plan is marked — rather than
-    raising.  Every analysis the plan runs re-arms the budget.
+    trip point go conservative, the plan is marked and its groups are
+    withheld — rather than raising.  The dependence walk and the rewrite
+    check each re-arm the budget.
     """
     config = config if config is not None else BatchConfig()
     if budget is None:
@@ -172,15 +155,16 @@ def build_plan(
     plan = OptimizePlan(
         source_sha256=hashlib.sha256(source.encode("utf-8")).hexdigest()
     )
-    # one language table for the whole request: deps, classify, the
-    # baseline and every rewrite check share leaves and constructions;
-    # it is dropped when the request returns or raises
+    # one language table for the whole request: deps (the baseline),
+    # classify and the rewrite check share leaves and constructions; it
+    # is dropped when the request returns or raises
     with rec.span("optimize.run"), run_table():
         rec.count("optimize.runs")
 
         with rec.span("optimize.deps"):
             graph = analyze_dependencies(
-                source, n_args=config.n_args or 0, budget=budget
+                source, config.n_args or 0, budget, max_fork=config.max_fork,
+                max_loop=config.max_loop, prune=config.prune,
             )
         plan.degraded = graph.degraded
         plan.degraded_reason = graph.degraded_reason
@@ -225,7 +209,7 @@ def build_plan(
 
         with rec.span("optimize.verify"):
             kept = _gate_candidates(
-                source, nodes, plan, candidates, config, budget, rec
+                nodes, plan, candidates, graph, config, budget, rec
             )
 
         for gen_index in sorted(kept):
@@ -250,65 +234,36 @@ def build_plan(
 
 
 def _gate_candidates(
-    source: str,
     nodes: List[Command],
     plan: OptimizePlan,
     candidates: Dict[int, List[int]],
+    graph: DependencyGraph,
     config: BatchConfig,
     budget: Optional[ResourceBudget],
     rec,
 ) -> Dict[int, List[int]]:
-    """The safety gate: accept the whole rewrite if it's clean, else
-    verify group-by-group and re-verify the surviving combination."""
+    """The safety gate: one race analysis of the rewrite that backgrounds
+    every candidate group.  It passes when that analysis completes and
+    shows no hazard beyond the dependence walk's own (the baseline);
+    otherwise every group is rejected with its evidence."""
     if not candidates:
         return {}
-    kwargs = config.analyze_kwargs()
-    kwargs["races"] = True
-    baseline = analyze(source, budget=budget, **kwargs)
-    baseline_keys = _race_keys(baseline)
-    if baseline.degraded:
-        plan.degraded = True
-        plan.degraded_reason = plan.degraded_reason or (
-            "baseline race analysis incomplete; suggestions withheld"
-        )
-        for group in candidates.values():
-            _reject(plan, rec, group, "baseline race analysis was degraded")
-        return {}
-
-    full = _synthesize(nodes, plan.schedule, candidates)
-    ok, _ = _verify(full, config, budget, baseline_keys, rec)
-    if ok:
-        return candidates
-
-    kept: Dict[int, List[int]] = {}
+    if graph.degraded:
+        reason = "baseline race analysis was degraded"
+    else:
+        rec.count("optimize.cross_checks")
+        kwargs = config.analyze_kwargs()
+        kwargs["races"] = True
+        full = _synthesize(nodes, plan.schedule, candidates)
+        report = analyze(full, budget=budget, **kwargs)
+        new = race_keys(report.diagnostics) - graph.race_keys
+        if not new and not report.degraded:
+            return candidates
+        reason = _rejection_reason(new)
     for gen_index in sorted(candidates):
-        group = candidates[gen_index]
-        alone = _synthesize(nodes, plan.schedule, {gen_index: group})
-        ok, new = _verify(alone, config, budget, baseline_keys, rec)
-        if ok:
-            kept[gen_index] = group
-        else:
-            _reject(plan, rec, group, _rejection_reason(new))
-    if kept:
-        combined = _synthesize(nodes, plan.schedule, kept)
-        ok, new = _verify(combined, config, budget, baseline_keys, rec)
-        if not ok:
-            for gen_index in sorted(kept):
-                _reject(
-                    plan,
-                    rec,
-                    kept[gen_index],
-                    "clean alone but "
-                    + _rejection_reason(new)
-                    + " in combination",
-                )
-            kept = {}
-    return kept
-
-
-def _reject(plan: OptimizePlan, rec, group: List[int], reason: str) -> None:
-    rec.count("optimize.groups_rejected")
-    plan.rejected.append({"commands": list(group), "reason": reason})
+        rec.count("optimize.groups_rejected")
+        plan.rejected.append({"commands": list(candidates[gen_index]), "reason": reason})
+    return {}
 
 
 def optimize_source(

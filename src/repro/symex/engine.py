@@ -292,38 +292,42 @@ class Engine:
         quotient is built once per run; the table is dropped when the run
         returns or raises."""
         with run_table():
-            return self._run(ast, state, n_args, args)
+            self.begin(ast)
+            if state is None:
+                state = self.initial_state(n_args=n_args, args=args)
+            with self._rec.span("symex.run"):
+                finals = self.eval(ast, state)
+                diagnostics = self.finish(finals)
+        return ExecResult(
+            states=finals,
+            diagnostics=diagnostics,
+            paths_explored=self.paths_explored,
+            paths_merged=self.paths_merged,
+            truncations=self.truncations,
+        )
 
-    def _run(
-        self,
-        ast: Command,
-        state: Optional[SymState],
-        n_args: Optional[int],
-        args: Optional[Sequence[str]],
-    ) -> ExecResult:
-        self.begin(ast)
+    def finish(self, finals: List[SymState]) -> List[Diagnostic]:
+        """The diagnostics of the run that reached ``finals``: its paths'
+        and the cross-path ones (always-fails, each checker's ``finish``,
+        truncation).  Ends :meth:`run` and ``analysis.deps``' walk."""
         rec = self._rec
-        if state is None:
-            state = self.initial_state(n_args=n_args, args=args)
-        with rec.span("symex.run"):
-            finals = self.eval(ast, state)
-            diagnostics: List[Diagnostic] = []
-            for final in finals:
-                diagnostics.extend(final.diagnostics)
-            with rec.span("symex.checkers"):
-                # a command "always fails" only when its success preconditions
-                # contradicted established facts on EVERY path that reached it
-                sink = _DiagSink()
-                for node, feasible, visits in self._success_tracker.values():
-                    if visits and not feasible:
-                        reason = (
-                            "its preconditions contradict established "
-                            "file-system facts"
-                        )
-                        self.notify("on_always_fails", sink, node, reason)
-                for checker in self._hooks["finish"]:
-                    sink.diagnostics.extend(self._call(checker, "finish", sink, finals) or ())
-                diagnostics.extend(sink.diagnostics)
+        diagnostics: List[Diagnostic] = []
+        for final in finals:
+            diagnostics.extend(final.diagnostics)
+        with rec.span("symex.checkers"):
+            # a command "always fails" only when its success preconditions
+            # contradicted established facts on EVERY path that reached it
+            sink = _DiagSink()
+            for node, feasible, visits in self._success_tracker.values():
+                if visits and not feasible:
+                    reason = (
+                        "its preconditions contradict established "
+                        "file-system facts"
+                    )
+                    self.notify("on_always_fails", sink, node, reason)
+            for checker in self._hooks["finish"]:
+                sink.diagnostics.extend(self._call(checker, "finish", sink, finals) or ())
+            diagnostics.extend(sink.diagnostics)
         if self.truncations:
             diagnostics.append(
                 Diagnostic(
@@ -337,13 +341,7 @@ class Engine:
                 )
             )
         rec.count("symex.runs")
-        return ExecResult(
-            states=finals,
-            diagnostics=dedupe(diagnostics),
-            paths_explored=self.paths_explored,
-            paths_merged=self.paths_merged,
-            truncations=self.truncations,
-        )
+        return dedupe(diagnostics)
 
     # -- core dispatch ----------------------------------------------------------
 

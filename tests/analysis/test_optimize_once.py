@@ -1,7 +1,8 @@
-"""One optimize request pays for each analysis once: deps merges the
-states it carries between commands, the request shares one language
-table, and the plan does not depend on the process (its hash seed or
-what it analyzed before)."""
+"""One optimize request pays for each analysis once: the deps walk is
+the request's baseline race run, one re-analysis of the whole rewrite
+gates every group, deps merges the states it carries between commands,
+the request shares one language table, and the plan does not depend on
+the process (its hash seed or what it analyzed before)."""
 
 import json
 import os
@@ -12,9 +13,11 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.batch import BatchConfig
-from repro.analysis.deps import analyze_dependencies
+from repro.analysis import analyze
+from repro.analysis.deps import analyze_dependencies, race_keys
 from repro.analysis.difftest.gen import generate
 from repro.analysis.optimize import advisor, build_plan, optimize_source
+from repro.obs import TraceRecorder, use_recorder
 from repro.rlang.table import active_table
 from repro.shell.ast import Command
 
@@ -75,6 +78,25 @@ def test_plan_same_fresh_and_after_other_requests():
     assert _run(_FRAGMENT_PLAN, str(EXAMPLES), "after-others") == fresh
 
 
+def test_one_exploration_and_one_gate_per_request():
+    """Two symbolic runs per request: the deps walk, which runs the race
+    checker and so is the baseline, and one race analysis of the rewrite
+    that backgrounds every candidate group.  Seed 12's rewrite surfaces
+    a new hazard, so both of its groups are rejected with that evidence;
+    no group is re-analysed alone."""
+    recorder = TraceRecorder()
+    with use_recorder(recorder):
+        plan = build_plan(generate(12, safe=True))
+    assert recorder.counter("symex.runs") == 2
+    assert recorder.counter("optimize.cross_checks") == 1
+    assert not plan.groups
+    reason = "re-analysis of the rewrite surfaced 1 new hazard(s): race-write-write"
+    assert plan.rejected == [
+        {"commands": [9, 12, 15], "reason": reason},
+        {"commands": [13, 14], "reason": reason},
+    ]
+
+
 class TestRequestTable:
     def test_table_installed_for_the_request_and_dropped(self, monkeypatch):
         seen = []
@@ -110,15 +132,39 @@ class TestRequestTable:
 
 
 class TestDeps:
+    def test_walk_finds_the_races_analyze_finds(self):
+        source = (EXAMPLES / "background_race.sh").read_text(encoding="utf-8")
+        graph = analyze_dependencies(source)
+        assert graph.race_keys
+        assert graph.race_keys == race_keys(analyze(source).diagnostics)
+
+    def test_a_crashed_checker_degrades_the_graph_and_withholds_groups(
+        self, monkeypatch
+    ):
+        from repro.analysis.effects import RaceChecker
+
+        def boom(self, states):
+            raise RuntimeError("race checker crashed")
+
+        monkeypatch.setattr(RaceChecker, "finish", boom)
+        source = (EXAMPLES / "log_fanout.sh").read_text(encoding="utf-8")
+        graph = analyze_dependencies(source)
+        assert graph.degraded and "race checker crashed" in graph.degraded_reason
+        plan = build_plan(source)
+        assert plan.degraded and not plan.groups
+        assert plan.rejected == [
+            {"commands": [1, 2, 3], "reason": "baseline race analysis was degraded"}
+        ]
+
     def test_graph_keeps_the_parsed_commands(self):
         graph = analyze_dependencies("mkdir -p /d\nif true; then echo a > /d/x; fi\n")
         assert len(graph.commands) == len(graph.effects) == 2
         assert all(isinstance(node, Command) for node in graph.commands)
 
     def test_advisor_does_not_parse_again(self, monkeypatch):
-        """The advisor reuses the commands deps parsed; only the
-        baseline race analysis, an ``analyze`` of its own, parses the
-        script again."""
+        """The advisor reuses the commands deps parsed, and the deps
+        walk is the baseline race analysis: the script is parsed once
+        (the rewrite check parses only the rewritten text)."""
         from repro.shell.parser import Parser
 
         source = (EXAMPLES / "log_fanout.sh").read_text(encoding="utf-8")
@@ -133,7 +179,7 @@ class TestDeps:
         monkeypatch.setattr(Parser, "parse_program", spy)
         plan = build_plan(source)
         assert plan.groups
-        assert len(parses) == 2
+        assert len(parses) == 1
 
 
 #: generator seed -> edges a join that kept only the first state's file

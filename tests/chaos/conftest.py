@@ -7,9 +7,7 @@ reach: the server object, its socket, its recorder, and its cache
 directory.
 """
 
-import os
 import threading
-import time
 
 import pytest
 
@@ -23,6 +21,7 @@ from repro.server import (
     ServerUnavailable,
     reset_breakers,
 )
+from tests.serving import wait_until_serving
 
 
 def _pool_available() -> bool:
@@ -61,11 +60,7 @@ def start_daemon(tmp_path, jobs=1, cache=None, **kwargs):
     )
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    deadline = time.monotonic() + 5.0
-    while not os.path.exists(socket_path):
-        if time.monotonic() > deadline:
-            pytest.fail("daemon socket never appeared")
-        time.sleep(0.01)
+    wait_until_serving(socket_path)
 
     def stop():
         if thread.is_alive():

@@ -265,13 +265,13 @@ class TestScope:
 
     def test_engine_run_installs_and_drops_the_table(self, monkeypatch):
         seen = []
-        real = Engine._run
+        real = Engine.finish
 
         def spy(self, *args):
             seen.append(active_table())
             return real(self, *args)
 
-        monkeypatch.setattr(Engine, "_run", spy)
+        monkeypatch.setattr(Engine, "finish", spy)
         Engine().run_script('case "$1" in a*) echo a ;; *) echo b ;; esac\n')
         assert seen and seen[0] is not None
         assert active_table() is None

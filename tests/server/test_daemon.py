@@ -23,6 +23,7 @@ from repro.server import (
     server_available,
 )
 from repro.server import daemon as daemon_mod
+from tests.serving import wait_until_serving
 
 
 @pytest.fixture()
@@ -37,11 +38,7 @@ def daemon(tmp_path):
     )
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    deadline = time.monotonic() + 5.0
-    while not os.path.exists(socket_path):
-        if time.monotonic() > deadline:
-            pytest.fail("daemon socket never appeared")
-        time.sleep(0.01)
+    wait_until_serving(socket_path)
     yield server
     if thread.is_alive():
         try:
@@ -139,8 +136,9 @@ class TestOps:
         assert snapshot.counter("server.op.unknown") == 51
         names = [*snapshot.counters, *snapshot.histograms]
         assert not [name for name in names if "junk" in name]
+        # `ping` is the fixture's readiness check
         assert set(daemon.handle_request({"op": "stats"})["result"]["latency_ms"]) == {
-            "unknown"
+            "ping", "unknown"
         }
 
     def test_malformed_request_payload(self, daemon):
@@ -443,7 +441,6 @@ class TestMetricsOp:
 
 class TestLoadShedding:
     def test_requests_beyond_max_inflight_are_shed(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(daemon_mod, "MAX_INFLIGHT", 0)  # everything sheds
         socket_path = str(tmp_path / "shed.sock")
         server = AnalysisServer(
             socket_path=socket_path,
@@ -453,11 +450,8 @@ class TestLoadShedding:
         )
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
-        deadline = time.monotonic() + 5.0
-        while not os.path.exists(socket_path):
-            if time.monotonic() > deadline:
-                pytest.fail("daemon socket never appeared")
-            time.sleep(0.01)
+        wait_until_serving(socket_path)
+        monkeypatch.setattr(daemon_mod, "MAX_INFLIGHT", 0)  # everything sheds
         try:
             client = ServerClient(socket_path)
             with pytest.raises(ServerError, match="overloaded"):
@@ -486,11 +480,7 @@ class TestOpsLog:
         )
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
-        deadline = time.monotonic() + 5.0
-        while not os.path.exists(socket_path):
-            if time.monotonic() > deadline:
-                pytest.fail("daemon socket never appeared")
-            time.sleep(0.01)
+        wait_until_serving(socket_path)
         yield server, log_path
         if thread.is_alive():
             try:
@@ -515,9 +505,13 @@ class TestOpsLog:
         assert "request.accept" in kinds
         assert "request.done" in kinds
         assert "request.slow" in kinds  # slow_ms=0 makes everything slow
-        done = next(e for e in events if e["event"] == "request.done")
+        # the fixture's readiness ping is logged first
+        done = next(
+            e for e in events
+            if e["event"] == "request.done"
+            and e["request_id"] == client.last_request_id
+        )
         assert done["op"] == "analyze"
-        assert done["request_id"] == client.last_request_id
         assert done["elapsed_ms"] > 0
 
     def test_failed_request_logs_structured_error(self, logged_daemon):

@@ -1,8 +1,6 @@
 """The live ops console (``repro-top``) against a real daemon."""
 
-import os
 import threading
-import time
 
 import pytest
 
@@ -10,6 +8,7 @@ from repro.analysis.cache import ResultCache
 from repro.cli import main_top
 from repro.obs import TraceRecorder
 from repro.server import AnalysisServer, ServerClient, ServerError, ServerUnavailable
+from tests.serving import wait_until_serving
 
 
 @pytest.fixture()
@@ -23,11 +22,7 @@ def daemon(tmp_path):
     )
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    deadline = time.monotonic() + 5.0
-    while not os.path.exists(socket_path):
-        if time.monotonic() > deadline:
-            pytest.fail("daemon socket never appeared")
-        time.sleep(0.01)
+    wait_until_serving(socket_path)
     yield server
     if thread.is_alive():
         try:
