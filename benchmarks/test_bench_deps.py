@@ -58,10 +58,11 @@ def test_scaling_with_commands():
     """Count guard for the states deps evaluates.  Deps carries states
     to the next command through the engine's merge, but only states
     whose file systems agree merge: an edge is a pair of fs node ids,
-    and a merge keeps one state's.  Here none agree (each branch of a
-    grep allocates its own node for the redirect target), so the carried
-    set doubles at every grep until ``max_fork`` (64) caps it: 31, 767
-    and 3839 states for 4, 16 and 64 greps, as with the plain cut."""
+    and a merge keeps one state's.  Here none agree (a grep that matched
+    knows its input file exists, one that did not knows nothing of it),
+    so the carried set doubles at every grep until ``max_fork`` (64)
+    caps it: 31, 767 and 3839 states for 4, 16 and 64 greps, as with the
+    plain cut."""
     rows = []
     explored = {}
     for n in [4, 16, 64]:

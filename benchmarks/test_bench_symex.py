@@ -20,6 +20,7 @@ from repro.analysis.difftest.campaign import CampaignConfig
 from repro.analysis.difftest.gen import generate
 from repro.analysis.optimize import build_plan
 from repro.checkers import Checker, default_checkers
+from repro.fs.model import FileSystem, NodeTable
 from repro.obs import TraceRecorder, use_recorder
 from repro.rlang.dfa import DFA
 from repro.symex import Engine
@@ -107,16 +108,20 @@ def test_state_independent_counts(monkeypatch):
     constant languages: 169 path parses in the engine, one per distinct
     operand of a run (6 620 when every resolve and file test parsed),
     5 940 hook dispatches (35 640 when every checker got every hook) and
-    105 emptiness walks (3 870 when every query walked)."""
+    105 emptiness walks (3 870 when every query walked).  A run's forks
+    share one fs node per path, and a branch point forks once per outcome
+    but the last: 194 node ids (1 520 when each fork drew its own) and
+    6 341 file-system forks (9 459 when every outcome forked)."""
     kwargs = CampaignConfig().analyze_kwargs()
     sources = [generate(seed, safe=True) for seed in _generator_seeds()]
     for source in sources:
         analyze(source, **kwargs)
 
-    counts = {"parses": 0, "distinct": 0, "walks": 0, "dispatches": 0}
+    counts = {"parses": 0, "distinct": 0, "walks": 0, "dispatches": 0, "forks": 0, "ids": 0}
     operands = set()
     parse, sympath = engine_mod.parse_sympath, Engine.sympath
     walk = DFA._walk_empty
+    fork, child = FileSystem.fork, NodeTable.child
 
     def counted_parse(value):
         counts["parses"] += 1
@@ -130,6 +135,16 @@ def test_state_independent_counts(monkeypatch):
         counts["walks"] += 1
         return walk(self)
 
+    def counted_fork(self):
+        counts["forks"] += 1
+        return fork(self)
+
+    def counted_child(self, parent, name):
+        known = len(self.parent)
+        node_id = child(self, parent, name)
+        counts["ids"] += node_id == known
+        return node_id
+
     def counted_hook(real):
         def hook(self, *args):
             counts["dispatches"] += 1
@@ -140,6 +155,8 @@ def test_state_independent_counts(monkeypatch):
     monkeypatch.setattr(engine_mod, "parse_sympath", counted_parse)
     monkeypatch.setattr(Engine, "sympath", counted_sympath)
     monkeypatch.setattr(DFA, "_walk_empty", counted_walk)
+    monkeypatch.setattr(FileSystem, "fork", counted_fork)
+    monkeypatch.setattr(NodeTable, "child", counted_child)
     # count at the checkers' own hooks: only the ones a class overrides,
     # since the engine dispatches to no other
     for cls in {type(checker) for checker in default_checkers()}:
@@ -159,7 +176,10 @@ def test_state_independent_counts(monkeypatch):
          [f"{name}={value}" for name, value in counts.items()]
          + [f"explored={explored} merged={merged}"])
     assert counts["parses"] <= counts["distinct"]
-    assert counts == {"parses": 169, "distinct": 169, "walks": 105, "dispatches": 5940}
+    assert counts == {
+        "parses": 169, "distinct": 169, "walks": 105, "dispatches": 5940,
+        "forks": 6341, "ids": 194,
+    }
     assert (explored, merged) == (7108, 1459)
 
 

@@ -295,10 +295,10 @@ def analyze_dependencies(
                                 # writing a node requires its ancestors to
                                 # exist: record them as reads so `mkdir /d`
                                 # -> `cmd >/d/f` yields a flow dependency
-                                parent = result.fs.nodes[event.node].parent
+                                parent = result.fs.parent_of(event.node)
                                 while parent is not None:
                                     effect.reads.add(parent)
-                                    parent = result.fs.nodes[parent].parent
+                                    parent = result.fs.parent_of(parent)
                             elif event.op in _READS:
                                 effect.reads.add(event.node)
                         next_states.append(result)

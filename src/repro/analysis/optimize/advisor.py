@@ -47,10 +47,11 @@ from .plan import OptimizePlan, ReorderGroup
 
 
 def _via_stabilizer():
-    """Symbolic fs node ids are process-global counters, so the raw
-    ``node N`` labels differ between runs of the same script.  Renumber
-    them in first-appearance order so plans are deterministic (cache,
-    server, and inline runs must be byte-identical)."""
+    """Symbolic fs node ids are counted per run, so a raw ``node N``
+    label numbers every path the run resolved, the unused ones too.
+    Renumber them in first-appearance order, so a label counts only the
+    nodes the plan names (cache, server and inline runs render the
+    same bytes)."""
     import re
 
     seen: Dict[str, int] = {}

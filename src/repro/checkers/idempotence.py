@@ -79,12 +79,10 @@ class IdempotenceChecker(Checker):
             path = parse_sympath(operand)
             if path is None:
                 return False
-            node_id = state.fs.resolve(path, cwd=state.cwd_node)
-            if node_id is None:
-                return False
-            if state.fs.existence(node_id) is Existence.ABSENT:
+            node_id, existence = state.fs.lookup(path, cwd=state.cwd_node)
+            if existence is Existence.ABSENT:
                 continue
-            if state.fs.kind_denied(node_id, created_kind):
+            if node_id is not None and state.fs.kind_denied(node_id, created_kind):
                 continue
             return False
         return True

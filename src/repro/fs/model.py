@@ -8,12 +8,13 @@ node, which is what makes ``rm -fr $1; cat $1/config`` a detectable
 contradiction: ``rm`` marks the node for ``$1`` ABSENT, and ``cat``
 requires a FILE node *below* it.
 
-States fork cheaply: node records are immutable and replaced on change.
+States fork cheaply: a fork copies only its map of node facts, whose
+records are immutable and replaced on change; the table that names the
+nodes is shared by every fork of a run.
 """
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum, auto
 from typing import Dict, List, Optional, Tuple
 
@@ -36,40 +37,31 @@ class NodeKind(Enum):
 
 
 class NodeRecord(FrozenRecord):
-    """``children`` maps a segment name (str or SymSegment) to a node id;
-    for SYMLINK nodes, ``link_target`` is the node the link points at
-    (enables §4's "identity of filesystem locations referrable to by
-    arbitrarily many path-strings")."""
+    """One fork's facts about a node: existence, kind and, for a SYMLINK,
+    the node the link points at (enables §4's "identity of filesystem
+    locations referrable to by arbitrarily many path-strings").  Where
+    the node sits in the tree is the :class:`NodeTable`'s business."""
 
-    __slots__ = ("node_id", "existence", "kind", "children", "parent", "name", "link_target")
+    __slots__ = ("existence", "kind", "link_target")
 
     def __init__(
         self,
-        node_id: int,
         existence: Existence = Existence.UNKNOWN,
         kind: NodeKind = NodeKind.UNKNOWN,
-        children: Tuple[Tuple[Component, int], ...] = (),
-        parent: Optional[int] = None,
-        name: str = "",
         link_target: Optional[int] = None,
     ):
-        set_field(self, "node_id", node_id)
         set_field(self, "existence", existence)
         set_field(self, "kind", kind)
-        set_field(self, "children", children)
-        set_field(self, "parent", parent)
-        set_field(self, "name", name)
         set_field(self, "link_target", link_target)
 
     def with_state(self, existence: Existence, kind: Optional[NodeKind] = None) -> "NodeRecord":
         """This record with a new existence (and kind, when given)."""
-        return NodeRecord(
-            self.node_id, existence, self.kind if kind is None else kind,
-            self.children, self.parent, self.name, self.link_target,
-        )
+        return NodeRecord(existence, self.kind if kind is None else kind, self.link_target)
 
-    def child_map(self) -> Dict[Component, int]:
-        return dict(self.children)
+
+#: what a fork knows of a node it has resolved and nothing more
+PLACEHOLDER = NodeRecord()
+_ROOT_RECORD = NodeRecord(Existence.EXISTS, NodeKind.DIR)
 
 
 class FsContradiction(Exception):
@@ -80,95 +72,102 @@ class FsContradiction(Exception):
         self.path = path
 
 
-_node_ids = itertools.count(100)
+class NodeTable:
+    """The nodes of one file system's fork family, one per path.
+
+    A node id is interned by (parent id, component), so every fork that
+    resolves a path gets the same node; a symbolic root is the child of
+    no node (``None``) named ``<vN>`` for its variable id N.  Ids are
+    counted per table, and the root is 0.  The table holds what no fork
+    can change: each node's parent and name, its children in the order
+    they were interned, and :meth:`FileSystem.path_of`.
+    """
+
+    __slots__ = ("ids", "parent", "name", "children", "paths")
+
+    def __init__(self):
+        self.ids: Dict[Tuple[Optional[int], Component], int] = {}
+        self.parent: List[Optional[int]] = [None]
+        self.name: List[str] = ["/"]
+        self.children: Dict[Optional[int], List[int]] = {}
+        self.paths: Dict[int, str] = {}
+
+    def child(self, parent: Optional[int], name: Component) -> int:
+        key = (parent, name)
+        node_id = self.ids.get(key)
+        if node_id is None:
+            node_id = self.ids[key] = len(self.parent)
+            self.parent.append(parent)
+            self.name.append(str(name))
+            self.children.setdefault(parent, []).append(node_id)
+        return node_id
 
 
 class FileSystem:
-    """A forkable symbolic file system."""
+    """A forkable symbolic file system.
 
-    ROOT = 1
+    ``nodes`` holds this fork's facts: a node is *known* to the fork when
+    it is in ``nodes``, and a node the fork has only resolved holds the
+    shared :data:`PLACEHOLDER`.  The :class:`NodeTable` is shared by
+    every fork.
+    """
+
+    ROOT = 0
 
     def __init__(
         self,
         nodes: Optional[Dict[int, NodeRecord]] = None,
-        sym_roots: Optional[Dict[int, int]] = None,
         log: Optional[EventLog] = None,
         denied: Optional[Dict[int, frozenset]] = None,
-        paths: Optional[Dict[int, str]] = None,
+        table: Optional[NodeTable] = None,
     ):
-        if nodes is None:
-            nodes = {
-                self.ROOT: NodeRecord(
-                    self.ROOT,
-                    existence=Existence.EXISTS,
-                    kind=NodeKind.DIR,
-                    name="/",
-                )
-            }
-        self.nodes: Dict[int, NodeRecord] = dict(nodes)
-        #: variable id -> abstract root node for paths like ``$1/...``
-        self.sym_roots: Dict[int, int] = dict(sym_roots or {})
+        self.table = table if table is not None else NodeTable()
+        self.nodes: Dict[int, NodeRecord] = (
+            dict(nodes) if nodes is not None else {self.ROOT: _ROOT_RECORD}
+        )
         self.log = log if log is not None else EventLog()
         #: node id -> kinds the node was observed *not* to be on this
         #: path (a failed ``[ -d X ]`` denies DIR without pinning
         #: absence — X may still exist as a file).  Weaker than
         #: tri-state existence, but enough for guard reasoning.
         self.denied: Dict[int, frozenset] = dict(denied or {})
-        #: node id -> :meth:`path_of`, one map shared by this file
-        #: system's forks: node ids are never reused, and no record
-        #: replacement changes a node's name or parent
-        self._paths: Dict[int, str] = paths if paths is not None else {}
 
     def fork(self) -> "FileSystem":
-        return FileSystem(
-            self.nodes, self.sym_roots, self.log.fork(), self.denied, self._paths
-        )
+        return FileSystem(self.nodes, self.log.fork(), self.denied, self.table)
 
     def same_facts(self, other: "FileSystem") -> bool:
-        """Do both file systems hold the same nodes and facts?  (Their
+        """Do both file systems know the same nodes and facts?  (Their
         event logs are not compared.)"""
-        return (
-            self.nodes == other.nodes
-            and self.sym_roots == other.sym_roots
-            and self.denied == other.denied
-        )
+        return self.nodes == other.nodes and self.denied == other.denied
+
+    def parent_of(self, node_id: int) -> Optional[int]:
+        return self.table.parent[node_id]
 
     # -- node bookkeeping ---------------------------------------------------
 
-    def _get(self, node_id: int) -> NodeRecord:
-        return self.nodes[node_id]
-
-    def _set(self, record: NodeRecord) -> None:
-        self.nodes[record.node_id] = record
-
-    def _new_node(self, parent: Optional[int], name: str) -> NodeRecord:
-        record = NodeRecord(next(_node_ids), parent=parent, name=name)
-        self._set(record)
-        return record
-
     def _child(self, parent_id: int, name: Component, create: bool = True) -> Optional[int]:
-        parent = self._get(parent_id)
-        # a directory has few children: scan them rather than build a dict
-        for child_name, child_id in parent.children:
-            if child_name == name:
-                return child_id
+        child = self.table.ids.get((parent_id, name))
+        if child is not None and child in self.nodes:
+            return child
         if not create:
             return None
-        child = self._new_node(parent_id, str(name))
-        self._set(NodeRecord(
-            parent.node_id, parent.existence, parent.kind,
-            parent.children + ((name, child.node_id),),
-            parent.parent, parent.name, parent.link_target,
-        ))
-        return child.node_id
+        if child is None:
+            child = self.table.child(parent_id, name)
+        self.nodes[child] = PLACEHOLDER
+        return child
 
     def sym_root(self, vid: int) -> int:
-        if vid not in self.sym_roots:
-            record = self._new_node(None, f"<v{vid}>")
-            self.sym_roots[vid] = record.node_id
-        return self.sym_roots[vid]
+        return self.resolve(SymPath((SymSegment(vid),), absolute=False))  # type: ignore[return-value]
 
     # -- resolution ------------------------------------------------------------
+
+    def _start(self, path: SymPath, cwd: Optional[int]) -> Tuple[int, Tuple[Component, ...]]:
+        if path.sym_rooted:
+            root = f"<v{path.components[0].vid}>"  # type: ignore[union-attr]
+            return self.table.child(None, root), path.components[1:]
+        if path.absolute:
+            return self.ROOT, path.components
+        return (cwd if cwd is not None else self.table.child(None, "<v-1>")), path.components
 
     def resolve(
         self, path: SymPath, cwd: Optional[int] = None, create: bool = True
@@ -179,15 +178,9 @@ class FileSystem:
         paths; None means an unknown cwd, modelled as a shared abstract
         node.
         """
-        if path.sym_rooted:
-            current = self.sym_root(path.components[0].vid)  # type: ignore[union-attr]
-            rest = path.components[1:]
-        elif path.absolute:
-            current = self.ROOT
-            rest = path.components
-        else:
-            current = cwd if cwd is not None else self.sym_root(-1)
-            rest = path.components
+        current, rest = self._start(path, cwd)
+        if current not in self.nodes:
+            self.nodes[current] = PLACEHOLDER
         for component in rest:
             current = self._follow_links(current)
             nxt = self._child(current, component, create=create)
@@ -196,11 +189,28 @@ class FileSystem:
             current = nxt
         return current
 
+    def lookup(self, path: SymPath, cwd: Optional[int] = None) -> Tuple[Optional[int], Existence]:
+        """Resolve without adding a placeholder: the node when this fork
+        knows it (else None), and its effective existence.  A node the
+        fork does not know reads as a fresh placeholder would: ABSENT
+        when its deepest known ancestor is, UNKNOWN otherwise."""
+        current, rest = self._start(path, cwd)
+        if current not in self.nodes:
+            return None, Existence.UNKNOWN
+        for component in rest:
+            current = self._follow_links(current)
+            nxt = self._child(current, component, create=False)
+            if nxt is None:  # a placeholder below ``current``
+                absent = self.existence(current) is Existence.ABSENT
+                return None, Existence.ABSENT if absent else Existence.UNKNOWN
+            current = nxt
+        return current, self.existence(current)
+
     def _follow_links(self, node_id: int, limit: int = 8) -> int:
         """Chase symlink targets (bounded against cycles)."""
         current = node_id
         for _ in range(limit):
-            record = self._get(current)
+            record = self.nodes[current]
             if record.kind is not NodeKind.SYMLINK or record.link_target is None:
                 return current
             current = record.link_target
@@ -210,56 +220,51 @@ class FileSystem:
         """Like :meth:`resolve`, but also follows a symlink at the final
         component (the `realpath` reading of a path)."""
         node = self.resolve(path, cwd=cwd)
-        if node is None:
-            return None
-        return self._follow_links(node)
+        return None if node is None else self._follow_links(node)
 
     def make_symlink(self, node_id: int, target_id: int) -> None:
         """Record that ``node_id`` is a symlink to ``target_id``."""
-        record = self._get(node_id)
-        self._set(NodeRecord(
-            record.node_id, Existence.EXISTS, NodeKind.SYMLINK, record.children,
-            record.parent, record.name, target_id,
-        ))
+        self.nodes[node_id] = NodeRecord(Existence.EXISTS, NodeKind.SYMLINK, target_id)
         self.log.record(
             FsOp.CREATE, self.path_of(node_id), node_id,
             f"symlink -> {self.path_of(target_id)}",
         )
 
     def path_of(self, node_id: int) -> str:
-        path = self._paths.get(node_id)
+        paths = self.table.paths
+        path = paths.get(node_id)
         if path is None:
-            path = self._paths[node_id] = self._walk_path(node_id)
+            path = paths[node_id] = self._walk_path(node_id)
         return path
 
     def _walk_path(self, node_id: int) -> str:
         parts: List[str] = []
+        parent, name = self.table.parent, self.table.name
         current: Optional[int] = node_id
         while current is not None:
-            record = self._get(current)
-            if record.name == "/":
+            if current == self.ROOT:
                 return "/" + "/".join(reversed(parts))
-            parts.append(record.name)
-            current = record.parent
+            parts.append(name[current])
+            current = parent[current]
         return "/".join(reversed(parts))
 
     # -- facts -------------------------------------------------------------------
 
     def existence(self, node_id: int) -> Existence:
         """Effective existence: ABSENT propagates downward from ancestors."""
-        record = self._get(node_id)
-        if record.existence is Existence.ABSENT:
-            return Existence.ABSENT
-        current = record.parent
+        existence = self.nodes[node_id].existence
+        if existence is Existence.ABSENT:
+            return existence
+        parent = self.table.parent
+        current = parent[node_id]
         while current is not None:
-            parent = self._get(current)
-            if parent.existence is Existence.ABSENT:
+            if self.nodes[current].existence is Existence.ABSENT:
                 return Existence.ABSENT
-            current = parent.parent
-        return record.existence
+            current = parent[current]
+        return existence
 
     def kind(self, node_id: int) -> NodeKind:
-        return self._get(node_id).kind
+        return self.nodes[node_id].kind
 
     def deny_kind(self, node_id: int, kind: NodeKind) -> None:
         """Record that the node is not of the given kind here (e.g. a
@@ -277,7 +282,7 @@ class FileSystem:
         Raises :class:`FsContradiction` when facts already deny it —
         that's the "always fails" signal of §4.
         """
-        record = self._get(node_id)
+        record = self.nodes[node_id]
         if self.existence(node_id) is Existence.ABSENT:
             raise FsContradiction(
                 f"path {self.path_of(node_id)} cannot exist here: it (or an "
@@ -295,31 +300,33 @@ class FileSystem:
                 self.path_of(node_id),
             )
         new_kind = kind if record.kind is NodeKind.UNKNOWN else record.kind
-        self._set(record.with_state(Existence.EXISTS, new_kind))
+        self.nodes[node_id] = record.with_state(Existence.EXISTS, new_kind)
         self.log.record(FsOp.STAT, self.path_of(node_id), node_id, "exists")
         # ancestors must be existing directories
-        current = record.parent
+        parent_of = self.table.parent
+        current = parent_of[node_id]
         while current is not None:
-            parent = self._get(current)
+            parent = self.nodes[current]
             if parent.kind is NodeKind.FILE:
                 raise FsContradiction(
                     f"{self.path_of(current)} is a file but is used as a directory",
                     self.path_of(current),
                 )
-            self._set(parent.with_state(
-                Existence.EXISTS,
-                NodeKind.DIR if parent.kind is NodeKind.UNKNOWN else parent.kind,
-            ))
-            current = parent.parent
+            if parent.existence is not Existence.EXISTS or parent.kind is NodeKind.UNKNOWN:
+                self.nodes[current] = parent.with_state(
+                    Existence.EXISTS,
+                    NodeKind.DIR if parent.kind is NodeKind.UNKNOWN else parent.kind,
+                )
+            current = parent_of[current]
 
     def assume_absent(self, node_id: int) -> None:
-        record = self._get(node_id)
+        record = self.nodes[node_id]
         if self.existence(node_id) is Existence.EXISTS:
             raise FsContradiction(
                 f"path {self.path_of(node_id)} is known to exist",
                 self.path_of(node_id),
             )
-        self._set(record.with_state(Existence.ABSENT))
+        self.nodes[node_id] = record.with_state(Existence.ABSENT)
         self.log.record(FsOp.STAT, self.path_of(node_id), node_id, "absent")
 
     # -- mutations ----------------------------------------------------------------
@@ -329,8 +336,8 @@ class FileSystem:
     ) -> None:
         """Create (or truncate) a node; parents must exist unless
         ``ensure_parents`` (mkdir -p semantics)."""
-        record = self._get(node_id)
-        parent = record.parent
+        record = self.nodes[node_id]
+        parent = self.table.parent[node_id]
         if parent is not None:
             if self.existence(parent) is Existence.ABSENT:
                 if not ensure_parents:
@@ -340,26 +347,27 @@ class FileSystem:
                         self.path_of(node_id),
                     )
                 self.create(parent, NodeKind.DIR, ensure_parents=True)
-            elif ensure_parents and self._get(parent).existence is not Existence.EXISTS:
+            elif ensure_parents and self.nodes[parent].existence is not Existence.EXISTS:
                 self.create(parent, NodeKind.DIR, ensure_parents=True)
         already = record.existence is Existence.EXISTS
-        self._set(record.with_state(Existence.EXISTS, kind))
+        self.nodes[node_id] = record.with_state(Existence.EXISTS, kind)
         if not already:
             self.log.record(
                 FsOp.CREATE, self.path_of(node_id), node_id, kind.name.lower()
             )
 
     def delete(self, node_id: int, recursive: bool = False) -> None:
-        """Mark a node (and, recursively, its subtree) absent."""
-        record = self._get(node_id)
+        """Mark a node (and, recursively, the subtree this fork knows)
+        absent."""
+        record = self.nodes[node_id]
         if recursive:
-            for _, child_id in record.children:
+            for child_id in self.known_children(node_id):
                 self.delete(child_id, recursive=True)
-        self._set(record.with_state(Existence.ABSENT))
+        self.nodes[node_id] = record.with_state(Existence.ABSENT)
         self.log.record(FsOp.DELETE, self.path_of(node_id), node_id)
 
     def write_file(self, node_id: int) -> None:
-        record = self._get(node_id)
+        record = self.nodes[node_id]
         if record.kind is NodeKind.DIR:
             raise FsContradiction(
                 f"{self.path_of(node_id)} is a directory; cannot write it",
@@ -375,12 +383,7 @@ class FileSystem:
 
     # -- queries -----------------------------------------------------------------
 
-    def children_of(self, node_id: int) -> Dict[Component, int]:
-        return self._get(node_id).child_map()
-
-    def snapshot(self) -> Dict[str, Tuple[Existence, NodeKind]]:
-        """Concrete-path view of all known facts (testing/probing aid)."""
-        result = {}
-        for node_id, record in self.nodes.items():
-            result[self.path_of(node_id)] = (self.existence(node_id), record.kind)
-        return result
+    def known_children(self, node_id: int) -> List[int]:
+        """The node's children that this fork knows, in interning order."""
+        nodes = self.nodes
+        return [child for child in self.table.children.get(node_id, ()) if child in nodes]

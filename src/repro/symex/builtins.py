@@ -129,9 +129,7 @@ def _eval_test(
 ) -> List[SymState]:
     def outcome(truth: Optional[bool]) -> List[SymState]:
         if truth is None:
-            yes = state.fork(note="test: true").with_status(0 if not negate else 1)
-            no = state.fork(note="test: false").with_status(1 if not negate else 0)
-            return [yes, no]
+            return _unknown(state, negate, "test: true", "test: false")
         value = truth != negate
         return [state.with_status(0 if value else 1)]
 
@@ -219,10 +217,14 @@ def _eval_unary(
         )
     if op in ("-e", "-f", "-d", "-r", "-w", "-x", "-s", "-h", "-L"):
         return _eval_file_test(op, operand, state, engine, negate)
-    # unknown unary: fork
-    yes = state.fork().with_status(0 if not negate else 1)
-    no = state.fork().with_status(1 if not negate else 0)
-    return [yes, no]
+    return _unknown(state, negate)
+
+
+def _unknown(state: SymState, negate: bool, yes: str = "", no: str = "") -> List[SymState]:
+    """Both outcomes of a test whose truth is unknown, noted ``yes`` and
+    ``no``; the false one takes the incoming state."""
+    true = state.fork(yes).with_status(int(negate))
+    return [true, state.fork(no, last=True).with_status(int(not negate))]
 
 
 def _eval_file_test(
@@ -246,7 +248,9 @@ def _eval_file_test(
     if exists_state is not None:
         results.append(exists_state.with_status(0 if not negate else 1))
 
-    absent_state = state.fork(note=f"test {op} {operand.describe(state.store)}: fails")
+    absent_state = state.fork(
+        f"test {op} {operand.describe(state.store)}: fails", last=bool(results)
+    )
     if path is not None and op in ("-e", "-f", "-d", "-h", "-L"):
         node = absent_state.fs.resolve(path, cwd=absent_state.cwd_node)
         try:
@@ -289,10 +293,7 @@ def _eval_equality(
             realpath_constant=rc,
         )
 
-    # both symbolic: unknown
-    yes = state.fork().with_status(0)
-    no = state.fork().with_status(1)
-    return [yes, no]
+    return _unknown(state, False)  # both symbolic
 
 
 def _eval_numeric(
@@ -302,9 +303,7 @@ def _eval_numeric(
         lv = int(left.concrete_value())
         rv = int(right.concrete_value())
     except (TypeError, ValueError):
-        yes = state.fork().with_status(0 if not negate else 1)
-        no = state.fork().with_status(1 if not negate else 0)
-        return [yes, no]
+        return _unknown(state, negate)
     truth = {
         "-eq": lv == rv,
         "-ne": lv != rv,
@@ -347,7 +346,7 @@ def _fork_on_language(
         if feasible:
             results.append(in_state.with_status(when_in_status))
     if can_out:
-        out_state = state.fork(note=f"{note}: out")
+        out_state = state.fork(f"{note}: out", last=bool(results))
         feasible = True
         if vid is not None:
             feasible = not out_state.store.exclude(vid, language).is_empty()

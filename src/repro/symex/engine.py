@@ -399,9 +399,10 @@ class Engine:
             results.extend(self.eval(node, state))
         return self.merge_states(results)
 
-    def _fork(self, state: SymState, note: str) -> SymState:
-        self._rec.count("symex.states_forked")
-        return state.fork(note=note)
+    def _fork(self, state: SymState, note: str, last: bool = False) -> SymState:
+        if not last:
+            self._rec.count("symex.states_forked")
+        return state.fork(note, last)
 
     # -- provenance ---------------------------------------------------------
 
@@ -554,9 +555,12 @@ class Engine:
         has_success_clause = any(c.exit_code == 0 for c in clauses)
         failure_branches: List[SymState] = []
 
-        for clause in clauses:
+        for index, clause in enumerate(clauses, 1):
+            # the last clause takes the incoming state once an earlier one
+            # was feasible: it is not returned untouched then
             branch = self._fork(
-                state, f"{spec.name}: {clause.note or f'exit {clause.exit_code}'}"
+                state, f"{spec.name}: {clause.note or f'exit {clause.exit_code}'}",
+                last=index == len(clauses) and bool(results or failure_branches),
             )
             feasible, reason = self._apply_clause(
                 spec, clause, operand_values, branch, node
@@ -680,7 +684,7 @@ class Engine:
             for value in self._select(pre.sel, operands):
                 node_id = self._resolve(value, state)
                 if node_id is not None:
-                    parent = state.fs.nodes[node_id].parent
+                    parent = state.fs.parent_of(node_id)
                     if parent is not None:
                         state.fs.assume_exists(parent, NodeKind.DIR)
 
@@ -695,7 +699,7 @@ class Engine:
                 if node_id is not None:
                     if value.has_glob():
                         # deleting the *children* of the target directory
-                        for child_id in list(state.fs.children_of(node_id).values()):
+                        for child_id in state.fs.known_children(node_id):
                             state.fs.delete(child_id, recursive=effect.recursive)
                     else:
                         state.fs.delete(node_id, recursive=effect.recursive)
@@ -956,7 +960,7 @@ class Engine:
             if success is None:
                 ok = self._fork(left, f"{node.op}: left succeeded")
                 ok.status = 0
-                fail = self._fork(left, f"{node.op}: left failed")
+                fail = self._fork(left, f"{node.op}: left failed", last=True)
                 fail.status = 1
                 branches = [ok, fail]
             else:
@@ -1093,7 +1097,7 @@ class Engine:
             else:
                 ok = self._fork(st, f"{note}: success")
                 ok.status = 0
-                bad = self._fork(st, f"{note}: failure")
+                bad = self._fork(st, f"{note}: failure", last=True)
                 bad.status = 1
                 success.append(ok)
                 failure.append(bad)

@@ -185,7 +185,13 @@ class SymState:
 
     # -- forking -----------------------------------------------------------
 
-    def fork(self, note: str = "") -> "SymState":
+    def fork(self, note: str = "", last: bool = False) -> "SymState":
+        """A copy of this state, noted; a branch point's ``last`` outcome,
+        when nothing needs this state untouched, takes it instead."""
+        if last:
+            if note:
+                self.notes.append(note)
+            return self
         child = SymState.__new__(SymState)
         child.env = self.env.copy()
         child.env_fingerprint = self.env_fingerprint

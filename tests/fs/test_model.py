@@ -100,13 +100,13 @@ class TestResolution:
         fs = FileSystem()
         a = fs.resolve(parse_sympath(SymString.var(v)))
         b = fs.resolve(parse_sympath(SymString.var(v) + SymString.lit("/x")))
-        assert fs.nodes[b].parent == a
+        assert fs.parent_of(b) == a
 
     def test_relative_uses_cwd(self):
         fs = FileSystem()
         home = fs.resolve(path_of("/home/me"))
         child = fs.resolve(path_of("notes.txt"), cwd=home)
-        assert fs.nodes[child].parent == home
+        assert fs.parent_of(child) == home
 
     def test_no_create(self):
         fs = FileSystem()

@@ -71,7 +71,7 @@ def test_path_of_equals_the_walked_path():
     assert fs.path_of(deep) == "/srv/a/b"
     fs.create(deep, NodeKind.DIR, ensure_parents=True)  # mkdir -p
     left, right = fs.fork(), fs.fork()
-    assert left._paths is fs._paths is right._paths
+    assert left.table.paths is fs.table.paths is right.table.paths
     link = _resolve(left, "/srv/l")
     left.make_symlink(link, deep)
     through = _resolve(left, "/srv/l/c")  # below the link's target
