@@ -23,9 +23,10 @@ runs symbolic execution at most twice.
 from __future__ import annotations
 
 import hashlib
+import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, List, Optional
+from typing import Callable, ClassVar, Dict, List, Optional, Tuple
 
 from ...budget import ResourceBudget
 from ...obs import get_recorder
@@ -52,8 +53,6 @@ def _via_stabilizer():
     Renumber them in first-appearance order, so a label counts only the
     nodes the plan names (cache, server and inline runs render the
     same bytes)."""
-    import re
-
     seen: Dict[str, int] = {}
 
     def stabilize(via: str) -> str:
@@ -103,21 +102,38 @@ def _synthesize(
     nodes: List[Command],
     schedule: List[List[int]],
     groups_by_generation: Dict[int, List[int]],
-) -> str:
+) -> Tuple[str, List[Optional[int]]]:
     """The rewritten script: schedule order, with each chosen group's
-    members backgrounded and joined by a ``wait`` barrier."""
-    lines: List[str] = []
+    members backgrounded and joined by a ``wait`` barrier; and the
+    top-level command on each of its lines (None on a ``wait``)."""
+    lines: List[Tuple[str, Optional[int]]] = []
     for gen_index, generation in enumerate(schedule):
         group = groups_by_generation.get(gen_index, [])
-        members = set(group)
         for index in generation:
-            if index not in members:
-                lines.append(render(nodes[index]))
+            if index not in group:
+                lines.append((render(nodes[index]), index))
         if group:
-            for index in group:
-                lines.append(f"{render(nodes[index])} &")
-            lines.append("wait")
-    return "\n".join(lines) + "\n"
+            lines.extend((f"{render(nodes[index])} &", index) for index in group)
+            lines.append(("wait", None))
+    owners = [owner for text, owner in lines for _ in range(text.count("\n") + 1)]
+    return "\n".join(text for text, _ in lines) + "\n", owners
+
+
+#: a position a race message cites
+_CITED = re.compile(r"\((\d+):(\d+)\)")
+
+
+def _by_command(keys: Counter, command_at: Callable[[int, int], Optional[int]]) -> Counter:
+    """Race keys with each cited ``(line:column)`` replaced by the
+    top-level command there: a rewrite moves commands to other lines,
+    and a hazard it only moved keeps its key."""
+    def cite(match) -> str:
+        return f"(command {command_at(int(match.group(1)), int(match.group(2)))})"
+
+    result: Counter = Counter()
+    for (code, message), count in keys.items():
+        result[code, _CITED.sub(cite, message)] += count
+    return result
 
 
 def _rejection_reason(new_hazards: Counter) -> str:
@@ -230,7 +246,7 @@ def build_plan(
                 )
             )
         if kept:
-            plan.rewritten_script = _synthesize(nodes, plan.schedule, kept)
+            plan.rewritten_script = _synthesize(nodes, plan.schedule, kept)[0]
     return plan
 
 
@@ -245,8 +261,9 @@ def _gate_candidates(
 ) -> Dict[int, List[int]]:
     """The safety gate: one race analysis of the rewrite that backgrounds
     every candidate group.  It passes when that analysis completes and
-    shows no hazard beyond the dependence walk's own (the baseline);
-    otherwise every group is rejected with its evidence."""
+    shows no hazard beyond the dependence walk's own (the baseline),
+    compared by the top-level commands each hazard cites; otherwise every
+    group is rejected with its evidence."""
     if not candidates:
         return {}
     if graph.degraded:
@@ -255,9 +272,18 @@ def _gate_candidates(
         rec.count("optimize.cross_checks")
         kwargs = config.analyze_kwargs()
         kwargs["races"] = True
-        full = _synthesize(nodes, plan.schedule, candidates)
+        full, owners = _synthesize(nodes, plan.schedule, candidates)
         report = analyze(full, budget=budget, **kwargs)
-        new = race_keys(report.diagnostics) - graph.race_keys
+        # hazards are compared by the commands they cite, not the lines:
+        # a source line may hold several commands, and the rewrite puts
+        # each on lines of its own
+        at: Dict[tuple, int] = {}
+        for index, node in enumerate(nodes):
+            for sub in walk(node):
+                at.setdefault((sub.pos.line, sub.pos.col), index)
+        baseline = _by_command(graph.race_keys, lambda *pos: at.get(pos))
+        rewrite = _by_command(race_keys(report.diagnostics), lambda line, _: owners[line - 1])
+        new = rewrite - baseline
         if not new and not report.degraded:
             return candidates
         reason = _rejection_reason(new)

@@ -81,19 +81,21 @@ def test_plan_same_fresh_and_after_other_requests():
 def test_one_exploration_and_one_gate_per_request():
     """Two symbolic runs per request: the deps walk, which runs the race
     checker and so is the baseline, and one race analysis of the rewrite
-    that backgrounds every candidate group.  Seed 12's rewrite surfaces
-    a new hazard, so both of its groups are rejected with that evidence;
-    no group is re-analysed alone."""
+    that backgrounds every candidate group.  The rewrite surfaces new
+    hazards (``$1`` and ``$2`` may name the files the other members
+    remove, which node-id dependence does not see), so both groups are
+    rejected with that evidence; no group is re-analysed alone."""
+    source = 'mkdir -p /w\ncat "$1"\nrm -f /tmp/x\ncat "$2" >/w/a\nrm -f /w/b\n'
     recorder = TraceRecorder()
     with use_recorder(recorder):
-        plan = build_plan(generate(12, safe=True))
+        plan = build_plan(source)
     assert recorder.counter("symex.runs") == 2
     assert recorder.counter("optimize.cross_checks") == 1
     assert not plan.groups
-    reason = "re-analysis of the rewrite surfaced 1 new hazard(s): race-write-write"
+    reason = "re-analysis of the rewrite surfaced 3 new hazard(s): race-read-write"
     assert plan.rejected == [
-        {"commands": [9, 12, 15], "reason": reason},
-        {"commands": [13, 14], "reason": reason},
+        {"commands": [0, 1, 2], "reason": reason},
+        {"commands": [3, 4], "reason": reason},
     ]
 
 
