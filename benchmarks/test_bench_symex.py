@@ -111,7 +111,7 @@ def test_state_independent_counts(monkeypatch):
     105 emptiness walks (3 870 when every query walked).  A run's forks
     share one fs node per path, and a branch point forks once per outcome
     but the last: 194 node ids (1 520 when each fork drew its own) and
-    6 341 file-system forks (9 459 when every outcome forked)."""
+    5 953 file-system forks (9 459 when every outcome forked)."""
     kwargs = CampaignConfig().analyze_kwargs()
     sources = [generate(seed, safe=True) for seed in _generator_seeds()]
     for source in sources:
@@ -178,7 +178,7 @@ def test_state_independent_counts(monkeypatch):
     assert counts["parses"] <= counts["distinct"]
     assert counts == {
         "parses": 169, "distinct": 169, "walks": 105, "dispatches": 5940,
-        "forks": 6341, "ids": 194,
+        "forks": 5953, "ids": 194,
     }
     assert (explored, merged) == (7108, 1459)
 

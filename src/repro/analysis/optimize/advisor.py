@@ -127,12 +127,10 @@ def _by_command(keys: Counter, command_at: Callable[[int, int], Optional[int]]) 
     """Race keys with each cited ``(line:column)`` replaced by the
     top-level command there: a rewrite moves commands to other lines,
     and a hazard it only moved keeps its key."""
-    def cite(match) -> str:
-        return f"(command {command_at(int(match.group(1)), int(match.group(2)))})"
-
     result: Counter = Counter()
     for (code, message), count in keys.items():
-        result[code, _CITED.sub(cite, message)] += count
+        cited = _CITED.sub(lambda m: f"(command {command_at(int(m[1]), int(m[2]))})", message)
+        result[code, cited] += count
     return result
 
 

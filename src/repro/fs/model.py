@@ -252,16 +252,12 @@ class FileSystem:
 
     def existence(self, node_id: int) -> Existence:
         """Effective existence: ABSENT propagates downward from ancestors."""
-        existence = self.nodes[node_id].existence
-        if existence is Existence.ABSENT:
-            return existence
-        parent = self.table.parent
-        current = parent[node_id]
+        parent, current = self.table.parent, node_id
         while current is not None:
             if self.nodes[current].existence is Existence.ABSENT:
                 return Existence.ABSENT
             current = parent[current]
-        return existence
+        return self.nodes[node_id].existence
 
     def kind(self, node_id: int) -> NodeKind:
         return self.nodes[node_id].kind

@@ -52,7 +52,6 @@ def builtin_cd(argv: List[SymString], state: SymState, engine: "Engine") -> List
 
     results: List[SymState] = []
     target_lang = target.to_regex(state.store)
-    may_fail = True
     may_succeed = not (target_lang.matches("") and target_lang == Regex.literal(""))
 
     # success world: the target names an existing directory
@@ -81,12 +80,9 @@ def builtin_cd(argv: List[SymString], state: SymState, engine: "Engine") -> List
                 success.status = 0
                 results.append(success)
 
-    if may_fail:
-        failure = state.fork(note=f"cd {target.describe(state.store)}: failure")
-        failure.status = 1
-        results.append(failure)
-
-    return results or [state.with_status(1)]
+    # cd may always fail: the failure world takes the incoming state
+    note = f"cd {target.describe(state.store)}: failure"
+    return results + [state.fork(note, last=True).with_status(1)]
 
 
 def _new_pwd(target: SymString, state: SymState) -> SymString:
@@ -331,29 +327,21 @@ def _fork_on_language(
     check on the normalized-path result of realpath implies information
     about the potentially un-normalized path")."""
     lang = value.to_regex(state.store)
-    can_in = not (lang & language).is_empty()
-    can_out = not (lang - language).is_empty()
     vid = value.single_var()
     results: List[SymState] = []
-
-    if can_in:
-        in_state = state.fork(note=f"{note}: in")
-        feasible = True
+    sides = ((True, lang & language, when_in_status), (False, lang - language, when_out_status))
+    for inside, side, status in sides:
+        if side.is_empty():
+            continue
+        branch = state.fork(f"{note}: {'in' if inside else 'out'}", last=not inside and bool(results))
         if vid is not None:
-            feasible = not in_state.store.refine(vid, language).is_empty()
-            if feasible and realpath_constant == "/":
-                feasible = _refine_realpath_arg(in_state, vid, inside=True)
-        if feasible:
-            results.append(in_state.with_status(when_in_status))
-    if can_out:
-        out_state = state.fork(f"{note}: out", last=bool(results))
-        feasible = True
-        if vid is not None:
-            feasible = not out_state.store.exclude(vid, language).is_empty()
-            if feasible and realpath_constant == "/":
-                feasible = _refine_realpath_arg(out_state, vid, inside=False)
-        if feasible:
-            results.append(out_state.with_status(when_out_status))
+            store = branch.store
+            refined = store.refine(vid, language) if inside else store.exclude(vid, language)
+            if refined.is_empty() or (
+                realpath_constant == "/" and not _refine_realpath_arg(branch, vid, inside)
+            ):
+                continue
+        results.append(branch.with_status(status))
     return results or [state.with_status(when_out_status)]
 
 
@@ -411,8 +399,7 @@ def builtin_realpath(argv: List[SymString], state: SymState, engine: "Engine") -
         success = state.fork(note=f"realpath {concrete}")
         success.emit_text(SymString.lit(normalise_concrete(concrete) + "\n"))
         success.status = 0
-        failure = state.fork(note=f"realpath {concrete}: fails")
-        failure.status = 1
+        failure = state.fork(f"realpath {concrete}: fails", last=True).with_status(1)
         if normalise_concrete(concrete) == "/":
             return [success]  # "/" always resolves
         return [success, failure]
@@ -428,8 +415,8 @@ def builtin_realpath(argv: List[SymString], state: SymState, engine: "Engine") -
     success.status = 0
     results.append(success)
 
-    failure = state.fork(note=f"realpath {arg.describe(state.store)}: failure")
-    failure.status = 1
+    note = f"realpath {arg.describe(state.store)}: failure"
+    failure = state.fork(note, last=True).with_status(1)
     # rooty arguments always resolve (to "/"), so failure implies non-rooty
     target = _rooty_modulo_var(arg, failure)
     feasible = True
@@ -520,9 +507,7 @@ def builtin_read(argv: List[SymString], state: SymState, engine: "Engine") -> Li
         vid = ok.store.fresh(Regex.constant(".*"), label=f"${name} (read)")
         ok.set_var(name, SymString.var(vid))
     ok.status = 0
-    eof = state.fork(note="read: end of input")
-    eof.status = 1
-    return [ok, eof]
+    return [ok, state.fork("read: end of input", last=True).with_status(1)]
 
 
 def builtin_shift(argv: List[SymString], state: SymState, engine: "Engine") -> List[SymState]:
@@ -647,10 +632,7 @@ def builtin_getopts(argv: List[SymString], state: SymState, engine: "Engine") ->
     )
     ok.set_var("OPTIND", SymString.var(ind_vid))
     ok.status = 0
-
-    done = state.fork(note="getopts: options exhausted")
-    done.status = 1
-    return [ok, done]
+    return [ok, state.fork("getopts: options exhausted", last=True).with_status(1)]
 
 
 def builtin_wait(argv: List[SymString], state: SymState, engine: "Engine") -> List[SymState]:

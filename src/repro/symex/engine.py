@@ -8,7 +8,7 @@ variables, and prunes via concrete state whenever possible.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..budget import AnalysisBudgetExceeded, get_budget
 from ..checkers.base import Checker
@@ -668,25 +668,27 @@ class Engine:
             return False, str(exc)
         return True, ""
 
+    def _nodes(self, sel: Sel, operands: List[SymString], state: SymState) -> Iterator[int]:
+        """The nodes the selected operands resolve to (skipping those
+        that are no paths)."""
+        for value in self._select(sel, operands):
+            node_id = self._resolve(value, state)
+            if node_id is not None:
+                yield node_id
+
     def _assume_pre(self, pre, operands: List[SymString], state: SymState) -> None:
         if isinstance(pre, Exists):
             kind = _EXISTS_KIND[pre.kind]
-            for value in self._select(pre.sel, operands):
-                node_id = self._resolve(value, state)
-                if node_id is not None:
-                    state.fs.assume_exists(node_id, kind)
+            for node_id in self._nodes(pre.sel, operands, state):
+                state.fs.assume_exists(node_id, kind)
         elif isinstance(pre, Absent):
-            for value in self._select(pre.sel, operands):
-                node_id = self._resolve(value, state)
-                if node_id is not None:
-                    state.fs.assume_absent(node_id)
+            for node_id in self._nodes(pre.sel, operands, state):
+                state.fs.assume_absent(node_id)
         elif isinstance(pre, ParentExists):
-            for value in self._select(pre.sel, operands):
-                node_id = self._resolve(value, state)
-                if node_id is not None:
-                    parent = state.fs.parent_of(node_id)
-                    if parent is not None:
-                        state.fs.assume_exists(parent, NodeKind.DIR)
+            for node_id in self._nodes(pre.sel, operands, state):
+                parent = state.fs.parent_of(node_id)
+                if parent is not None:
+                    state.fs.assume_exists(parent, NodeKind.DIR)
 
     def _apply_effect(
         self, effect, operands: List[SymString], state: SymState, node: SimpleCommand
@@ -704,28 +706,20 @@ class Engine:
                     else:
                         state.fs.delete(node_id, recursive=effect.recursive)
         elif isinstance(effect, Creates):
-            for value in self._select(effect.sel, operands):
-                node_id = self._resolve(value, state)
-                if node_id is not None:
-                    kind = NodeKind.DIR if effect.kind is PathKind.DIR else NodeKind.FILE
-                    state.fs.create(node_id, kind, ensure_parents=effect.ensure_parents)
+            kind = NodeKind.DIR if effect.kind is PathKind.DIR else NodeKind.FILE
+            for node_id in self._nodes(effect.sel, operands, state):
+                state.fs.create(node_id, kind, ensure_parents=effect.ensure_parents)
         elif isinstance(effect, WritesFile):
-            for value in self._select(effect.sel, operands):
-                node_id = self._resolve(value, state)
-                if node_id is not None:
-                    state.fs.write_file(node_id)
+            for node_id in self._nodes(effect.sel, operands, state):
+                state.fs.write_file(node_id)
         elif isinstance(effect, ReadsFile):
-            for value in self._select(effect.sel, operands):
-                node_id = self._resolve(value, state)
-                if node_id is not None:
-                    state.fs.read_file(node_id)
+            for node_id in self._nodes(effect.sel, operands, state):
+                state.fs.read_file(node_id)
         elif isinstance(effect, ListsDir):
             from ..fs import FsOp
 
-            for value in self._select(effect.sel, operands):
-                node_id = self._resolve(value, state)
-                if node_id is not None:
-                    state.fs.log.record(FsOp.LIST, state.fs.path_of(node_id), node_id)
+            for node_id in self._nodes(effect.sel, operands, state):
+                state.fs.log.record(FsOp.LIST, state.fs.path_of(node_id), node_id)
         elif isinstance(effect, CopiesTo):
             if len(operands) >= 2:
                 for source in operands[:-1]:
@@ -958,11 +952,8 @@ class Engine:
             success = left.succeeded()
             run_right = (success is True) if node.op == "&&" else (success is False)
             if success is None:
-                ok = self._fork(left, f"{node.op}: left succeeded")
-                ok.status = 0
-                fail = self._fork(left, f"{node.op}: left failed", last=True)
-                fail.status = 1
-                branches = [ok, fail]
+                ok = self._fork(left, f"{node.op}: left succeeded").with_status(0)
+                branches = [ok, self._fork(left, f"{node.op}: left failed", True).with_status(1)]
             else:
                 branches = [left]
             for branch in branches:
@@ -1095,12 +1086,8 @@ class Engine:
             elif outcome is False:
                 failure.append(st)
             else:
-                ok = self._fork(st, f"{note}: success")
-                ok.status = 0
-                bad = self._fork(st, f"{note}: failure", last=True)
-                bad.status = 1
-                success.append(ok)
-                failure.append(bad)
+                success.append(self._fork(st, f"{note}: success").with_status(0))
+                failure.append(self._fork(st, f"{note}: failure", True).with_status(1))
         return success, failure
 
     def _eval_condition(self, node: Command, state: SymState) -> List[SymState]:
