@@ -244,9 +244,8 @@ def _eval_file_test(
     if exists_state is not None:
         results.append(exists_state.with_status(0 if not negate else 1))
 
-    absent_state = state.fork(
-        f"test {op} {operand.describe(state.store)}: fails", last=bool(results)
-    )
+    note = f"test {op} {operand.describe(state.store)}: fails"
+    absent_state = state.fork(note, last=bool(results))  # "holds" survived
     if path is not None and op in ("-e", "-f", "-d", "-h", "-L"):
         node = absent_state.fs.resolve(path, cwd=absent_state.cwd_node)
         try:
@@ -333,10 +332,10 @@ def _fork_on_language(
     for inside, side, status in sides:
         if side.is_empty():
             continue
-        branch = state.fork(f"{note}: {'in' if inside else 'out'}", last=not inside and bool(results))
+        last = not inside and bool(results)  # "in" survived: "out" takes the state
+        branch = state.fork(f"{note}: {'in' if inside else 'out'}", last)
         if vid is not None:
-            store = branch.store
-            refined = store.refine(vid, language) if inside else store.exclude(vid, language)
+            refined = (branch.store.refine if inside else branch.store.exclude)(vid, language)
             if refined.is_empty() or (
                 realpath_constant == "/" and not _refine_realpath_arg(branch, vid, inside)
             ):

@@ -953,7 +953,8 @@ class Engine:
             run_right = (success is True) if node.op == "&&" else (success is False)
             if success is None:
                 ok = self._fork(left, f"{node.op}: left succeeded").with_status(0)
-                branches = [ok, self._fork(left, f"{node.op}: left failed", True).with_status(1)]
+                fail = self._fork(left, f"{node.op}: left failed", last=True)
+                branches = [ok, fail.with_status(1)]
             else:
                 branches = [left]
             for branch in branches:
@@ -1087,7 +1088,7 @@ class Engine:
                 failure.append(st)
             else:
                 success.append(self._fork(st, f"{note}: success").with_status(0))
-                failure.append(self._fork(st, f"{note}: failure", True).with_status(1))
+                failure.append(self._fork(st, f"{note}: failure", last=True).with_status(1))
         return success, failure
 
     def _eval_condition(self, node: Command, state: SymState) -> List[SymState]:
