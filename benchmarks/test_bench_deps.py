@@ -56,15 +56,17 @@ def test_dependency_analysis_cost(benchmark):
 
 def test_scaling_with_commands():
     """Count guard for the states deps evaluates.  Deps carries states
-    to the next command through the engine's merge, but only states
-    whose file systems agree merge: an edge is a pair of fs node ids,
-    and a merge keeps one state's.  Here none agree (a grep that matched
-    knows its input file exists, one that did not knows nothing of it),
-    so the carried set doubles at every grep until ``max_fork`` (64)
-    caps it: 31, 767 and 3839 states for 4, 16 and 64 greps, as with the
-    plain cut."""
+    to the next command through the engine's merge and joins the file
+    systems of the states it merges (``FileSystem.join``), so a grep that
+    matched (it knows its input file exists) and one that did not (it
+    knows nothing of it) become one state whose fs says the file may
+    exist.  The carried set stays at one state per outcome, and the
+    count grows linearly: 9, 33 and 129 states for 4, 16 and 64 greps,
+    with no truncation.  It was 31, 767 and 3839 (and 59 truncations at
+    64) while states merged only when their fs facts were equal."""
     rows = []
     explored = {}
+    truncations = {}
     for n in [4, 16, 64]:
         lines = ["mkdir -p /out"]
         lines += [f"grep E /l/{i}.log >/out/{i}.txt" for i in range(n)]
@@ -75,10 +77,13 @@ def test_scaling_with_commands():
             graph = analyze_dependencies(source)
         elapsed = time.perf_counter() - start
         explored[n] = recorder.counter("symex.states_explored")
+        truncations[n] = recorder.counter("symex.truncations")
         rows.append(f"{n:3} commands: {elapsed*1e3:7.1f} ms, "
                     f"{len(graph.dependencies)} edges, "
-                    f"{explored[n]} states evaluated")
+                    f"{explored[n]} states evaluated, "
+                    f"{truncations[n]} truncations")
         # all greps parallel after mkdir
         assert len(graph.stages()) == 2
     emit("E16b (dependency analysis scaling)", rows)
-    assert explored == {4: 31, 16: 767, 64: 3839}
+    assert explored == {4: 9, 16: 33, 64: 129}
+    assert truncations[64] == 0

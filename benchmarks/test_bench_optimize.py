@@ -184,9 +184,10 @@ def test_optimize_counts():
     share one language table, and aliasing between concrete paths is
     decided on text.  One ``log_fanout.sh`` optimize (after a warm-up
     that builds the process's constant languages) makes 2 symbolic runs,
-    runs 1 subset construction and evaluates 159 symbolic states; it
-    evaluated 183 in three explorations while a separate ``analyze`` was
-    the baseline, and it was 49 constructions when each
+    runs 1 subset construction and evaluates 47 symbolic states; it
+    evaluated 159 while the deps walk merged only states whose fs facts
+    were equal, 183 in three explorations while a separate ``analyze``
+    was the baseline, and it was 49 constructions when each
     analysis had its own table and every alias test built a product,
     6 while the stream types' source-written languages (``.*`` around a
     grep pattern, a producer's input) were compiled per run, and 3 while
@@ -215,5 +216,5 @@ def test_optimize_counts():
     emit_json("optimize", counts, section="log_fanout_counts")
     assert plan.groups and plan.groups[0].verified
     assert counts["symex.runs"] == 2
-    assert counts["symex.states_explored"] == 159
+    assert counts["symex.states_explored"] == 47
     assert counts["rlang.determinise_calls"] == 1

@@ -19,6 +19,14 @@ dependence relations on abstract fs nodes:
 Environment-variable def/use pairs contribute dependencies the same way.
 Commands unrelated by any edge can be reordered or parallelised.
 
+Every fork of the walk's entry state records its fs events into one
+journal, so a command's events count even on the branches that a merge
+inside the command folded away.  Between top-level commands the walk
+merges its states as every compound evaluation does, and joins the file
+systems of the states it merges (``FileSystem.join``): a command that
+may succeed or fail leaves one state whose facts hold on both paths, so
+the carried set does not double at each such command.
+
 The walk runs the default checkers and ends as a run does, so it is the
 script's race analysis as well: an optimize request explores the script
 once, and compares its rewrite's hazards with the graph's ``race_keys``.
@@ -34,7 +42,7 @@ from ..budget import AnalysisBudgetExceeded, ResourceBudget, use_budget
 from ..checkers import default_checkers
 from ..diag import Diagnostic
 from ..digraph import descendants, reachability, topological_generations
-from ..fs import FsOp
+from ..fs import FsEvent, FsOp
 from ..rlang.table import run_table
 from ..shell import parse
 from ..shell.ast import Command, Sequence as SeqNode, SimpleCommand, walk
@@ -280,32 +288,35 @@ def analyze_dependencies(
     # installs the run's language table and begins and finishes the run
     with use_budget(budget), run_table():
         engine.begin(ast)
-        states = [engine.initial_state(n_args=n_args)]
+        initial = engine.initial_state(n_args=n_args)
+        # every fork of the entry log records into the journal
+        journal: List[FsEvent] = []
+        initial.fs.log.journal = journal
+        parent_of = initial.fs.table.parent
+        states = [initial]
         try:
             for command, effect in zip(commands, effects):
-                marks = [(state, len(state.fs.log)) for state in states]
                 next_states = []
-                for state, mark in marks:
-                    for result in engine.eval(command, state):
-                        for event in result.fs.log.since(mark):
-                            if event.node is None:
-                                continue
-                            if event.op in _WRITES:
-                                effect.writes.add(event.node)
-                                # writing a node requires its ancestors to
-                                # exist: record them as reads so `mkdir /d`
-                                # -> `cmd >/d/f` yields a flow dependency
-                                parent = result.fs.parent_of(event.node)
-                                while parent is not None:
-                                    effect.reads.add(parent)
-                                    parent = result.fs.parent_of(parent)
-                            elif event.op in _READS:
-                                effect.reads.add(event.node)
-                        next_states.append(result)
-                # the join Engine.eval_many applies, restricted to states
-                # whose file systems agree too, so no node id an edge
-                # needs is lost (events were collected above)
-                states = engine.merge_states(next_states, same_fs=True)
+                for state in states:
+                    next_states.extend(engine.eval(command, state))
+                for event in journal:
+                    if event.node is None:
+                        continue
+                    if event.op in _WRITES:
+                        effect.writes.add(event.node)
+                        # writing a node requires its ancestors to exist:
+                        # record them as reads so `mkdir /d` -> `cmd >/d/f`
+                        # yields a flow dependency
+                        parent = parent_of[event.node]
+                        while parent is not None:
+                            effect.reads.add(parent)
+                            parent = parent_of[parent]
+                    elif event.op in _READS:
+                        effect.reads.add(event.node)
+                journal.clear()
+                # the join Engine.eval_many applies, with the merged
+                # states' file systems joined into the kept ones
+                states = engine.merge_states(next_states, join_fs=True)
                 effect.external = any(
                     isinstance(sub, SimpleCommand)
                     and sub.name is not None

@@ -119,7 +119,7 @@ class EventLog:
     the whole list per fork (O(n·forks) across a run).
     """
 
-    __slots__ = ("_head", "_tail", "origin", "task")
+    __slots__ = ("_head", "_tail", "origin", "task", "journal")
 
     def __init__(self, events: Optional[List[FsEvent]] = None):
         self._head: Optional[_Segment] = None
@@ -128,15 +128,19 @@ class EventLog:
         self.origin: Optional[Origin] = None
         #: the task (0 = foreground, else region id) recording right now
         self.task: int = 0
+        #: when set, a list every fork of this log also records into, so
+        #: its owner sees the events of forks a merge has dropped
+        self.journal: Optional[List[FsEvent]] = None
 
     # -- recording ----------------------------------------------------------
 
     def record(
         self, op: FsOp, path: str, node: Optional[int] = None, detail: str = ""
     ) -> None:
-        self._tail.append(
-            FsEvent(op, path, node, detail, origin=self.origin, task=self.task)
-        )
+        event = FsEvent(op, path, node, detail, origin=self.origin, task=self.task)
+        self._tail.append(event)
+        if self.journal is not None:
+            self.journal.append(event)
 
     def set_origin(self, origin: Optional[Origin]) -> None:
         self.origin = origin
@@ -173,27 +177,15 @@ class EventLog:
         child._tail = []
         child.origin = self.origin
         child.task = self.task
+        child.journal = self.journal
         return child
 
     # -- views --------------------------------------------------------------
 
     @property
     def events(self) -> List[FsEvent]:
-        """The full trace, materialised (prefer iteration or `since`)."""
+        """The full trace, materialised (prefer iteration)."""
         return list(self)
-
-    def since(self, mark: int) -> List[FsEvent]:
-        """Events recorded after position ``mark`` (= an earlier len())."""
-        if mark <= 0:
-            return list(self)
-        collected: List[FsEvent] = list(self._tail)
-        segment = self._head
-        base = segment.cum_len if segment is not None else 0
-        while segment is not None and segment.cum_len > mark:
-            collected = segment.events + collected
-            base = segment.cum_len - len(segment.events)
-            segment = segment.parent
-        return collected[mark - base:]
 
     def reads(self) -> List[FsEvent]:
         return [e for e in self if e.op in _READ_OPS]

@@ -64,6 +64,25 @@ PLACEHOLDER = NodeRecord()
 _ROOT_RECORD = NodeRecord(Existence.EXISTS, NodeKind.DIR)
 
 
+def _join_records(a: NodeRecord, b: NodeRecord) -> NodeRecord:
+    """The facts that hold of a node on both forks' paths: a fact the
+    records disagree on is UNKNOWN, and an ABSENT side's kind and link
+    target do not count."""
+    if a == b:
+        return a
+    existence = a.existence if a.existence is b.existence else Existence.UNKNOWN
+    if a.existence is Existence.ABSENT and b.existence is not Existence.ABSENT:
+        kind, target = b.kind, b.link_target
+    elif b.existence is Existence.ABSENT and a.existence is not Existence.ABSENT:
+        kind, target = a.kind, a.link_target
+    else:
+        kind = a.kind if a.kind is b.kind else NodeKind.UNKNOWN
+        target = a.link_target if a.link_target == b.link_target else None
+    if existence is Existence.UNKNOWN and kind is NodeKind.UNKNOWN and target is None:
+        return PLACEHOLDER
+    return NodeRecord(existence, kind, target)
+
+
 class FsContradiction(Exception):
     """An operation's precondition conflicts with established fs facts."""
 
@@ -135,10 +154,56 @@ class FileSystem:
     def fork(self) -> "FileSystem":
         return FileSystem(self.nodes, self.log.fork(), self.denied, self.table)
 
-    def same_facts(self, other: "FileSystem") -> bool:
-        """Do both file systems know the same nodes and facts?  (Their
-        event logs are not compared.)"""
-        return self.nodes == other.nodes and self.denied == other.denied
+    def join(self, other: "FileSystem") -> None:
+        """Widen this fork's facts so they also hold on ``other``'s path,
+        node by node (both forks share one table; event logs are not
+        joined).  An existence, kind or link target the forks disagree
+        on becomes UNKNOWN, but an ABSENT side's kind does not count; a
+        node only one fork knows joins with :data:`PLACEHOLDER`; a kind
+        stays denied only where both forks deny it.  A node both forks
+        record as existing becomes UNKNOWN when an ancestor is absent on
+        one side only, so the join's effective existence agrees with
+        each fork's or is UNKNOWN."""
+        nodes, theirs = self.nodes, other.nodes
+        joined: Dict[int, NodeRecord] = {}
+        # nodes absent on one side only: what lies below them is unknown
+        widened = set()
+        for node_id, mine in nodes.items():
+            their = theirs.get(node_id)
+            if their is None:
+                if mine is not PLACEHOLDER:
+                    joined[node_id] = PLACEHOLDER
+                continue
+            if their is mine:
+                continue
+            record = _join_records(mine, their)
+            if record is not mine:
+                joined[node_id] = record
+            if (mine.existence is Existence.ABSENT) is not (
+                their.existence is Existence.ABSENT
+            ):
+                widened.add(node_id)
+        for node_id in theirs:
+            if node_id not in nodes:
+                joined[node_id] = PLACEHOLDER
+        nodes.update(joined)
+        if widened:
+            parent_of = self.table.parent
+            for node_id, record in nodes.items():
+                if record.existence is not Existence.EXISTS:
+                    continue
+                current = parent_of[node_id]
+                while current is not None:
+                    if current in widened:
+                        nodes[node_id] = record.with_state(Existence.UNKNOWN)
+                        break
+                    current = parent_of[current]
+        their_denied = other.denied
+        self.denied = {
+            node_id: both
+            for node_id, kinds in self.denied.items()
+            if (both := kinds & their_denied.get(node_id, frozenset()))
+        }
 
     def parent_of(self, node_id: int) -> Optional[int]:
         return self.table.parent[node_id]

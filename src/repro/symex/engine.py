@@ -1360,15 +1360,17 @@ class Engine:
     # -- state management -----------------------------------------------------------------
 
     def merge_states(
-        self, states: List[SymState], same_fs: bool = False
+        self, states: List[SymState], join_fs: bool = False
     ) -> List[SymState]:
         """Merge equal states and cap the rest at ``max_fork``: the join
         every compound evaluation applies to its results.
 
-        A merge keeps the first state's file-system facts.  With
-        ``same_fs`` two states merge only when their cwd node and file
-        systems also agree, so no node id or fs fact is lost
-        (``analysis.deps`` joins top-level commands this way)."""
+        A merge keeps the first state's file-system facts and event log.
+        With ``join_fs`` two states merge only when their cwd node also
+        agrees, and the merged state's file system is joined into the
+        kept one (:meth:`~repro.fs.FileSystem.join`), so the kept facts
+        hold on both paths (``analysis.deps`` carries states from one
+        top-level command to the next this way)."""
         if len(states) <= 1:
             return states
         if self._budget is not None:
@@ -1409,19 +1411,15 @@ class Engine:
                         kept.env == st.env
                         and kept.store.same_as(st.store)
                         and kept.same_functions(st)
-                        and (
-                            not same_fs
-                            or (
-                                kept.cwd_node == st.cwd_node
-                                and kept.fs.same_facts(st.fs)
-                            )
-                        )
+                        and (not join_fs or kept.cwd_node == st.cwd_node)
                     ):
                         break
                 else:
                     bucket.append(st)
                     order.append(st)
                     continue
+                if join_fs:
+                    kept.fs.join(st.fs)
                 self.paths_merged += 1
                 self._rec.count("symex.states_merged")
                 # keep the first; append its diagnostics so none are lost

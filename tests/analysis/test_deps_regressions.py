@@ -4,6 +4,7 @@ substitutions and compound forms, the WAR variable edge, and budgeted
 (degrading, never raising) dependence analysis."""
 
 from repro.analysis.deps import _vars_of, analyze_dependencies
+from repro.analysis.optimize import build_plan
 from repro.budget import ResourceBudget
 from repro.shell import parse
 
@@ -38,6 +39,17 @@ class TestCompoundAttribution:
         # write inside the loop must be attributed to command 0
         assert graph.must_precede(0, 1)
         assert any(d.kind == "flow" for d in graph.dependencies)
+
+    def test_write_on_a_branch_the_if_merge_folds_away_orders_later_read(self):
+        """The `if` merges its two branches and keeps the `then` side's
+        file system, whose log holds no `touch`: the walk reads events
+        from its run-wide journal, so the `else` branch's write still
+        counts, and the optimizer puts no `&` between the two."""
+        source = "if [ -f /w/x ]; then :; else touch /w/y; fi\ncat /w/y\n"
+        graph = analyze_dependencies(source)
+        assert graph.must_precede(0, 1)
+        assert "flow" in {d.kind for d in graph.dependencies}
+        assert not build_plan(source).groups
 
     def test_independent_compound_commands_stay_unordered(self):
         graph = analyze_dependencies(

@@ -44,6 +44,23 @@ class TestForking:
         assert child.task == 7
 
 
+class TestJournal:
+    def test_every_fork_records_into_the_journal(self):
+        journal = []
+        log = filled(2)
+        log.journal = journal
+        left, right = log.fork(), log.fork()
+        left.record(FsOp.READ, "/left", 1)
+        right.record(FsOp.WRITE, "/right", 2)
+        right.fork().record(FsOp.DELETE, "/grandchild", 3)
+        assert [e.path for e in journal] == ["/left", "/right", "/grandchild"]
+        assert [e.path for e in left][-1] == "/left"
+
+    def test_no_journal_by_default(self):
+        log = filled(1)
+        assert log.journal is None and log.fork().journal is None
+
+
 class TestViews:
     def test_len_and_iter_across_segments(self):
         log = filled(4)
@@ -52,16 +69,6 @@ class TestViews:
         assert len(log) == 5
         assert [e.path for e in log] == ["/f0", "/f1", "/f2", "/f3", "/late"]
         assert log.events == list(log)
-
-    def test_since_spans_segment_boundaries(self):
-        log = filled(3)
-        log.fork()
-        log.record(FsOp.READ, "/a", None)
-        log.fork()
-        log.record(FsOp.READ, "/b", None)
-        assert [e.path for e in log.since(2)] == ["/f2", "/a", "/b"]
-        assert [e.path for e in log.since(0)] == [e.path for e in log]
-        assert log.since(len(log)) == []
 
     def test_reads_writes_exclude_markers(self):
         log = EventLog()

@@ -100,19 +100,34 @@ def test_capturing_states_merge_on_equal_text_only():
     assert Engine().merge_states([d, e]) == [d]
 
 
-def test_same_fs_merges_only_states_whose_file_systems_agree():
+def test_join_fs_merges_on_one_cwd_node_and_joins_the_file_systems():
     """The engine's joins keep the first state's file-system facts;
-    ``same_fs`` (the join ``analysis.deps`` uses) also requires equal
-    fs nodes, facts and cwd node, so no node id is lost."""
-    from repro.fs import NodeKind
+    ``join_fs`` (the merge ``analysis.deps`` carries states with) also
+    requires one cwd node, and widens the kept facts so they hold on
+    every merged state's path: a node one state knows and another does
+    not is a placeholder, and a kind stays denied only where every state
+    denies it."""
+    from repro.fs import Existence, NodeKind, parse_sympath
+    from repro.fs.model import PLACEHOLDER
+    from repro.symstr import SymString
 
     base = SymState()
-    same, new_node, denied, moved = (base.fork() for _ in range(4))
-    new_node.fs.sym_root(7)
+    node = base.fs.resolve(parse_sympath(SymString.lit("/d/f")))
+    base.fs.create(node, NodeKind.FILE, ensure_parents=True)
+    base.fs.deny_kind(base.fs.ROOT, NodeKind.FILE)
+    same, removed, new_node, denied, moved = (base.fork() for _ in range(5))
+    removed.fs.delete(node)
+    root = new_node.fs.sym_root(7)
     denied.fs.deny_kind(base.fs.ROOT, NodeKind.DIR)
     moved.cwd_node = base.fs.ROOT
-    states = [base, same, new_node, denied, moved]
+    states = [base, same, removed, new_node, denied, moved]
     assert Engine().merge_states(list(states)) == [base]
-    assert Engine().merge_states(list(states), same_fs=True) == [
-        base, new_node, denied, moved
-    ]
+    assert base.fs.existence(node) is Existence.EXISTS
+
+    kept = base.fork()
+    states[0] = kept
+    assert Engine().merge_states(list(states), join_fs=True) == [kept, moved]
+    assert kept.fs.existence(node) is Existence.UNKNOWN
+    assert kept.fs.kind(node) is NodeKind.FILE
+    assert kept.fs.nodes[root] is PLACEHOLDER
+    assert kept.fs.denied == {base.fs.ROOT: frozenset({NodeKind.FILE})}
