@@ -12,7 +12,7 @@ exception digest.  Degraded reports are never cached.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from ..budget import AnalysisBudgetExceeded, ResourceBudget, use_budget
 from ..checkers import Checker, default_checkers
@@ -25,9 +25,10 @@ from ..diag import (
 )
 from ..obs import get_recorder
 from ..shell import parse as parse_shell
+from ..shell.ast import Command
 from ..shell.lexer import ShellSyntaxError
 from ..shell.parser import ParseDepthExceeded
-from ..symex import Engine
+from ..symex import Engine, SymState
 from .annotations import load_annotation_file, merge_annotations, parse_annotations
 from .report import Report
 
@@ -40,6 +41,53 @@ def run_lint(source: str) -> List[Diagnostic]:
     return lint(source)
 
 
+def start_run(
+    source: str,
+    n_args: Optional[int] = None,
+    args: Optional[Sequence[str]] = None,
+    platform_targets: Optional[Sequence[str]] = None,
+    checkers: Optional[List[Checker]] = None,
+    annotation_files: Optional[Sequence[str]] = None,
+    max_fork: int = 64,
+    max_loop: int = 2,
+    races: bool = True,
+) -> Tuple[Engine, Command, SymState]:
+    """How a symbolic run of ``source`` starts, for :func:`analyze` and
+    the dependence walk alike: ``(engine, ast, entry state)``.
+
+    - ``n_args``: how many positional arguments to model symbolically;
+      ``None`` models argv as *unknown at entry*, an unconstrained list
+      with a symbolic ``$#``; ``args``, concrete values, win over it.
+    - ``platform_targets``: deployment platforms for portability checks.
+    - ``races``: run the effect-graph hazard analysis (file-system races
+      over ``&``/``wait``); ignored when ``checkers`` is given.
+
+    The script's annotations, after ``annotation_files``'s, override
+    ``n_args`` (``# @args N``) and ``platform_targets`` (``# @platforms``),
+    constrain the entry environment (``# @var``) and stream signatures
+    (``# @type``).  Raises the parser's syntax and depth errors.
+    """
+    annotations = parse_annotations(source)
+    if annotation_files:
+        external = [load_annotation_file(path) for path in annotation_files]
+        annotations = merge_annotations(*external, annotations)
+    if annotations.n_args is not None:
+        n_args = annotations.n_args
+    if annotations.platforms:
+        platform_targets = annotations.platforms
+    ast = parse_shell(source)
+    if checkers is None:
+        checkers = default_checkers(platform_targets=platform_targets, races=races)
+    engine = Engine(
+        checkers=checkers,
+        max_fork=max_fork,
+        max_loop=max_loop,
+        signature_overrides=annotations.signatures,
+        initial_env=annotations.variables,
+    )
+    return engine, ast, engine.initial_state(n_args=n_args, args=args)
+
+
 def analyze(
     source: str,
     n_args: Optional[int] = None,
@@ -50,27 +98,16 @@ def analyze(
     annotation_files: Optional[Sequence[str]] = None,
     max_fork: int = 64,
     max_loop: int = 2,
-    prune: bool = True,
     races: bool = True,
     budget: Optional[ResourceBudget] = None,
 ) -> Report:
     """Statically analyze a shell script.
 
-    - ``n_args``: how many positional arguments to model symbolically;
-      ``None`` (the default) models argv as *unknown at entry* — an
-      unconstrained list with a symbolic ``$#`` (overridden by a
-      ``# @args N`` annotation).
-    - ``args``: concrete argument values (``repro-analyze --args a b``);
-      takes precedence over ``n_args``.
-    - ``platform_targets``: deployment platforms for portability checks
-      (overridden by ``# @platforms ...``).
-    - ``include_lint``: additionally run the syntactic baseline and merge
-      its findings (tagged ``source="lint"``).
-    - ``races``: run the effect-graph hazard analysis (file-system races
-      over ``&``/``wait``); ignored when ``checkers`` is given explicitly.
-    - ``budget``: resource limits for this analysis (wall-clock deadline,
-      symbolic-state cap, DFA cap); exhaustion degrades the report
-      instead of raising.
+    The run starts as :func:`start_run` says, which documents the run
+    options.  ``include_lint`` additionally runs the syntactic baseline
+    and merges its findings (tagged ``source="lint"``); ``budget`` bounds
+    the analysis (wall-clock deadline, symbolic-state cap, DFA cap), and
+    exhausting it degrades the report instead of raising.
 
     The batch driver, the cache and the daemon pass these options from
     one :class:`~repro.analysis.pipeline.BatchConfig`, whose fields are
@@ -82,16 +119,12 @@ def analyze(
         if budget is not None:
             budget.start()  # fresh deadline + state meter per file
         with recorder.span("analyze.parse"):
-            annotations = parse_annotations(source)
-            if annotation_files:
-                external = [load_annotation_file(path) for path in annotation_files]
-                annotations = merge_annotations(*external, annotations)
-            if annotations.n_args is not None:
-                n_args = annotations.n_args
-            if annotations.platforms:
-                platform_targets = annotations.platforms
             try:
-                ast = parse_shell(source)
+                engine, ast, entry = start_run(
+                    source, n_args=n_args, args=args, platform_targets=platform_targets,
+                    checkers=checkers, annotation_files=annotation_files,
+                    max_fork=max_fork, max_loop=max_loop, races=races,
+                )
             except ParseDepthExceeded as exc:
                 recorder.count("analyze.degraded")
                 trip = AnalysisBudgetExceeded("parse", "depth", str(exc))
@@ -113,22 +146,12 @@ def analyze(
                         )
                     ],
                 )
-        if checkers is None:
-            checkers = default_checkers(platform_targets=platform_targets, races=races)
-        engine = Engine(
-            checkers=checkers,
-            max_fork=max_fork,
-            max_loop=max_loop,
-            prune=prune,
-            signature_overrides=annotations.signatures,
-            initial_env=annotations.variables,
-        )
 
         diagnostics: List[Diagnostic] = []
-        paths_explored = paths_merged = states = truncations = 0
+        states = 0
         try:
             with recorder.span("analyze.symex"), use_budget(budget):
-                result = engine.run(ast, n_args=n_args, args=args)
+                result = engine.run(ast, entry)
         except AnalysisBudgetExceeded as exc:
             recorder.count("analyze.degraded")
             diagnostics.append(
@@ -137,15 +160,9 @@ def analyze(
                     f"{engine.paths_explored} path step(s) analyzed before the limit",
                 )
             )
-            paths_explored = engine.paths_explored
-            paths_merged = engine.paths_merged
-            truncations = engine.truncations
         else:
             diagnostics.extend(result.diagnostics)
-            paths_explored = result.paths_explored
-            paths_merged = result.paths_merged
             states = len(result.states)
-            truncations = result.truncations
 
         if include_lint:
             # the syntactic baseline is independent of the semantic phases:
@@ -160,10 +177,11 @@ def analyze(
         return Report(
             source=source,
             diagnostics=dedupe(diagnostics),
-            paths_explored=paths_explored,
-            paths_merged=paths_merged,
+            # the engine's counters, also of a run the budget cut short
+            paths_explored=engine.paths_explored,
+            paths_merged=engine.paths_merged,
             states=states,
-            truncations=truncations,
+            truncations=engine.truncations,
         )
     except AnalysisBudgetExceeded as exc:
         # a budget trip outside the per-phase guards (defensive belt)

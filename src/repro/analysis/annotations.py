@@ -51,6 +51,13 @@ _ARGS = re.compile(r"#\s*@args\s+([0-9]+)\s*$")
 _PLATFORMS = re.compile(r"#\s*@platforms\s+(.+?)\s*$")
 
 
+def annotation_lines(source: str) -> List[str]:
+    """The directive lines of ``source``, stripped: a rewrite of the
+    script that keeps them is analysed under the same annotations."""
+    lines = map(str.strip, source.splitlines())
+    return [line for line in lines if any(p.match(line) for p in (_VAR, _TYPE, _ARGS, _PLATFORMS))]
+
+
 def load_annotation_file(path: str) -> AnnotationSet:
     """Annotations from an external file (§4: constraints may live in
     "external files", enabling community-sourced repositories à la

@@ -27,9 +27,10 @@ systems of the states it merges (``FileSystem.join``): a command that
 may succeed or fail leaves one state whose facts hold on both paths, so
 the carried set does not double at each such command.
 
-The walk runs the default checkers and ends as a run does, so it is the
-script's race analysis as well: an optimize request explores the script
-once, and compares its rewrite's hazards with the graph's ``race_keys``.
+The walk starts as ``analyze`` does (``analyzer.start_run``: the same
+annotations, checkers and entry state) and ends as a run does, so it is
+the script's race analysis as well: an optimize request explores the
+script once, and compares its rewrite's hazards with ``race_keys``.
 """
 
 from __future__ import annotations
@@ -39,15 +40,15 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..budget import AnalysisBudgetExceeded, ResourceBudget, use_budget
-from ..checkers import default_checkers
 from ..diag import Diagnostic
 from ..digraph import descendants, reachability, topological_generations
 from ..fs import FsEvent, FsOp
 from ..rlang.table import run_table
-from ..shell import parse
-from ..shell.ast import Command, Sequence as SeqNode, SimpleCommand, walk
-from ..symex import Engine
+from ..shell.ast import Case, CmdSubPart, Command, For, FunctionDef, ParamPart
+from ..shell.ast import Sequence as SeqNode, SimpleCommand, Word, walk
+from ..symex.builtins import is_builtin
 from ..symex.engine import command_assigned_names
+from .analyzer import start_run
 
 #: fs operations that constitute a write (mutation) vs a read
 _WRITES = {FsOp.WRITE, FsOp.CREATE, FsOp.DELETE}
@@ -155,24 +156,6 @@ def _vars_of(node: Command) -> Tuple[Set[str], Set[str]]:
     targets, and the variable-defining builtins (``read``/``export``/...)
     are all scanned.
     """
-    from ..shell.ast import (
-        AndOr,
-        Background,
-        BraceGroup,
-        Case,
-        CmdSubPart,
-        For,
-        FunctionDef,
-        If,
-        ParamPart,
-        Pipeline,
-        Redirect,
-        Sequence,
-        Subshell,
-        While,
-        Word,
-    )
-
     uses: Set[str] = set()
     defs: Set[str] = set()
 
@@ -190,76 +173,33 @@ def _vars_of(node: Command) -> Tuple[Set[str], Set[str]]:
                 sub_uses, _sub_defs = _vars_of(part.command)
                 uses.update(sub_uses)
 
-    def scan_redirects(redirects: List[Redirect]) -> None:
-        for redirect in redirects:
-            scan_word(redirect.target)
-
-    def scan(sub: Optional[Command]) -> None:
-        if sub is None:
-            return
+    for sub in walk(node, substitutions=False):
+        words = [redirect.target for redirect in getattr(sub, "redirects", ())]
         if isinstance(sub, SimpleCommand):
             defs.update(command_assigned_names(sub))
-            for assignment in sub.assignments:
-                scan_word(assignment.value)
-            for word in sub.words:
-                scan_word(word)
-            scan_redirects(sub.redirects)
-        elif isinstance(sub, (Pipeline, Sequence)):
-            for child in sub.commands:
-                scan(child)
-        elif isinstance(sub, AndOr):
-            scan(sub.left)
-            scan(sub.right)
-        elif isinstance(sub, Background):
-            scan(sub.command)
-        elif isinstance(sub, (Subshell, BraceGroup)):
-            scan(sub.body)
-            scan_redirects(sub.redirects)
-        elif isinstance(sub, If):
-            scan(sub.cond)
-            scan(sub.then)
-            for clause in sub.elifs:
-                scan(clause.cond)
-                scan(clause.then)
-            scan(sub.else_)
-            scan_redirects(sub.redirects)
-        elif isinstance(sub, While):
-            scan(sub.cond)
-            scan(sub.body)
-            scan_redirects(sub.redirects)
+            words += [assignment.value for assignment in sub.assignments] + sub.words
         elif isinstance(sub, For):
             defs.add(sub.var)
-            for word in sub.words or []:
-                scan_word(word)
-            scan(sub.body)
-            scan_redirects(sub.redirects)
+            words += sub.words or []
         elif isinstance(sub, Case):
-            scan_word(sub.subject)
-            for item in sub.items:
-                for pattern in item.patterns:
-                    scan_word(pattern)
-                scan(item.body)
-            scan_redirects(sub.redirects)
-        elif isinstance(sub, FunctionDef):
-            scan(sub.body)
-
-    scan(node)
+            words += [sub.subject] + [pattern for item in sub.items for pattern in item.patterns]
+        for word in words:
+            scan_word(word)
     return uses, defs
 
 
 def analyze_dependencies(
     source: str,
-    n_args: int = 0,
     budget: Optional[ResourceBudget] = None,
     **options,
 ) -> DependencyGraph:
     """Build the dependency graph of a script's top-level commands.
 
-    The walk runs the default checkers and ends as a run does
-    (:meth:`~repro.symex.Engine.finish`), so the graph also carries the
-    run's race hazards (``race_keys``): the baseline an optimize request
-    compares its rewrite with.  ``options`` (``max_fork``, ``max_loop``,
-    ``prune``) go to the :class:`~repro.symex.Engine`.
+    The walk starts as ``analyze`` does: ``options`` are the keywords of
+    :func:`~repro.analysis.analyzer.start_run`, with its defaults (argv
+    unknown at entry).  It ends as a run does (``Engine.finish``), so the
+    graph also carries the run's race hazards (``race_keys``): the
+    baseline an optimize request compares its rewrite with.
 
     ``budget`` bounds the per-command symbolic evaluation (wall clock and
     state count).  On exhaustion the analysis does not raise: the command
@@ -268,10 +208,9 @@ def analyze_dependencies(
     carries ``degraded=True`` with the reason.  A checker that crashed
     degrades the graph too, as it degrades a report.
     """
-    ast = parse(source)
+    engine, ast, initial = start_run(source, **options)
     commands = _top_level_commands(ast)
     functions = _assigned_functions(ast)
-    engine = Engine(checkers=default_checkers(), **options)
     effects: List[CommandEffects] = []
     for index, command in enumerate(commands):
         uses, defs = _vars_of(command)
@@ -288,7 +227,6 @@ def analyze_dependencies(
     # installs the run's language table and begins and finishes the run
     with use_budget(budget), run_table():
         engine.begin(ast)
-        initial = engine.initial_state(n_args=n_args)
         # every fork of the entry log records into the journal
         journal: List[FsEvent] = []
         initial.fs.log.journal = journal
@@ -321,7 +259,7 @@ def analyze_dependencies(
                     isinstance(sub, SimpleCommand)
                     and sub.name is not None
                     and engine.registry.get(sub.name) is None
-                    and not _is_builtin_name(sub.name)
+                    and not is_builtin(sub.name)
                     and sub.name not in functions
                     for sub in walk(command)
                 )
@@ -351,15 +289,7 @@ def race_keys(diagnostics: Sequence[Diagnostic]) -> Counter:
     return Counter((d.code, d.message) for d in diagnostics if d.code.startswith("race-"))
 
 
-def _is_builtin_name(name: str) -> bool:
-    from ..symex import builtins as builtins_mod
-
-    return builtins_mod.is_builtin(name)
-
-
 def _assigned_functions(ast: Command) -> Set[str]:
-    from ..shell.ast import FunctionDef
-
     return {node.name for node in walk(ast) if isinstance(node, FunctionDef)}
 
 

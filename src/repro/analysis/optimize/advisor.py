@@ -41,6 +41,7 @@ from ...shell.ast import (
 )
 from ...shell.printer import render
 from ..analyzer import analyze
+from ..annotations import annotation_lines
 from ..deps import DependencyGraph, analyze_dependencies, race_keys
 from ..pipeline import BatchConfig
 from .classify import STATE_BUILTINS, classify_pipeline
@@ -99,14 +100,17 @@ def _pin_reason(node: Command, var_defs) -> Optional[str]:
 
 
 def _synthesize(
+    head: List[str],
     nodes: List[Command],
     schedule: List[List[int]],
     groups_by_generation: Dict[int, List[int]],
 ) -> Tuple[str, List[Optional[int]]]:
-    """The rewritten script: schedule order, with each chosen group's
+    """The rewritten script: the source's annotation lines (``head``),
+    then the commands in schedule order, with each chosen group's
     members backgrounded and joined by a ``wait`` barrier; and the
-    top-level command on each of its lines (None on a ``wait``)."""
-    lines: List[Tuple[str, Optional[int]]] = []
+    top-level command on each of its lines (None on an annotation or a
+    ``wait``)."""
+    lines: List[Tuple[str, Optional[int]]] = [(line, None) for line in head]
     for gen_index, generation in enumerate(schedule):
         group = groups_by_generation.get(gen_index, [])
         for index in generation:
@@ -176,11 +180,12 @@ def build_plan(
     with rec.span("optimize.run"), run_table():
         rec.count("optimize.runs")
 
+        # both runs start alike: the config's run options with the race
+        # checker on, as the gate compares race hazards; neither lints
+        options = {**config.analyze_kwargs(), "races": True}
+        del options["include_lint"]
         with rec.span("optimize.deps"):
-            graph = analyze_dependencies(
-                source, config.n_args or 0, budget, max_fork=config.max_fork,
-                max_loop=config.max_loop, prune=config.prune,
-            )
+            graph = analyze_dependencies(source, budget, **options)
         plan.degraded = graph.degraded
         plan.degraded_reason = graph.degraded_reason
         plan.commands = [effect.source for effect in graph.effects]
@@ -222,9 +227,11 @@ def build_plan(
             if len(free) >= 2:
                 candidates[gen_index] = free
 
+        # the rewrite keeps the annotations the walk ran under
+        head = annotation_lines(source)
         with rec.span("optimize.verify"):
             kept = _gate_candidates(
-                nodes, plan, candidates, graph, config, budget, rec
+                head, nodes, plan, candidates, graph, options, budget, rec
             )
 
         for gen_index in sorted(kept):
@@ -244,16 +251,17 @@ def build_plan(
                 )
             )
         if kept:
-            plan.rewritten_script = _synthesize(nodes, plan.schedule, kept)[0]
+            plan.rewritten_script = _synthesize(head, nodes, plan.schedule, kept)[0]
     return plan
 
 
 def _gate_candidates(
+    head: List[str],
     nodes: List[Command],
     plan: OptimizePlan,
     candidates: Dict[int, List[int]],
     graph: DependencyGraph,
-    config: BatchConfig,
+    options: dict,
     budget: Optional[ResourceBudget],
     rec,
 ) -> Dict[int, List[int]]:
@@ -268,10 +276,8 @@ def _gate_candidates(
         reason = "baseline race analysis was degraded"
     else:
         rec.count("optimize.cross_checks")
-        kwargs = config.analyze_kwargs()
-        kwargs["races"] = True
-        full, owners = _synthesize(nodes, plan.schedule, candidates)
-        report = analyze(full, budget=budget, **kwargs)
+        full, owners = _synthesize(head, nodes, plan.schedule, candidates)
+        report = analyze(full, budget=budget, **options)
         # hazards are compared by the commands they cite, not the lines:
         # a source line may hold several commands, and the rewrite puts
         # each on lines of its own

@@ -40,7 +40,7 @@ class BatchConfig(FrozenRecord):
 
     __slots__ = (
         "n_args", "args", "platform_targets", "include_lint", "max_fork", "max_loop",
-        "prune", "races", "timeout", "max_states",
+        "races", "timeout", "max_states",
     )
 
     #: the field table, in ``__init__`` order: ``(name, default, limit)``.
@@ -64,7 +64,6 @@ class BatchConfig(FrozenRecord):
         ("include_lint", False, None),
         ("max_fork", 64, None),
         ("max_loop", 2, None),
-        ("prune", True, None),
         ("races", True, None),
         ("timeout", None, "deadline"),
         ("max_states", None, "max_states"),
@@ -78,7 +77,6 @@ class BatchConfig(FrozenRecord):
         include_lint: bool = False,
         max_fork: int = 64,
         max_loop: int = 2,
-        prune: bool = True,
         races: bool = True,
         timeout: Optional[float] = None,
         max_states: Optional[int] = None,
@@ -89,7 +87,6 @@ class BatchConfig(FrozenRecord):
         set_field(self, "include_lint", include_lint)
         set_field(self, "max_fork", max_fork)
         set_field(self, "max_loop", max_loop)
-        set_field(self, "prune", prune)
         set_field(self, "races", races)
         set_field(self, "timeout", timeout)
         set_field(self, "max_states", max_states)

@@ -378,9 +378,10 @@ class FunctionDef(Command):
         self.pos = Position() if pos is None else pos
 
 
-def walk(node: Union[Command, None]):
+def walk(node: Union[Command, None], substitutions: bool = True):
     """Yield every Command node in the subtree rooted at ``node``
-    (pre-order), descending into command substitutions inside words."""
+    (pre-order), descending into command substitutions inside words
+    unless ``substitutions`` is False."""
     if node is None:
         return
     yield node
@@ -424,9 +425,10 @@ def walk(node: Union[Command, None]):
     elif isinstance(node, FunctionDef):
         children.append(node.body)
     for child in children:
-        yield from walk(child)
-    for word in words:
-        yield from _walk_word(word)
+        yield from walk(child, substitutions)
+    if substitutions:
+        for word in words:
+            yield from _walk_word(word)
 
 
 def _walk_word(word: Word):
@@ -442,10 +444,12 @@ def first_pos(node: Union[Command, None]) -> Optional[Position]:
 
     Compound nodes built by the parser sometimes carry a default
     position while their leaves are located; provenance (effect-graph
-    origins, hazard diagnostics) wants the earliest real location.
+    origins, hazard diagnostics) wants the earliest real location.  The
+    commands of a ``$(...)`` are not read: their positions are relative
+    to the substitution's own text.
     """
     best: Optional[Position] = None
-    for sub in walk(node):
+    for sub in walk(node, substitutions=False):
         pos = getattr(sub, "pos", None)
         if pos is None:
             continue

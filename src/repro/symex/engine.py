@@ -272,20 +272,14 @@ class Engine:
         self,
         source: str,
         n_args: Optional[int] = None,
-        state: Optional[SymState] = None,
         args: Optional[Sequence[str]] = None,
     ) -> ExecResult:
         ast = parse_shell(source)
-        return self.run(ast, state=state, n_args=n_args, args=args)
+        return self.run(ast, self.initial_state(n_args=n_args, args=args))
 
-    def run(
-        self,
-        ast: Command,
-        state: Optional[SymState] = None,
-        n_args: Optional[int] = None,
-        args: Optional[Sequence[str]] = None,
-    ) -> ExecResult:
-        """Execute ``ast`` from ``state`` (the entry state by default).
+    def run(self, ast: Command, state: SymState) -> ExecResult:
+        """Execute ``ast`` from ``state`` (:meth:`initial_state`, or
+        ``analysis.analyzer.start_run``'s entry state).
 
         The run installs a language table (:mod:`repro.rlang.table`), so
         every pattern, literal, boolean product, concatenation, star and
@@ -293,8 +287,6 @@ class Engine:
         returns or raises."""
         with run_table():
             self.begin(ast)
-            if state is None:
-                state = self.initial_state(n_args=n_args, args=args)
             with self._rec.span("symex.run"):
                 finals = self.eval(ast, state)
                 diagnostics = self.finish(finals)

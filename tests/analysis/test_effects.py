@@ -231,3 +231,12 @@ class TestRedirectClobbersInput:
         report = analyze("grep foo file > file")
         restored = Report.from_dict(report.to_dict())
         assert restored.render() == report.render()
+
+
+def test_a_command_with_a_substitution_is_cited_at_its_own_line():
+    """The commands of a ``$(...)`` carry positions relative to the
+    substitution's text; the race is cited where ``cat`` is, not at 1:1."""
+    report = analyze("x=1\ny=2\ntouch /tmp/a &\ncat /tmp/a $(basename $0)\n")
+    race = [d for d in report.diagnostics if d.code == "race-read-write"]
+    assert race and all((d.pos.line, d.pos.col) == (4, 1) for d in race)
+    assert "`cat /tmp/a $(basename $0)` (4:1)" in race[0].message

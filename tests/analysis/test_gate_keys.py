@@ -35,10 +35,12 @@ def test_a_moved_pre_existing_race_does_not_reject_the_group():
 
 def test_synthesize_records_each_lines_command():
     nodes = parse("mkdir -p /o\nif true; then\n  cat /a\nfi\ngrep B /b\n").commands
-    text, owners = _synthesize(nodes, [[0], [1, 2]], {1: [1, 2]})
+    head = ["# @var D : /srv/[a-z]+"]
+    text, owners = _synthesize(head, nodes, [[0], [1, 2]], {1: [1, 2]})
+    assert text.splitlines()[0] == head[0]
     assert len(text.splitlines()) == len(owners)
-    assert owners[0] == 0 and owners[-1] is None
-    assert set(owners[1:-1]) == {1, 2}
+    assert owners[:2] == [None, 0] and owners[-1] is None
+    assert set(owners[2:-1]) == {1, 2}
 
 
 def test_keys_cite_commands_not_lines():

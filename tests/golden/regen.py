@@ -1,13 +1,17 @@
-"""Golden ``analyze(...).render()`` texts for the scripts the benchmark runs.
+"""Golden ``analyze(...).render()`` texts for the scripts the benchmark
+runs, and golden ``build_plan(...).render()`` texts for some of them.
 
 The goldens pin the analyzer's output byte for byte, so a change meant
 to be a pure speed-up (a new kernel, a trimmed automaton) shows any
-drift in a report as a failing test.  They cover:
+drift in a report as a failing test.  The renders (``renders/``) cover:
 
 - the scripts in ``examples/scripts/``;
 - every labelled ``corpus()`` script, analysed with its ``n_args``;
 - the safe generator scripts of :data:`GENERATOR_SEEDS`, analysed with
   ``CampaignConfig().analyze_kwargs()``.
+
+The plans (``plans/``) cover the examples and the corpus, each planned
+under a ``BatchConfig`` of its analyze keywords.
 
 Regenerate only when a change is meant to alter the reports::
 
@@ -23,6 +27,7 @@ from typing import Iterator, Tuple
 ROOT = Path(__file__).resolve().parents[2]
 EXAMPLES = ROOT / "examples" / "scripts"
 RENDERS = Path(__file__).resolve().parent / "renders"
+PLANS = Path(__file__).resolve().parent / "plans"
 
 #: the generator seeds ``perfbench/run.py`` analyses (its
 #: ``GENERATOR_SEEDS``; a test keeps the two equal)
@@ -45,24 +50,37 @@ def cases() -> Iterator[Tuple[str, str, dict]]:
         yield f"gen/seed{seed:02d}", generate(seed, safe=True), kwargs
 
 
+def plan_cases() -> Iterator[Tuple[str, str, dict]]:
+    """The :func:`cases` whose plan is pinned too: all but the seeds."""
+    return (case for case in cases() if not case[0].startswith("gen/"))
+
+
 def render(source: str, kwargs: dict) -> str:
     from repro.analysis import analyze
 
     return analyze(source, **kwargs).render()
 
 
-def golden_path(label: str) -> Path:
-    return RENDERS / f"{label}.txt"
+def render_plan(source: str, kwargs: dict) -> str:
+    from repro.analysis.optimize import build_plan
+    from repro.analysis.pipeline import BatchConfig
+
+    return build_plan(source, BatchConfig(**kwargs)).render()
+
+
+def golden_path(label: str, root: Path = RENDERS) -> Path:
+    return root / f"{label}.txt"
 
 
 def main() -> int:
-    written = 0
-    for label, source, kwargs in cases():
-        path = golden_path(label)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(render(source, kwargs), encoding="utf-8")
-        written += 1
-    print(f"wrote {written} goldens under {RENDERS}", file=sys.stderr)
+    for root, each, draw in ((RENDERS, cases, render), (PLANS, plan_cases, render_plan)):
+        written = 0
+        for label, source, kwargs in each():
+            path = golden_path(label, root)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(draw(source, kwargs), encoding="utf-8")
+            written += 1
+        print(f"wrote {written} goldens under {root}", file=sys.stderr)
     return 0
 
 

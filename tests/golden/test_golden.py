@@ -1,14 +1,26 @@
-"""Every golden script must render byte for byte as its committed golden
-(see ``regen.py`` for what is covered and how to regenerate)."""
+"""Every golden script must render, and plan, byte for byte as its
+committed golden (see ``regen.py`` for what is covered and how to
+regenerate)."""
 
 import ast
 import re
 
 import pytest
 
-from tests.golden.regen import GENERATOR_SEEDS, RENDERS, ROOT, cases, golden_path, render
+from tests.golden.regen import (
+    GENERATOR_SEEDS,
+    PLANS,
+    RENDERS,
+    ROOT,
+    cases,
+    golden_path,
+    plan_cases,
+    render,
+    render_plan,
+)
 
 CASES = list(cases())
+PLAN_CASES = list(plan_cases())
 
 
 @pytest.mark.parametrize("label,source,kwargs", CASES, ids=[c[0] for c in CASES])
@@ -17,11 +29,22 @@ def test_render_matches_golden(label, source, kwargs):
     assert render(source, kwargs) == expected
 
 
+@pytest.mark.parametrize("label,source,kwargs", PLAN_CASES, ids=[c[0] for c in PLAN_CASES])
+def test_plan_matches_golden(label, source, kwargs):
+    expected = golden_path(label, PLANS).read_text(encoding="utf-8")
+    assert render_plan(source, kwargs) == expected
+
+
+def _stored(root):
+    return {path.relative_to(root).with_suffix("").as_posix() for path in root.rglob("*.txt")}
+
+
 def test_every_golden_file_has_a_case():
-    labels = {label for label, _, _ in CASES}
-    stored = {path.relative_to(RENDERS).with_suffix("").as_posix()
-              for path in RENDERS.rglob("*.txt")}
-    assert stored == labels
+    assert _stored(RENDERS) == {label for label, _, _ in CASES}
+
+
+def test_every_golden_plan_has_a_case():
+    assert _stored(PLANS) == {label for label, _, _ in PLAN_CASES}
 
 
 def test_generator_seeds_match_the_benchmark():

@@ -56,6 +56,11 @@ class TestFirstPos:
     def test_first_pos_none_for_empty(self):
         assert first_pos(None) is None
 
+    def test_first_pos_reads_no_position_inside_a_substitution(self):
+        ast = parse("x=1\ncat /tmp/a $(basename $0)\n")
+        pos = first_pos(ast.commands[1])
+        assert (pos.line, pos.col) == (2, 1)
+
 
 class TestCommandLabel:
     def test_label_collapses_whitespace(self):

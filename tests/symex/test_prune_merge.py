@@ -75,11 +75,12 @@ def test_captured_texts_of_equal_length_do_not_merge():
     """Two paths of a command substitution that printed different text
     of the same length stay apart: merging them lost one value, and the
     ``rm -rf /`` path went unreported."""
-    from repro.analysis import analyze
+    from repro.checkers import default_checkers
 
     for source in (CAPTURED, ASSIGNED):
         for prune in (True, False):
-            codes = {d.code for d in analyze(source, prune=prune).diagnostics}
+            engine = Engine(checkers=default_checkers(), prune=prune)
+            codes = {d.code for d in engine.run_script(source).diagnostics}
             assert "dangerous-deletion" in codes, (source, prune)
 
 

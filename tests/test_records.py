@@ -165,7 +165,7 @@ def test_records_keep_dataclass_semantics(cls, instances):
 #: cache entry, so it must never change by accident
 DEFAULT_FINGERPRINT = (
     "n_args=None;args=None;platform_targets=None;include_lint=False;"
-    "max_fork=64;max_loop=2;prune=True;races=True"
+    "max_fork=64;max_loop=2;races=True"
 )
 
 
@@ -199,7 +199,7 @@ def test_batch_config_equality_hash_and_pickle():
 def test_batch_config_repr_is_the_dataclass_form():
     assert repr(BatchConfig()) == (
         "BatchConfig(n_args=None, args=None, platform_targets=None, include_lint=False, "
-        "max_fork=64, max_loop=2, prune=True, races=True, timeout=None, max_states=None)"
+        "max_fork=64, max_loop=2, races=True, timeout=None, max_states=None)"
     )
 
 
@@ -208,5 +208,5 @@ def test_batch_config_fingerprints_are_pinned():
     # the budget fields stay out of the cache key
     assert _sample_config().fingerprint() == (
         "n_args=2;args=None;platform_targets=('linux', 'macos');include_lint=True;"
-        "max_fork=64;max_loop=2;prune=True;races=False"
+        "max_fork=64;max_loop=2;races=False"
     )
