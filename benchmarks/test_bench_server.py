@@ -12,9 +12,13 @@ it:
    from scratch.
 2. **Zero symbolic execution warm** — the warm request is pure cache
    reads: the daemon's ``batch.cache.miss`` counter must not grow.
+3. **No automaton rebuilt on a repeated miss** — the daemon keeps one
+   language table across requests, so a script it analysed before
+   costs symbolic execution but no determinisation and no product.
 """
 
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -30,6 +34,7 @@ from repro.server import AnalysisServer, ServerClient
 from tests.serving import wait_until_serving
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+EXAMPLES = REPO_ROOT / "examples" / "scripts"
 CORPUS_SIZE = 24
 
 
@@ -204,3 +209,29 @@ def test_request_telemetry_overhead(daemon):
     )
     # generous bound: the envelope must stay far below one analysis
     assert with_telemetry < plain * 10 + 0.5
+
+
+def test_repeated_miss_builds_no_automaton(daemon):
+    """The same example twice as a miss, its cache entry removed in
+    between: the second request reuses every automaton the first built."""
+    client = ServerClient(daemon.socket_path)
+    source = (EXAMPLES / "steam_updater.sh").read_text(encoding="utf-8")
+    counters = []
+    for _ in range(2):
+        shutil.rmtree(daemon.cache.root, ignore_errors=True)
+        client.analyze_source(source)
+        counters.append(client.last_metrics["counters"])
+    first, second = counters
+    emit(
+        "E-served-languages (steam_updater.sh, the same miss twice)",
+        [
+            f"first:  {first.get('rlang.determinise_calls', 0)} determinise, "
+            f"{first.get('rlang.product_calls', 0)} product",
+            f"second: {second.get('rlang.determinise_calls', 0)} determinise, "
+            f"{second.get('rlang.product_calls', 0)} product",
+        ],
+    )
+    assert first["batch.cache.miss"] == second["batch.cache.miss"] == 1
+    assert first["rlang.determinise_calls"] > 0 and first["rlang.product_calls"] > 0
+    assert second.get("rlang.determinise_calls", 0) == 0
+    assert "rlang.product_calls" not in second

@@ -32,6 +32,23 @@ def _read_script(path: str) -> str:
         return handle.read()
 
 
+def _say(text: object = "", end: str = "\n") -> bool:
+    """Print ``text`` to stdout; False once the reader has gone.
+
+    A reader that stops early (``repro-analyze s.sh | head -1``) closes
+    the pipe.  The rest of the output then goes to /dev/null, so the
+    tool finishes without a traceback and exits with the status its
+    verdict implies."""
+    try:
+        print(text, end=end, flush=True)
+        return True
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return False
+
+
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     """Flags every entry point shares: --version, --stats, --trace."""
     parser.add_argument(
@@ -300,7 +317,7 @@ def main_analyze(argv: Optional[List[str]] = None) -> int:
     min_severity = Severity.ERROR if options.errors_only else Severity.INFO
 
     def emit(result, single: bool) -> None:
-        print(result.render(min_severity=min_severity))
+        _say(result.render(min_severity=min_severity))
 
     return _run_op("analyze", "repro-analyze", options, emit)
 
@@ -334,7 +351,7 @@ def main_optimize(argv: Optional[List[str]] = None) -> int:
     options = parser.parse_args(argv)
 
     def emit(result, single: bool) -> None:
-        print(result.render())
+        _say(result.render())
         if options.plan:
             import json
 
@@ -371,7 +388,7 @@ def main_lint(argv: Optional[List[str]] = None) -> int:
     with _observed("repro-lint", options):
         diagnostics = lint(_read_script(options.script))
     for diagnostic in diagnostics:
-        print(diagnostic.render())
+        _say(diagnostic.render())
     return 1 if diagnostics else 0
 
 
@@ -400,11 +417,11 @@ def main_typeof(argv: Optional[List[str]] = None) -> int:
         if len(options.what) == 1:
             stream = named_type(options.what[0])
             if stream is not None:
-                print(f"{options.what[0]} :: {stream.line.pattern}")
+                _say(f"{options.what[0]} :: {stream.line.pattern}")
                 return 0
         signature = signature_for(options.what)
     if signature is not None:
-        print(signature)
+        _say(signature)
         return 0
     print(
         f"no type for {' '.join(options.what)!r}; known named types: "
@@ -439,7 +456,7 @@ def main_monitor(argv: Optional[List[str]] = None) -> int:
             for line in monitor_subprocess(
                 options.command, stdin_lines, type_of(options.type)
             ):
-                print(line)
+                _say(line)
         except MonitorViolation as violation:
             print(f"monitor: halted: {violation}", file=sys.stderr)
             return 2
@@ -484,7 +501,7 @@ def main_verify(argv: Optional[List[str]] = None) -> int:
             n_args=options.n_args,
             args=options.args,
         )
-    print(result.render())
+    _say(result.render())
     return 0 if result.verdict is Verdict.ALLOW else 1
 
 
@@ -735,7 +752,7 @@ def main_top(argv: Optional[List[str]] = None) -> int:
         try:
             with ServerClient(options.socket) as client:
                 if options.metrics:
-                    print(client.metrics_text(), end="")
+                    _say(client.metrics_text(), end="")
                     return 0
                 while True:
                     stats = client.stats()
@@ -748,11 +765,8 @@ def main_top(argv: Optional[List[str]] = None) -> int:
                         dict(stats.get("metrics", {}).get("counters", {})),
                         now,
                     )
-                    if not options.once:
-                        sys.stdout.write("\x1b[2J\x1b[H")
-                    print(frame)
-                    sys.stdout.flush()
-                    if options.once:
+                    clear = "" if options.once else "\x1b[2J\x1b[H"
+                    if not _say(clear + frame) or options.once:
                         return 0
                     time_mod.sleep(options.interval)
         except (ServerUnavailable, ServerError) as exc:
@@ -790,9 +804,9 @@ def main_mine(argv: Optional[List[str]] = None) -> int:
         spec = mine_command(
             options.command, prober=prober, max_flags=options.max_flags
         )
-    print(f"# mined specification for {spec.name}: {spec.summary}")
+    _say(f"# mined specification for {spec.name}: {spec.summary}")
     for triple in spec.triples():
-        print(triple)
+        _say(triple)
     return 0
 
 
@@ -903,19 +917,19 @@ def main_difftest(argv: Optional[List[str]] = None) -> int:
             handle.write(result.to_json())
 
     scripts = bench["scripts"]
-    print(
+    _say(
         f"{scripts['total']} script(s): {scripts['executed']} executed, "
         f"{scripts['skipped']} skipped"
     )
     for name, counts in sorted(bench["checkers"].items()):
-        print(
+        _say(
             f"  {name}: checked={counts['checked']} fp={counts['fp']} "
             f"fn={counts['fn']}"
         )
     meta = bench["metamorphic"]
-    print(f"  metamorphic: {meta['total_diffs']} diff(s)")
+    _say(f"  metamorphic: {meta['total_diffs']} diff(s)")
     for label, disagreement in result.disagreements:
-        print(
+        _say(
             f"disagreement [{label}] {disagreement.checker}/"
             f"{disagreement.kind}: {disagreement.detail}"
         )

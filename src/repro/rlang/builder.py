@@ -60,8 +60,14 @@ class Regex:
         )
 
     @classmethod
-    def from_ast(cls, node: Node, pattern: Optional[str] = None) -> "Regex":
-        return cls(determinise(build_nfa(node)), pattern)
+    def from_ast(
+        cls, node: Node, pattern: Optional[str] = None, key: Optional[str] = None
+    ) -> "Regex":
+        """The language of ``node``.  A ``key`` that names the tree
+        (equal keys, equal trees) shares its DFA like :meth:`compile`."""
+        if key is None:
+            return cls(determinise(build_nfa(node)), pattern)
+        return cls(shared_leaf("ast", key, lambda: determinise(build_nfa(node))), pattern)
 
     @classmethod
     def literal(cls, text: str) -> "Regex":

@@ -14,9 +14,16 @@ and shared:
   ``difference``, ``concat_dfa``, ``star`` and both quotients, keyed by
   the operation and the structure of each operand.
 
-The table is thread-local and dropped when the outermost run leaves its
-scope, so nothing built from script text outlives the run.  Without a
-table every such call builds, as before.  The analyzer's own constant
+The table is installed per thread and, by default, dropped when the
+outermost run leaves its scope, so nothing built from script text
+outlives the run.  A caller may install a table of its own instead
+(``run_table(table)``): the analysis daemon keeps one for its lifetime,
+shared by its handler threads, and replaces it once it holds more than
+its bound of DFA states (:attr:`RunTable.states`).  Keys come from one
+counter and every store is a single ``dict.setdefault``, so threads
+sharing a table never give two structures one key.  A forked child
+starts with no table installed.  Without a table every such call
+builds, as before.  The analyzer's own constant
 languages are written in its source, never in a script, so
 :func:`shared_constant` keeps them for the whole process (the tier is
 bounded by the source); threads share their DFAs, which each run's
@@ -33,6 +40,8 @@ raises stores nothing.
 
 from __future__ import annotations
 
+import itertools
+import os
 import threading
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
@@ -41,15 +50,19 @@ from ..budget import enforce_dfa_cap
 from .dfa import DFA
 
 _tls = threading.local()
+# a pool worker forked while a table is installed must not inherit it:
+# the child would reuse its copy for every later run
+os.register_at_fork(after_in_child=lambda: setattr(_tls, "table", None))
 
 #: source constant -> its DFA, for the life of the process
 _constants: Dict[str, DFA] = {}
 
 
 class RunTable:
-    """The leaves and constructions built so far in one run."""
+    """The leaves and constructions built so far in one run (or, for the
+    daemon, in the requests since its table was last replaced)."""
 
-    __slots__ = ("token", "keys", "leaves", "products")
+    __slots__ = ("token", "keys", "ids", "leaves", "products", "states", "_lock")
 
     def __init__(self) -> None:
         #: tags a DFA with its key in this table; compared by identity, so
@@ -57,9 +70,16 @@ class RunTable:
         self.token = object()
         #: DFA structure -> small int key
         self.keys: Dict[tuple, int] = {}
+        #: the keys to hand out: ``next`` on a count is atomic, so threads
+        #: sharing the table never draw one key for two structures (a key
+        #: drawn for a structure already keyed goes unused)
+        self.ids = itertools.count()
         self.leaves: Dict[Tuple[str, str], DFA] = {}
         #: (operation, operand key, ...) -> the construction's DFA
         self.products: Dict[tuple, DFA] = {}
+        #: DFA states held by ``leaves`` and ``products``
+        self.states = 0
+        self._lock = threading.Lock()
 
     def key(self, dfa: DFA) -> int:
         """A small int naming ``dfa``'s structure, computed once per DFA."""
@@ -72,25 +92,33 @@ class RunTable:
             frozenset(dfa.accepting),
             dfa.start,
         )
-        key = self.keys.setdefault(structure, len(self.keys))
+        key = self.keys.setdefault(structure, next(self.ids))
         dfa.table_tag = (self.token, key)
         return key
 
     def leaf(self, kind: str, text: str, build: Callable[[], DFA]) -> DFA:
         dfa = self.leaves.get((kind, text))
         if dfa is None:
-            dfa = self.leaves[(kind, text)] = build()
-        else:
-            _recheck(dfa, "rlang.determinise")
+            return self._store(self.leaves, (kind, text), build())
+        _recheck(dfa, "rlang.determinise")
         return dfa
 
     def product(self, op: str, operands: Sequence[DFA], build, phase) -> DFA:
         entry = (op, *map(self.key, operands))
         dfa = self.products.get(entry)
         if dfa is None:
-            dfa = self.products[entry] = build()
-        elif phase is not None:
+            return self._store(self.products, entry, build())
+        if phase is not None:
             _recheck(dfa, phase)
+        return dfa
+
+    def _store(self, entries: dict, entry, built: DFA) -> DFA:
+        """Keep ``built`` under ``entry`` unless another thread stored an
+        equal construction first; either way, return the stored one."""
+        with self._lock:
+            dfa = entries.setdefault(entry, built)
+            if dfa is built:
+                self.states += built.n_states
         return dfa
 
 
@@ -141,16 +169,19 @@ def shared_constant(pattern: str, build: Callable[[], DFA]) -> DFA:
 
 
 @contextmanager
-def run_table() -> Iterator[RunTable]:
-    """Install a table for the current thread for the scope's duration.
+def run_table(table: Optional[RunTable] = None) -> Iterator[RunTable]:
+    """Install ``table`` (by default a fresh one) for the current thread
+    for the scope's duration.
 
-    A nested scope reuses the table already installed; the outermost
-    scope drops it on exit, also when the run raises."""
-    table = getattr(_tls, "table", None)
-    if table is not None:
-        yield table
+    A nested scope reuses the table already installed, whatever it is
+    given; the outermost scope uninstalls its table on exit, also when
+    the run raises.  A fresh table is dropped then; a given one lives on
+    with its owner."""
+    installed = getattr(_tls, "table", None)
+    if installed is not None:
+        yield installed
         return
-    table = _tls.table = RunTable()
+    table = _tls.table = table if table is not None else RunTable()
     try:
         yield table
     finally:

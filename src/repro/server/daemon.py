@@ -8,7 +8,10 @@ byte of analysis.  The daemon pays those costs once and keeps the three
 warm stores resident:
 
 - the spec registry (command models) and its compiled min-DFAs,
-- the rlang pattern caches built up by prior analyses,
+- one language table (:class:`~repro.rlang.table.RunTable`) for every
+  analysis it runs, so a request reuses the automata earlier requests
+  built; past :data:`LANGUAGE_STATES` DFA states the next analysis
+  starts a fresh table (``server.languages_reset``),
 - the persistent :class:`~repro.analysis.cache.ResultCache`, so an
   unchanged file costs one hash + one read — zero symbolic execution.
 
@@ -83,7 +86,7 @@ import socketserver
 import threading
 import time
 import weakref
-from typing import List, Optional
+from typing import ContextManager, List, Optional
 
 from .. import __version__
 from ..analysis.batch import _make_pool, run_batch
@@ -97,6 +100,7 @@ from ..obs import (
     get_recorder,
     use_recorder,
 )
+from ..rlang.table import RunTable, run_table
 from . import protocol, supervise
 from .watch import Watcher
 
@@ -115,6 +119,12 @@ MAX_INFLIGHT = 64
 #: in-flight requests get this many seconds to finish when draining
 #: before the hard stop abandons them
 DRAIN_DEADLINE = 5.0
+
+#: DFA states the daemon's language table may hold before the next
+#: analysis replaces it with a fresh one.  A state costs about 360
+#: bytes, so the bound is about 7 MB; the examples, the labelled corpus
+#: and safe generator seeds 0-39 together leave about 7 500 states.
+LANGUAGE_STATES = 20_000
 
 #: every op the daemon answers; any other name is an ``unknown op`` error
 _SERVED_OPS = frozenset(OPS) | {"ping", "batch", "stats", "shutdown"}
@@ -153,8 +163,22 @@ class AnalysisServer:
         self._pool_lock = threading.Lock()
         self._server: Optional[_SocketServer] = None
         self._watcher_stop = threading.Event()
+        self._languages = RunTable()
+        self._languages_lock = threading.Lock()
 
     # -- warm state ---------------------------------------------------------
+
+    def languages(self) -> ContextManager[RunTable]:
+        """A scope that installs the daemon's language table on this
+        thread for one analysis.  Every run inside reuses it (a nested
+        ``run_table`` keeps the installed table), so automata built for
+        one request serve the next; a table over
+        :data:`LANGUAGE_STATES` is first replaced by a fresh one."""
+        with self._languages_lock:
+            if self._languages.states > LANGUAGE_STATES:
+                self._languages = RunTable()
+                get_recorder().count("server.languages_reset")
+            return run_table(self._languages)
 
     def warm(self) -> None:
         """Pay the cold-start costs up front: load the spec registry and
@@ -163,7 +187,7 @@ class AnalysisServer:
         from ..analysis import analyze
         from ..specs import default_registry
 
-        with use_recorder(self.recorder):
+        with use_recorder(self.recorder), self.languages():
             with self.recorder.span("server.warm"):
                 default_registry()
                 analyze("true\n")
@@ -395,7 +419,8 @@ class AnalysisServer:
         config = self._clamped(
             protocol.config_from_wire(message.get("config")), request_id
         )
-        data, cached = run_source(op, source, config, self.cache)
+        with self.languages():
+            data, cached = run_source(op, source, config, self.cache)
         return {OPS[op].wire: data, "cached": cached}
 
     def _op_batch(self, message: dict, request_id: Optional[str] = None) -> dict:
@@ -408,14 +433,15 @@ class AnalysisServer:
         config = self._clamped(
             protocol.config_from_wire(message.get("config")), request_id
         )
-        batch = run_batch(
-            inputs,
-            config=config,
-            jobs=self.jobs,
-            cache=self.cache,
-            pool=self._get_pool(),
-            op=of,
-        )
+        with self.languages():
+            batch = run_batch(
+                inputs,
+                config=config,
+                jobs=self.jobs,
+                cache=self.cache,
+                pool=self._get_pool(),
+                op=of,
+            )
         if self.jobs > 1 and not self.pool_alive():
             # a worker died under this batch and broke the pool; the
             # batch driver already retried the affected files inline —
@@ -564,7 +590,7 @@ class AnalysisServer:
                             round_recorder.count("server.watch_rounds")
                             round_recorder.count("server.watch_files", len(changed))
                             config = self._clamped(BatchConfig())
-                            with round_recorder.span("server.watch"):
+                            with round_recorder.span("server.watch"), self.languages():
                                 run_batch(
                                     changed,
                                     config=config,

@@ -83,20 +83,24 @@ def word_pattern_to_regex(word: Word) -> Optional[Regex]:
     pattern's language is then unknown).
     """
     nodes: List[Node] = []
+    #: what each node is built from: the tree's name in the run table
+    key: List[tuple] = []
     for part in word.parts:
         if isinstance(part, LiteralPart):
             if part.quoted:
                 nodes.append(_literal_node(part.text))
             else:
                 nodes.append(_glob_ast(part.text))
+            key.append((part.quoted, part.text))
         elif isinstance(part, GlobPart):
             if part.char == "*":
                 nodes.append(Star(Lit(_ANY)))
             else:
                 nodes.append(Lit(_ANY))
+            key.append((part.char,))
         else:
             return None
-    return Regex.from_ast(concat_all(*nodes), pattern=f"glob:{word.raw}")
+    return Regex.from_ast(concat_all(*nodes), pattern=f"glob:{word.raw}", key=repr(key))
 
 
 def _literal_node(text: str) -> Node:

@@ -2,11 +2,15 @@
 
 import io
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from repro import cli
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture
@@ -205,3 +209,35 @@ class TestNonUtf8Script:
         assert code == status
         assert f"== {latin1.parent / 'ok.sh'} ==" in out
         assert "2 file(s)" in out
+
+
+class TestClosedPipe:
+    """A reader that stops after the first line (``repro-analyze s.sh |
+    head -1``) closes the pipe while the tool is still writing: the tool
+    ends without a traceback, with the status its verdict implies."""
+
+    @pytest.fixture(scope="class")
+    def many_deletions(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("pipe") / "many_deletions.sh"
+        path.write_text("".join(f'rm -rf "$D{i}"/*\n' for i in range(800)))
+        return str(path)
+
+    @pytest.mark.parametrize("tool", ["analyze", "lint"])
+    def test_first_line_then_close(self, tool, many_deletions):
+        command = [sys.executable, "-m", "repro.cli", tool, many_deletions]
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        full = subprocess.run(command, env=env, capture_output=True, timeout=120)
+        # more than the pipe and the reader's buffer hold, so the tool is
+        # still writing when the reader goes
+        assert len(full.stdout) > 65536 + 16384
+        child = subprocess.Popen(
+            command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
+        first = child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        status = child.wait(120)
+        child.stderr.close()
+        assert first == full.stdout.splitlines(keepends=True)[0]
+        assert status == full.returncode == 1
+        assert err == full.stderr == b""

@@ -4,10 +4,13 @@ builds, same automata, same reports.
 Inside a run, leaves, boolean products, concatenations, stars and
 quotients are built once and shared; the analyzer's own constant
 languages are built once per process.  Sharing must be invisible: every
-operation yields the DFA a fresh build would, the run table never
-outlives its run or crosses threads, and budget trips happen exactly
-where they would without it, whatever ran earlier in the process."""
+operation yields the DFA a fresh build would, a run's own table never
+outlives its run or crosses threads (a table its caller gives outlives
+the scope, and no table crosses a fork), and budget trips happen
+exactly where they would without it, whatever ran earlier in the
+process."""
 
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -28,7 +31,7 @@ from repro.budget import (
 from repro.obs import TraceRecorder, use_recorder
 from repro.rlang import Regex
 from repro.rlang import table as table_mod
-from repro.rlang.table import active_table, run_table
+from repro.rlang.table import RunTable, active_table, run_table
 from repro.symex import SCRIPT_PATH_RE, Engine
 from repro.symex import engine as engine_mod
 
@@ -325,3 +328,52 @@ def test_tight_dfa_budget_degrades_the_same(monkeypatch, seed, cap):
     assert tabled == untabled
     if cap == 4:
         assert tabled[0]
+
+
+class TestGivenTable:
+    """A caller that owns a table (the analysis daemon) installs it for
+    one scope and keeps it afterwards."""
+
+    def test_given_table_outlives_its_scope(self):
+        table = RunTable()
+        with run_table(table) as installed:
+            assert installed is table and active_table() is table
+            Regex.compile("[a-z]+x") & Regex.compile("[a-y]*x")
+        assert active_table() is None
+        assert table.leaves and table.products
+        assert table.states == sum(
+            dfa.n_states for dfa in [*table.leaves.values(), *table.products.values()]
+        )
+        with run_table(table):
+            before = dict(table.products)
+            Regex.compile("[a-z]+x") & Regex.compile("[a-y]*x")
+            assert table.products == before
+
+    def test_a_nested_scope_keeps_the_installed_table(self):
+        with run_table() as outer:
+            with run_table(RunTable()) as inner:
+                assert inner is outer
+        assert active_table() is None
+
+
+def _send_active_table(conn):
+    conn.send(active_table() is None)
+    conn.close()
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+)
+def test_a_forked_child_starts_without_a_table():
+    """A pool worker forked while a table is installed (a daemon's batch
+    fans out from inside its table's scope) must not reuse a copy of it
+    for every later run."""
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    with run_table():
+        child = context.Process(target=_send_active_table, args=(send,))
+        child.start()
+        assert receive.poll(30)
+        assert receive.recv() is True
+        child.join(30)
+    assert child.exitcode == 0
