@@ -19,12 +19,13 @@ outermost run leaves its scope, so nothing built from script text
 outlives the run.  A caller may install a table of its own instead
 (``run_table(table)``): the analysis daemon keeps one for its lifetime,
 shared by its handler threads, and replaces it once it holds more than
-its bound of DFA states (:attr:`RunTable.states`).  Keys come from one
-counter and every store is a single ``dict.setdefault``, so threads
-sharing a table never give two structures one key.  A forked child
-starts with no table installed.  Without a table every such call
-builds, as before.  The analyzer's own constant
-languages are written in its source, never in a script, so
+its bound of DFA states (:attr:`RunTable.states`, which counts every
+DFA the table keeps alive: its entries and the structures it keys).
+Keys come from one counter and every store is a single
+``dict.setdefault``, so threads sharing a table never give two
+structures one key.  A forked child starts with no table installed.
+Without a table every such call builds, as before.  The analyzer's own
+constant languages are written in its source, never in a script, so
 :func:`shared_constant` keeps them for the whole process (the tier is
 bounded by the source); threads share their DFAs, which each run's
 table tags with its own key.
@@ -77,7 +78,8 @@ class RunTable:
         self.leaves: Dict[Tuple[str, str], DFA] = {}
         #: (operation, operand key, ...) -> the construction's DFA
         self.products: Dict[tuple, DFA] = {}
-        #: DFA states held by ``leaves`` and ``products``
+        #: DFA states held by ``leaves`` and ``products``, and by the
+        #: structures in ``keys`` (each keeps its DFA's rows)
         self.states = 0
         self._lock = threading.Lock()
 
@@ -92,7 +94,11 @@ class RunTable:
             frozenset(dfa.accepting),
             dfa.start,
         )
-        key = self.keys.setdefault(structure, next(self.ids))
+        drawn = next(self.ids)
+        key = self.keys.setdefault(structure, drawn)
+        if key == drawn:
+            with self._lock:
+                self.states += dfa.n_states
         dfa.table_tag = (self.token, key)
         return key
 

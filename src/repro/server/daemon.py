@@ -8,10 +8,13 @@ byte of analysis.  The daemon pays those costs once and keeps the three
 warm stores resident:
 
 - the spec registry (command models) and its compiled min-DFAs,
-- one language table (:class:`~repro.rlang.table.RunTable`) for every
-  analysis it runs, so a request reuses the automata earlier requests
-  built; past :data:`LANGUAGE_STATES` DFA states the next analysis
-  starts a fresh table (``server.languages_reset``),
+- one language table (:class:`~repro.rlang.table.RunTable`) for its
+  ``analyze`` and ``optimize`` requests, so a request reuses the
+  automata earlier requests built; past :data:`LANGUAGE_STATES` DFA
+  states the next request starts a fresh table
+  (``server.languages_reset``).  A batch or a watch round runs each
+  file on a table of its own: it may hold any number of files, and the
+  bound is checked once per request,
 - the persistent :class:`~repro.analysis.cache.ResultCache`, so an
   unchanged file costs one hash + one read — zero symbolic execution.
 
@@ -121,9 +124,9 @@ MAX_INFLIGHT = 64
 DRAIN_DEADLINE = 5.0
 
 #: DFA states the daemon's language table may hold before the next
-#: analysis replaces it with a fresh one.  A state costs about 360
-#: bytes, so the bound is about 7 MB; the examples, the labelled corpus
-#: and safe generator seeds 0-39 together leave about 7 500 states.
+#: request replaces it with a fresh one.  A counted state costs about
+#: 270 bytes, so the bound is about 5.5 MB; the examples, the labelled
+#: corpus and safe generator seeds 0-39 together leave about 9 700.
 LANGUAGE_STATES = 20_000
 
 #: every op the daemon answers; any other name is an ``unknown op`` error
@@ -170,10 +173,13 @@ class AnalysisServer:
 
     def languages(self) -> ContextManager[RunTable]:
         """A scope that installs the daemon's language table on this
-        thread for one analysis.  Every run inside reuses it (a nested
+        thread for one script's analysis (an ``analyze`` or ``optimize``
+        request, or the warm-up).  Every run inside reuses it (a nested
         ``run_table`` keeps the installed table), so automata built for
         one request serve the next; a table over
-        :data:`LANGUAGE_STATES` is first replaced by a fresh one."""
+        :data:`LANGUAGE_STATES` is first replaced by a fresh one, so the
+        table holds at most the bound plus what the requests in flight
+        add, one script each."""
         with self._languages_lock:
             if self._languages.states > LANGUAGE_STATES:
                 self._languages = RunTable()
@@ -433,15 +439,14 @@ class AnalysisServer:
         config = self._clamped(
             protocol.config_from_wire(message.get("config")), request_id
         )
-        with self.languages():
-            batch = run_batch(
-                inputs,
-                config=config,
-                jobs=self.jobs,
-                cache=self.cache,
-                pool=self._get_pool(),
-                op=of,
-            )
+        batch = run_batch(
+            inputs,
+            config=config,
+            jobs=self.jobs,
+            cache=self.cache,
+            pool=self._get_pool(),
+            op=of,
+        )
         if self.jobs > 1 and not self.pool_alive():
             # a worker died under this batch and broke the pool; the
             # batch driver already retried the affected files inline —
@@ -590,7 +595,7 @@ class AnalysisServer:
                             round_recorder.count("server.watch_rounds")
                             round_recorder.count("server.watch_files", len(changed))
                             config = self._clamped(BatchConfig())
-                            with round_recorder.span("server.watch"), self.languages():
+                            with round_recorder.span("server.watch"):
                                 run_batch(
                                     changed,
                                     config=config,

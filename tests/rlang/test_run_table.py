@@ -330,6 +330,14 @@ def test_tight_dfa_budget_degrades_the_same(monkeypatch, seed, cap):
         assert tabled[0]
 
 
+def _held_states(table):
+    """The DFA states ``table`` keeps alive: its entries, and the
+    structures it keyed (one delta row per state)."""
+    entries = [*table.leaves.values(), *table.products.values()]
+    keyed = sum(len(rows) for _, rows, _, _ in table.keys)
+    return sum(dfa.n_states for dfa in entries) + keyed
+
+
 class TestGivenTable:
     """A caller that owns a table (the analysis daemon) installs it for
     one scope and keeps it afterwards."""
@@ -341,9 +349,14 @@ class TestGivenTable:
             Regex.compile("[a-z]+x") & Regex.compile("[a-y]*x")
         assert active_table() is None
         assert table.leaves and table.products
-        assert table.states == sum(
-            dfa.n_states for dfa in [*table.leaves.values(), *table.products.values()]
-        )
+        assert table.states == _held_states(table)
+        with run_table(table):
+            complement = ~Regex.compile("[a-z]+x")
+            complement & Regex.compile("[a-y]*x")
+        # the complement is keyed as an operand but stored as no entry
+        assert all(dfa is not complement.dfa
+                   for dfa in [*table.leaves.values(), *table.products.values()])
+        assert table.states == _held_states(table)
         with run_table(table):
             before = dict(table.products)
             Regex.compile("[a-z]+x") & Regex.compile("[a-y]*x")

@@ -1,6 +1,7 @@
 """The daemon's language table: one for the daemon's lifetime, shared by
-every request and handler thread, and replaced once it holds more than
-``LANGUAGE_STATES`` DFA states.
+every ``analyze`` and ``optimize`` request and handler thread, and
+replaced once it holds more than ``LANGUAGE_STATES`` DFA states.  A
+batch runs each file on a table of its own.
 
 Sharing must be invisible.  A served payload equals the inline payload
 of the same script whatever the daemon served before, also under a
@@ -211,7 +212,7 @@ def test_threads_never_give_two_structures_one_key():
 
 
 def test_a_full_table_is_replaced_and_counted(monkeypatch):
-    """Past the bound the next analysis starts a fresh table and counts
+    """Past the bound the next request starts a fresh table and counts
     ``server.languages_reset``; the payload does not change."""
     monkeypatch.setattr(daemon_mod, "LANGUAGE_STATES", 10)
     server = AnalysisServer(socket_path="unbound.sock", jobs=1, cache=None)
@@ -228,5 +229,25 @@ def test_a_full_table_is_replaced_and_counted(monkeypatch):
     assert responses[0]["result"] == responses[1]["result"] == responses[2]["result"]
     assert tables[0] is not tables[1] and tables[1] is not tables[2]
     # the last request's table took over its automata; the bound only
-    # applies when the next analysis begins
+    # applies when the next request begins
     assert tables[2].states > 10
+
+
+def test_a_batch_leaves_the_daemon_table_alone(monkeypatch):
+    """An inline batch (``--jobs 1``) runs each file on a table of its
+    own, as in-process callers do.  The bound is checked once per
+    request, so a batch of any length must not grow the daemon's table:
+    it ends the batch as it began, under the bound."""
+    monkeypatch.setattr(daemon_mod, "LANGUAGE_STATES", 10)
+    server = AnalysisServer(socket_path="unbound.sock", jobs=1, cache=None)
+    server.warm()
+    table, states = server._languages, server._languages.states
+    wire = protocol.config_to_wire(BatchConfig())
+    for op in OPS:
+        response = server.handle_request(
+            {"op": "batch", "of": op, "inputs": [str(EXAMPLES)], "config": wire}
+        )
+        assert response["ok"], response
+        assert len(response["result"]["results"]) == len(_examples())
+    assert server._languages is table and table.states == states
+    assert server.recorder.counter("server.languages_reset") == 0
