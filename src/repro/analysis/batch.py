@@ -223,7 +223,7 @@ def run_batch(
 def _pool_worker(item: Tuple) -> Tuple[object, float, Optional[dict]]:
     """Pool body: ``work(*args)`` for one item.  When the parent's
     recorder is live (``traced``), the worker-side metrics are captured
-    in a fresh recorder and shipped back as a dict (snapshots are the
+    in a fresh metrics recorder and shipped back as a dict (snapshots are the
     only metric type that crosses the process boundary — recorders
     don't pickle)."""
     work, args, traced = item
@@ -231,9 +231,9 @@ def _pool_worker(item: Tuple) -> Tuple[object, float, Optional[dict]]:
     if not traced:
         result = work(*args)
         return result, time.perf_counter() - started, None
-    from ..obs import TraceRecorder, use_recorder
+    from ..obs import MetricsRecorder, use_recorder
 
-    recorder = TraceRecorder()
+    recorder = MetricsRecorder()
     with use_recorder(recorder):
         result = work(*args)
     seconds = time.perf_counter() - started

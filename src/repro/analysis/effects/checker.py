@@ -1,8 +1,8 @@
 """The race checker: effect-graph hazard analysis as a Checker.
 
 Runs once per exploration (in ``finish``): builds the effect graph of
-every final state that started a background job (of every final state
-when the recorder is on), scans each for interleaving hazards, and
+every final state that started a background job, scans each for
+interleaving hazards, and
 aggregates the findings across paths (a race found on several paths is
 reported once).  The graph and hazard modules load only then.
 """
@@ -27,12 +27,13 @@ class RaceChecker(Checker):
         diagnostics: List[Diagnostic] = []
         seen: Set[Tuple] = set()
         with rec.span("analysis.effects"):
-            # without background jobs nothing can interleave: the graph
-            # is built only for the trace, and its modules load only then
+            # without background jobs nothing can interleave: a graph is
+            # built only for a state that started one, and the graph
+            # modules load only then
             graphed = [
                 state
                 for state in states
-                if rec.enabled or any(event.op is FsOp.BG_OPEN for event in state.fs.log)
+                if any(event.op is FsOp.BG_OPEN for event in state.fs.log)
             ]
             if not graphed:
                 return diagnostics

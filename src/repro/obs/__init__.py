@@ -8,8 +8,10 @@ three pieces:
 - :class:`NullRecorder` — the default.  Every instrumentation point in
   the hot paths either calls a no-op method or is guarded by
   ``recorder.enabled``, so disabled telemetry costs almost nothing.
-- :class:`TraceRecorder` — hierarchical spans with monotonic timing,
-  named counters, and histograms.
+- :class:`MetricsRecorder` — named counters and histograms; its spans
+  are the null span (the daemon's recorders, which export no trace).
+- :class:`TraceRecorder` — a metrics recorder that also keeps
+  hierarchical spans with monotonic timing.
 - :mod:`repro.obs.export` — Chrome ``chrome://tracing`` JSON, a
   human-readable span tree, and a stats summary table.
 
@@ -36,6 +38,7 @@ analysis with the no-op recorder never imports them.
 
 from ..lazy import exports
 from .recorder import (
+    MetricsRecorder,
     NullRecorder,
     Recorder,
     SpanRecord,
@@ -54,6 +57,7 @@ __getattr__ = exports(globals(), _LAZY)
 
 __all__ = [
     "Histogram",
+    "MetricsRecorder",
     "MetricsSnapshot",
     "NullOpsLogger",
     "NullRecorder",

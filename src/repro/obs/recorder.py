@@ -1,4 +1,5 @@
-"""Recorders: the no-op default and the tracing implementation.
+"""Recorders: the no-op default, the metrics-only recorder and the
+tracing one.
 
 Design constraints (see ISSUE 1):
 
@@ -119,71 +120,23 @@ class _Span:
         return False
 
 
-class TraceRecorder(Recorder):
-    """Records hierarchical spans, counters, and histograms.
+class MetricsRecorder(Recorder):
+    """Records counters and histograms; a span is the null span.
 
-    Span nesting is tracked per thread; counters and histograms are
-    shared across threads (dict mutation is GIL-atomic for our usage).
+    This is the recorder for callers that keep metrics but export no
+    trace, such as the analysis daemon's per-request and totals
+    recorders and a pool worker shipping back a snapshot: ``enabled`` is
+    true, so instrumentation counts and observes, while spans cost no
+    allocation.  Counters and histograms are shared across threads
+    (dict mutation is GIL-atomic for our usage).
     """
 
     enabled = True
 
-    def __init__(self, clock: Callable[[], int] = time.perf_counter_ns):
-        self._clock = clock
-        self.origin_ns: int = clock()
-        self.roots: List[SpanRecord] = []
+    def __init__(self):
         self.counters: Dict[str, int] = {}
         self.histograms: Dict[str, Histogram] = {}
-        self._local = threading.local()
-        self._roots_lock = threading.Lock()
         self._absorb_lock = threading.Lock()
-
-    # -- spans --------------------------------------------------------------
-
-    def span(self, name: str, **attrs: Any) -> _Span:
-        return _Span(self, name, attrs)
-
-    def _stack(self) -> List[SpanRecord]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
-    def _open(self, name: str, attrs: Dict[str, Any]) -> SpanRecord:
-        record = SpanRecord(name, self._clock(), attrs)
-        stack = self._stack()
-        if stack:
-            stack[-1].children.append(record)
-        else:
-            with self._roots_lock:
-                self.roots.append(record)
-        stack.append(record)
-        return record
-
-    def _close(self, record: Optional[SpanRecord]) -> None:
-        if record is None:
-            return
-        record.end_ns = self._clock()
-        stack = self._stack()
-        if stack and stack[-1] is record:
-            stack.pop()
-        elif record in stack:  # mispaired exits: unwind to the record
-            while stack and stack.pop() is not record:
-                pass
-
-    def iter_spans(self) -> Iterator[SpanRecord]:
-        """All recorded spans, depth-first."""
-        stack = list(reversed(self.roots))
-        while stack:
-            record = stack.pop()
-            yield record
-            stack.extend(reversed(record.children))
-
-    @property
-    def span_count(self) -> int:
-        return sum(1 for _ in self.iter_spans())
-
-    # -- metrics ------------------------------------------------------------
 
     def count(self, name: str, n: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + n
@@ -228,6 +181,64 @@ class TraceRecorder(Recorder):
 
                     mine = self.histograms[name] = Histogram()
                 mine.merge(histogram)
+
+
+class TraceRecorder(MetricsRecorder):
+    """A :class:`MetricsRecorder` that also records hierarchical spans.
+
+    Span nesting is tracked per thread.
+    """
+
+    def __init__(self, clock: Callable[[], int] = time.perf_counter_ns):
+        super().__init__()
+        self._clock = clock
+        self.origin_ns: int = clock()
+        self.roots: List[SpanRecord] = []
+        self._local = threading.local()
+        self._roots_lock = threading.Lock()
+
+    def span(self, name: str, **attrs: Any) -> _Span:
+        return _Span(self, name, attrs)
+
+    def _stack(self) -> List[SpanRecord]:
+        stack = getattr(self._local, "stack", None)
+        if stack is None:
+            stack = self._local.stack = []
+        return stack
+
+    def _open(self, name: str, attrs: Dict[str, Any]) -> SpanRecord:
+        record = SpanRecord(name, self._clock(), attrs)
+        stack = self._stack()
+        if stack:
+            stack[-1].children.append(record)
+        else:
+            with self._roots_lock:
+                self.roots.append(record)
+        stack.append(record)
+        return record
+
+    def _close(self, record: Optional[SpanRecord]) -> None:
+        if record is None:
+            return
+        record.end_ns = self._clock()
+        stack = self._stack()
+        if stack and stack[-1] is record:
+            stack.pop()
+        elif record in stack:  # mispaired exits: unwind to the record
+            while stack and stack.pop() is not record:
+                pass
+
+    def iter_spans(self) -> Iterator[SpanRecord]:
+        """All recorded spans, depth-first."""
+        stack = list(reversed(self.roots))
+        while stack:
+            record = stack.pop()
+            yield record
+            stack.extend(reversed(record.children))
+
+    @property
+    def span_count(self) -> int:
+        return sum(1 for _ in self.iter_spans())
 
 
 # ---------------------------------------------------------------------------

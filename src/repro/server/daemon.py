@@ -29,7 +29,8 @@ cannot wedge the daemon for other clients.
 Observability (the production-service layer):
 
 - **Request-scoped telemetry.**  Every request gets a request id and
-  its own :class:`~repro.obs.TraceRecorder`, installed with
+  its own :class:`~repro.obs.MetricsRecorder` (counters and
+  histograms; the daemon exports no spans), installed with
   ``use_recorder`` (which scopes to the handler thread) so concurrent
   requests cannot contaminate each other; worker-side
   metric snapshots from the process pool are folded in, the request's
@@ -99,7 +100,7 @@ from ..obs import (
     MetricsSnapshot,
     NullOpsLogger,
     OpsLogger,
-    TraceRecorder,
+    MetricsRecorder,
     get_recorder,
     use_recorder,
 )
@@ -147,14 +148,14 @@ class AnalysisServer:
         socket_path: Optional[str] = None,
         jobs: Optional[int] = None,
         cache: Optional[ResultCache] = None,
-        recorder: Optional[TraceRecorder] = None,
+        recorder: Optional[MetricsRecorder] = None,
         log: Optional[OpsLogger] = None,
         slow_ms: float = DEFAULT_SLOW_MS,
     ):
         self.socket_path = socket_path or protocol.default_socket_path()
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
         self.cache = cache
-        self.recorder = recorder or TraceRecorder()
+        self.recorder = recorder or MetricsRecorder()
         self.log = log or NullOpsLogger()
         self.slow_ms = slow_ms
         self.started_at = time.monotonic()
@@ -288,7 +289,7 @@ class AnalysisServer:
         if shed:
             return self._shed_response(op, request_id, started)
 
-        request_recorder = TraceRecorder()
+        request_recorder = MetricsRecorder()
         self.log.debug("request.accept", request_id=request_id, op=op)
         error_text: Optional[str] = None
         result = None
@@ -587,7 +588,7 @@ class AnalysisServer:
 
         def loop() -> None:
             while not self._watcher_stop.wait(interval):
-                round_recorder = TraceRecorder()
+                round_recorder = MetricsRecorder()
                 try:
                     with use_recorder(round_recorder):
                         changed, _ = watcher.scan()
@@ -755,7 +756,7 @@ def serve(
     no_cache: bool = False,
     watch: Optional[List[str]] = None,
     interval: float = 1.0,
-    recorder: Optional[TraceRecorder] = None,
+    recorder: Optional[MetricsRecorder] = None,
     log: Optional[OpsLogger] = None,
     slow_ms: float = DEFAULT_SLOW_MS,
     install_signals: bool = False,

@@ -7,15 +7,24 @@ dollar/backquote expansions so that metacharacters inside them do not
 terminate the word.  Word tokens carry their raw source text; structural
 interpretation of quotes and expansions happens in :mod:`repro.shell.words`.
 
+The source is stepped over by compiled patterns, never one character per
+Python call: blanks and comments, an operator (one longest-first
+alternation), an IO number and a run of plain word characters are one
+match each, and a token's :class:`Position` is computed from its offset.
+Each bracket construct has one scanner (:func:`scan_dquote`,
+:func:`scan_backquote`, :func:`scan_dollar` for ``${``, ``$(`` and
+``$((``), shared with the word parser, so both find the same end.
+
 Heredocs are collected by the lexer (they are a line-level phenomenon) and
 attached to the ``<<``/``<<-`` operator token.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import re
+from typing import List, Tuple
 
-from .tokens import OPERATORS, Position, Token, TokenKind
+from .tokens import EOF, IO_NUMBER, NEWLINE, OPERATOR, OPERATORS, WORD, Position, Token
 
 
 class ShellSyntaxError(ValueError):
@@ -23,293 +32,222 @@ class ShellSyntaxError(ValueError):
 
     def __init__(self, message: str, pos: Position):
         super().__init__(f"{message} at {pos}")
+        self.message = message
         self.pos = pos
 
 
-_BLANK = " \t"
-_METACHARS = set(" \t\n|&;<>()")
+def position(source: str, offset: int) -> Position:
+    """The line and column (1-based) of ``offset`` in ``source``."""
+    return Position(source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset), offset)
+
+
+def _unterminated(source: str, what: str) -> ShellSyntaxError:
+    # every scanner runs out of input at the end of the source
+    return ShellSyntaxError(f"unterminated {what}", position(source, len(source)))
+
+
+# -- bracket scanners ----------------------------------------------------------
+#
+# Each takes the offset just past a construct's opening and returns the
+# offset just past its closing.  A run pattern steps over everything that
+# cannot end or open a nested construct: plain characters, backslash
+# escapes, single-quoted strings (and, in ``$(...)``, comments: a ``#``
+# that starts a token, as in the command the body is parsed into).
+
+_DQUOTE_RUN = re.compile(r'(?:[^"\\$`]+|\\.?|\$(?![{(]))*', re.S)
+_BACKQUOTE_RUN = re.compile(r"(?:[^`\\]+|\\.?)*", re.S)
+_BRACE_RUN = re.compile(r"""(?:[^\\'"{}]+|\\.?|'[^']*')*""", re.S)
+_PAREN_RUN = re.compile(r"""(?:[^\\'"`#()]+|\\.?|'[^']*'|(?<![^ \t\n;&|()<>])#[^\n]*|#)*""", re.S)
+_ARITH_RUN = re.compile(r"[^()]*")
+
+
+def scan_dquote(source: str, i: int) -> int:
+    """A double-quoted string; ``$`` and backquote expansions nest."""
+    while True:
+        i = _DQUOTE_RUN.match(source, i).end()
+        char = source[i : i + 1]
+        if char == '"':
+            return i + 1
+        if char == "$":
+            i = scan_dollar(source, i + 1)
+        elif char == "`":
+            i = scan_backquote(source, i + 1)
+        else:
+            raise _unterminated(source, "double quote")
+
+
+def scan_backquote(source: str, i: int) -> int:
+    """A backquoted command substitution, up to its unescaped backquote."""
+    i = _BACKQUOTE_RUN.match(source, i).end()
+    if i == len(source):
+        raise _unterminated(source, "backquote")
+    return i + 1
+
+
+def scan_dollar(source: str, i: int) -> int:
+    """After a ``$``: past the ``{...}``, ``(...)`` or ``((...))`` it
+    opens, or ``i`` itself when it opens none of them."""
+    char = source[i : i + 1]
+    if char == "{":
+        return _scan_nested(source, i + 1, 1, "{}", _BRACE_RUN, "${")
+    if char != "(":
+        return i
+    if source.startswith("(", i + 1):
+        return _scan_nested(source, i + 2, 2, "()", _ARITH_RUN, "$((")
+    return _scan_nested(source, i + 1, 1, "()", _PAREN_RUN, "$(")
+
+
+def _scan_nested(source: str, i: int, depth: int, brackets: str, run, what: str) -> int:
+    """``${...}`` (braces counted, quotes skipped), ``$(...)`` (parens
+    counted; quotes, backquotes and comments skipped) or ``$((...))``
+    (parens counted, nothing else)."""
+    opening, closing = brackets
+    while True:
+        i = run.match(source, i).end()
+        char = source[i : i + 1]
+        if char == opening:
+            depth += 1
+        elif char == closing:
+            depth -= 1
+            if not depth:
+                return i + 1
+        elif char == '"':
+            i = scan_dquote(source, i + 1)
+            continue
+        elif char == "`":
+            i = scan_backquote(source, i + 1)
+            continue
+        elif char == "'":
+            raise _unterminated(source, "single quote")
+        else:
+            raise _unterminated(source, what)
+        i += 1
+
+
+# -- tokens ---------------------------------------------------------------------
+
+_SKIP = r"(?:[ \t]+|\\\n|#[^\n]*)*"  # blanks, line continuations, a comment
+_WORD_RUN = r"""(?:[^ \t\n|&;<>()\\'"$`]+|\\.?|'[^']*'|\$(?![{(]))"""
+_BLANKS = re.compile(_SKIP)
+_WORD = re.compile(_WORD_RUN + "*", re.S)
+#: what a word goes on with after a plain run: a quote or an expansion
+_WORD_GOES_ON = frozenset("\"$`'")
+#: groups: 1 newline, 2 IO number (if all digits), 3 operator, 4 word start
+_TOKEN = re.compile(
+    rf"{_SKIP}(?:(\n)|(\w+)(?=[<>])|({'|'.join(map(re.escape, OPERATORS))})|({_WORD_RUN}+))?",
+    re.S,
+)
+
+
+def scan_word(source: str, i: int) -> int:
+    """A word's characters from ``i``: past its plain runs, quotes and
+    expansions, up to the metacharacter (or end) that ends it."""
+    while True:
+        i = _WORD.match(source, i).end()
+        char = source[i : i + 1]
+        if char == '"':
+            i = scan_dquote(source, i + 1)
+        elif char == "$":
+            i = scan_dollar(source, i + 1)
+        elif char == "`":
+            i = scan_backquote(source, i + 1)
+        elif char == "'":
+            raise _unterminated(source, "single quote")
+        else:
+            return i
 
 
 class Lexer:
     def __init__(self, source: str):
         self.source = source
-        self.pos = 0
-        self.line = 1
-        self.col = 1
         #: Heredoc operators on the current line awaiting their bodies,
         #: as (token, delimiter, strip_tabs) triples.
         self._pending_heredocs: List[Tuple[Token, str, bool]] = []
 
-    # -- low-level cursor ----------------------------------------------------
-
-    def _position(self) -> Position:
-        return Position(self.line, self.col, self.pos)
-
-    def _peek(self, ahead: int = 0) -> Optional[str]:
-        idx = self.pos + ahead
-        if idx < len(self.source):
-            return self.source[idx]
-        return None
-
-    def _advance(self, count: int = 1) -> str:
-        taken = self.source[self.pos : self.pos + count]
-        for char in taken:
-            if char == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += count
-        return taken
-
-    def _error(self, message: str) -> ShellSyntaxError:
-        return ShellSyntaxError(message, self._position())
-
-    # -- main loop ------------------------------------------------------------
-
     def tokens(self) -> List[Token]:
+        source = self.source
         result: List[Token] = []
+        pos = 0
+        # a token's line is counted from the previous token's: ``mark`` is
+        # that token's offset and ``line_start`` the offset its line starts at
+        line, line_start, mark = 1, 0, 0
         while True:
-            token = self.next_token()
-            result.append(token)
-            if token.kind is TokenKind.EOF:
+            match = _TOKEN.match(source, pos)
+            group = match.lastindex
+            pos = match.end()
+            begin = match.start(group) if group else pos
+            newlines = source.count("\n", mark, begin)
+            if newlines:
+                line += newlines
+                line_start = source.rfind("\n", mark, begin) + 1
+            mark = begin
+            start = Position(line, begin - line_start + 1, begin)
+            if group == 4:
+                if source[pos : pos + 1] in _WORD_GOES_ON:
+                    pos = scan_word(source, pos)
+                text = source[begin:pos]
+                result.append(Token(WORD, text, start, text))
+            elif group == 3:
+                token = Token(OPERATOR, match.group(3), start)
+                if token.text in ("<<", "<<-"):
+                    pos = self._register_heredoc(token, pos)
+                result.append(token)
+            elif group == 1:
+                pos = self._collect_heredocs(pos)
+                result.append(Token(NEWLINE, "\n", start))
+            elif group == 2 and match.group(2).isdigit():
+                result.append(Token(IO_NUMBER, match.group(2), start))
+            elif begin == len(source):
+                if self._pending_heredocs:
+                    raise ShellSyntaxError("unterminated heredoc", start)
+                result.append(Token(EOF, "", start))
                 return result
-
-    def next_token(self) -> Token:
-        self._skip_blanks_and_comments()
-        start = self._position()
-        char = self._peek()
-
-        if char is None:
-            if self._pending_heredocs:
-                raise self._error("unterminated heredoc")
-            return Token(TokenKind.EOF, "", start)
-
-        if char == "\n":
-            self._advance()
-            self._collect_heredocs()
-            return Token(TokenKind.NEWLINE, "\n", start)
-
-        # IO_NUMBER: digits immediately followed by < or >
-        if char.isdigit():
-            idx = 0
-            while (c := self._peek(idx)) is not None and c.isdigit():
-                idx += 1
-            if self._peek(idx) in ("<", ">"):
-                digits = self._advance(idx)
-                return Token(TokenKind.IO_NUMBER, digits, start)
-
-        for op in OPERATORS:
-            if self.source.startswith(op, self.pos):
-                self._advance(len(op))
-                token = Token(TokenKind.OPERATOR, op, start)
-                if op in ("<<", "<<-"):
-                    self._register_heredoc(token, strip_tabs=(op == "<<-"))
-                return token
-
-        return self._lex_word(start)
-
-    def _skip_blanks_and_comments(self) -> None:
-        while True:
-            char = self._peek()
-            if char is None:
-                return
-            if char in _BLANK:
-                self._advance()
-            elif char == "\\" and self._peek(1) == "\n":
-                self._advance(2)  # line continuation
-            elif char == "#":
-                while self._peek() is not None and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
-
-    # -- words ---------------------------------------------------------------
-
-    def _lex_word(self, start: Position) -> Token:
-        begin = self.pos
-        while True:
-            char = self._peek()
-            if char is None or char in _METACHARS:
-                break
-            if char == "\\":
-                if self._peek(1) == "\n":
-                    self._advance(2)
-                    continue
-                self._advance(2 if self._peek(1) is not None else 1)
-                continue
-            if char == "'":
-                self._lex_single_quote()
-                continue
-            if char == '"':
-                self._lex_double_quote()
-                continue
-            if char == "$":
-                self._lex_dollar()
-                continue
-            if char == "`":
-                self._lex_backquote()
-                continue
-            self._advance()
-        raw = self.source[begin : self.pos]
-        if not raw:
-            raise self._error(f"unexpected character {char!r}")
-        return Token(TokenKind.WORD, raw, start, raw=raw)
-
-    def _lex_single_quote(self) -> None:
-        self._advance()  # opening '
-        while True:
-            char = self._peek()
-            if char is None:
-                raise self._error("unterminated single quote")
-            self._advance()
-            if char == "'":
-                return
-
-    def _lex_double_quote(self) -> None:
-        self._advance()  # opening "
-        while True:
-            char = self._peek()
-            if char is None:
-                raise self._error("unterminated double quote")
-            if char == '"':
-                self._advance()
-                return
-            if char == "\\" and self._peek(1) is not None:
-                self._advance(2)
-                continue
-            if char == "$":
-                self._lex_dollar()
-                continue
-            if char == "`":
-                self._lex_backquote()
-                continue
-            self._advance()
-
-    def _lex_dollar(self) -> None:
-        self._advance()  # "$"
-        char = self._peek()
-        if char == "{":
-            self._lex_braced_param()
-        elif char == "(":
-            if self._peek(1) == "(":
-                self._lex_arith()
-            else:
-                self._lex_command_sub()
-        # else: simple $var or bare $ — consumed by the word scanner
-
-    def _lex_braced_param(self) -> None:
-        self._advance()  # "{"
-        depth = 1
-        while depth:
-            char = self._peek()
-            if char is None:
-                raise self._error("unterminated ${")
-            if char == "\\" and self._peek(1) is not None:
-                self._advance(2)
-                continue
-            if char == "'":
-                self._lex_single_quote()
-                continue
-            if char == '"':
-                self._lex_double_quote()
-                continue
-            if char == "{":
-                depth += 1
-            elif char == "}":
-                depth -= 1
-            self._advance()
-
-    def _lex_command_sub(self) -> None:
-        self._advance()  # "("
-        depth = 1
-        while depth:
-            char = self._peek()
-            if char is None:
-                raise self._error("unterminated $(")
-            if char == "\\" and self._peek(1) is not None:
-                self._advance(2)
-                continue
-            if char == "'":
-                self._lex_single_quote()
-                continue
-            if char == '"':
-                self._lex_double_quote()
-                continue
-            if char == "`":
-                self._lex_backquote()
-                continue
-            if char == "#":
-                # comment inside command substitution
-                while self._peek() is not None and self._peek() != "\n":
-                    self._advance()
-                continue
-            if char == "(":
-                depth += 1
-            elif char == ")":
-                depth -= 1
-            self._advance()
-
-    def _lex_arith(self) -> None:
-        self._advance(2)  # "(("
-        depth = 2
-        while depth:
-            char = self._peek()
-            if char is None:
-                raise self._error("unterminated $((")
-            if char == "(":
-                depth += 1
-            elif char == ")":
-                depth -= 1
-            self._advance()
-
-    def _lex_backquote(self) -> None:
-        self._advance()  # "`"
-        while True:
-            char = self._peek()
-            if char is None:
-                raise self._error("unterminated backquote")
-            if char == "\\" and self._peek(1) is not None:
-                self._advance(2)
-                continue
-            self._advance()
-            if char == "`":
-                return
+            else:  # a word that opens with a quote or an expansion
+                pos = scan_word(source, begin)
+                text = source[begin:pos]
+                result.append(Token(WORD, text, start, text))
 
     # -- heredocs --------------------------------------------------------------
 
-    def _register_heredoc(self, token: Token, strip_tabs: bool) -> None:
+    def _register_heredoc(self, token: Token, pos: int) -> int:
         # The delimiter word follows the operator; lex it here so the body
         # collection (at next newline) knows what to look for.
-        self._skip_blanks_and_comments()
-        start = self._position()
-        delim_token = self._lex_word(start)
-        delimiter, quoted = _strip_quotes(delim_token.text)
+        source = self.source
+        begin = _BLANKS.match(source, pos).end()
+        pos = scan_word(source, begin)
+        if pos == begin:
+            char = source[begin : begin + 1] or None
+            raise ShellSyntaxError(f"unexpected character {char!r}", position(source, begin))
+        text = source[begin:pos]
+        delimiter, quoted = _strip_quotes(text)
         token.heredoc_quoted = quoted
-        self._pending_heredocs.append((token, delimiter, strip_tabs))
+        self._pending_heredocs.append((token, delimiter, token.text == "<<-"))
         # Stash the delimiter word on the operator token; the parser uses it
         # as the redirect target.
-        token.raw = delim_token.text
+        token.raw = text
+        return pos
 
-    def _collect_heredocs(self) -> None:
+    def _collect_heredocs(self, pos: int) -> int:
+        source = self.source
         for token, delimiter, strip_tabs in self._pending_heredocs:
             lines: List[str] = []
             while True:
-                if self.pos >= len(self.source):
-                    raise self._error(f"heredoc delimiter {delimiter!r} not found")
-                end = self.source.find("\n", self.pos)
+                if pos >= len(source):
+                    raise ShellSyntaxError(
+                        f"heredoc delimiter {delimiter!r} not found", position(source, pos)
+                    )
+                end = source.find("\n", pos)
                 if end == -1:
-                    end = len(self.source)
-                line = self.source[self.pos : end]
-                self._advance(end - self.pos)
-                if self.pos < len(self.source):
-                    self._advance()  # the newline
+                    end = len(source)
+                line = source[pos:end]
+                pos = min(end + 1, len(source))
                 check = line.lstrip("\t") if strip_tabs else line
                 if check == delimiter:
                     break
-                lines.append(line.lstrip("\t") if strip_tabs else line)
+                lines.append(check)
             token.heredoc_body = "".join(line + "\n" for line in lines)
         self._pending_heredocs = []
+        return pos
 
 
 def _strip_quotes(text: str) -> Tuple[str, bool]:

@@ -9,6 +9,7 @@ substitutions inside words are parsed recursively into full ASTs.
 
 from __future__ import annotations
 
+import re
 from typing import List, Optional
 
 from . import words as words_mod
@@ -33,7 +34,17 @@ from .ast import (
     Word,
 )
 from .lexer import ShellSyntaxError, tokenize
-from .tokens import REDIRECT_OPERATORS, RESERVED_WORDS, Position, Token, TokenKind
+from .tokens import (
+    EOF,
+    IO_NUMBER,
+    NEWLINE,
+    OPERATOR,
+    REDIRECT_OPERATORS,
+    RESERVED_WORDS,
+    WORD,
+    Position,
+    Token,
+)
 
 #: Explicit nesting-depth ceiling (compound commands + command
 #: substitutions).  Each level costs ~10 interpreter frames across the
@@ -42,6 +53,9 @@ from .tokens import REDIRECT_OPERATORS, RESERVED_WORDS, Position, Token, TokenKi
 #: them into a catchable :class:`ParseDepthExceeded` instead of a
 #: :class:`RecursionError`.
 MAX_NESTING_DEPTH = 60
+
+#: a word's leading ``NAME=`` (the name's first character is checked apart)
+_ASSIGNMENT = re.compile(r"(\w+)=")
 
 
 class ParseDepthExceeded(ShellSyntaxError):
@@ -60,12 +74,13 @@ class Parser:
     # -- token access -----------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        idx = min(self.idx + ahead, len(self.tokens) - 1)
-        return self.tokens[idx]
+        # in range: a look past the current token is only taken when that
+        # token is not the EOF that ends the list
+        return self.tokens[self.idx + ahead]
 
     def take(self) -> Token:
         token = self.tokens[self.idx]
-        if token.kind is not TokenKind.EOF:
+        if token.kind is not EOF:
             self.idx += 1
         return token
 
@@ -86,8 +101,8 @@ class Parser:
         return token
 
     def skip_newlines(self) -> None:
-        while self.peek().kind is TokenKind.NEWLINE:
-            self.take()
+        while self.tokens[self.idx].kind is NEWLINE:
+            self.idx += 1
 
     # -- words -----------------------------------------------------------
 
@@ -104,9 +119,9 @@ class Parser:
     def parse_program(self) -> Command:
         self.skip_newlines()
         commands: List[Command] = []
-        while self.peek().kind is not TokenKind.EOF:
+        while self.tokens[self.idx].kind is not EOF:
             commands.append(self.parse_and_or())
-            sep = self.peek()
+            sep = self.tokens[self.idx]
             if sep.is_op(";"):
                 self.take()
                 self.skip_newlines()
@@ -114,9 +129,9 @@ class Parser:
                 self.take()
                 commands[-1] = Background(commands[-1], pos=sep.pos)
                 self.skip_newlines()
-            elif sep.kind is TokenKind.NEWLINE:
+            elif sep.kind is NEWLINE:
                 self.skip_newlines()
-            elif sep.kind is TokenKind.EOF:
+            elif sep.kind is EOF:
                 break
             else:
                 raise self.error(f"unexpected token {sep.text!r}", sep)
@@ -129,10 +144,10 @@ class Parser:
     _LIST_ENDERS = {"then", "else", "elif", "fi", "do", "done", "esac", "}"}
 
     def _at_list_end(self) -> bool:
-        token = self.peek()
-        if token.kind is TokenKind.EOF:
+        token = self.tokens[self.idx]
+        if token.kind is EOF:
             return True
-        if token.kind is TokenKind.WORD and token.text in self._LIST_ENDERS:
+        if token.kind is WORD and token.text in self._LIST_ENDERS:
             return True
         return token.is_op(")", ";;")
 
@@ -142,7 +157,7 @@ class Parser:
         commands: List[Command] = []
         while not self._at_list_end():
             commands.append(self.parse_and_or())
-            sep = self.peek()
+            sep = self.tokens[self.idx]
             if sep.is_op(";"):
                 self.take()
                 self.skip_newlines()
@@ -150,7 +165,7 @@ class Parser:
                 self.take()
                 commands[-1] = Background(commands[-1], pos=sep.pos)
                 self.skip_newlines()
-            elif sep.kind is TokenKind.NEWLINE:
+            elif sep.kind is NEWLINE:
                 self.skip_newlines()
             else:
                 break
@@ -164,7 +179,7 @@ class Parser:
 
     def parse_and_or(self) -> Command:
         left = self.parse_pipeline()
-        while self.peek().is_op("&&", "||"):
+        while self.tokens[self.idx].is_op("&&", "||"):
             op_token = self.take()
             self.skip_newlines()
             right = self.parse_pipeline()
@@ -173,12 +188,12 @@ class Parser:
 
     def parse_pipeline(self) -> Command:
         negated = False
-        if self.peek().is_word("!"):
+        if self.tokens[self.idx].is_word("!"):
             self.take()
             negated = True
         first = self.parse_command()
         commands = [first]
-        while self.peek().is_op("|"):
+        while self.tokens[self.idx].is_op("|"):
             self.take()
             self.skip_newlines()
             commands.append(self.parse_command())
@@ -200,27 +215,30 @@ class Parser:
         finally:
             self.depth -= 1
 
+    #: the compound commands by the token that opens them (an operator's
+    #: text is never a word's, so the text alone tells them apart)
+    _COMPOUND = {
+        "(": "parse_subshell",
+        "{": "parse_brace_group",
+        "if": "parse_if",
+        "while": "parse_while",
+        "until": "parse_while",
+        "for": "parse_for",
+        "case": "parse_case",
+    }
+
     def _parse_command(self) -> Command:
-        token = self.peek()
-        if token.is_op("("):
-            return self._with_redirects(self.parse_subshell())
-        if token.kind is TokenKind.WORD:
-            if token.text == "{":
-                return self._with_redirects(self.parse_brace_group())
-            if token.text == "if":
-                return self._with_redirects(self.parse_if())
-            if token.text in ("while", "until"):
-                return self._with_redirects(self.parse_while())
-            if token.text == "for":
-                return self._with_redirects(self.parse_for())
-            if token.text == "case":
-                return self._with_redirects(self.parse_case())
-            if (
-                self.peek(1).is_op("(")
-                and self.peek(2).is_op(")")
-                and token.text not in RESERVED_WORDS
-            ):
-                return self.parse_function_def()
+        token = self.tokens[self.idx]
+        compound = self._COMPOUND.get(token.text)
+        if compound is not None:
+            return self._with_redirects(getattr(self, compound)())
+        if (
+            token.kind is WORD
+            and self.peek(1).is_op("(")
+            and self.peek(2).is_op(")")
+            and token.text not in RESERVED_WORDS
+        ):
+            return self.parse_function_def()
         return self.parse_simple_command()
 
     def _with_redirects(self, command: Command) -> Command:
@@ -241,11 +259,11 @@ class Parser:
         token = self.peek()
         fd: Optional[int] = None
         offset = 0
-        if token.kind is TokenKind.IO_NUMBER:
+        if token.kind is IO_NUMBER:
             fd = int(token.text)
             token = self.peek(1)
             offset = 1
-        if token.kind is TokenKind.OPERATOR and token.text in REDIRECT_OPERATORS:
+        if token.kind is OPERATOR and token.text in REDIRECT_OPERATORS:
             for _ in range(offset + 1):
                 op_token = self.take()
             if op_token.text in ("<<", "<<-"):
@@ -261,7 +279,7 @@ class Parser:
                     heredoc_quoted=op_token.heredoc_quoted,
                 )
             word_token = self.take()
-            if word_token.kind is not TokenKind.WORD:
+            if word_token.kind is not WORD:
                 raise self.error("redirect requires a target word", word_token)
             return Redirect(
                 op=op_token.text, target=self.make_word(word_token), fd=fd
@@ -269,20 +287,20 @@ class Parser:
         return None
 
     def parse_simple_command(self) -> SimpleCommand:
-        cmd = SimpleCommand(pos=self.peek().pos)
+        cmd = SimpleCommand(pos=self.tokens[self.idx].pos)
         seen_word = False
         while True:
-            redirect = self.try_parse_redirect()
-            if redirect is not None:
+            token = self.tokens[self.idx]
+            if token.kind is not WORD:
+                redirect = self.try_parse_redirect()
+                if redirect is None:
+                    break
                 cmd.redirects.append(redirect)
                 continue
-            token = self.peek()
-            if token.kind is not TokenKind.WORD:
-                break
             if not seen_word and not cmd.assignments and token.text in RESERVED_WORDS:
                 break
             assignment = None if seen_word else _try_assignment(token)
-            self.take()
+            self.idx += 1
             if assignment is not None:
                 name, value_raw = assignment
                 value = words_mod.parse_word(value_raw, self._parse_sub, token.pos)
@@ -337,14 +355,14 @@ class Parser:
     def parse_for(self) -> For:
         for_token = self.expect_word("for")
         name_token = self.take()
-        if name_token.kind is not TokenKind.WORD:
+        if name_token.kind is not WORD:
             raise self.error("expected a variable name after 'for'", name_token)
         iter_words: Optional[List[Word]] = None
         self.skip_newlines()
         if self.peek().is_word("in"):
             self.take()
             iter_words = []
-            while self.peek().kind is TokenKind.WORD and not self.peek().is_word("do"):
+            while self.peek().kind is WORD and not self.peek().is_word("do"):
                 iter_words.append(self.make_word(self.take()))
             if self.peek().is_op(";"):
                 self.take()
@@ -360,7 +378,7 @@ class Parser:
     def parse_case(self) -> Case:
         case_token = self.expect_word("case")
         subject_token = self.take()
-        if subject_token.kind is not TokenKind.WORD:
+        if subject_token.kind is not WORD:
             raise self.error("expected a word after 'case'", subject_token)
         subject = self.make_word(subject_token)
         self.skip_newlines()
@@ -368,7 +386,7 @@ class Parser:
         self.skip_newlines()
         items: List[CaseItem] = []
         while not self.peek().is_word("esac"):
-            if self.peek().kind is TokenKind.EOF:
+            if self.peek().kind is EOF:
                 raise self.error("missing 'esac'")
             if self.peek().is_op("("):
                 self.take()
@@ -390,7 +408,7 @@ class Parser:
 
     def _case_pattern(self) -> Word:
         token = self.take()
-        if token.kind is not TokenKind.WORD:
+        if token.kind is not WORD:
             raise self.error("expected a case pattern", token)
         return self.make_word(token)
 
@@ -405,22 +423,13 @@ class Parser:
 
 def _try_assignment(token: Token) -> Optional[tuple]:
     """``NAME=value`` detection (value may be empty)."""
-    text = token.text
-    eq = -1
-    for idx, char in enumerate(text):
-        if char == "=":
-            eq = idx
-            break
-        if char == "\\" or char in "'\"$`":
-            return None
-    if eq <= 0:
+    match = _ASSIGNMENT.match(token.text)
+    if match is None:
         return None
-    name = text[:eq]
+    name = match.group(1)
     if not (name[0].isalpha() or name[0] == "_"):
         return None
-    if not all(c.isalnum() or c == "_" for c in name):
-        return None
-    return name, text[eq + 1 :]
+    return name, token.text[match.end() :]
 
 
 def _pos_of(command: Command) -> Position:

@@ -16,6 +16,10 @@ class TokenKind(Enum):
     EOF = auto()
 
 
+# the kinds by plain name: reading a member through its Enum class is a
+# descriptor call, and the lexer and parser read a kind per token
+WORD, OPERATOR, IO_NUMBER, NEWLINE, EOF = TokenKind
+
 #: Multi-character operators, longest first (POSIX token recognition rule 2/3).
 OPERATORS = [
     "<<-",
@@ -99,10 +103,10 @@ class Token(Record):
         self.heredoc_quoted = heredoc_quoted
 
     def is_op(self, *texts: str) -> bool:
-        return self.kind is TokenKind.OPERATOR and self.text in texts
+        return self.text in texts and self.kind is OPERATOR
 
     def is_word(self, *texts: str) -> bool:
-        return self.kind is TokenKind.WORD and self.text in texts
+        return self.text in texts and self.kind is WORD
 
     def __repr__(self) -> str:
         return f"Token({self.kind.name}, {self.text!r}@{self.pos})"

@@ -8,7 +8,8 @@ parameter expansions with their operators, command substitutions
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+import re
+from typing import Callable, List
 
 from .ast import (
     ArithPart,
@@ -21,22 +22,27 @@ from .ast import (
     TildePart,
     Word,
 )
+from .lexer import ShellSyntaxError, scan_backquote, scan_dollar
 from .tokens import Position
 
 ParseCommand = Callable[[str], Command]
 
 #: Parameter-expansion operators, longest first.
-_PARAM_OPS = [":-", ":=", ":?", ":+", "%%", "##", "-", "=", "?", "+", "%", "#"]
+_PARAM_OP = re.compile(r":[-=?+]|%%|##|[-=?+%#]")
 
 _SPECIAL_PARAMS = set("@*#?-$!0123456789")
 
-
-def _is_name_start(char: str) -> bool:
-    return char.isalpha() or char == "_"
-
-
-def _is_name_char(char: str) -> bool:
-    return char.isalnum() or char == "_"
+#: a run of literal characters, unquoted and double-quoted: each is one
+#: match, and the characters that end one start something else
+_UNQUOTED_RUN = re.compile(r"""[^\\'"$`*?]+""")
+_UNQUOTED_SPECIAL = frozenset("\\'\"$`*?")
+_DQUOTED_RUN = re.compile(r'[^"\\$`]+')
+_DQUOTED_SPECIAL = frozenset('"\\$`')
+#: the rest of a name after its first character, the user name of a
+#: leading tilde, and the backslash escapes a backquoted body drops
+_NAME_CHARS = re.compile(r"\w*")
+_TILDE_USER = re.compile(r"[\w.-]*")
+_BACKQUOTE_ESCAPE = re.compile(r"\\([`$\\])")
 
 
 class _WordParser:
@@ -70,243 +76,144 @@ class _WordParser:
         self._flush()
         self.parts.append(part)
 
-    # -- cursor ----------------------------------------------------------------
-
-    def _peek(self, ahead: int = 0) -> Optional[str]:
-        idx = self.pos + ahead
-        return self.raw[idx] if idx < len(self.raw) else None
-
-    def _take(self) -> str:
-        char = self.raw[self.pos]
-        self.pos += 1
-        return char
+    def _scan(self, scanner: Callable[[str, int], int], start: int) -> int:
+        """Run a :mod:`~repro.shell.lexer` bracket scanner over the raw
+        text from ``start``: the offset past the construct's closing."""
+        try:
+            return scanner(self.raw, start)
+        except ShellSyntaxError as exc:
+            raise ValueError(f"{exc.message} in {self.raw!r}") from None
 
     # -- main -------------------------------------------------------------------
 
     def parse(self) -> List[Part]:
-        if self._peek() == "~":
-            self._parse_tilde()
-        while self.pos < len(self.raw):
-            char = self._take()
-            if char == "\\":
-                if self._peek() == "\n":
-                    self._take()  # line continuation disappears entirely
-                elif self.pos < len(self.raw):
-                    self._emit(self._take(), quoted=True)
+        raw = self.raw
+        if raw.startswith("~"):
+            end = _TILDE_USER.match(raw, 1).end()
+            self._push(TildePart(raw[1:end]))
+            self.pos = end
+        while self.pos < len(raw):
+            char = raw[self.pos]
+            if char not in _UNQUOTED_SPECIAL:
+                end = _UNQUOTED_RUN.match(raw, self.pos).end()
+                self._emit(raw[self.pos : end], quoted=False)
+                self.pos = end
                 continue
-            if char == "'":
-                end = self.raw.index("'", self.pos)
-                self._emit(self.raw[self.pos : end], quoted=True)
+            self.pos += 1
+            if char == "\\":
+                if raw.startswith("\n", self.pos):
+                    self.pos += 1  # line continuation disappears entirely
+                elif self.pos < len(raw):
+                    self._emit(raw[self.pos], quoted=True)
+                    self.pos += 1
+            elif char == "'":
+                end = raw.index("'", self.pos)
+                self._emit(raw[self.pos : end], quoted=True)
                 # Preserve "quoted empty string" — '' yields an explicit part.
                 if end == self.pos:
                     self._push(LiteralPart("", quoted=True))
                 self.pos = end + 1
-                continue
-            if char == '"':
+            elif char == '"':
                 self._parse_double_quoted()
-                continue
-            if char == "$":
+            elif char == "$":
                 self._parse_dollar(quoted=False)
-                continue
-            if char == "`":
+            elif char == "`":
                 self._parse_backquote(quoted=False)
-                continue
-            if char in "*?":
+            else:
                 self._push(GlobPart(char))
-                continue
-            self._emit(char, quoted=False)
         self._flush()
         return self.parts
 
-    def _parse_tilde(self) -> None:
-        self._take()  # "~"
-        user = []
-        while (c := self._peek()) is not None and (c.isalnum() or c in "_-."):
-            user.append(self._take())
-        self._push(TildePart("".join(user)))
-
     def _parse_double_quoted(self) -> None:
-        start = self.pos
-        empty = True
-        while True:
-            char = self._peek()
-            if char is None:
-                raise ValueError(f"unterminated double quote in {self.raw!r}")
+        raw = self.raw
+        if raw.startswith('"', self.pos):
+            self.pos += 1
+            self._push(LiteralPart("", quoted=True))
+            return
+        while self.pos < len(raw):
+            char = raw[self.pos]
+            if char not in _DQUOTED_SPECIAL:
+                end = _DQUOTED_RUN.match(raw, self.pos).end()
+                self._emit(raw[self.pos : end], quoted=True)
+                self.pos = end
+                continue
+            self.pos += 1
             if char == '"':
-                self._take()
-                if empty:
-                    self._push(LiteralPart("", quoted=True))
                 return
-            empty = False
-            self._take()
-            if char == "\\" and self._peek() in ('"', "$", "`", "\\"):
-                self._emit(self._take(), quoted=True)
-            elif char == "\\" and self._peek() == "\n":
-                self._take()  # line continuation
+            if char == "\\":
+                following = raw[self.pos : self.pos + 1]
+                if following and following in '"$`\\':
+                    self._emit(following, quoted=True)
+                    self.pos += 1
+                elif following == "\n":
+                    self.pos += 1  # line continuation
+                else:
+                    self._emit(char, quoted=True)
             elif char == "$":
                 self._parse_dollar(quoted=True)
-            elif char == "`":
-                self._parse_backquote(quoted=True)
             else:
-                self._emit(char, quoted=True)
+                self._parse_backquote(quoted=True)
+        raise ValueError(f"unterminated double quote in {raw!r}")
 
     # -- expansions ----------------------------------------------------------------
 
     def _parse_dollar(self, quoted: bool) -> None:
-        char = self._peek()
+        raw = self.raw
+        char = raw[self.pos : self.pos + 1]
         if char == "{":
-            self._take()
-            self._parse_braced_param(quoted)
-            return
-        if char == "(":
-            if self._peek(1) == "(":
-                self._parse_arith(quoted)
+            end = self._scan(scan_dollar, self.pos)
+            body, self.pos = raw[self.pos + 1 : end - 1], end
+            self._parse_braced_param(body, quoted)
+        elif char == "(":
+            end = self._scan(scan_dollar, self.pos)
+            if raw.startswith("((", self.pos):
+                self._push(ArithPart(raw[self.pos + 2 : end - 2], quoted=quoted))
             else:
-                self._parse_command_sub(quoted)
-            return
-        if char is not None and char in _SPECIAL_PARAMS:
-            self._push(ParamPart(self._take(), quoted=quoted))
-            return
-        if char is not None and _is_name_start(char):
-            name = [self._take()]
-            while (c := self._peek()) is not None and _is_name_char(c):
-                name.append(self._take())
-            self._push(ParamPart("".join(name), quoted=quoted))
-            return
-        # A lone "$" is literal.
-        self._emit("$", quoted)
+                source = raw[self.pos + 1 : end - 1]
+                self._push(CmdSubPart(self.parse_command(source), source=source, quoted=quoted))
+            self.pos = end
+        elif char and char in _SPECIAL_PARAMS:
+            self._push(ParamPart(char, quoted=quoted))
+            self.pos += 1
+        elif char.isalpha() or char == "_":
+            end = _NAME_CHARS.match(raw, self.pos + 1).end()
+            self._push(ParamPart(raw[self.pos : end], quoted=quoted))
+            self.pos = end
+        else:
+            # A lone "$" is literal.
+            self._emit("$", quoted)
 
-    def _parse_braced_param(self, quoted: bool) -> None:
-        body = self._braced_body()
+    def _parse_braced_param(self, body: str, quoted: bool) -> None:
         if body.startswith("#") and len(body) > 1:
             self._push(ParamPart(body[1:], op="len", quoted=quoted))
             return
-        idx = 0
-        if idx < len(body) and body[idx] in _SPECIAL_PARAMS and not body[idx].isdigit():
-            idx += 1
+        first = body[:1]
+        if first and first in _SPECIAL_PARAMS and not first.isdigit():
+            name = first
+        elif first.isalpha() or first == "_" or first.isdigit():
+            name = _NAME_CHARS.match(body).group()
         else:
-            while idx < len(body) and (
-                _is_name_char(body[idx]) if idx else _is_name_start(body[idx]) or body[idx].isdigit()
-            ):
-                idx += 1
-        name = body[:idx]
-        rest = body[idx:]
-        if not name:
             raise ValueError(f"bad parameter expansion ${{{body}}} in {self.raw!r}")
+        rest = body[len(name) :]
         if not rest:
             self._push(ParamPart(name, quoted=quoted))
             return
-        for op in _PARAM_OPS:
-            if rest.startswith(op):
-                arg_raw = rest[len(op) :]
-                arg = parse_word(arg_raw, self.parse_command, Position())
-                self._push(ParamPart(name, op=op, arg=arg, quoted=quoted))
-                return
-        raise ValueError(f"unsupported parameter operator in ${{{body}}}")
-
-    def _braced_body(self) -> str:
-        depth = 1
-        start = self.pos
-        while depth:
-            char = self._peek()
-            if char is None:
-                raise ValueError(f"unterminated ${{ in {self.raw!r}")
-            if char == "\\":
-                self.pos += 2
-                continue
-            if char == "'":
-                self.pos = self.raw.index("'", self.pos + 1) + 1
-                continue
-            if char == '"':
-                self._skip_dquotes_raw()
-                continue
-            if char == "{":
-                depth += 1
-            elif char == "}":
-                depth -= 1
-                if depth == 0:
-                    body = self.raw[start : self.pos]
-                    self.pos += 1
-                    return body
-            self.pos += 1
-        raise AssertionError("unreachable")
-
-    def _skip_dquotes_raw(self) -> None:
-        self.pos += 1  # opening "
-        while True:
-            char = self._peek()
-            if char is None:
-                raise ValueError(f"unterminated double quote in {self.raw!r}")
-            if char == "\\":
-                self.pos += 2
-                continue
-            self.pos += 1
-            if char == '"':
-                return
-
-    def _parse_command_sub(self, quoted: bool) -> None:
-        self._take()  # "("
-        depth = 1
-        start = self.pos
-        while depth:
-            char = self._peek()
-            if char is None:
-                raise ValueError(f"unterminated $( in {self.raw!r}")
-            if char == "\\":
-                self.pos += 2
-                continue
-            if char == "'":
-                self.pos = self.raw.index("'", self.pos + 1) + 1
-                continue
-            if char == '"':
-                self._skip_dquotes_raw()
-                continue
-            if char == "(":
-                depth += 1
-            elif char == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-            self.pos += 1
-        source = self.raw[start : self.pos]
-        self.pos += 1  # ")"
-        self._push(CmdSubPart(self.parse_command(source), source=source, quoted=quoted))
-
-    def _parse_arith(self, quoted: bool) -> None:
-        self.pos += 2  # "(("
-        start = self.pos
-        depth = 2
-        while depth:
-            char = self._peek()
-            if char is None:
-                raise ValueError(f"unterminated $(( in {self.raw!r}")
-            if char == "(":
-                depth += 1
-            elif char == ")":
-                depth -= 1
-            self.pos += 1
-        expr = self.raw[start : self.pos - 2]
-        self._push(ArithPart(expr, quoted=quoted))
+        op = _PARAM_OP.match(rest)
+        if op is None:
+            raise ValueError(f"unsupported parameter operator in ${{{body}}}")
+        arg = parse_word(rest[op.end() :], self.parse_command, Position())
+        self._push(ParamPart(name, op=op.group(), arg=arg, quoted=quoted))
 
     def _parse_backquote(self, quoted: bool) -> None:
-        chunks: List[str] = []
-        while True:
-            char = self._peek()
-            if char is None:
-                raise ValueError(f"unterminated backquote in {self.raw!r}")
-            self.pos += 1
-            if char == "`":
-                break
-            if char == "\\" and self._peek() in ("`", "$", "\\"):
-                chunks.append(self.raw[self.pos])
-                self.pos += 1
-            else:
-                chunks.append(char)
-        source = "".join(chunks)
+        end = self._scan(scan_backquote, self.pos)
+        # inside backquotes, a backslash quotes only `, $ and itself
+        source = _BACKQUOTE_ESCAPE.sub(r"\1", self.raw[self.pos : end - 1])
+        self.pos = end
         self._push(CmdSubPart(self.parse_command(source), source=source, quoted=quoted))
 
 
 def parse_word(raw: str, parse_command: ParseCommand, pos: Position) -> Word:
     """Parse raw word text into a structured :class:`Word`."""
-    parser = _WordParser(raw, parse_command)
-    return Word(parts=parser.parse(), raw=raw, pos=pos)
+    if _UNQUOTED_RUN.fullmatch(raw) and not raw.startswith("~"):
+        return Word(parts=[LiteralPart(raw)], raw=raw, pos=pos)  # the common case
+    return Word(parts=_WordParser(raw, parse_command).parse(), raw=raw, pos=pos)

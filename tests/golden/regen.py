@@ -13,6 +13,15 @@ drift in a report as a failing test.  The renders (``renders/``) cover:
 The plans (``plans/``) cover the examples and the corpus, each planned
 under a ``BatchConfig`` of its analyze keywords.
 
+The parse digests (``parses.txt``) pin the shell front end: one line per
+:func:`parse_inputs` input, holding a digest of the AST ``parse(source)``
+returns (:func:`dump`, its ``repr`` with every field of every node) or,
+when the parse fails, of the error's type, message and position.
+The inputs are the examples, the corpus, the safe and unsafe generator
+scripts of seeds 0-39, every ``tests/**/*.sh``, and every
+:data:`PREFIX_STEP`-th character prefix of each, so the error paths of
+unterminated constructs are pinned as well.
+
 Regenerate only when a change is meant to alter the reports::
 
     PYTHONPATH=src python tests/golden/regen.py
@@ -20,6 +29,7 @@ Regenerate only when a change is meant to alter the reports::
 
 from __future__ import annotations
 
+import hashlib
 import sys
 from pathlib import Path
 from typing import Iterator, Tuple
@@ -28,6 +38,10 @@ ROOT = Path(__file__).resolve().parents[2]
 EXAMPLES = ROOT / "examples" / "scripts"
 RENDERS = Path(__file__).resolve().parent / "renders"
 PLANS = Path(__file__).resolve().parent / "plans"
+PARSES = Path(__file__).resolve().parent / "parses.txt"
+
+#: the parse golden also covers every prefix of this many characters more
+PREFIX_STEP = 7
 
 #: the generator seeds ``perfbench/run.py`` analyses (its
 #: ``GENERATOR_SEEDS``; a test keeps the two equal)
@@ -68,6 +82,58 @@ def render_plan(source: str, kwargs: dict) -> str:
     return build_plan(source, BatchConfig(**kwargs)).render()
 
 
+def parse_inputs() -> Iterator[Tuple[str, str]]:
+    """``(label, source)`` for every input of the parse golden; a
+    prefix of ``n`` characters is labelled ``<script>@<n>``."""
+    from repro.analysis.corpus import corpus
+    from repro.analysis.difftest.gen import generate
+
+    scripts = [(f"examples/{p.stem}", p.read_text(encoding="utf-8")) for p in sorted(EXAMPLES.glob("*.sh"))]
+    scripts += [(f"corpus/{script.name}", script.source) for script in corpus()]
+    for mode in ("safe", "unsafe"):
+        scripts += [(f"gen/{mode}{seed:02d}", generate(seed, safe=mode == "safe")) for seed in range(40)]
+    tests = ROOT / "tests"
+    scripts += [
+        (path.relative_to(ROOT).as_posix(), path.read_text(encoding="utf-8"))
+        for path in sorted(tests.rglob("*.sh"))
+    ]
+    for label, source in scripts:
+        yield label, source
+        for end in range(PREFIX_STEP, len(source), PREFIX_STEP):
+            yield f"{label}@{end}", source[:end]
+
+
+def dump(value) -> str:
+    """``repr`` of an AST with every field of every record shown (a
+    ``Word``'s own ``repr`` names only its raw text, not its parts or
+    position)."""
+    from repro.records import Record
+
+    if isinstance(value, Record):
+        fields = ", ".join(f"{name}={dump(getattr(value, name))}" for name in value._fields)
+        return f"{type(value).__qualname__}({fields})"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(dump, value)) + "]"
+    return repr(value)
+
+
+def parse_digest(source: str) -> str:
+    """A digest of what :func:`repro.shell.parse` makes of ``source``:
+    the AST's :func:`dump`, or the error's type, message and position."""
+    from repro.shell import parse
+
+    try:
+        text = dump(parse(source))
+    except Exception as exc:  # every failure is pinned, whatever its type
+        text = f"{type(exc).__name__}: {exc} @ {getattr(exc, 'pos', None)!r}"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def parse_lines() -> Iterator[str]:
+    """The lines of ``parses.txt``: ``<label> <digest>``."""
+    return (f"{label} {parse_digest(source)}" for label, source in parse_inputs())
+
+
 def golden_path(label: str, root: Path = RENDERS) -> Path:
     return root / f"{label}.txt"
 
@@ -81,6 +147,9 @@ def main() -> int:
             path.write_text(draw(source, kwargs), encoding="utf-8")
             written += 1
         print(f"wrote {written} goldens under {root}", file=sys.stderr)
+    lines = list(parse_lines())
+    PARSES.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    print(f"wrote {len(lines)} parse digests to {PARSES}", file=sys.stderr)
     return 0
 
 

@@ -1,6 +1,6 @@
 """Every golden script must render, and plan, byte for byte as its
-committed golden (see ``regen.py`` for what is covered and how to
-regenerate)."""
+committed golden, and parse to its committed digest (see ``regen.py``
+for what is covered and how to regenerate)."""
 
 import ast
 import re
@@ -9,11 +9,13 @@ import pytest
 
 from tests.golden.regen import (
     GENERATOR_SEEDS,
+    PARSES,
     PLANS,
     RENDERS,
     ROOT,
     cases,
     golden_path,
+    parse_lines,
     plan_cases,
     render,
     render_plan,
@@ -33,6 +35,14 @@ def test_render_matches_golden(label, source, kwargs):
 def test_plan_matches_golden(label, source, kwargs):
     expected = golden_path(label, PLANS).read_text(encoding="utf-8")
     assert render_plan(source, kwargs) == expected
+
+
+def test_parse_digests_match_golden():
+    expected = dict(line.rsplit(" ", 1) for line in PARSES.read_text(encoding="utf-8").splitlines())
+    actual = dict(line.rsplit(" ", 1) for line in parse_lines())
+    assert actual.keys() == expected.keys()
+    differ = [label for label, digest in actual.items() if expected[label] != digest]
+    assert not differ, f"{len(differ)} parses differ: {differ[:20]}"
 
 
 def _stored(root):

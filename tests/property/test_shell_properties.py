@@ -1,12 +1,14 @@
-"""Property tests for the shell front end: parser round trips and path
-normalisation vs the standard library."""
+"""Property tests for the shell front end: parser round trips, token
+positions, and path normalisation vs the standard library."""
 
 import posixpath
+from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.fs import normalise_concrete
-from repro.shell import parse
+from repro.shell import TokenKind, parse, tokenize
 from repro.shell.ast import structure
 from repro.shell.printer import render
 
@@ -87,3 +89,31 @@ class TestRoundTrip:
         once = render(parse(source))
         twice = render(parse(once))
         assert once == twice
+
+
+# -- token positions --------------------------------------------------------------
+
+EXAMPLES = sorted((Path(__file__).resolve().parents[2] / "examples" / "scripts").glob("*.sh"))
+
+
+def assert_positions(source):
+    """Every token sits where its position says: a word, operator or IO
+    number starts with its text at its offset, and the line and column
+    are those of that offset."""
+    for token in tokenize(source):
+        offset = token.pos.offset
+        if token.kind in (TokenKind.WORD, TokenKind.OPERATOR, TokenKind.IO_NUMBER):
+            assert source.startswith(token.text, offset), token
+        assert token.pos.line == source.count("\n", 0, offset) + 1, token
+        assert token.pos.col == offset - source.rfind("\n", 0, offset), token
+
+
+class TestPositions:
+    @given(st.lists(scripts, min_size=1, max_size=3).map("\n".join))
+    @settings(max_examples=200, deadline=None)
+    def test_scripts(self, source):
+        assert_positions(source)
+
+    @pytest.mark.parametrize("path", EXAMPLES, ids=[path.stem for path in EXAMPLES])
+    def test_examples(self, path):
+        assert_positions(path.read_text(encoding="utf-8"))

@@ -320,6 +320,35 @@ class TestRequestTelemetry:
         assert "server.request_ms.analyze" in metrics["histograms"]
         assert client.last_elapsed_ms > 0
 
+    def test_requests_record_metrics_not_traces(self, tmp_path, monkeypatch):
+        """The daemon never exports a span, so its request and totals
+        recorders are metrics recorders: nothing they hold is a span, and
+        the race checker builds no effect graph for a script without
+        ``&`` (it did for every final state under a tracing recorder)."""
+        from repro.obs import MetricsRecorder, Recorder
+
+        installed = []
+        real_use_recorder = daemon_mod.use_recorder
+
+        def spy(recorder):
+            installed.append(recorder)
+            return real_use_recorder(recorder)
+
+        monkeypatch.setattr(daemon_mod, "use_recorder", spy)
+        server = AnalysisServer(socket_path=str(tmp_path / "s.sock"), jobs=1)
+        plain = server.handle_request({"op": "analyze", "source": "touch /tmp/a\ncat /tmp/a\n"})
+        background = server.handle_request(
+            {"op": "analyze", "source": "touch /tmp/a &\ncat /tmp/a\nwait\n"}
+        )
+        assert "effects.graph_nodes" not in plain["metrics"]["counters"]
+        assert background["metrics"]["counters"]["effects.graph_nodes"] > 0
+        recorders = installed + [server.recorder]
+        assert len(installed) == 2
+        null_span = Recorder().span("server.analyze")
+        for recorder in recorders:
+            assert type(recorder) is MetricsRecorder
+            assert recorder.span("server.analyze") is null_span
+
     def test_telemetry_false_suppresses_envelope_metrics(self, daemon):
         client = ServerClient(daemon.socket_path)
         client.request({"op": "ping", "telemetry": False})

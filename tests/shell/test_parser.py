@@ -180,6 +180,17 @@ class TestCompound:
         cmd = parse("while t; do if u; then a; fi; done")
         assert isinstance(cmd.body, If)
 
+    def test_backquoted_case_inside_command_sub(self):
+        """``echo $(echo `case x in x) echo y;; esac`)``: dash prints
+        ``y``.  The ``)`` of the case pattern sits inside the backquotes,
+        so it does not close ``$(``; the word parser used to close it
+        there and raise on the unterminated backquote."""
+        cmd = parse("echo $(echo `case x in x) echo y;; esac`)")
+        [outer] = cmd.words[1].parts
+        assert outer.source == "echo `case x in x) echo y;; esac`"
+        [inner] = outer.command.words[1].parts
+        assert isinstance(inner.command, Case)
+
 
 class TestErrors:
     @pytest.mark.parametrize(

@@ -172,6 +172,25 @@ class TestCommandSub:
         inner = part.command.words[1].parts[0]
         assert isinstance(inner, CmdSubPart)
 
+    def test_comment_inside_command_sub(self):
+        """``x=$(# c )<newline>echo hi)``: dash sets ``x=hi``, since the
+        ``)`` in the comment does not close the substitution.  The word
+        parser used to end it there and leave ``<newline>echo hi)`` as
+        literal text."""
+        [assignment] = parse_command("x=$(# c )\necho hi)").assignments
+        [part] = assignment.value.parts
+        assert isinstance(part, CmdSubPart)
+        assert part.source == "# c )\necho hi"
+        assert part.command.name == "echo"
+        assert [w.literal_text() for w in part.command.words] == ["echo", "hi"]
+
+    def test_hash_inside_a_word_of_a_command_sub_is_literal(self):
+        """``echo $(echo a#b)``: dash prints ``a#b`` (a ``#`` starts a
+        comment only at the start of a token)."""
+        [part] = parse_command("echo $(echo a#b)").words[1].parts
+        assert part.source == "echo a#b"
+        assert [w.literal_text() for w in part.command.words] == ["echo", "a#b"]
+
 
 class TestGlobsAndTildes:
     def test_unquoted_star_is_glob(self):

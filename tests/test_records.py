@@ -31,10 +31,16 @@ EXAMPLES = Path(__file__).resolve().parents[1] / "examples" / "scripts"
 #: instances checked per class
 PER_CLASS = 20
 
-#: syntax the examples and the corpus do not use
+#: syntax the examples and the corpus do not use, and a background job
+#: between two commands: the race checker builds an effect graph (and
+#: its edges) only for a run that starts one
 EXTRA = """if a; then b; elif c; then d; fi
 ( cd ~/x && echo $((1 + 2)) )
 while false; do sleep 1; done
+touch /tmp/a
+cat /tmp/a > /tmp/b &
+rm /tmp/a
+wait
 """
 
 #: records with a field that compares by identity, so an unpickled copy
