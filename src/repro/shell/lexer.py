@@ -52,12 +52,16 @@ def _unterminated(source: str, what: str) -> ShellSyntaxError:
 # offset just past its closing.  A run pattern steps over everything that
 # cannot end or open a nested construct: plain characters, backslash
 # escapes, single-quoted strings (and, in ``$(...)``, comments: a ``#``
-# that starts a token, as in the command the body is parsed into).
+# that starts a token, as in the command the body is parsed into, so not
+# one a line continuation joins to the word before it).
 
 _DQUOTE_RUN = re.compile(r'(?:[^"\\$`]+|\\.?|\$(?![{(]))*', re.S)
 _BACKQUOTE_RUN = re.compile(r"(?:[^`\\]+|\\.?)*", re.S)
 _BRACE_RUN = re.compile(r"""(?:[^\\'"{}]+|\\.?|'[^']*')*""", re.S)
-_PAREN_RUN = re.compile(r"""(?:[^\\'"`#()]+|\\.?|'[^']*'|(?<![^ \t\n;&|()<>])#[^\n]*|#)*""", re.S)
+_PAREN_RUN = re.compile(
+    r"""(?:[^\\'"`#()]+|\\.?|'[^']*'|(?<![^ \t\n;&|()<>])(?<![^ \t\n;&|()<>]\\\n)#[^\n]*|#)*""",
+    re.S,
+)
 _ARITH_RUN = re.compile(r"[^()]*")
 
 

@@ -184,11 +184,13 @@ class TestCommandSub:
         assert part.command.name == "echo"
         assert [w.literal_text() for w in part.command.words] == ["echo", "hi"]
 
-    def test_hash_inside_a_word_of_a_command_sub_is_literal(self):
-        """``echo $(echo a#b)``: dash prints ``a#b`` (a ``#`` starts a
-        comment only at the start of a token)."""
-        [part] = parse_command("echo $(echo a#b)").words[1].parts
-        assert part.source == "echo a#b"
+    @pytest.mark.parametrize("inner", ["echo a#b", "echo a\\\n#b"])
+    def test_hash_inside_a_word_of_a_command_sub_is_literal(self, inner):
+        """``echo $(echo a#b)``, and the same with a line continuation
+        before the ``#``: dash prints ``a#b`` (a ``#`` starts a comment
+        only at the start of a token)."""
+        [part] = parse_command(f"echo $({inner})").words[1].parts
+        assert part.source == inner
         assert [w.literal_text() for w in part.command.words] == ["echo", "a#b"]
 
 
