@@ -36,14 +36,15 @@ class ShellSyntaxError(ValueError):
         self.pos = pos
 
 
-def position(source: str, offset: int) -> Position:
+def _position(source: str, offset: int) -> Position:
     """The line and column (1-based) of ``offset`` in ``source``."""
-    return Position(source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset), offset)
+    line = source.count("\n", 0, offset) + 1
+    return Position(line, offset - source.rfind("\n", 0, offset), offset)
 
 
 def _unterminated(source: str, what: str) -> ShellSyntaxError:
     # every scanner runs out of input at the end of the source
-    return ShellSyntaxError(f"unterminated {what}", position(source, len(source)))
+    return ShellSyntaxError(f"unterminated {what}", _position(source, len(source)))
 
 
 # -- bracket scanners ----------------------------------------------------------
@@ -143,7 +144,7 @@ _TOKEN = re.compile(
 )
 
 
-def scan_word(source: str, i: int) -> int:
+def _scan_word(source: str, i: int) -> int:
     """A word's characters from ``i``: past its plain runs, quotes and
     expansions, up to the metacharacter (or end) that ends it."""
     while True:
@@ -188,7 +189,7 @@ class Lexer:
             start = Position(line, begin - line_start + 1, begin)
             if group == 4:
                 if source[pos : pos + 1] in _WORD_GOES_ON:
-                    pos = scan_word(source, pos)
+                    pos = _scan_word(source, pos)
                 text = source[begin:pos]
                 result.append(Token(WORD, text, start, text))
             elif group == 3:
@@ -206,8 +207,8 @@ class Lexer:
                     raise ShellSyntaxError("unterminated heredoc", start)
                 result.append(Token(EOF, "", start))
                 return result
-            else:  # a word that opens with a quote or an expansion
-                pos = scan_word(source, begin)
+            else:  # a word opening with a quote or an expansion, or a name before < or >
+                pos = _scan_word(source, begin)
                 text = source[begin:pos]
                 result.append(Token(WORD, text, start, text))
 
@@ -218,10 +219,10 @@ class Lexer:
         # collection (at next newline) knows what to look for.
         source = self.source
         begin = _BLANKS.match(source, pos).end()
-        pos = scan_word(source, begin)
+        pos = _scan_word(source, begin)
         if pos == begin:
             char = source[begin : begin + 1] or None
-            raise ShellSyntaxError(f"unexpected character {char!r}", position(source, begin))
+            raise ShellSyntaxError(f"unexpected character {char!r}", _position(source, begin))
         text = source[begin:pos]
         delimiter, quoted = _strip_quotes(text)
         token.heredoc_quoted = quoted
@@ -238,7 +239,7 @@ class Lexer:
             while True:
                 if pos >= len(source):
                     raise ShellSyntaxError(
-                        f"heredoc delimiter {delimiter!r} not found", position(source, pos)
+                        f"heredoc delimiter {delimiter!r} not found", _position(source, pos)
                     )
                 end = source.find("\n", pos)
                 if end == -1:

@@ -40,7 +40,8 @@ RENDERS = Path(__file__).resolve().parent / "renders"
 PLANS = Path(__file__).resolve().parent / "plans"
 PARSES = Path(__file__).resolve().parent / "parses.txt"
 
-#: the parse golden also covers every prefix of this many characters more
+#: the parse golden also covers each input's prefixes whose length is a
+#: multiple of this
 PREFIX_STEP = 7
 
 #: the generator seeds ``perfbench/run.py`` analyses (its
@@ -88,14 +89,18 @@ def parse_inputs() -> Iterator[Tuple[str, str]]:
     from repro.analysis.corpus import corpus
     from repro.analysis.difftest.gen import generate
 
-    scripts = [(f"examples/{p.stem}", p.read_text(encoding="utf-8")) for p in sorted(EXAMPLES.glob("*.sh"))]
+    scripts = [
+        (f"examples/{path.stem}", path.read_text(encoding="utf-8"))
+        for path in sorted(EXAMPLES.glob("*.sh"))
+    ]
     scripts += [(f"corpus/{script.name}", script.source) for script in corpus()]
     for mode in ("safe", "unsafe"):
-        scripts += [(f"gen/{mode}{seed:02d}", generate(seed, safe=mode == "safe")) for seed in range(40)]
-    tests = ROOT / "tests"
+        scripts += [
+            (f"gen/{mode}{seed:02d}", generate(seed, safe=mode == "safe")) for seed in range(40)
+        ]
     scripts += [
         (path.relative_to(ROOT).as_posix(), path.read_text(encoding="utf-8"))
-        for path in sorted(tests.rglob("*.sh"))
+        for path in sorted((ROOT / "tests").rglob("*.sh"))
     ]
     for label, source in scripts:
         yield label, source
