@@ -108,7 +108,7 @@ def test_state_independent_counts(monkeypatch):
     constant languages: 169 path parses in the engine, one per distinct
     operand of a run (6 620 when every resolve and file test parsed),
     5 940 hook dispatches (35 640 when every checker got every hook) and
-    105 emptiness walks (3 870 when every query walked).  A run's forks
+    104 emptiness walks (3 870 when every query walked).  A run's forks
     share one fs node per path, and a branch point forks once per outcome
     but the last: 194 node ids (1 520 when each fork drew its own) and
     5 953 file-system forks (9 459 when every outcome forked)."""
@@ -177,7 +177,7 @@ def test_state_independent_counts(monkeypatch):
          + [f"explored={explored} merged={merged}"])
     assert counts["parses"] <= counts["distinct"]
     assert counts == {
-        "parses": 169, "distinct": 169, "walks": 105, "dispatches": 5940,
+        "parses": 169, "distinct": 169, "walks": 104, "dispatches": 5940,
         "forks": 5953, "ids": 194,
     }
     assert (explored, merged) == (7108, 1459)

@@ -12,6 +12,7 @@ exception digest.  Degraded reports are never cached.
 
 from __future__ import annotations
 
+import re
 from typing import List, Optional, Sequence, Tuple
 
 from ..budget import AnalysisBudgetExceeded, ResourceBudget, use_budget
@@ -29,8 +30,11 @@ from ..shell.ast import Command
 from ..shell.lexer import ShellSyntaxError
 from ..shell.parser import ParseDepthExceeded
 from ..symex import Engine, SymState
-from .annotations import load_annotation_file, merge_annotations, parse_annotations
 from .report import Report
+
+#: what every annotation directive holds (``# @var``, ``#@args``, ...):
+#: a source without it has none, and the annotation parser never loads
+_DIRECTIVE = re.compile(r"#\s*@")
 
 
 def run_lint(source: str) -> List[Diagnostic]:
@@ -67,14 +71,19 @@ def start_run(
     constrain the entry environment (``# @var``) and stream signatures
     (``# @type``).  Raises the parser's syntax and depth errors.
     """
-    annotations = parse_annotations(source)
-    if annotation_files:
-        external = [load_annotation_file(path) for path in annotation_files]
-        annotations = merge_annotations(*external, annotations)
-    if annotations.n_args is not None:
-        n_args = annotations.n_args
-    if annotations.platforms:
-        platform_targets = annotations.platforms
+    signatures = variables = None
+    if annotation_files or _DIRECTIVE.search(source):
+        from .annotations import load_annotation_file, merge_annotations, parse_annotations
+
+        annotations = parse_annotations(source)
+        if annotation_files:
+            external = [load_annotation_file(path) for path in annotation_files]
+            annotations = merge_annotations(*external, annotations)
+        if annotations.n_args is not None:
+            n_args = annotations.n_args
+        if annotations.platforms:
+            platform_targets = annotations.platforms
+        signatures, variables = annotations.signatures, annotations.variables
     ast = parse_shell(source)
     if checkers is None:
         checkers = default_checkers(platform_targets=platform_targets, races=races)
@@ -82,8 +91,8 @@ def start_run(
         checkers=checkers,
         max_fork=max_fork,
         max_loop=max_loop,
-        signature_overrides=annotations.signatures,
-        initial_env=annotations.variables,
+        signature_overrides=signatures,
+        initial_env=variables,
     )
     return engine, ast, engine.initial_state(n_args=n_args, args=args)
 

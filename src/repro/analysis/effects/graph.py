@@ -35,6 +35,9 @@ READ_OPS = frozenset({FsOp.READ, FsOp.LIST})
 
 _SYM_SEGMENT = re.compile(r"^<v(-?\d+)>$")
 _SYM_ANY = re.compile(r"<v(-?\d+)>")
+#: a segment that names an entry of its directory: no symbolic part, no
+#: glob, neither ``.`` nor ``..``
+_ENTRY_SEGMENT = re.compile(r"(?!\.\.?$)(?:(?!<v)[^*?\[])+")
 
 
 class Window(FrozenRecord):
@@ -166,6 +169,18 @@ class _PathForm:
         if not any(_SYM_SEGMENT.match(s) for s in self.segments):
             self.text = self.lead + "/".join(self.segments)
         self.language: Optional[Regex] = None
+
+    def is_below(self, other: "_PathForm") -> bool:
+        """Whether this path names a file strictly below ``other``: the
+        same lead and segments, then entry names.  A file is never its
+        own descendant, so the two name different files."""
+        n = len(other.segments)
+        return (
+            self.lead == other.lead
+            and len(self.segments) > n
+            and self.segments[:n] == other.segments
+            and all(_ENTRY_SEGMENT.fullmatch(s) for s in self.segments[n:])
+        )
 
 
 class EffectGraph:
@@ -319,6 +334,14 @@ class EffectGraph:
         if not intersection.is_empty():
             return "language"
         return None
+
+    def nested(self, a: Access, b: Access) -> bool:
+        """Does one access's path lie below the other's (``<v-1>`` and
+        ``<v-1>/b``)?  Then they name a directory and a file in it, two
+        files, whatever the symbolic prefix denotes; their languages,
+        built apart, may still intersect."""
+        a_form, b_form = self._form(a.path), self._form(b.path)
+        return a_form.is_below(b_form) or b_form.is_below(a_form)
 
     # -- rendering ----------------------------------------------------------
 

@@ -29,6 +29,10 @@ from .graph import Access, EffectGraph, display_path
 #: pathological scripts with hundreds of interleavable accesses
 MAX_HAZARDS_PER_PATH = 64
 
+#: devices with no contents to race on: a read returns nothing (or
+#: zeros) and a write is discarded, whatever runs beside it
+STATELESS_DEVICES = frozenset({"/dev/null", "/dev/zero"})
+
 
 class Hazard(FrozenRecord):
     __slots__ = ("code", "message", "pos", "related", "path", "witness")
@@ -86,6 +90,8 @@ def find_hazards(graph: EffectGraph) -> List[Hazard]:
     material: List[Access] = []
     contents: List[Tuple[Access, bool]] = []
     for access in graph.accesses:
+        if access.path in STATELESS_DEVICES:
+            continue
         if access.op is FsOp.STAT:
             material.append(access)
             continue
@@ -182,7 +188,9 @@ def _find_toctou(graph: EffectGraph, material: List[Access], add) -> None:
             if check.origin is not None and use.origin is not None \
                     and check.origin == use.origin:
                 continue  # a command's own stat+read is not a check/use pair
-            if graph.may_alias(check, use) is None:
+            # a check of a directory and a use of a file in it (``touch a``
+            # stats ``.``, ``echo > b`` writes ``./b``) are not one file
+            if graph.nested(check, use) or graph.may_alias(check, use) is None:
                 continue
             for writer in bg_writes:
                 window = graph.windows.get(writer.task)

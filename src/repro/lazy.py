@@ -16,15 +16,15 @@ from importlib import import_module
 
 
 def exports(namespace: dict, table: dict):
-    """The ``__getattr__`` of the package whose globals are ``namespace``:
-    ``table`` maps each lazy name to its submodule, relative to the
-    package."""
-    package = namespace["__name__"]
+    """The ``__getattr__`` of the module whose globals are ``namespace``:
+    ``table`` maps each lazy name to its module, relative to the package
+    (a package's submodule, or a plain module's sibling)."""
+    name_of, package = namespace["__name__"], namespace["__package__"]
 
     def __getattr__(name):
         module = table.get(name)
         if module is None:
-            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+            raise AttributeError(f"module {name_of!r} has no attribute {name!r}")
         value = getattr(import_module(f".{module}", package), name)
         namespace[name] = value
         return value

@@ -188,15 +188,16 @@ class AnalysisServer:
             return run_table(self._languages)
 
     def warm(self) -> None:
-        """Pay the cold-start costs up front: load the spec registry and
-        run one trivial analysis so the shared DFA caches (spec patterns,
-        common regexes) are built before the first request arrives."""
+        """Pay the cold-start costs up front: build every spec of the
+        registry and run one trivial analysis so the shared DFA caches
+        (spec patterns, common regexes) are built before the first
+        request arrives, and no request pays for a spec."""
         from ..analysis import analyze
         from ..specs import default_registry
 
         with use_recorder(self.recorder), self.languages():
             with self.recorder.span("server.warm"):
-                default_registry()
+                default_registry().build_all()
                 analyze("true\n")
 
     def _get_pool(self):

@@ -13,7 +13,12 @@ alternation), an IO number and a run of plain word characters are one
 match each, and a token's :class:`Position` is computed from its offset.
 Each bracket construct has one scanner (:func:`scan_dquote`,
 :func:`scan_backquote`, :func:`scan_dollar` for ``${``, ``$(`` and
-``$((``), shared with the word parser, so both find the same end.
+``$((``), shared with the word parser, so both find the same end.  A
+``$`` and a special parameter (``$$``, ``$?``, ``$1``, ...) are read as
+one unit everywhere, as the word parser reads them.  A ``$(...)`` body
+that holds a ``case`` is read again token by token
+(:mod:`repro.shell.casebody`), as the ``)`` of a case pattern closes
+no parenthesis.
 
 Heredocs are collected by the lexer (they are a line-level phenomenon) and
 attached to the ``<<``/``<<-`` operator token.
@@ -56,7 +61,13 @@ def _unterminated(source: str, what: str) -> ShellSyntaxError:
 # that starts a token, as in the command the body is parsed into, so not
 # one a line continuation joins to the word before it).
 
-_DQUOTE_RUN = re.compile(r'(?:[^"\\$`]+|\\.?|\$(?![{(]))*', re.S)
+#: the characters that name a special parameter after ``$``
+SPECIAL_PARAMS = "@*#?-$!0123456789"
+#: a ``$`` that opens no bracket construct: with the special parameter it
+#: names, if any, so ``$$(`` is ``$$`` and then ``(``
+_PLAIN_DOLLAR = rf"\$(?:[{re.escape(SPECIAL_PARAMS)}]|(?![{{(]))"
+
+_DQUOTE_RUN = re.compile(rf'(?:[^"\\$`]+|\\.?|{_PLAIN_DOLLAR})*', re.S)
 _BACKQUOTE_RUN = re.compile(r"(?:[^`\\]+|\\.?)*", re.S)
 _BRACE_RUN = re.compile(r"""(?:[^\\'"{}]+|\\.?|'[^']*')*""", re.S)
 _PAREN_RUN = re.compile(
@@ -64,6 +75,8 @@ _PAREN_RUN = re.compile(
     re.S,
 )
 _ARITH_RUN = re.compile(r"[^()]*")
+#: ``case`` as a word of its own
+_CASE = re.compile(r"(?<![^ \t\n;&|()<>])case(?![^ \t\n;&|()<>])")
 
 
 def scan_dquote(source: str, i: int) -> int:
@@ -99,7 +112,14 @@ def scan_dollar(source: str, i: int) -> int:
         return i
     if source.startswith("(", i + 1):
         return _scan_nested(source, i + 2, 2, "()", _ARITH_RUN, "$((")
-    return _scan_nested(source, i + 1, 1, "()", _PAREN_RUN, "$(")
+    end = _scan_nested(source, i + 1, 1, "()", _PAREN_RUN, "$(")
+    # the ``)`` of a case pattern closes no parenthesis; a case whose
+    # pattern could end the body early has its ``case`` before that end
+    if _CASE.search(source, i + 1, end):
+        from .casebody import scan_case_body
+
+        return scan_case_body(source, i + 1)
+    return end
 
 
 def _scan_nested(source: str, i: int, depth: int, brackets: str, run, what: str) -> int:
@@ -132,7 +152,7 @@ def _scan_nested(source: str, i: int, depth: int, brackets: str, run, what: str)
 # -- tokens ---------------------------------------------------------------------
 
 _SKIP = r"(?:[ \t]+|\\\n|#[^\n]*)*"  # blanks, line continuations, a comment
-_WORD_RUN = r"""(?:[^ \t\n|&;<>()\\'"$`]+|\\.?|'[^']*'|\$(?![{(]))"""
+_WORD_RUN = rf"""(?:[^ \t\n|&;<>()\\'"$`]+|\\.?|'[^']*'|{_PLAIN_DOLLAR})"""
 _BLANKS = re.compile(_SKIP)
 _WORD = re.compile(_WORD_RUN + "*", re.S)
 #: what a word goes on with after a plain run: a quote or an expansion

@@ -22,15 +22,13 @@ from .ast import (
     TildePart,
     Word,
 )
-from .lexer import ShellSyntaxError, scan_backquote, scan_dollar
+from .lexer import SPECIAL_PARAMS, ShellSyntaxError, scan_backquote, scan_dollar
 from .tokens import Position
 
 ParseCommand = Callable[[str], Command]
 
 #: Parameter-expansion operators, longest first.
 _PARAM_OP = re.compile(r":[-=?+]|%%|##|[-=?+%#]")
-
-_SPECIAL_PARAMS = set("@*#?-$!0123456789")
 
 #: a run of literal characters, unquoted and double-quoted: each is one
 #: match, and the characters that end one start something else
@@ -172,7 +170,7 @@ class _WordParser:
                 source = raw[self.pos + 1 : end - 1]
                 self._push(CmdSubPart(self.parse_command(source), source=source, quoted=quoted))
             self.pos = end
-        elif char and char in _SPECIAL_PARAMS:
+        elif char and char in SPECIAL_PARAMS:
             self._push(ParamPart(char, quoted=quoted))
             self.pos += 1
         elif char.isalpha() or char == "_":
@@ -188,7 +186,7 @@ class _WordParser:
             self._push(ParamPart(body[1:], op="len", quoted=quoted))
             return
         first = body[:1]
-        if first and first in _SPECIAL_PARAMS and not first.isdigit():
+        if first and first in SPECIAL_PARAMS and not first.isdigit():
             name = first
         elif first.isalpha() or first == "_" or first.isdigit():
             name = _NAME_CHARS.match(body).group()

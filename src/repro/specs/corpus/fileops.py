@@ -335,16 +335,3 @@ def chmod_spec() -> CommandSpec:
         ],
         operands_are_paths=False,  # first operand is the mode; handled ad hoc
     )
-
-
-def all_fileops():
-    return [
-        rm_spec(),
-        mkdir_spec(),
-        rmdir_spec(),
-        touch_spec(),
-        cp_spec(),
-        mv_spec(),
-        ln_spec(),
-        chmod_spec(),
-    ]

@@ -192,20 +192,3 @@ def tee_spec() -> CommandSpec:
             )
         ],
     )
-
-
-def all_streams():
-    return [
-        cat_spec(),
-        grep_spec(),
-        sed_spec(),
-        sort_spec(),
-        cut_spec(),
-        head_spec(),
-        tail_spec(),
-        wc_spec(),
-        uniq_spec(),
-        tr_spec(),
-        xargs_spec(),
-        tee_spec(),
-    ]

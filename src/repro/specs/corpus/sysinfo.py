@@ -2,8 +2,16 @@
 
 from __future__ import annotations
 
-from ...rtypes import StreamType, named_type
+from ...rtypes import StreamType
 from ..ir import Clause, CommandSpec, Exists, ListsDir, PathKind, ReadsFile, Sel
+
+
+def named_type(name: str) -> StreamType:
+    """A named stream type of the library, which loads only when a spec
+    that names one is built."""
+    from ...rtypes.library import named_type
+
+    return named_type(name)
 
 
 def lsb_release_spec() -> CommandSpec:
@@ -322,29 +330,3 @@ def test_spec() -> CommandSpec:
         ],
         operands_are_paths=False,
     )
-
-
-def all_sysinfo():
-    return [
-        lsb_release_spec(),
-        uname_spec(),
-        echo_spec(),
-        printf_spec(),
-        true_spec(),
-        false_spec(),
-        sleep_spec(),
-        ls_spec(),
-        realpath_spec(),
-        readlink_spec(),
-        dirname_spec(),
-        basename_spec(),
-        pwd_spec(),
-        date_spec(),
-        curl_spec(),
-        wget_spec(),
-        sh_spec(),
-        find_spec(),
-        mktemp_spec(),
-        trap_spec(),
-        test_spec(),
-    ]

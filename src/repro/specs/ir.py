@@ -16,10 +16,12 @@ the effects, and continues with the clause's exit code.
 from __future__ import annotations
 
 from enum import Enum, auto
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..records import FrozenRecord, Record, set_field
-from ..rtypes import Signature, StreamType
+
+if TYPE_CHECKING:  # the signature algebra loads only where a pipeline is typed
+    from ..rtypes import Signature, StreamType
 
 
 class PathKind(Enum):

@@ -88,6 +88,26 @@ class TestConflictClasses:
             "fetch > f &\nwait\ntest -f f && cat f\n"
         )
 
+    def test_a_job_that_only_writes_dev_null_modifies_nothing(self):
+        """``cat 2>/dev/null &`` touches no file of the working
+        directory: no ``race-toctou`` on ``.`` between ``touch a`` and
+        ``echo > b`` (seen as the one new hazard that rejected safe
+        generator seed 5's groups)."""
+        assert race_codes("touch a\ncat 2>/dev/null &\nwait\necho > b\n") == []
+
+    def test_a_directory_and_a_file_in_it_are_different_files(self):
+        """``touch a`` checks ``.``; ``echo > b`` uses ``./b``, not ``.``:
+        no check-then-use pair, whatever the job writes in ``.``."""
+        assert race_codes("touch a\ncp x c &\nwait\necho > b\n") == []
+        assert "race-toctou" in race_codes("test -f a\nfetch > a &\nwait\ncat a\n")
+
+    def test_two_jobs_writing_dev_null_do_not_race(self):
+        assert race_codes("cmd > /dev/null &\ncmd2 2>/dev/null &\nwait\n") == []
+        assert race_codes("cmd < /dev/zero &\ncmd2 > /dev/zero\n") == []
+
+    def test_a_job_that_also_writes_a_file_still_races(self):
+        assert "race-write-write" in race_codes("cmd > f 2>/dev/null &\ncmd2 > f\n")
+
 
 class TestSymbolicAliasing:
     def test_unconstrained_variable_may_alias(self):
@@ -130,6 +150,22 @@ class TestEffectGraph:
         result = run_states("cmd > f &\ngrep x f\n")
         text = build_effect_graph(result.states[0]).render()
         assert "cmd >f" in text and "grep x f" in text and "bg#" in text
+
+    def test_a_path_below_another_is_nested(self):
+        from repro.analysis.effects.graph import Access, EffectGraph
+        from repro.fs import FsOp
+
+        graph = EffectGraph([], {}, [], [])
+
+        def nested(p, q):
+            return graph.nested(Access(0, FsOp.STAT, p, None, None, 0),
+                                Access(1, FsOp.STAT, q, None, None, 0))
+
+        assert nested("<v-1>", "<v-1>/b") and nested("<v-1>/d/e", "<v-1>/d")
+        assert not nested("<v-1>", "<v-1>") and not nested("/a/b", "<v-1>/a")
+        # ``..``, a symbolic segment or a glob may name the directory itself
+        for below in ("<v-1>/..", "<v-1>/<v3>", "<v-1>/.*"):
+            assert not nested("<v-1>", below), below
 
     def test_display_path_hides_cwd_root(self):
         assert display_path("<v-1>/f") == "f"

@@ -63,7 +63,7 @@ def test_once_fails_cleanly_without_a_daemon(tmp_path, capsys):
 
 
 def test_frame_shows_instantaneous_rates():
-    from repro.cli import _render_top_frame
+    from repro.tools import _render_top_frame
 
     stats = {
         "pid": 42,

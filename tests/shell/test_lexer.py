@@ -137,6 +137,38 @@ class TestQuoting:
         with pytest.raises(ShellSyntaxError):
             tokenize("echo $(ls")
 
+    @pytest.mark.parametrize("source", [
+        "echo $(case x in x) echo y;; esac)",
+        "echo $(case x in (x) echo y;; esac)",
+        "echo $(case x in x|z) (echo y) ;; *) echo n; esac; echo z)",
+        "echo $(case x in x) echo y\nesac\n)",
+        "echo $(case x in esac)",
+        "echo $(case a in a) echo $(case b in b) echo c;; esac);; esac)",
+        'echo "$(case x in x) echo y;; esac)"',
+    ])
+    def test_a_case_pattern_does_not_close_a_command_sub(self, source):
+        """dash prints ``y`` for ``echo $(case x in x) echo y;; esac)``:
+        the ``)`` that ends a case pattern closes no parenthesis."""
+        assert texts(source) == ["echo", source[len("echo "):]]
+
+    def test_case_and_esac_as_arguments_count_no_case(self):
+        assert texts("echo $(echo case in x) $(echo esac)") == [
+            "echo", "$(echo case in x)", "$(echo esac)"
+        ]
+
+    def test_unterminated_case_in_command_sub(self):
+        with pytest.raises(ShellSyntaxError, match=r"unterminated \$\("):
+            tokenize("echo $(case x in x) echo y;; esac")
+
+    @pytest.mark.parametrize("param", list("$?#!-@*0123456789"))
+    def test_dollar_and_a_special_parameter_are_one_unit(self, param):
+        """``echo $$(echo x y)``: dash reads ``$$`` and then ``(``, a
+        syntax error, not ``$`` and a command substitution."""
+        assert texts(f"echo ${param}(echo x y)") == [
+            "echo", f"${param}", "(", "echo", "x", "y", ")"
+        ]
+        assert texts(f'echo "${param}(echo x y)"') == ["echo", f'"${param}(echo x y)"']
+
 
 class TestHeredoc:
     def test_basic_heredoc(self):

@@ -5,6 +5,7 @@ import pytest
 from repro.shell import parse as parse_command
 from repro.shell.ast import (
     ArithPart,
+    Case,
     CmdSubPart,
     GlobPart,
     LiteralPart,
@@ -12,6 +13,7 @@ from repro.shell.ast import (
     SimpleCommand,
     TildePart,
 )
+from repro.shell.lexer import ShellSyntaxError
 from repro.shell.tokens import Position
 from repro.shell.words import parse_word
 
@@ -192,6 +194,30 @@ class TestCommandSub:
         [part] = parse_command(f"echo $({inner})").words[1].parts
         assert part.source == inner
         assert [w.literal_text() for w in part.command.words] == ["echo", "a#b"]
+
+
+    def test_case_inside_command_sub(self):
+        """``echo $(case x in x) echo y;; esac)``: dash prints ``y``; the
+        case pattern's ``)`` used to close the substitution."""
+        [part] = parse_command("echo $(case x in x) echo y;; esac)").words[1].parts
+        assert part.source == "case x in x) echo y;; esac"
+        assert isinstance(part.command, Case)
+
+
+class TestSpecialParameters:
+    def test_dollar_dollar_then_paren_is_a_syntax_error(self):
+        """dash: ``echo $$(echo x y)`` is ``Syntax error: "(" unexpected``."""
+        with pytest.raises(ShellSyntaxError, match="unexpected token '\\('"):
+            parse_command("echo $$(echo x y)")
+
+    @pytest.mark.parametrize("param", list("$?#!-@*0123456789"))
+    def test_quoted_special_parameter_then_paren(self, param):
+        """Inside double quotes ``"$$(echo x)"`` is ``$$`` and the text
+        ``(echo x)``, for the lexer and the word parser alike."""
+        [_, quoted] = parse_command(f'echo "${param}(echo x)"').words
+        assert [type(part) for part in quoted.parts] == [ParamPart, LiteralPart]
+        assert quoted.parts[0].name == param
+        assert quoted.parts[1].text == "(echo x)"
 
 
 class TestGlobsAndTildes:

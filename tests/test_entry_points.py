@@ -33,15 +33,16 @@ SCRIPTS = project_scripts(PYPROJECT.read_text(encoding="utf-8"))
 def test_every_tool_has_an_entry_point():
     """... and every entry point is a tool: the two name the same tools
     and functions."""
-    assert SCRIPTS == {
-        f"repro-{tool}": f"repro.cli:{function.__name__}" for tool, function in cli._TOOLS.items()
-    }
+    assert SCRIPTS == {f"repro-{tool}": f"repro.cli:main_{tool}" for tool in cli._TOOLS}
 
 
 def test_every_entry_point_resolves():
+    """... to the function of that name, also where :mod:`repro.cli`
+    exports it lazily from :mod:`repro.tools`."""
     for name, target in SCRIPTS.items():
         module, _, attr = target.partition(":")
-        assert callable(getattr(importlib.import_module(module), attr)), name
+        function = getattr(importlib.import_module(module), attr)
+        assert callable(function) and function.__name__ == attr, name
 
 
 def test_parser_reads_only_the_scripts_table():

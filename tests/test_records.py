@@ -80,6 +80,9 @@ def _drive():
     Regex.compile("a{2,3}(b|c)*[x-z]")
     ring_invariant([("cat", identity("cat"))], seed=StreamType.of("[a-z]+"))
     default_registry().get("rm").parse_argv(["rm", "-rf", "x"])
+    # the registry builds a spec on its first lookup: build those no
+    # script above looked up (``ls`` and ``find`` hold a ``ListsDir``)
+    default_registry().build_all()
     BatchConfig()
     BatchConfig(n_args=2, args=("a", "b"), platform_targets=("linux",), timeout=3.0)
 
