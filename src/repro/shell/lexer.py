@@ -6,19 +6,22 @@ accumulated with full awareness of quoting (``'``, ``"``, ``\\``) and
 dollar/backquote expansions so that metacharacters inside them do not
 terminate the word.  Word tokens carry their raw source text; structural
 interpretation of quotes and expansions happens in :mod:`repro.shell.words`.
+The lexer hands out one token at a time (:meth:`Lexer.next_token`), as
+the parser asks for it.
 
 The source is stepped over by compiled patterns, never one character per
 Python call: blanks and comments, an operator (one longest-first
 alternation), an IO number and a run of plain word characters are one
 match each, and a token's :class:`Position` is computed from its offset.
-Each bracket construct has one scanner (:func:`scan_dquote`,
-:func:`scan_backquote`, :func:`scan_dollar` for ``${``, ``$(`` and
-``$((``), shared with the word parser, so both find the same end.  A
-``$`` and a special parameter (``$$``, ``$?``, ``$1``, ...) are read as
-one unit everywhere, as the word parser reads them.  A ``$(...)`` body
-that holds a ``case`` is read again token by token
-(:mod:`repro.shell.casebody`), as the ``)`` of a case pattern closes
-no parenthesis.
+``"..."``, `` `...` ``, ``${...}`` and ``$((...))`` each have one
+scanner (:func:`scan_dquote`, :func:`scan_backquote`, :func:`scan_dollar`),
+shared with the word parser, so both find the same end.  A ``$(...)``
+ends where the parse of its body ends (POSIX XCU §2.6.3): a scanner that
+meets ``$(`` calls its ``command_sub`` with the body's offset, the parser
+parses the body from this source up to the ``)`` that closes it and
+returns the offset past that ``)``.  A ``$`` and a special parameter
+(``$$``, ``$?``, ``$1``, ...) are read as one unit everywhere, as the
+word parser reads them.
 
 Heredocs are collected by the lexer (they are a line-level phenomenon) and
 attached to the ``<<``/``<<-`` operator token.
@@ -27,9 +30,12 @@ attached to the ``<<``/``<<-`` operator token.
 from __future__ import annotations
 
 import re
-from typing import List, Tuple
+from typing import Callable, Iterator, List, Tuple
 
 from .tokens import EOF, IO_NUMBER, NEWLINE, OPERATOR, OPERATORS, WORD, Position, Token
+
+#: given the offset just past a ``$(``, the offset just past its ``)``
+CommandSub = Callable[[int], int]
 
 
 class ShellSyntaxError(ValueError):
@@ -57,9 +63,7 @@ def _unterminated(source: str, what: str) -> ShellSyntaxError:
 # Each takes the offset just past a construct's opening and returns the
 # offset just past its closing.  A run pattern steps over everything that
 # cannot end or open a nested construct: plain characters, backslash
-# escapes, single-quoted strings (and, in ``$(...)``, comments: a ``#``
-# that starts a token, as in the command the body is parsed into, so not
-# one a line continuation joins to the word before it).
+# escapes and single-quoted strings.
 
 #: the characters that name a special parameter after ``$``
 SPECIAL_PARAMS = "@*#?-$!0123456789"
@@ -69,17 +73,11 @@ _PLAIN_DOLLAR = rf"\$(?:[{re.escape(SPECIAL_PARAMS)}]|(?![{{(]))"
 
 _DQUOTE_RUN = re.compile(rf'(?:[^"\\$`]+|\\.?|{_PLAIN_DOLLAR})*', re.S)
 _BACKQUOTE_RUN = re.compile(r"(?:[^`\\]+|\\.?)*", re.S)
-_BRACE_RUN = re.compile(r"""(?:[^\\'"{}]+|\\.?|'[^']*')*""", re.S)
-_PAREN_RUN = re.compile(
-    r"""(?:[^\\'"`#()]+|\\.?|'[^']*'|(?<![^ \t\n;&|()<>])(?<![^ \t\n;&|()<>]\\\n)#[^\n]*|#)*""",
-    re.S,
-)
+_BRACE_RUN = re.compile(rf"""(?:[^\\'"`${{}}]+|\\.?|'[^']*'|{_PLAIN_DOLLAR})*""", re.S)
 _ARITH_RUN = re.compile(r"[^()]*")
-#: ``case`` as a word of its own
-_CASE = re.compile(r"(?<![^ \t\n;&|()<>])case(?![^ \t\n;&|()<>])")
 
 
-def scan_dquote(source: str, i: int) -> int:
+def scan_dquote(source: str, i: int, command_sub: CommandSub) -> int:
     """A double-quoted string; ``$`` and backquote expansions nest."""
     while True:
         i = _DQUOTE_RUN.match(source, i).end()
@@ -87,7 +85,7 @@ def scan_dquote(source: str, i: int) -> int:
         if char == '"':
             return i + 1
         if char == "$":
-            i = scan_dollar(source, i + 1)
+            i = scan_dollar(source, i + 1, command_sub)
         elif char == "`":
             i = scan_backquote(source, i + 1)
         else:
@@ -102,30 +100,25 @@ def scan_backquote(source: str, i: int) -> int:
     return i + 1
 
 
-def scan_dollar(source: str, i: int) -> int:
+def scan_dollar(source: str, i: int, command_sub: CommandSub) -> int:
     """After a ``$``: past the ``{...}``, ``(...)`` or ``((...))`` it
     opens, or ``i`` itself when it opens none of them."""
     char = source[i : i + 1]
     if char == "{":
-        return _scan_nested(source, i + 1, 1, "{}", _BRACE_RUN, "${")
+        return _scan_nested(source, i + 1, 1, "{}", _BRACE_RUN, "${", command_sub)
     if char != "(":
         return i
     if source.startswith("(", i + 1):
-        return _scan_nested(source, i + 2, 2, "()", _ARITH_RUN, "$((")
-    end = _scan_nested(source, i + 1, 1, "()", _PAREN_RUN, "$(")
-    # the ``)`` of a case pattern closes no parenthesis; a case whose
-    # pattern could end the body early has its ``case`` before that end
-    if _CASE.search(source, i + 1, end):
-        from .casebody import scan_case_body
-
-        return scan_case_body(source, i + 1)
-    return end
+        return _scan_nested(source, i + 2, 2, "()", _ARITH_RUN, "$((", command_sub)
+    return command_sub(i + 1)
 
 
-def _scan_nested(source: str, i: int, depth: int, brackets: str, run, what: str) -> int:
-    """``${...}`` (braces counted, quotes skipped), ``$(...)`` (parens
-    counted; quotes, backquotes and comments skipped) or ``$((...))``
-    (parens counted, nothing else)."""
+def _scan_nested(
+    source: str, i: int, depth: int, brackets: str, run, what: str, command_sub: CommandSub
+) -> int:
+    """``${...}`` (braces counted; quotes, backquotes and expansions
+    hide their ``}``) or ``$((...))`` (parentheses counted, nothing
+    else)."""
     opening, closing = brackets
     while True:
         i = run.match(source, i).end()
@@ -137,7 +130,10 @@ def _scan_nested(source: str, i: int, depth: int, brackets: str, run, what: str)
             if not depth:
                 return i + 1
         elif char == '"':
-            i = scan_dquote(source, i + 1)
+            i = scan_dquote(source, i + 1, command_sub)
+            continue
+        elif char == "$":
+            i = scan_dollar(source, i + 1, command_sub)
             continue
         elif char == "`":
             i = scan_backquote(source, i + 1)
@@ -157,6 +153,7 @@ _BLANKS = re.compile(_SKIP)
 _WORD = re.compile(_WORD_RUN + "*", re.S)
 #: what a word goes on with after a plain run: a quote or an expansion
 _WORD_GOES_ON = frozenset("\"$`'")
+_BRACKETS = ("unterminated ${", "unterminated $((")
 #: groups: 1 newline, 2 IO number (if all digits), 3 operator, 4 word start
 _TOKEN = re.compile(
     rf"{_SKIP}(?:(\n)|(\w+)(?=[<>])|({'|'.join(map(re.escape, OPERATORS))})|({_WORD_RUN}+))?",
@@ -164,40 +161,50 @@ _TOKEN = re.compile(
 )
 
 
-def _scan_word(source: str, i: int) -> int:
-    """A word's characters from ``i``: past its plain runs, quotes and
-    expansions, up to the metacharacter (or end) that ends it."""
-    while True:
-        i = _WORD.match(source, i).end()
-        char = source[i : i + 1]
-        if char == '"':
-            i = scan_dquote(source, i + 1)
-        elif char == "$":
-            i = scan_dollar(source, i + 1)
-        elif char == "`":
-            i = scan_backquote(source, i + 1)
-        elif char == "'":
-            raise _unterminated(source, "single quote")
-        else:
-            return i
-
-
 class Lexer:
-    def __init__(self, source: str):
+    """The tokens of ``source`` from ``start``, one per :meth:`next_token`.
+
+    ``command_sub`` finds where a ``$(...)`` ends (the parser passes the
+    method that parses its body).  A lexer over a substitution's body
+    (``substitution``) never reaches the end of the source: the body's
+    parse stops at its ``)``, so an end of input there is an
+    unterminated ``$(``.  Positions are counted from ``start``.
+    """
+
+    def __init__(
+        self, source: str, command_sub: CommandSub = None, start: int = 0, substitution: bool = False
+    ):
         self.source = source
+        self.command_sub = command_sub or self._parse_body
+        self.substitution = substitution
         #: Heredoc operators on the current line awaiting their bodies,
         #: as (token, delimiter, strip_tabs) triples.
-        self._pending_heredocs: List[Tuple[Token, str, bool]] = []
+        self.pending_heredocs: List[Tuple[Token, str, bool]] = []
+        self._base = start
+        #: the next token, on each call; the end of input's EOF token
+        #: again once it is reached
+        self.next_token: Callable[[], Token] = self._tokens(start).__next__
 
-    def tokens(self) -> List[Token]:
-        source = self.source
-        result: List[Token] = []
-        pos = 0
+    def _parse_body(self, start: int) -> int:
+        # a lexer without a parser still ends ``$(...)`` where its parse ends
+        from .parser import parse_substitution
+
+        return parse_substitution(self.source, start)[1]
+
+    def position(self, offset: int) -> Position:
+        """The position of ``offset``, counted as the tokens' are."""
+        source, base = self.source, self._base
+        line_start = source.rfind("\n", base, offset) + 1 or base
+        return Position(source.count("\n", base, offset) + 1, offset - line_start + 1, offset - base)
+
+    def _tokens(self, pos: int) -> Iterator[Token]:
+        source, scan_word, match_token = self.source, self._scan_word, _TOKEN.match
         # a token's line is counted from the previous token's: ``mark`` is
         # that token's offset and ``line_start`` the offset its line starts at
-        line, line_start, mark = 1, 0, 0
+        base = line_start = mark = pos
+        line = 1
         while True:
-            match = _TOKEN.match(source, pos)
+            match = match_token(source, pos)
             group = match.lastindex
             pos = match.end()
             begin = match.start(group) if group else pos
@@ -206,31 +213,58 @@ class Lexer:
                 line += newlines
                 line_start = source.rfind("\n", mark, begin) + 1
             mark = begin
-            start = Position(line, begin - line_start + 1, begin)
+            start = Position(line, begin - line_start + 1, begin - base)
             if group == 4:
                 if source[pos : pos + 1] in _WORD_GOES_ON:
-                    pos = _scan_word(source, pos)
+                    pos = scan_word(pos)
                 text = source[begin:pos]
-                result.append(Token(WORD, text, start, text))
+                yield Token(WORD, text, start, text)
             elif group == 3:
                 token = Token(OPERATOR, match.group(3), start)
                 if token.text in ("<<", "<<-"):
                     pos = self._register_heredoc(token, pos)
-                result.append(token)
+                yield token
             elif group == 1:
                 pos = self._collect_heredocs(pos)
-                result.append(Token(NEWLINE, "\n", start))
+                yield Token(NEWLINE, "\n", start)
             elif group == 2 and match.group(2).isdigit():
-                result.append(Token(IO_NUMBER, match.group(2), start))
+                yield Token(IO_NUMBER, match.group(2), start)
             elif begin == len(source):
-                if self._pending_heredocs:
+                if self.substitution:
+                    raise _unterminated(source, "$(")
+                if self.pending_heredocs:
                     raise ShellSyntaxError("unterminated heredoc", start)
-                result.append(Token(EOF, "", start))
-                return result
+                yield Token(EOF, "", start)
             else:  # a word opening with a quote or an expansion, or a name before < or >
-                pos = _scan_word(source, begin)
+                pos = scan_word(begin)
                 text = source[begin:pos]
-                result.append(Token(WORD, text, start, text))
+                yield Token(WORD, text, start, text)
+
+    def _scan_word(self, i: int) -> int:
+        """A word's characters from ``i``: past its plain runs, quotes and
+        expansions, up to the metacharacter (or end) that ends it."""
+        source, command_sub = self.source, self.command_sub
+        while True:
+            i = _WORD.match(source, i).end()
+            char = source[i : i + 1]
+            if char == '"':
+                i = scan_dquote(source, i + 1, command_sub)
+            elif char == "$":
+                try:
+                    i = scan_dollar(source, i + 1, command_sub)
+                except ShellSyntaxError as exc:
+                    # an end of input in a body's ${ or $(( outside
+                    # quotes names the body's $(, as the scanner that
+                    # counted its parentheses did
+                    if not self.substitution or exc.message not in _BRACKETS:
+                        raise
+                    raise _unterminated(source, "$(") from None
+            elif char == "`":
+                i = scan_backquote(source, i + 1)
+            elif char == "'":
+                raise _unterminated(source, "single quote")
+            else:
+                return i
 
     # -- heredocs --------------------------------------------------------------
 
@@ -239,14 +273,14 @@ class Lexer:
         # collection (at next newline) knows what to look for.
         source = self.source
         begin = _BLANKS.match(source, pos).end()
-        pos = _scan_word(source, begin)
+        pos = self._scan_word(begin)
         if pos == begin:
             char = source[begin : begin + 1] or None
-            raise ShellSyntaxError(f"unexpected character {char!r}", _position(source, begin))
+            raise ShellSyntaxError(f"unexpected character {char!r}", self.position(begin))
         text = source[begin:pos]
         delimiter, quoted = _strip_quotes(text)
         token.heredoc_quoted = quoted
-        self._pending_heredocs.append((token, delimiter, token.text == "<<-"))
+        self.pending_heredocs.append((token, delimiter, token.text == "<<-"))
         # Stash the delimiter word on the operator token; the parser uses it
         # as the redirect target.
         token.raw = text
@@ -254,12 +288,14 @@ class Lexer:
 
     def _collect_heredocs(self, pos: int) -> int:
         source = self.source
-        for token, delimiter, strip_tabs in self._pending_heredocs:
+        for token, delimiter, strip_tabs in self.pending_heredocs:
             lines: List[str] = []
             while True:
                 if pos >= len(source):
+                    if self.substitution:
+                        raise _unterminated(source, "$(")
                     raise ShellSyntaxError(
-                        f"heredoc delimiter {delimiter!r} not found", _position(source, pos)
+                        f"heredoc delimiter {delimiter!r} not found", self.position(pos)
                     )
                 end = source.find("\n", pos)
                 if end == -1:
@@ -271,7 +307,7 @@ class Lexer:
                     break
                 lines.append(check)
             token.heredoc_body = "".join(line + "\n" for line in lines)
-        self._pending_heredocs = []
+        self.pending_heredocs = []
         return pos
 
 
@@ -305,4 +341,8 @@ def _strip_quotes(text: str) -> Tuple[str, bool]:
 
 def tokenize(source: str) -> List[Token]:
     """Tokenise ``source`` into a list ending with an EOF token."""
-    return Lexer(source).tokens()
+    lexer = Lexer(source)
+    tokens = [lexer.next_token()]
+    while tokens[-1].kind is not EOF:
+        tokens.append(lexer.next_token())
+    return tokens

@@ -3,14 +3,23 @@
 Covers the constructs the paper's analysis reasons about: simple
 commands with assignments and redirections, pipelines, and-or lists,
 ``;``/``&``/newline sequencing, subshells, brace groups, ``if``/``while``/
-``until``/``for``/``case``, and function definitions.  Command
-substitutions inside words are parsed recursively into full ASTs.
+``until``/``for``/``case``, and function definitions.
+
+The parser pulls tokens from the lexer as it needs them, looking at most
+three ahead.  A command substitution is parsed once, when the lexer
+meets its ``$(``: :func:`parse_substitution` parses the body from the
+same source as a command list and stops at the ``)`` that closes it, so
+a ``)`` in a case pattern, a comment, a quote or a heredoc closes
+nothing, and nothing past that ``)`` is lexed.  The command is kept in
+:attr:`Parser.subs` for the word parser, which puts it in the word's
+:class:`~repro.shell.ast.CmdSubPart`.  A backquoted body is parsed from
+its unescaped text (:meth:`Parser.parse_backquoted`).
 """
 
 from __future__ import annotations
 
 import re
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import words as words_mod
 from .ast import (
@@ -33,7 +42,7 @@ from .ast import (
     While,
     Word,
 )
-from .lexer import ShellSyntaxError, tokenize
+from .lexer import Lexer, ShellSyntaxError
 from .tokens import (
     EOF,
     IO_NUMBER,
@@ -46,11 +55,12 @@ from .tokens import (
     Token,
 )
 
-#: Explicit nesting-depth ceiling (compound commands + command
-#: substitutions).  Each level costs ~10 interpreter frames across the
-#: parser and the symbolic engine, so this keeps pathological inputs
-#: like ``((((...))))`` well inside CPython's recursion limit and turns
-#: them into a catchable :class:`ParseDepthExceeded` instead of a
+#: Explicit nesting-depth ceiling: compound commands, function
+#: definitions and command substitutions each open one level.  Each level
+#: costs ~10 interpreter frames across the parser and the symbolic
+#: engine, so this keeps pathological inputs like ``((((...))))`` or
+#: ``$($($(...)))`` well inside CPython's recursion limit and turns them
+#: into a catchable :class:`ParseDepthExceeded` instead of a
 #: :class:`RecursionError`.
 MAX_NESTING_DEPTH = 60
 
@@ -63,29 +73,50 @@ class ParseDepthExceeded(ShellSyntaxError):
 
 
 class Parser:
-    def __init__(self, source: str, depth: int = 0):
+    """A parse of ``source`` from ``start``: the whole script, or with
+    ``substitution`` the body of a ``$(...)`` (see
+    :func:`parse_substitution`).  ``depth`` is the nesting level the
+    parse starts at."""
+
+    def __init__(self, source: str, start: int = 0, depth: int = 0, substitution: bool = False):
         self.source = source
-        self.tokens = tokenize(source)
-        self.idx = 0
-        #: current nesting depth; inherited by sub-parsers so command
-        #: substitutions count toward the same ceiling
+        #: current nesting depth; inherited by the parses of command
+        #: substitutions so they count toward the same ceiling
         self.depth = depth
+        self.lexer = Lexer(source, self._substitution, start, substitution)
+        if depth > MAX_NESTING_DEPTH:
+            self._too_deep(self.lexer.position(start))
+        #: the offset a token position counts from
+        self.base = start
+        #: the parsed ``$(...)`` bodies of the words lexed so far, by the
+        #: offset just past their ``$(``: the offset past the closing
+        #: ``)`` and the command
+        self.subs: Dict[int, Tuple[int, Command]] = {}
+        #: the next token (the lexer's, or the one :meth:`peek` lexed)
+        self._next = self.lexer.next_token
+        self.current = self._next()
 
     # -- token access -----------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        # in range: a look past the current token is only taken when that
-        # token is not the EOF that ends the list
-        return self.tokens[self.idx + ahead]
+    def peek(self) -> Token:
+        """The token after the current one."""
+        token, lexed = self._next(), self._next
+
+        def again() -> Token:
+            self._next = lexed
+            return token
+
+        self._next = again
+        return token
 
     def take(self) -> Token:
-        token = self.tokens[self.idx]
+        token = self.current
         if token.kind is not EOF:
-            self.idx += 1
+            self.current = self._next()
         return token
 
     def error(self, message: str, token: Optional[Token] = None) -> ShellSyntaxError:
-        token = token or self.peek()
+        token = token or self.current
         return ShellSyntaxError(message, token.pos)
 
     def expect_word(self, text: str) -> Token:
@@ -101,50 +132,49 @@ class Parser:
         return token
 
     def skip_newlines(self) -> None:
-        while self.tokens[self.idx].kind is NEWLINE:
-            self.idx += 1
+        while self.current.kind is NEWLINE:
+            self.current = self._next()
+
+    def _too_deep(self, pos: Position) -> None:
+        raise ParseDepthExceeded(f"command nesting exceeds {MAX_NESTING_DEPTH} levels", pos)
 
     # -- words -----------------------------------------------------------
 
     def make_word(self, token: Token) -> Word:
-        return words_mod.parse_word(token.text, self._parse_sub, token.pos)
+        return words_mod.parse_word(token.text, token.pos, self, self.base + token.pos.offset)
 
-    def _parse_sub(self, source: str) -> Command:
-        """Parse a command substitution's body, inheriting the nesting
-        depth so ``$($($(...)))`` chains count toward the same ceiling."""
-        return Parser(source, depth=self.depth).parse_program()
+    def _substitution(self, start: int) -> int:
+        """The lexer met ``$(`` just before ``start``: parse the body, one
+        level deeper, and keep it for the word parser."""
+        command, end = parse_substitution(self.source, start, self.depth + 1)
+        self.subs[start] = (end, command)
+        return end
+
+    def parse_backquoted(self, source: str) -> Command:
+        """Parse a backquoted body's unescaped text, one level deeper."""
+        return Parser(source, depth=self.depth + 1).parse_program()
 
     # -- entry -------------------------------------------------------------
 
     def parse_program(self) -> Command:
-        self.skip_newlines()
-        commands: List[Command] = []
-        while self.tokens[self.idx].kind is not EOF:
-            commands.append(self.parse_and_or())
-            sep = self.tokens[self.idx]
-            if sep.is_op(";"):
-                self.take()
-                self.skip_newlines()
-            elif sep.is_op("&"):
-                self.take()
-                commands[-1] = Background(commands[-1], pos=sep.pos)
-                self.skip_newlines()
-            elif sep.kind is NEWLINE:
-                self.skip_newlines()
-            elif sep.kind is EOF:
-                break
-            else:
-                raise self.error(f"unexpected token {sep.text!r}", sep)
-        if len(commands) == 1:
-            return commands[0]
-        return Sequence(commands)
+        """The whole script, up to the end of input."""
+        return self._parse_closed("")
+
+    def _parse_closed(self, closing: str) -> Command:
+        """Commands up to the token whose text is ``closing``: the end
+        of input's (empty) or the ``)`` that closes a substitution's body
+        (no word's text is ``)``)."""
+        commands = self._parse_commands(lambda: self.current.text == closing)
+        if self.current.text != closing:
+            raise self.error(f"unexpected token {self.current.text!r}")
+        return _sequence(commands)
 
     # -- command lists within compound constructs ----------------------------
 
     _LIST_ENDERS = {"then", "else", "elif", "fi", "do", "done", "esac", "}"}
 
     def _at_list_end(self) -> bool:
-        token = self.tokens[self.idx]
+        token = self.current
         if token.kind is EOF:
             return True
         if token.kind is WORD and token.text in self._LIST_ENDERS:
@@ -153,11 +183,19 @@ class Parser:
 
     def parse_list(self) -> Command:
         """A command list terminated by a reserved word or closing token."""
+        commands = self._parse_commands(self._at_list_end)
+        if not commands:
+            raise self.error("empty command list")
+        return _sequence(commands)
+
+    def _parse_commands(self, at_end: Callable[[], bool]) -> List[Command]:
+        """Commands separated by ``;``, ``&`` and newlines, up to
+        ``at_end`` or a token that separates none."""
         self.skip_newlines()
         commands: List[Command] = []
-        while not self._at_list_end():
+        while not at_end():
             commands.append(self.parse_and_or())
-            sep = self.tokens[self.idx]
+            sep = self.current
             if sep.is_op(";"):
                 self.take()
                 self.skip_newlines()
@@ -169,17 +207,13 @@ class Parser:
                 self.skip_newlines()
             else:
                 break
-        if not commands:
-            raise self.error("empty command list")
-        if len(commands) == 1:
-            return commands[0]
-        return Sequence(commands)
+        return commands
 
     # -- and-or / pipeline -----------------------------------------------------
 
     def parse_and_or(self) -> Command:
         left = self.parse_pipeline()
-        while self.tokens[self.idx].is_op("&&", "||"):
+        while self.current.is_op("&&", "||"):
             op_token = self.take()
             self.skip_newlines()
             right = self.parse_pipeline()
@@ -188,12 +222,12 @@ class Parser:
 
     def parse_pipeline(self) -> Command:
         negated = False
-        if self.tokens[self.idx].is_word("!"):
+        if self.current.is_word("!"):
             self.take()
             negated = True
         first = self.parse_command()
         commands = [first]
-        while self.tokens[self.idx].is_op("|"):
+        while self.current.is_op("|"):
             self.take()
             self.skip_newlines()
             commands.append(self.parse_command())
@@ -202,18 +236,6 @@ class Parser:
         return Pipeline(commands, negated=negated, pos=_pos_of(first))
 
     # -- commands ---------------------------------------------------------------
-
-    def parse_command(self) -> Command:
-        self.depth += 1
-        try:
-            if self.depth > MAX_NESTING_DEPTH:
-                raise ParseDepthExceeded(
-                    f"command nesting exceeds {MAX_NESTING_DEPTH} levels",
-                    self.peek().pos,
-                )
-            return self._parse_command()
-        finally:
-            self.depth -= 1
 
     #: the compound commands by the token that opens them (an operator's
     #: text is never a word's, so the text alone tells them apart)
@@ -227,19 +249,30 @@ class Parser:
         "case": "parse_case",
     }
 
-    def _parse_command(self) -> Command:
-        token = self.tokens[self.idx]
+    def parse_command(self) -> Command:
+        token = self.current
         compound = self._COMPOUND.get(token.text)
-        if compound is not None:
-            return self._with_redirects(getattr(self, compound)())
-        if (
-            token.kind is WORD
-            and self.peek(1).is_op("(")
-            and self.peek(2).is_op(")")
-            and token.text not in RESERVED_WORDS
-        ):
-            return self.parse_function_def()
-        return self.parse_simple_command()
+        if compound is None:
+            command = self.parse_simple_command()
+            # a function definition is a name, then ``(`` and ``)``
+            if not (
+                self.current.text == "("
+                and token.kind is WORD
+                and len(command.words) + len(command.assignments) == 1
+                and not command.redirects
+                and self.peek().is_op(")")
+            ):
+                return command
+        self.depth += 1
+        try:
+            if self.depth > MAX_NESTING_DEPTH:
+                self._too_deep(token.pos)
+            if compound is None:
+                return self.parse_function_def(token)
+            command = getattr(self, compound)()
+        finally:
+            self.depth -= 1
+        return self._with_redirects(command)
 
     def _with_redirects(self, command: Command) -> Command:
         redirects = self.parse_redirect_list()
@@ -256,16 +289,13 @@ class Parser:
             redirects.append(redirect)
 
     def try_parse_redirect(self) -> Optional[Redirect]:
-        token = self.peek()
         fd: Optional[int] = None
-        offset = 0
-        if token.kind is IO_NUMBER:
-            fd = int(token.text)
-            token = self.peek(1)
-            offset = 1
-        if token.kind is OPERATOR and token.text in REDIRECT_OPERATORS:
-            for _ in range(offset + 1):
-                op_token = self.take()
+        if self.current.kind is IO_NUMBER:
+            # the lexer makes an IO number only of digits just before a
+            # ``<`` or ``>``, so a redirect operator follows
+            fd = int(self.take().text)
+        if self.current.kind is OPERATOR and self.current.text in REDIRECT_OPERATORS:
+            op_token = self.take()
             if op_token.text in ("<<", "<<-"):
                 # The lexer attached the delimiter word and body.
                 target = Word(
@@ -287,10 +317,10 @@ class Parser:
         return None
 
     def parse_simple_command(self) -> SimpleCommand:
-        cmd = SimpleCommand(pos=self.tokens[self.idx].pos)
+        cmd = SimpleCommand(pos=self.current.pos)
         seen_word = False
         while True:
-            token = self.tokens[self.idx]
+            token = self.current
             if token.kind is not WORD:
                 redirect = self.try_parse_redirect()
                 if redirect is None:
@@ -300,16 +330,17 @@ class Parser:
             if not seen_word and not cmd.assignments and token.text in RESERVED_WORDS:
                 break
             assignment = None if seen_word else _try_assignment(token)
-            self.idx += 1
+            self.current = self._next()
             if assignment is not None:
                 name, value_raw = assignment
-                value = words_mod.parse_word(value_raw, self._parse_sub, token.pos)
+                base = self.base + token.pos.offset + len(token.text) - len(value_raw)
+                value = words_mod.parse_word(value_raw, token.pos, self, base)
                 cmd.assignments.append(Assignment(name, value, token.pos))
             else:
                 seen_word = True
                 cmd.words.append(self.make_word(token))
         if not cmd.words and not cmd.assignments and not cmd.redirects:
-            raise self.error(f"expected a command, found {self.peek().text!r}")
+            raise self.error(f"expected a command, found {self.current.text!r}")
         return cmd
 
     # -- compound commands ---------------------------------------------------------
@@ -333,12 +364,12 @@ class Parser:
         then = self.parse_list()
         elifs: List[ElifClause] = []
         else_: Optional[Command] = None
-        while self.peek().is_word("elif"):
+        while self.current.is_word("elif"):
             self.take()
             elif_cond = self.parse_list()
             self.expect_word("then")
             elifs.append(ElifClause(elif_cond, self.parse_list()))
-        if self.peek().is_word("else"):
+        if self.current.is_word("else"):
             self.take()
             else_ = self.parse_list()
         self.expect_word("fi")
@@ -359,15 +390,15 @@ class Parser:
             raise self.error("expected a variable name after 'for'", name_token)
         iter_words: Optional[List[Word]] = None
         self.skip_newlines()
-        if self.peek().is_word("in"):
+        if self.current.is_word("in"):
             self.take()
             iter_words = []
-            while self.peek().kind is WORD and not self.peek().is_word("do"):
+            while self.current.kind is WORD and not self.current.is_word("do"):
                 iter_words.append(self.make_word(self.take()))
-            if self.peek().is_op(";"):
+            if self.current.is_op(";"):
                 self.take()
             self.skip_newlines()
-        elif self.peek().is_op(";"):
+        elif self.current.is_op(";"):
             self.take()
             self.skip_newlines()
         self.expect_word("do")
@@ -385,22 +416,22 @@ class Parser:
         self.expect_word("in")
         self.skip_newlines()
         items: List[CaseItem] = []
-        while not self.peek().is_word("esac"):
-            if self.peek().kind is EOF:
+        while not self.current.is_word("esac"):
+            if self.current.kind is EOF:
                 raise self.error("missing 'esac'")
-            if self.peek().is_op("("):
+            if self.current.is_op("("):
                 self.take()
             patterns = [self._case_pattern()]
-            while self.peek().is_op("|"):
+            while self.current.is_op("|"):
                 self.take()
                 patterns.append(self._case_pattern())
             self.expect_op(")")
             self.skip_newlines()
             body: Optional[Command] = None
-            if not self.peek().is_op(";;") and not self.peek().is_word("esac"):
+            if not self.current.is_op(";;") and not self.current.is_word("esac"):
                 body = self.parse_list()
             items.append(CaseItem(patterns, body))
-            if self.peek().is_op(";;"):
+            if self.current.is_op(";;"):
                 self.take()
                 self.skip_newlines()
         self.expect_word("esac")
@@ -412,8 +443,8 @@ class Parser:
             raise self.error("expected a case pattern", token)
         return self.make_word(token)
 
-    def parse_function_def(self) -> FunctionDef:
-        name_token = self.take()
+    def parse_function_def(self, name_token: Token) -> FunctionDef:
+        """The rest of a function definition, after its name."""
         self.expect_op("(")
         self.expect_op(")")
         self.skip_newlines()
@@ -432,6 +463,10 @@ def _try_assignment(token: Token) -> Optional[tuple]:
     return name, token.text[match.end() :]
 
 
+def _sequence(commands: List[Command]) -> Command:
+    return commands[0] if len(commands) == 1 else Sequence(commands)
+
+
 def _pos_of(command: Command) -> Position:
     return getattr(command, "pos", Position())
 
@@ -444,3 +479,16 @@ def parse(source: str) -> Command:
     :class:`RecursionError`.
     """
     return Parser(source).parse_program()
+
+
+def parse_substitution(source: str, start: int, depth: int = 0) -> Tuple[Command, int]:
+    """The body of the ``$(...)`` whose ``$(`` ends just before
+    ``start``, parsed at nesting ``depth``: its command and the offset
+    just past the ``)`` that closes it.  Its positions count from
+    ``start``."""
+    parser = Parser(source, start, depth, substitution=True)
+    command = parser._parse_closed(")")
+    closing = parser.current
+    if parser.lexer.pending_heredocs:
+        raise ShellSyntaxError("unterminated heredoc", closing.pos)
+    return command, parser.base + closing.pos.offset + 1

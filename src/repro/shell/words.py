@@ -2,19 +2,25 @@
 
 Converts a raw word slice (as produced by the lexer) into a list of
 :class:`~repro.shell.ast.Part` values: quoted/unquoted literals,
-parameter expansions with their operators, command substitutions
-(recursively parsed), arithmetic expansions, globs, and tildes.
+parameter expansions with their operators, command substitutions,
+arithmetic expansions, globs, and tildes.
+
+A ``$(...)`` is not scanned again: the parser parsed its body when the
+lexer met it, and the word parser takes that command and the offset of
+its closing ``)`` from :attr:`~repro.shell.parser.Parser.subs`.  The
+other brackets are found by the lexer's scanners, which look a ``$(``
+inside them up in the same table.  A backquoted body is parsed here,
+from its unescaped text.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, List
+from typing import TYPE_CHECKING, List
 
 from .ast import (
     ArithPart,
     CmdSubPart,
-    Command,
     GlobPart,
     LiteralPart,
     ParamPart,
@@ -22,10 +28,11 @@ from .ast import (
     TildePart,
     Word,
 )
-from .lexer import SPECIAL_PARAMS, ShellSyntaxError, scan_backquote, scan_dollar
+from .lexer import SPECIAL_PARAMS, scan_backquote, scan_dollar
 from .tokens import Position
 
-ParseCommand = Callable[[str], Command]
+if TYPE_CHECKING:
+    from .parser import Parser
 
 #: Parameter-expansion operators, longest first.
 _PARAM_OP = re.compile(r":[-=?+]|%%|##|[-=?+%#]")
@@ -44,10 +51,12 @@ _BACKQUOTE_ESCAPE = re.compile(r"\\([`$\\])")
 
 
 class _WordParser:
-    def __init__(self, raw: str, parse_command: ParseCommand):
+    def __init__(self, raw: str, parser: "Parser", base: int):
         self.raw = raw
         self.pos = 0
-        self.parse_command = parse_command
+        self.parser = parser
+        #: the offset of ``raw`` in the parser's source
+        self.base = base
         self.parts: List[Part] = []
         self._literal: List[str] = []
         self._literal_quoted = False
@@ -74,13 +83,10 @@ class _WordParser:
         self._flush()
         self.parts.append(part)
 
-    def _scan(self, scanner: Callable[[str, int], int], start: int) -> int:
-        """Run a :mod:`~repro.shell.lexer` bracket scanner over the raw
-        text from ``start``: the offset past the construct's closing."""
-        try:
-            return scanner(self.raw, start)
-        except ShellSyntaxError as exc:
-            raise ValueError(f"{exc.message} in {self.raw!r}") from None
+    def _sub_end(self, start: int) -> int:
+        """The lexer's scanners' ``command_sub``: past the ``)`` of the
+        ``$(`` that ends just before ``start``, as the parser found it."""
+        return self.parser.subs[self.base + start][0] - self.base
 
     # -- main -------------------------------------------------------------------
 
@@ -159,16 +165,18 @@ class _WordParser:
         raw = self.raw
         char = raw[self.pos : self.pos + 1]
         if char == "{":
-            end = self._scan(scan_dollar, self.pos)
-            body, self.pos = raw[self.pos + 1 : end - 1], end
-            self._parse_braced_param(body, quoted)
+            start = self.pos + 1
+            self.pos = scan_dollar(raw, start - 1, self._sub_end)
+            self._parse_braced_param(start, quoted)
         elif char == "(":
-            end = self._scan(scan_dollar, self.pos)
-            if raw.startswith("((", self.pos):
-                self._push(ArithPart(raw[self.pos + 2 : end - 2], quoted=quoted))
+            start = self.pos + 1
+            if raw.startswith("(", start):
+                end = scan_dollar(raw, self.pos, self._sub_end)
+                self._push(ArithPart(raw[start + 1 : end - 2], quoted=quoted))
             else:
-                source = raw[self.pos + 1 : end - 1]
-                self._push(CmdSubPart(self.parse_command(source), source=source, quoted=quoted))
+                end, command = self.parser.subs[self.base + start]
+                end -= self.base
+                self._push(CmdSubPart(command, source=raw[start : end - 1], quoted=quoted))
             self.pos = end
         elif char and char in SPECIAL_PARAMS:
             self._push(ParamPart(char, quoted=quoted))
@@ -181,7 +189,10 @@ class _WordParser:
             # A lone "$" is literal.
             self._emit("$", quoted)
 
-    def _parse_braced_param(self, body: str, quoted: bool) -> None:
+    def _parse_braced_param(self, start: int, quoted: bool) -> None:
+        """``${...}``, whose body runs from ``start`` to the ``}`` before
+        the current offset."""
+        body = self.raw[start : self.pos - 1]
         if body.startswith("#") and len(body) > 1:
             self._push(ParamPart(body[1:], op="len", quoted=quoted))
             return
@@ -199,19 +210,21 @@ class _WordParser:
         op = _PARAM_OP.match(rest)
         if op is None:
             raise ValueError(f"unsupported parameter operator in ${{{body}}}")
-        arg = parse_word(rest[op.end() :], self.parse_command, Position())
+        arg_start = start + len(name) + op.end()
+        arg = parse_word(self.raw[arg_start : self.pos - 1], Position(), self.parser, self.base + arg_start)
         self._push(ParamPart(name, op=op.group(), arg=arg, quoted=quoted))
 
     def _parse_backquote(self, quoted: bool) -> None:
-        end = self._scan(scan_backquote, self.pos)
+        end = scan_backquote(self.raw, self.pos)
         # inside backquotes, a backslash quotes only `, $ and itself
         source = _BACKQUOTE_ESCAPE.sub(r"\1", self.raw[self.pos : end - 1])
         self.pos = end
-        self._push(CmdSubPart(self.parse_command(source), source=source, quoted=quoted))
+        self._push(CmdSubPart(self.parser.parse_backquoted(source), source=source, quoted=quoted))
 
 
-def parse_word(raw: str, parse_command: ParseCommand, pos: Position) -> Word:
-    """Parse raw word text into a structured :class:`Word`."""
+def parse_word(raw: str, pos: Position, parser: "Parser", base: int) -> Word:
+    """Parse raw word text, which starts at offset ``base`` of the
+    ``parser``'s source, into a structured :class:`Word`."""
     if _UNQUOTED_RUN.fullmatch(raw) and not raw.startswith("~"):
         return Word(parts=[LiteralPart(raw)], raw=raw, pos=pos)  # the common case
-    return Word(parts=_WordParser(raw, parse_command).parse(), raw=raw, pos=pos)
+    return Word(parts=_WordParser(raw, parser, base).parse(), raw=raw, pos=pos)

@@ -117,7 +117,7 @@ DEFERRED = ("repro.lint", "repro.obs.log", "repro.obs.metrics", "repro.rtypes.in
             "repro.rtypes.dataflow", "repro.digraph", "repro.checkers.platform",
             "repro.analysis.effects.graph", "repro.analysis.effects.hazards",
             "repro.rtypes.library", "repro.rtypes.signatures", "repro.analysis.annotations",
-            "repro.shell.casebody", "repro.tools")
+            "repro.tools")
 
 
 def test_one_script_analyze_stays_off_the_batch_and_server_paths(tmp_path):

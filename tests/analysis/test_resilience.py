@@ -251,6 +251,16 @@ class TestAnalyzeDegradation:
         assert report.degraded
         assert "depth" in report.by_code("analysis-degraded")[0].message
 
+    @pytest.mark.parametrize("opening,closing", [
+        ("$(", ")"), ("echo $(", ")"), ('echo "$(', ')"'), ('echo "${x:-$(', ')}"'),
+    ])
+    def test_a_thousand_nested_substitutions_degrade(self, opening, closing):
+        """The parse of each body counts one level, so the nest stops at
+        the parser's ceiling instead of Python's recursion limit."""
+        report = analyze(opening * 1000 + "echo hi" + closing * 1000)
+        assert report.degraded
+        assert "depth" in report.by_code("analysis-degraded")[0].message
+
     def test_depth_bomb_safe_even_without_budget(self):
         bomb = "$(" * 200 + "echo hi" + ")" * 200
         report = analyze(bomb)

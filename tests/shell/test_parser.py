@@ -271,3 +271,54 @@ rm -fr $STEAMROOT$SUFFIX
         rm = ast.commands[1]
         assert rm.name == "rm"
         assert [p.name for p in rm.words[2].parts] == ["STEAMROOT", "c"]
+
+
+class TestCommandSubstitution:
+    """A ``$(...)`` ends where the parse of its body ends (POSIX XCU
+    §2.6.3), and each body is parsed once."""
+
+    def test_a_body_is_parsed_once(self, monkeypatch):
+        from repro.shell import parser as parser_mod
+
+        calls = []
+        real = parser_mod.parse_substitution
+
+        def counting(source, start, depth=0):
+            calls.append(start)
+            return real(source, start, depth)
+
+        monkeypatch.setattr(parser_mod, "parse_substitution", counting)
+        cmd = parse("echo $(" * 30 + "echo x" + ")" * 30)
+        assert len(calls) == 30
+        for _ in range(30):
+            [part] = cmd.words[1].parts
+            cmd = part.command
+        assert [w.raw for w in cmd.words] == ["echo", "x"]
+
+    def test_a_heredoc_body_closes_no_parenthesis(self):
+        """dash prints ``)`` for this script: the heredoc's ``)`` line is
+        body text, not the end of the substitution."""
+        cmd = parse("echo $(cat <<EOF\n)\nEOF\n)\n")
+        [part] = cmd.words[1].parts
+        assert part.source == "cat <<EOF\n)\nEOF\n"
+        [redirect] = part.command.redirects
+        assert redirect.heredoc_body == ")\n"
+
+    def test_a_brace_in_a_substitution_in_a_parameter_operand(self):
+        """dash prints ``}`` for ``echo "${x:-$(echo })}"``."""
+        cmd = parse('echo "${x:-$(echo })}"')
+        [param] = cmd.words[1].parts
+        assert param.op == ":-"
+        [sub] = param.arg.parts
+        assert sub.source == "echo }"
+        assert [w.raw for w in sub.command.words] == ["echo", "}"]
+
+    def test_nothing_past_the_closing_parenthesis_is_lexed(self):
+        """The body's parse stops at its ``)``: the unterminated quote
+        after it is the outer lexer's error, found after the body."""
+        from repro.shell.parser import parse_substitution
+
+        source = "echo $(echo a) 'oops"
+        command, end = parse_substitution(source, len("echo $("))
+        assert source[:end] == "echo $(echo a)"
+        assert [w.raw for w in command.words] == ["echo", "a"]

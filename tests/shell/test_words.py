@@ -14,12 +14,13 @@ from repro.shell.ast import (
     TildePart,
 )
 from repro.shell.lexer import ShellSyntaxError
-from repro.shell.tokens import Position
-from repro.shell.words import parse_word
+from repro.shell.parser import Parser
 
 
 def word(raw):
-    return parse_word(raw, parse_command, Position())
+    """``raw`` lexed as one word token and parsed as the parser does."""
+    parser = Parser(raw)
+    return parser.make_word(parser.take())
 
 
 class TestLiterals:
