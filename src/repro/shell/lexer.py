@@ -19,7 +19,8 @@ shared with the word parser, so both find the same end.  A ``$(...)``
 ends where the parse of its body ends (POSIX XCU §2.6.3): a scanner that
 meets ``$(`` calls its ``command_sub`` with the body's offset, the parser
 parses the body from this source up to the ``)`` that closes it and
-returns the offset past that ``)``.  A ``$`` and a special parameter
+returns the offset past that ``)``.  A body's positions are those of the
+script.  A ``$`` and a special parameter
 (``$$``, ``$?``, ``$1``, ...) are read as one unit everywhere, as the
 word parser reads them.
 
@@ -153,7 +154,6 @@ _BLANKS = re.compile(_SKIP)
 _WORD = re.compile(_WORD_RUN + "*", re.S)
 #: what a word goes on with after a plain run: a quote or an expansion
 _WORD_GOES_ON = frozenset("\"$`'")
-_BRACKETS = ("unterminated ${", "unterminated $((")
 #: groups: 1 newline, 2 IO number (if all digits), 3 operator, 4 word start
 _TOKEN = re.compile(
     rf"{_SKIP}(?:(\n)|(\w+)(?=[<>])|({'|'.join(map(re.escape, OPERATORS))})|({_WORD_RUN}+))?",
@@ -162,47 +162,62 @@ _TOKEN = re.compile(
 
 
 class Lexer:
-    """The tokens of ``source`` from ``start``, one per :meth:`next_token`.
+    """The tokens of ``source`` from ``start``, one per :meth:`next_token`;
+    ``origin`` is the position of ``start`` (by default line 1, column 1).
 
-    ``command_sub`` finds where a ``$(...)`` ends (the parser passes the
-    method that parses its body).  A lexer over a substitution's body
-    (``substitution``) never reaches the end of the source: the body's
-    parse stops at its ``)``, so an end of input there is an
-    unterminated ``$(``.  Positions are counted from ``start``.
+    ``parse_body`` finds where a ``$(...)`` ends: given the offset and
+    position of its body, it parses the body and returns the offset past
+    its ``)`` (the parser passes the method that keeps the command).  A
+    lexer over a substitution's body (``substitution``) never reaches
+    the end of the source: the body's parse stops at its ``)``, so an
+    end of input there is an unterminated ``$(``.
     """
 
     def __init__(
-        self, source: str, command_sub: CommandSub = None, start: int = 0, substitution: bool = False
+        self,
+        source: str,
+        parse_body: Callable[[int, Position], int] = None,
+        start: int = 0,
+        origin: Position = None,
+        substitution: bool = False,
     ):
         self.source = source
-        self.command_sub = command_sub or self._parse_body
+        self.parse_body = parse_body or self._parse_alone
         self.substitution = substitution
         #: Heredoc operators on the current line awaiting their bodies,
         #: as (token, delimiter, strip_tabs) triples.
         self.pending_heredocs: List[Tuple[Token, str, bool]] = []
-        self._base = start
+        #: the position and offset of the token being lexed, where it
+        #: can open a ``$(``
+        self._token = (origin or Position(), start)
         #: the next token, on each call; the end of input's EOF token
         #: again once it is reached
         self.next_token: Callable[[], Token] = self._tokens(start).__next__
 
-    def _parse_body(self, start: int) -> int:
+    def _parse_alone(self, start: int, origin: Position) -> int:
         # a lexer without a parser still ends ``$(...)`` where its parse ends
         from .parser import parse_substitution
 
-        return parse_substitution(self.source, start)[1]
+        return parse_substitution(self.source, start, origin=origin)[1]
 
-    def position(self, offset: int) -> Position:
-        """The position of ``offset``, counted as the tokens' are."""
-        source, base = self.source, self._base
-        line_start = source.rfind("\n", base, offset) + 1 or base
-        return Position(source.count("\n", base, offset) + 1, offset - line_start + 1, offset - base)
+    def _command_sub(self, start: int) -> int:
+        """The scanners' ``command_sub``: the body that starts at
+        ``start`` (in the token being lexed) parsed from its position."""
+        pos, begin = self._token
+        source = self.source
+        newlines = source.count("\n", begin, start)
+        if newlines:
+            pos = Position(pos.line + newlines, start - source.rfind("\n", begin, start), start)
+        else:
+            pos = Position(pos.line, pos.col + start - begin, start)
+        return self.parse_body(start, pos)
 
     def _tokens(self, pos: int) -> Iterator[Token]:
         source, scan_word, match_token = self.source, self._scan_word, _TOKEN.match
         # a token's line is counted from the previous token's: ``mark`` is
         # that token's offset and ``line_start`` the offset its line starts at
-        base = line_start = mark = pos
-        line = 1
+        origin, mark = self._token
+        line, line_start = origin.line, mark - origin.col + 1
         while True:
             match = match_token(source, pos)
             group = match.lastindex
@@ -213,15 +228,17 @@ class Lexer:
                 line += newlines
                 line_start = source.rfind("\n", mark, begin) + 1
             mark = begin
-            start = Position(line, begin - line_start + 1, begin - base)
+            start = Position(line, begin - line_start + 1, begin)
             if group == 4:
                 if source[pos : pos + 1] in _WORD_GOES_ON:
+                    self._token = start, begin
                     pos = scan_word(pos)
                 text = source[begin:pos]
                 yield Token(WORD, text, start, text)
             elif group == 3:
                 token = Token(OPERATOR, match.group(3), start)
                 if token.text in ("<<", "<<-"):
+                    self._token = start, begin
                     pos = self._register_heredoc(token, pos)
                 yield token
             elif group == 1:
@@ -236,6 +253,7 @@ class Lexer:
                     raise ShellSyntaxError("unterminated heredoc", start)
                 yield Token(EOF, "", start)
             else:  # a word opening with a quote or an expansion, or a name before < or >
+                self._token = start, begin
                 pos = scan_word(begin)
                 text = source[begin:pos]
                 yield Token(WORD, text, start, text)
@@ -243,22 +261,14 @@ class Lexer:
     def _scan_word(self, i: int) -> int:
         """A word's characters from ``i``: past its plain runs, quotes and
         expansions, up to the metacharacter (or end) that ends it."""
-        source, command_sub = self.source, self.command_sub
+        source, command_sub = self.source, self._command_sub
         while True:
             i = _WORD.match(source, i).end()
             char = source[i : i + 1]
             if char == '"':
                 i = scan_dquote(source, i + 1, command_sub)
             elif char == "$":
-                try:
-                    i = scan_dollar(source, i + 1, command_sub)
-                except ShellSyntaxError as exc:
-                    # an end of input in a body's ${ or $(( outside
-                    # quotes names the body's $(, as the scanner that
-                    # counted its parentheses did
-                    if not self.substitution or exc.message not in _BRACKETS:
-                        raise
-                    raise _unterminated(source, "$(") from None
+                i = scan_dollar(source, i + 1, command_sub)
             elif char == "`":
                 i = scan_backquote(source, i + 1)
             elif char == "'":
@@ -276,7 +286,7 @@ class Lexer:
         pos = self._scan_word(begin)
         if pos == begin:
             char = source[begin : begin + 1] or None
-            raise ShellSyntaxError(f"unexpected character {char!r}", self.position(begin))
+            raise ShellSyntaxError(f"unexpected character {char!r}", _position(source, begin))
         text = source[begin:pos]
         delimiter, quoted = _strip_quotes(text)
         token.heredoc_quoted = quoted
@@ -295,7 +305,7 @@ class Lexer:
                     if self.substitution:
                         raise _unterminated(source, "$(")
                     raise ShellSyntaxError(
-                        f"heredoc delimiter {delimiter!r} not found", self.position(pos)
+                        f"heredoc delimiter {delimiter!r} not found", _position(source, pos)
                     )
                 end = source.find("\n", pos)
                 if end == -1:

@@ -19,7 +19,7 @@ its unescaped text (:meth:`Parser.parse_backquoted`).
 from __future__ import annotations
 
 import re
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import words as words_mod
 from .ast import (
@@ -73,21 +73,26 @@ class ParseDepthExceeded(ShellSyntaxError):
 
 
 class Parser:
-    """A parse of ``source`` from ``start``: the whole script, or with
-    ``substitution`` the body of a ``$(...)`` (see
-    :func:`parse_substitution`).  ``depth`` is the nesting level the
-    parse starts at."""
+    """A parse of ``source`` from ``start``, whose position is ``origin``:
+    the whole script, or with ``substitution`` the body of a ``$(...)``
+    (see :func:`parse_substitution`).  ``depth`` is the nesting level
+    the parse starts at."""
 
-    def __init__(self, source: str, start: int = 0, depth: int = 0, substitution: bool = False):
+    def __init__(
+        self,
+        source: str,
+        start: int = 0,
+        depth: int = 0,
+        origin: Optional[Position] = None,
+        substitution: bool = False,
+    ):
         self.source = source
         #: current nesting depth; inherited by the parses of command
         #: substitutions so they count toward the same ceiling
         self.depth = depth
-        self.lexer = Lexer(source, self._substitution, start, substitution)
         if depth > MAX_NESTING_DEPTH:
-            self._too_deep(self.lexer.position(start))
-        #: the offset a token position counts from
-        self.base = start
+            self._too_deep(origin or Position())
+        self.lexer = Lexer(source, self._substitution, start, origin, substitution)
         #: the parsed ``$(...)`` bodies of the words lexed so far, by the
         #: offset just past their ``$(``: the offset past the closing
         #: ``)`` and the command
@@ -141,12 +146,12 @@ class Parser:
     # -- words -----------------------------------------------------------
 
     def make_word(self, token: Token) -> Word:
-        return words_mod.parse_word(token.text, token.pos, self, self.base + token.pos.offset)
+        return words_mod.parse_word(token.text, token.pos, self, token.pos.offset)
 
-    def _substitution(self, start: int) -> int:
-        """The lexer met ``$(`` just before ``start``: parse the body, one
-        level deeper, and keep it for the word parser."""
-        command, end = parse_substitution(self.source, start, self.depth + 1)
+    def _substitution(self, start: int, origin: Position) -> int:
+        """The lexer met ``$(`` just before ``start``, at ``origin``: parse
+        the body, one level deeper, and keep it for the word parser."""
+        command, end = parse_substitution(self.source, start, self.depth + 1, origin)
         self.subs[start] = (end, command)
         return end
 
@@ -164,9 +169,13 @@ class Parser:
         """Commands up to the token whose text is ``closing``: the end
         of input's (empty) or the ``)`` that closes a substitution's body
         (no word's text is ``)``)."""
-        commands = self._parse_commands(lambda: self.current.text == closing)
-        if self.current.text != closing:
-            raise self.error(f"unexpected token {self.current.text!r}")
+        self.skip_newlines()
+        commands: List[Command] = []
+        while self.current.text != closing:
+            commands.append(self.parse_and_or())
+            if not self._separate(commands):
+                if self.current.text != closing:
+                    raise self.error(f"unexpected token {self.current.text!r}")
         return _sequence(commands)
 
     # -- command lists within compound constructs ----------------------------
@@ -183,31 +192,27 @@ class Parser:
 
     def parse_list(self) -> Command:
         """A command list terminated by a reserved word or closing token."""
-        commands = self._parse_commands(self._at_list_end)
+        self.skip_newlines()
+        commands: List[Command] = []
+        while not self._at_list_end():
+            commands.append(self.parse_and_or())
+            if not self._separate(commands):
+                break
         if not commands:
             raise self.error("empty command list")
         return _sequence(commands)
 
-    def _parse_commands(self, at_end: Callable[[], bool]) -> List[Command]:
-        """Commands separated by ``;``, ``&`` and newlines, up to
-        ``at_end`` or a token that separates none."""
+    def _separate(self, commands: List[Command]) -> bool:
+        """Take the ``;``, ``&`` or newlines after the last of
+        ``commands`` (``&`` backgrounds it); False if none follows."""
+        sep = self.current
+        if sep.is_op("&"):
+            commands[-1] = Background(commands[-1], pos=sep.pos)
+        elif not sep.is_op(";") and sep.kind is not NEWLINE:
+            return False
+        self.take()
         self.skip_newlines()
-        commands: List[Command] = []
-        while not at_end():
-            commands.append(self.parse_and_or())
-            sep = self.current
-            if sep.is_op(";"):
-                self.take()
-                self.skip_newlines()
-            elif sep.is_op("&"):
-                self.take()
-                commands[-1] = Background(commands[-1], pos=sep.pos)
-                self.skip_newlines()
-            elif sep.kind is NEWLINE:
-                self.skip_newlines()
-            else:
-                break
-        return commands
+        return True
 
     # -- and-or / pipeline -----------------------------------------------------
 
@@ -333,7 +338,7 @@ class Parser:
             self.current = self._next()
             if assignment is not None:
                 name, value_raw = assignment
-                base = self.base + token.pos.offset + len(token.text) - len(value_raw)
+                base = token.pos.offset + len(token.text) - len(value_raw)
                 value = words_mod.parse_word(value_raw, token.pos, self, base)
                 cmd.assignments.append(Assignment(name, value, token.pos))
             else:
@@ -475,20 +480,25 @@ def parse(source: str) -> Command:
     """Parse shell ``source`` into a command AST.
 
     Construct nesting is bounded by :data:`MAX_NESTING_DEPTH`; exceeding
-    it raises :class:`ParseDepthExceeded` rather than
-    :class:`RecursionError`.
+    it, or the interpreter's recursion limit, raises
+    :class:`ParseDepthExceeded` rather than :class:`RecursionError`.
     """
-    return Parser(source).parse_program()
+    try:
+        return Parser(source).parse_program()
+    except RecursionError:
+        # a nest of quotes and brackets the ceiling does not count
+        raise ParseDepthExceeded("nesting exceeds the interpreter's recursion limit", Position()) from None
 
 
-def parse_substitution(source: str, start: int, depth: int = 0) -> Tuple[Command, int]:
+def parse_substitution(
+    source: str, start: int, depth: int = 0, origin: Optional[Position] = None
+) -> Tuple[Command, int]:
     """The body of the ``$(...)`` whose ``$(`` ends just before
-    ``start``, parsed at nesting ``depth``: its command and the offset
-    just past the ``)`` that closes it.  Its positions count from
-    ``start``."""
-    parser = Parser(source, start, depth, substitution=True)
+    ``start``, at position ``origin``, parsed at nesting ``depth``: its
+    command and the offset just past the ``)`` that closes it."""
+    parser = Parser(source, start, depth, origin, substitution=True)
     command = parser._parse_closed(")")
     closing = parser.current
     if parser.lexer.pending_heredocs:
         raise ShellSyntaxError("unterminated heredoc", closing.pos)
-    return command, parser.base + closing.pos.offset + 1
+    return command, closing.pos.offset + 1

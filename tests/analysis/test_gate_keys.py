@@ -52,3 +52,14 @@ def test_keys_cite_commands_not_lines():
         ("race-read-write",
          "`grep E /r.txt` (command 4) reads `/r.txt` while `./gen >/r.txt` (command 3) writes it"): 1
     }
+
+
+def test_a_race_cited_inside_a_substitution_maps_to_the_command_holding_it():
+    """``grep E`` inside ``$(...)`` is cited at its script position, so
+    the baseline and the rewrite both map it to command 4; with
+    positions counted from the substitution's text the baseline found no
+    command at ``(1:7)`` and the group was rejected."""
+    source = SOURCE.replace("grep E /r.txt\n", "x=$(true; grep E /r.txt)\n")
+    plan = build_plan(source)
+    assert [group.commands for group in plan.groups] == [[1, 2]]
+    assert plan.rejected == []

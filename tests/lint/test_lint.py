@@ -85,6 +85,11 @@ class TestRules:
         for diagnostic in lint("rm $FILE"):
             assert diagnostic.source == "lint"
 
+    def test_a_finding_in_a_substitution_cites_its_script_position(self):
+        """Fig. 1's ``$PWD`` sits on line 2, column 35, inside ``$(...)``."""
+        [sc2086] = [d for d in lint("# c\n" + FIG1) if d.code == "SC2086"]
+        assert (sc2086.pos.line, sc2086.pos.col) == (2, 35)
+
 
 class TestPaperBaselineBehaviour:
     """§2's characterisation of syntactic linting, reproduced exactly."""

@@ -283,9 +283,9 @@ class TestCommandSubstitution:
         calls = []
         real = parser_mod.parse_substitution
 
-        def counting(source, start, depth=0):
+        def counting(source, start, *args):
             calls.append(start)
-            return real(source, start, depth)
+            return real(source, start, *args)
 
         monkeypatch.setattr(parser_mod, "parse_substitution", counting)
         cmd = parse("echo $(" * 30 + "echo x" + ")" * 30)
@@ -322,3 +322,15 @@ class TestCommandSubstitution:
         command, end = parse_substitution(source, len("echo $("))
         assert source[:end] == "echo $(echo a)"
         assert [w.raw for w in command.words] == ["echo", "a"]
+
+    def test_commands_in_a_substitution_carry_script_positions(self):
+        source = "x=1\necho $(cd /tmp &&\n  echo `pwd`)\n"
+        [part] = parse(source).commands[1].words[1].parts
+        assert (part.command.left.pos.line, part.command.left.pos.col) == (2, 8)
+        inner = part.command.right
+        assert (inner.pos.line, inner.pos.col) == (3, 3)
+        assert inner.pos.offset == source.index("echo `")
+        # a backquoted body is parsed from its unescaped text, and its
+        # positions count from that text
+        [backquoted] = inner.words[1].parts
+        assert (backquoted.command.pos.line, backquoted.command.pos.col) == (1, 1)
