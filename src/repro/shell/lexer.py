@@ -321,32 +321,17 @@ class Lexer:
         return pos
 
 
+#: a heredoc delimiter's parts: an escaped character, a single- or
+#: double-quoted string, or unquoted text
+_DELIMITER_PART = re.compile(r"""\\(.)|'([^']*)'|"((?:[^"\\]|\\.)*)"|([^\\'"]+|.)""", re.S)
+
+
 def _strip_quotes(text: str) -> Tuple[str, bool]:
     """Remove quoting from a heredoc delimiter; report whether any quoting
     was present (quoted delimiters suppress expansion of the body)."""
-    result = []
-    quoted = False
-    idx = 0
-    while idx < len(text):
-        char = text[idx]
-        if char == "\\" and idx + 1 < len(text):
-            result.append(text[idx + 1])
-            quoted = True
-            idx += 2
-        elif char == "'":
-            end = text.index("'", idx + 1)
-            result.append(text[idx + 1 : end])
-            quoted = True
-            idx = end + 1
-        elif char == '"':
-            end = text.index('"', idx + 1)
-            result.append(text[idx + 1 : end])
-            quoted = True
-            idx = end + 1
-        else:
-            result.append(char)
-            idx += 1
-    return "".join(result), quoted
+    parts = list(_DELIMITER_PART.finditer(text))
+    quoted = any(part.lastindex < 4 for part in parts)
+    return "".join(part.group(part.lastindex) for part in parts), quoted
 
 
 def tokenize(source: str) -> List[Token]:

@@ -16,7 +16,7 @@ from its unescaped text.
 from __future__ import annotations
 
 import re
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, List, Optional
 
 from .ast import (
     ArithPart,
@@ -28,7 +28,7 @@ from .ast import (
     TildePart,
     Word,
 )
-from .lexer import SPECIAL_PARAMS, scan_backquote, scan_dollar
+from .lexer import SPECIAL_PARAMS, ShellSyntaxError, scan_backquote, scan_dollar
 from .tokens import Position
 
 if TYPE_CHECKING:
@@ -51,12 +51,14 @@ _BACKQUOTE_ESCAPE = re.compile(r"\\([`$\\])")
 
 
 class _WordParser:
-    def __init__(self, raw: str, parser: "Parser", base: int):
+    def __init__(self, raw: str, parser: "Parser", base: int, where: Position):
         self.raw = raw
         self.pos = 0
         self.parser = parser
-        #: the offset of ``raw`` in the parser's source
+        #: the offset of ``raw`` in the parser's source, and the position
+        #: a syntax error in it names (its word's)
         self.base = base
+        self.where = where
         self.parts: List[Part] = []
         self._literal: List[str] = []
         self._literal_quoted = False
@@ -157,7 +159,7 @@ class _WordParser:
                 self._parse_dollar(quoted=True)
             else:
                 self._parse_backquote(quoted=True)
-        raise ValueError(f"unterminated double quote in {raw!r}")
+        raise ShellSyntaxError("unterminated double quote", self.where)
 
     # -- expansions ----------------------------------------------------------------
 
@@ -202,16 +204,18 @@ class _WordParser:
         elif first.isalpha() or first == "_" or first.isdigit():
             name = _NAME_CHARS.match(body).group()
         else:
-            raise ValueError(f"bad parameter expansion ${{{body}}} in {self.raw!r}")
+            raise ShellSyntaxError(f"bad parameter expansion ${{{body}}}", self.where)
         rest = body[len(name) :]
         if not rest:
             self._push(ParamPart(name, quoted=quoted))
             return
         op = _PARAM_OP.match(rest)
         if op is None:
-            raise ValueError(f"unsupported parameter operator in ${{{body}}}")
+            raise ShellSyntaxError(f"unsupported parameter operator in ${{{body}}}", self.where)
         arg_start = start + len(name) + op.end()
-        arg = parse_word(self.raw[arg_start : self.pos - 1], Position(), self.parser, self.base + arg_start)
+        arg = parse_word(
+            self.raw[arg_start : self.pos - 1], Position(), self.parser, self.base + arg_start, self.where
+        )
         self._push(ParamPart(name, op=op.group(), arg=arg, quoted=quoted))
 
     def _parse_backquote(self, quoted: bool) -> None:
@@ -222,9 +226,12 @@ class _WordParser:
         self._push(CmdSubPart(self.parser.parse_backquoted(source), source=source, quoted=quoted))
 
 
-def parse_word(raw: str, pos: Position, parser: "Parser", base: int) -> Word:
+def parse_word(
+    raw: str, pos: Position, parser: "Parser", base: int, where: Optional[Position] = None
+) -> Word:
     """Parse raw word text, which starts at offset ``base`` of the
-    ``parser``'s source, into a structured :class:`Word`."""
+    ``parser``'s source, into a structured :class:`Word` at ``pos``; a
+    syntax error names ``where`` (by default ``pos``)."""
     if _UNQUOTED_RUN.fullmatch(raw) and not raw.startswith("~"):
         return Word(parts=[LiteralPart(raw)], raw=raw, pos=pos)  # the common case
-    return Word(parts=_WordParser(raw, parser, base).parse(), raw=raw, pos=pos)
+    return Word(parts=_WordParser(raw, parser, base, where or pos).parse(), raw=raw, pos=pos)

@@ -36,6 +36,16 @@ class TestAnalyzeCli:
         assert code == 1
         assert "dangerous-deletion" in out
 
+    @pytest.mark.parametrize("word", ["${x/a/b}", "${!x}", "${}", "${x:}"])
+    def test_a_bad_parameter_expansion_is_a_syntax_error(self, word, script_file, capsys):
+        """dash reports "Bad substitution" or "Missing '}'" for these; the
+        word parser used to crash on them (``internal-error``, exit 3)."""
+        path = script_file(f"echo ok\necho {word}\n")
+        code, out, _ = run_tool(cli.main_analyze, [path], capsys)
+        assert code == 1
+        assert "2:6: error[syntax-error]" in out
+        assert "internal-error" not in out
+
     def test_safe_script_exits_zero(self, script_file, capsys):
         path = script_file("echo hello\n")
         code, out, _ = run_tool(cli.main_analyze, [path], capsys)

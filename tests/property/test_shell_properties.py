@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.fs import normalise_concrete
-from repro.shell import TokenKind, parse, tokenize
+from repro.shell import ShellSyntaxError, TokenKind, parse, tokenize
 from repro.shell.ast import structure
 from repro.shell.printer import render
 
@@ -89,6 +89,19 @@ class TestRoundTrip:
         once = render(parse(source))
         twice = render(parse(once))
         assert once == twice
+
+
+class TestOnlySyntaxErrors:
+    """``parse`` of any word built from expansion, quoting and operator
+    characters either succeeds or raises :class:`ShellSyntaxError`."""
+
+    @given(st.lists(st.sampled_from(list("${}()\"'`\\;|&<> \n#xa:-=?+%*!@0")), max_size=24).map("".join))
+    @settings(max_examples=600, deadline=None)
+    def test_parse_raises_nothing_else(self, text):
+        try:
+            parse("echo " + text)
+        except ShellSyntaxError:
+            pass
 
 
 # -- token positions --------------------------------------------------------------
