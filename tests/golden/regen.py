@@ -20,7 +20,8 @@ when the parse fails, of the error's type, message and position.
 The inputs are the examples, the corpus, the safe and unsafe generator
 scripts of seeds 0-39, every ``tests/**/*.sh``, and every
 :data:`PREFIX_STEP`-th character prefix of each, so the error paths of
-unterminated constructs are pinned as well.
+unterminated constructs are pinned as well; and the
+:data:`SUBSTITUTIONS` table.
 
 Regenerate only when a change is meant to alter the reports::
 
@@ -47,6 +48,41 @@ PREFIX_STEP = 7
 #: the generator seeds ``perfbench/run.py`` analyses (its
 #: ``GENERATOR_SEEDS``; a test keeps the two equal)
 GENERATOR_SEEDS = (0, 1, 2, 4, 5, 6, 8, 9, 10, 11, 14, 15, 16, 18, 19)
+
+
+#: command substitutions whose end a second grammar (a parenthesis
+#: count) got wrong, each with the ``source`` of the first ``CmdSubPart``
+#: ``parse`` makes of it, or None where ``parse`` and ``dash -n`` both
+#: reject it (``tests/shell/test_dash_agreement.py`` asks dash)
+SUBSTITUTIONS = (
+    # the constructs mended before a body ended where its parse ends
+    ("x=$(# c )\necho hi)\n", "# c )\necho hi"),
+    ("echo $(echo a#b)\n", "echo a#b"),
+    ("echo $(echo a\\\n#b)\n", "echo a\\\n#b"),
+    ("echo $(case x in x) echo y;; esac)\n", "case x in x) echo y;; esac"),
+    ("echo $(echo `case x in x) echo y;; esac`)\n", "echo `case x in x) echo y;; esac`"),
+    ("echo $$(echo x y)\n", None),
+    # a heredoc, and a substitution in a parameter's operand
+    ("echo $(cat <<EOF\n)\nEOF\n)\n", "cat <<EOF\n)\nEOF\n"),
+    ('echo "${x:-$(echo })}"\n', "echo }"),
+    ("echo ${x:-$(echo })}\n", "echo }"),
+    # nested case, heredoc and comment
+    ("echo $(case x in (x) echo y;; esac)\n", "case x in (x) echo y;; esac"),
+    ("echo $(case a in a) echo $(case b in b) echo c;; esac);; esac)\n",
+     "case a in a) echo $(case b in b) echo c;; esac);; esac"),
+    ("echo $(case x in x) cat <<E\n)\nE\n;; esac)\n", "case x in x) cat <<E\n)\nE\n;; esac"),
+    ("echo $(case x in # a ) b\nx) echo y;; esac)\n", "case x in # a ) b\nx) echo y;; esac"),
+    ("echo $(# ) c\ncat <<'E'\n) # d\nE\n)\n", "# ) c\ncat <<'E'\n) # d\nE\n"),
+    ("echo $(cat <<E; echo ')'\n(\nE\n)\n", "cat <<E; echo ')'\n(\nE\n"),
+    ("x=$(case y in esac)\n", "case y in esac"),
+    ("echo $( (echo a) )\n", " (echo a) "),
+    ("echo $(echo ')' \")\")\n", "echo ')' \")\""),
+    # unterminated, or a syntax error in the body
+    ("echo $(case x in x) echo y;; esac\n", None),
+    ("echo $(cat <<EOF\n)\n", None),
+    ("echo $(if)\n", None),
+    ("echo $(echo a; fi)\n", None),
+)
 
 
 def cases() -> Iterator[Tuple[str, str, dict]]:
@@ -106,6 +142,8 @@ def parse_inputs() -> Iterator[Tuple[str, str]]:
         yield label, source
         for end in range(PREFIX_STEP, len(source), PREFIX_STEP):
             yield f"{label}@{end}", source[:end]
+    for index, (source, _) in enumerate(SUBSTITUTIONS):
+        yield f"substitutions/{index:02d}", source
 
 
 def dump(value) -> str:
