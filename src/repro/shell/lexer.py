@@ -18,11 +18,11 @@ scanner (:func:`scan_dquote`, :func:`scan_backquote`, :func:`scan_dollar`),
 shared with the word parser, so both find the same end.  A ``$(...)``
 ends where the parse of its body ends (POSIX XCU §2.6.3): a scanner that
 meets ``$(`` calls its ``command_sub`` with the body's offset, the parser
-parses the body from this source up to the ``)`` that closes it and
-returns the offset past that ``)``.  A body's positions are those of the
-script.  A ``$`` and a special parameter
-(``$$``, ``$?``, ``$1``, ...) are read as one unit everywhere, as the
-word parser reads them.
+parses the body from this source, with the script's positions, up to the
+``)`` that closes it and returns the offset past that ``)``.  No scanner
+knows a reserved word.  A ``$`` and a special parameter (``$$``,
+``$?``, ``$1``, ...) are read as one unit everywhere, as the word parser
+reads them.
 
 Heredocs are collected by the lexer (they are a line-level phenomenon) and
 attached to the ``<<``/``<<-`` operator token.
@@ -162,62 +162,43 @@ _TOKEN = re.compile(
 
 
 class Lexer:
-    """The tokens of ``source`` from ``start``, one per :meth:`next_token`;
-    ``origin`` is the position of ``start`` (by default line 1, column 1).
+    """The tokens of ``source`` from ``start``, one per :meth:`next_token`.
 
     ``parse_body`` finds where a ``$(...)`` ends: given the offset and
     position of its body, it parses the body and returns the offset past
-    its ``)`` (the parser passes the method that keeps the command).  A
-    lexer over a substitution's body (``substitution``) never reaches
-    the end of the source: the body's parse stops at its ``)``, so an
-    end of input there is an unterminated ``$(``.
+    its ``)`` (the parser passes the method that keeps the command).
+    With an ``origin`` (the position of ``start``) the lexer reads such a
+    body: its parse stops at its ``)``, so the end of input there is an
+    unterminated ``$(``.
     """
 
-    def __init__(
-        self,
-        source: str,
-        parse_body: Callable[[int, Position], int] = None,
-        start: int = 0,
-        origin: Position = None,
-        substitution: bool = False,
-    ):
+    def __init__(self, source: str, parse_body, start: int = 0, origin: Position = None):
         self.source = source
-        self.parse_body = parse_body or self._parse_alone
-        self.substitution = substitution
+        self.parse_body: Callable[[int, Position], int] = parse_body
+        self.substitution = origin is not None
         #: Heredoc operators on the current line awaiting their bodies,
         #: as (token, delimiter, strip_tabs) triples.
         self.pending_heredocs: List[Tuple[Token, str, bool]] = []
-        #: the position and offset of the token being lexed, where it
-        #: can open a ``$(``
-        self._token = (origin or Position(), start)
+        #: the line of the token being lexed and the offset of its column 1
+        self._line = (origin.line, start - origin.col + 1) if origin else (1, start)
         #: the next token, on each call; the end of input's EOF token
         #: again once it is reached
         self.next_token: Callable[[], Token] = self._tokens(start).__next__
 
-    def _parse_alone(self, start: int, origin: Position) -> int:
-        # a lexer without a parser still ends ``$(...)`` where its parse ends
-        from .parser import parse_substitution
-
-        return parse_substitution(self.source, start, origin=origin)[1]
-
     def _command_sub(self, start: int) -> int:
-        """The scanners' ``command_sub``: the body that starts at
-        ``start`` (in the token being lexed) parsed from its position."""
-        pos, begin = self._token
-        source = self.source
-        newlines = source.count("\n", begin, start)
+        """The scanners' ``command_sub``, for a body in the current token."""
+        source, (line, line_start) = self.source, self._line
+        newlines = source.count("\n", line_start, start)
         if newlines:
-            pos = Position(pos.line + newlines, start - source.rfind("\n", begin, start), start)
-        else:
-            pos = Position(pos.line, pos.col + start - begin, start)
-        return self.parse_body(start, pos)
+            line, line_start = line + newlines, source.rfind("\n", line_start, start) + 1
+        return self.parse_body(start, Position(line, start - line_start + 1, start))
 
     def _tokens(self, pos: int) -> Iterator[Token]:
         source, scan_word, match_token = self.source, self._scan_word, _TOKEN.match
         # a token's line is counted from the previous token's: ``mark`` is
         # that token's offset and ``line_start`` the offset its line starts at
-        origin, mark = self._token
-        line, line_start = origin.line, mark - origin.col + 1
+        line, line_start = self._line
+        mark = pos
         while True:
             match = match_token(source, pos)
             group = match.lastindex
@@ -231,14 +212,14 @@ class Lexer:
             start = Position(line, begin - line_start + 1, begin)
             if group == 4:
                 if source[pos : pos + 1] in _WORD_GOES_ON:
-                    self._token = start, begin
+                    self._line = line, line_start
                     pos = scan_word(pos)
                 text = source[begin:pos]
                 yield Token(WORD, text, start, text)
             elif group == 3:
                 token = Token(OPERATOR, match.group(3), start)
                 if token.text in ("<<", "<<-"):
-                    self._token = start, begin
+                    self._line = line, line_start
                     pos = self._register_heredoc(token, pos)
                 yield token
             elif group == 1:
@@ -253,7 +234,7 @@ class Lexer:
                     raise ShellSyntaxError("unterminated heredoc", start)
                 yield Token(EOF, "", start)
             else:  # a word opening with a quote or an expansion, or a name before < or >
-                self._token = start, begin
+                self._line = line, line_start
                 pos = scan_word(begin)
                 text = source[begin:pos]
                 yield Token(WORD, text, start, text)
@@ -336,8 +317,10 @@ def _strip_quotes(text: str) -> Tuple[str, bool]:
 
 def tokenize(source: str) -> List[Token]:
     """Tokenise ``source`` into a list ending with an EOF token."""
-    lexer = Lexer(source)
-    tokens = [lexer.next_token()]
+    from .parser import Parser  # a ``$(...)`` ends where the parse of its body ends
+
+    parser = Parser(source)
+    tokens = [parser.current]
     while tokens[-1].kind is not EOF:
-        tokens.append(lexer.next_token())
+        tokens.append(parser.lexer.next_token())
     return tokens

@@ -6,7 +6,7 @@ commands with assignments and redirections, pipelines, and-or lists,
 ``until``/``for``/``case``, and function definitions.
 
 The parser pulls tokens from the lexer as it needs them, looking at most
-three ahead.  A command substitution is parsed once, when the lexer
+one past the current one.  A command substitution is parsed once, when the lexer
 meets its ``$(``: :func:`parse_substitution` parses the body from the
 same source as a command list and stops at the ``)`` that closes it, so
 a ``)`` in a case pattern, a comment, a quote or a heredoc closes
@@ -73,26 +73,19 @@ class ParseDepthExceeded(ShellSyntaxError):
 
 
 class Parser:
-    """A parse of ``source`` from ``start``, whose position is ``origin``:
-    the whole script, or with ``substitution`` the body of a ``$(...)``
-    (see :func:`parse_substitution`).  ``depth`` is the nesting level
-    the parse starts at."""
+    """A parse of ``source``: the whole script, or with an ``origin`` the
+    body of a ``$(...)`` that starts there, at offset ``start`` (see
+    :func:`parse_substitution`).  ``depth`` is the nesting level the
+    parse starts at."""
 
-    def __init__(
-        self,
-        source: str,
-        start: int = 0,
-        depth: int = 0,
-        origin: Optional[Position] = None,
-        substitution: bool = False,
-    ):
+    def __init__(self, source: str, start: int = 0, depth: int = 0, origin: Position = None):
         self.source = source
         #: current nesting depth; inherited by the parses of command
         #: substitutions so they count toward the same ceiling
         self.depth = depth
         if depth > MAX_NESTING_DEPTH:
             self._too_deep(origin or Position())
-        self.lexer = Lexer(source, self._substitution, start, origin, substitution)
+        self.lexer = Lexer(source, self._substitution, start, origin)
         #: the parsed ``$(...)`` bodies of the words lexed so far, by the
         #: offset just past their ``$(``: the offset past the closing
         #: ``)`` and the command
@@ -151,7 +144,7 @@ class Parser:
     def _substitution(self, start: int, origin: Position) -> int:
         """The lexer met ``$(`` just before ``start``, at ``origin``: parse
         the body, one level deeper, and keep it for the word parser."""
-        command, end = parse_substitution(self.source, start, self.depth + 1, origin)
+        command, end = parse_substitution(self.source, start, origin, self.depth + 1)
         self.subs[start] = (end, command)
         return end
 
@@ -280,18 +273,11 @@ class Parser:
         return self._with_redirects(command)
 
     def _with_redirects(self, command: Command) -> Command:
-        redirects = self.parse_redirect_list()
-        if redirects:
-            command.redirects.extend(redirects)  # type: ignore[attr-defined]
-        return command
-
-    def parse_redirect_list(self) -> List[Redirect]:
-        redirects = []
-        while True:
+        redirect = self.try_parse_redirect()
+        while redirect is not None:
+            command.redirects.append(redirect)  # type: ignore[attr-defined]
             redirect = self.try_parse_redirect()
-            if redirect is None:
-                return redirects
-            redirects.append(redirect)
+        return command
 
     def try_parse_redirect(self) -> Optional[Redirect]:
         fd: Optional[int] = None
@@ -299,27 +285,16 @@ class Parser:
             # the lexer makes an IO number only of digits just before a
             # ``<`` or ``>``, so a redirect operator follows
             fd = int(self.take().text)
-        if self.current.kind is OPERATOR and self.current.text in REDIRECT_OPERATORS:
-            op_token = self.take()
-            if op_token.text in ("<<", "<<-"):
-                # The lexer attached the delimiter word and body.
-                target = Word(
-                    parts=[], raw=op_token.raw or "", pos=op_token.pos
-                )
-                return Redirect(
-                    op=op_token.text,
-                    target=target,
-                    fd=fd,
-                    heredoc_body=op_token.heredoc_body,
-                    heredoc_quoted=op_token.heredoc_quoted,
-                )
-            word_token = self.take()
-            if word_token.kind is not WORD:
-                raise self.error("redirect requires a target word", word_token)
-            return Redirect(
-                op=op_token.text, target=self.make_word(word_token), fd=fd
-            )
-        return None
+        if self.current.kind is not OPERATOR or self.current.text not in REDIRECT_OPERATORS:
+            return None
+        op = self.take()
+        if op.text in ("<<", "<<-"):  # the lexer attached the delimiter word and body
+            target = Word(parts=[], raw=op.raw or "", pos=op.pos)
+            return Redirect(op.text, target, fd, op.heredoc_body, op.heredoc_quoted)
+        word_token = self.take()
+        if word_token.kind is not WORD:
+            raise self.error("redirect requires a target word", word_token)
+        return Redirect(op.text, self.make_word(word_token), fd)
 
     def parse_simple_command(self) -> SimpleCommand:
         cmd = SimpleCommand(pos=self.current.pos)
@@ -487,16 +462,17 @@ def parse(source: str) -> Command:
         return Parser(source).parse_program()
     except RecursionError:
         # a nest of quotes and brackets the ceiling does not count
-        raise ParseDepthExceeded("nesting exceeds the interpreter's recursion limit", Position()) from None
+        message = "nesting exceeds the interpreter's recursion limit"
+        raise ParseDepthExceeded(message, Position()) from None
 
 
 def parse_substitution(
-    source: str, start: int, depth: int = 0, origin: Optional[Position] = None
+    source: str, start: int, origin: Position, depth: int = 0
 ) -> Tuple[Command, int]:
     """The body of the ``$(...)`` whose ``$(`` ends just before
     ``start``, at position ``origin``, parsed at nesting ``depth``: its
     command and the offset just past the ``)`` that closes it."""
-    parser = Parser(source, start, depth, origin, substitution=True)
+    parser = Parser(source, start, depth, origin)
     command = parser._parse_closed(")")
     closing = parser.current
     if parser.lexer.pending_heredocs:

@@ -86,8 +86,7 @@ class _WordParser:
         self.parts.append(part)
 
     def _sub_end(self, start: int) -> int:
-        """The lexer's scanners' ``command_sub``: past the ``)`` of the
-        ``$(`` that ends just before ``start``, as the parser found it."""
+        """The scanners' ``command_sub``: where the parser ended that body."""
         return self.parser.subs[self.base + start][0] - self.base
 
     # -- main -------------------------------------------------------------------
@@ -213,9 +212,8 @@ class _WordParser:
         if op is None:
             raise ShellSyntaxError(f"unsupported parameter operator in ${{{body}}}", self.where)
         arg_start = start + len(name) + op.end()
-        arg = parse_word(
-            self.raw[arg_start : self.pos - 1], Position(), self.parser, self.base + arg_start, self.where
-        )
+        operand = self.raw[arg_start : self.pos - 1]
+        arg = parse_word(operand, Position(), self.parser, self.base + arg_start, self.where)
         self._push(ParamPart(name, op=op.group(), arg=arg, quoted=quoted))
 
     def _parse_backquote(self, quoted: bool) -> None:

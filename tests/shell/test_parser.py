@@ -317,9 +317,10 @@ class TestCommandSubstitution:
         """The body's parse stops at its ``)``: the unterminated quote
         after it is the outer lexer's error, found after the body."""
         from repro.shell.parser import parse_substitution
+        from repro.shell.tokens import Position
 
         source = "echo $(echo a) 'oops"
-        command, end = parse_substitution(source, len("echo $("))
+        command, end = parse_substitution(source, 7, Position(1, 8, 7))
         assert source[:end] == "echo $(echo a)"
         assert [w.raw for w in command.words] == ["echo", "a"]
 
