@@ -445,9 +445,9 @@ def first_pos(node: Union[Command, None]) -> Optional[Position]:
     Compound nodes built by the parser sometimes carry a default
     position while their leaves are located; provenance (effect-graph
     origins, hazard diagnostics) wants the earliest real location.  The
-    commands of a substitution are not read: a ``$(...)`` body's start
-    after the command that holds it, and a backquoted body's count from
-    its own unescaped text.
+    commands of a substitution are not read: a ``$(...)`` body's
+    commands start after the command that holds it, and a backquoted
+    body's positions count from its own unescaped text.
     """
     best: Optional[Position] = None
     for sub in walk(node, substitutions=False):

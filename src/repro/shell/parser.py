@@ -6,11 +6,11 @@ commands with assignments and redirections, pipelines, and-or lists,
 ``until``/``for``/``case``, and function definitions.
 
 The parser pulls tokens from the lexer as it needs them, looking at most
-one past the current one.  A command substitution is parsed once, when the lexer
-meets its ``$(``: :func:`parse_substitution` parses the body from the
-same source as a command list and stops at the ``)`` that closes it, so
-a ``)`` in a case pattern, a comment, a quote or a heredoc closes
-nothing, and nothing past that ``)`` is lexed.  The command is kept in
+one past the current one.  A command substitution is parsed once, when
+the lexer meets its ``$(``: :func:`parse_substitution` parses the body
+from the same source as a command list and stops at the ``)`` that
+closes it, so a ``)`` in a case pattern, a comment, a quote or a heredoc
+closes nothing, and nothing past that ``)`` is lexed.  The command is kept in
 :attr:`Parser.subs` for the word parser, which puts it in the word's
 :class:`~repro.shell.ast.CmdSubPart`.  A backquoted body is parsed from
 its unescaped text (:meth:`Parser.parse_backquoted`).

@@ -166,8 +166,7 @@ class _WordParser:
         raw = self.raw
         char = raw[self.pos : self.pos + 1]
         if char == "{":
-            start = self.pos + 1
-            self.pos = scan_dollar(raw, start - 1, self._sub_end)
+            start, self.pos = self.pos + 1, scan_dollar(raw, self.pos, self._sub_end)
             self._parse_braced_param(start, quoted)
         elif char == "(":
             start = self.pos + 1
