@@ -303,8 +303,10 @@ class Lexer:
 
 
 #: a heredoc delimiter's parts: an escaped character, a single- or
-#: double-quoted string, or unquoted text
+#: double-quoted string, or unquoted text; inside double quotes a
+#: backslash quotes only ``$``, `` ` ``, ``"`` and itself
 _DELIMITER_PART = re.compile(r"""\\(.)|'([^']*)'|"((?:[^"\\]|\\.)*)"|([^\\'"]+|.)""", re.S)
+_DQ_ESCAPE = re.compile(r'\\([$`"\\])')
 
 
 def _strip_quotes(text: str) -> Tuple[str, bool]:
@@ -312,7 +314,8 @@ def _strip_quotes(text: str) -> Tuple[str, bool]:
     was present (quoted delimiters suppress expansion of the body)."""
     parts = list(_DELIMITER_PART.finditer(text))
     quoted = any(part.lastindex < 4 for part in parts)
-    return "".join(part.group(part.lastindex) for part in parts), quoted
+    unquoted = (p[p.lastindex] if p.lastindex != 3 else _DQ_ESCAPE.sub(r"\1", p[3]) for p in parts)
+    return "".join(unquoted), quoted
 
 
 def tokenize(source: str) -> List[Token]:

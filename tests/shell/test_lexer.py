@@ -184,6 +184,17 @@ class TestHeredoc:
         assert op.heredoc_quoted
         assert op.heredoc_body == "$HOME\n"
 
+    @pytest.mark.parametrize("word,delimiter", [
+        ('"a\\"b"', 'a"b'), ('"a\\xb"', "a\\xb"), ("a\\'b", "a'b"), ("'a\\'", "a\\"),
+    ])
+    def test_quote_removal_of_the_delimiter(self, word, delimiter):
+        """As in dash: inside double quotes a backslash quotes only
+        ``$``, `` ` ``, ``"`` and itself."""
+        toks = tokenize(f"cat <<{word}\nx\n{delimiter}\n")
+        op = next(t for t in toks if t.is_op("<<"))
+        assert op.heredoc_quoted
+        assert op.heredoc_body == "x\n"
+
     def test_dash_strips_tabs(self):
         toks = tokenize("cat <<-EOF\n\thello\n\tEOF\n")
         op = next(t for t in toks if t.is_op("<<-"))
