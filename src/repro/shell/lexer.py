@@ -17,15 +17,17 @@ match each, and a token's :class:`Position` is computed from its offset.
 scanner (:func:`scan_dquote`, :func:`scan_backquote`, :func:`scan_dollar`),
 shared with the word parser, so both find the same end.  A ``$(...)``
 ends where the parse of its body ends (POSIX XCU §2.6.3): a scanner that
-meets ``$(`` calls its ``command_sub`` with the body's offset, the parser
-parses the body from this source, with the script's positions, up to the
-``)`` that closes it and returns the offset past that ``)``.  No scanner
-knows a reserved word.  A ``$`` and a special parameter (``$$``,
+meets ``$(`` calls its ``command_sub`` with the body's offset and
+nesting level, the parser parses the body from this source, with the
+script's positions, up to the ``)`` that closes it and returns the offset
+past that ``)``.  The scanners count nesting toward the parser's
+:data:`MAX_NESTING_DEPTH`.  No scanner knows a reserved word.  A ``$`` and a special parameter (``$$``,
 ``$?``, ``$1``, ...) are read as one unit everywhere, as the word parser
 reads them.
 
-Heredocs are collected by the lexer (they are a line-level phenomenon) and
-attached to the ``<<``/``<<-`` operator token.
+Heredocs are collected by the lexer (they are a line-level phenomenon) at
+the end of their line, for the ``<<``/``<<-`` token or the redirect the
+parser built from it before that (:meth:`Lexer.send_heredoc`).
 """
 
 from __future__ import annotations
@@ -35,8 +37,15 @@ from typing import Callable, Iterator, List, Tuple
 
 from .tokens import EOF, IO_NUMBER, NEWLINE, OPERATOR, OPERATORS, WORD, Position, Token
 
-#: given the offset just past a ``$(``, the offset just past its ``)``
-CommandSub = Callable[[int], int]
+#: given the offset past a ``$(`` and its body's level, the offset past its ``)``
+CommandSub = Callable[[int, int], int]
+
+#: Nesting-depth ceiling: compound commands, function definitions, ``"``,
+#: ``${`` and ``$((`` each open a level, a ``$(`` or backquoted body two,
+#: so a level costs at most ~7 interpreter frames and any nest, as
+#: ``((((...))))`` or ``"${x:-"${x:-...``, trips it well inside CPython's
+#: recursion limit: a :class:`ParseDepthExceeded`, not a RecursionError.
+MAX_NESTING_DEPTH = 60
 
 
 class ShellSyntaxError(ValueError):
@@ -46,6 +55,14 @@ class ShellSyntaxError(ValueError):
         super().__init__(f"{message} at {pos}")
         self.message = message
         self.pos = pos
+
+
+class ParseDepthExceeded(ShellSyntaxError):
+    """Input nested deeper than :data:`MAX_NESTING_DEPTH`."""
+
+
+def too_deep(pos: Position) -> ParseDepthExceeded:
+    return ParseDepthExceeded(f"command nesting exceeds {MAX_NESTING_DEPTH} levels", pos)
 
 
 def _position(source: str, offset: int) -> Position:
@@ -61,10 +78,10 @@ def _unterminated(source: str, what: str) -> ShellSyntaxError:
 
 # -- bracket scanners ----------------------------------------------------------
 #
-# Each takes the offset just past a construct's opening and returns the
-# offset just past its closing.  A run pattern steps over everything that
-# cannot end or open a nested construct: plain characters, backslash
-# escapes and single-quoted strings.
+# Each takes the offset just past a construct's opening, at nesting level
+# ``depth``, and returns the offset just past its closing.  A run pattern
+# steps over what cannot end or open a nested construct: plain
+# characters, backslash escapes and single-quoted strings.
 
 #: the characters that name a special parameter after ``$``
 SPECIAL_PARAMS = "@*#?-$!0123456789"
@@ -78,15 +95,17 @@ _BRACE_RUN = re.compile(rf"""(?:[^\\'"`${{}}]+|\\.?|'[^']*'|{_PLAIN_DOLLAR})*"""
 _ARITH_RUN = re.compile(r"[^()]*")
 
 
-def scan_dquote(source: str, i: int, command_sub: CommandSub) -> int:
+def scan_dquote(source: str, i: int, command_sub: CommandSub, depth: int) -> int:
     """A double-quoted string; ``$`` and backquote expansions nest."""
+    if depth > MAX_NESTING_DEPTH:
+        raise too_deep(_position(source, i - 1))
     while True:
         i = _DQUOTE_RUN.match(source, i).end()
         char = source[i : i + 1]
         if char == '"':
             return i + 1
         if char == "$":
-            i = scan_dollar(source, i + 1, command_sub)
+            i = scan_dollar(source, i + 1, command_sub, depth)
         elif char == "`":
             i = scan_backquote(source, i + 1)
         else:
@@ -101,40 +120,43 @@ def scan_backquote(source: str, i: int) -> int:
     return i + 1
 
 
-def scan_dollar(source: str, i: int, command_sub: CommandSub) -> int:
-    """After a ``$``: past the ``{...}``, ``(...)`` or ``((...))`` it
-    opens, or ``i`` itself when it opens none of them."""
+def scan_dollar(source: str, i: int, command_sub: CommandSub, depth: int) -> int:
+    """After a ``$`` in a construct at level ``depth``: past the
+    ``{...}``, ``(...)`` or ``((...))`` it opens, one level deeper, or
+    ``i`` itself when it opens none of them."""
     char = source[i : i + 1]
     if char == "{":
-        return _scan_nested(source, i + 1, 1, "{}", _BRACE_RUN, "${", command_sub)
+        return _scan_nested(source, i + 1, 1, "{}", _BRACE_RUN, "${", command_sub, depth + 1)
     if char != "(":
         return i
     if source.startswith("(", i + 1):
-        return _scan_nested(source, i + 2, 2, "()", _ARITH_RUN, "$((", command_sub)
-    return command_sub(i + 1)
+        return _scan_nested(source, i + 2, 2, "()", _ARITH_RUN, "$((", command_sub, depth + 1)
+    return command_sub(i + 1, depth + 2)
 
 
 def _scan_nested(
-    source: str, i: int, depth: int, brackets: str, run, what: str, command_sub: CommandSub
+    source: str, i: int, count: int, brackets: str, run, what: str, command_sub, depth: int
 ) -> int:
     """``${...}`` (braces counted; quotes, backquotes and expansions
     hide their ``}``) or ``$((...))`` (parentheses counted, nothing
     else)."""
+    if depth > MAX_NESTING_DEPTH:
+        raise too_deep(_position(source, i - len(what)))  # at its opening
     opening, closing = brackets
     while True:
         i = run.match(source, i).end()
         char = source[i : i + 1]
         if char == opening:
-            depth += 1
+            count += 1
         elif char == closing:
-            depth -= 1
-            if not depth:
+            count -= 1
+            if not count:
                 return i + 1
         elif char == '"':
-            i = scan_dquote(source, i + 1, command_sub)
+            i = scan_dquote(source, i + 1, command_sub, depth + 1)
             continue
         elif char == "$":
-            i = scan_dollar(source, i + 1, command_sub)
+            i = scan_dollar(source, i + 1, command_sub, depth)
             continue
         elif char == "`":
             i = scan_backquote(source, i + 1)
@@ -164,34 +186,36 @@ _TOKEN = re.compile(
 class Lexer:
     """The tokens of ``source`` from ``start``, one per :meth:`next_token`.
 
-    ``parse_body`` finds where a ``$(...)`` ends: given the offset and
-    position of its body, it parses the body and returns the offset past
-    its ``)`` (the parser passes the method that keeps the command).
+    The ``parser`` finds where a ``$(...)`` ends: its
+    :meth:`~repro.shell.parser.Parser.substitution` parses the body at an
+    offset and position, at a nesting level, and returns the offset past
+    its ``)``; its ``depth`` is the nesting level of the word being lexed.
     With an ``origin`` (the position of ``start``) the lexer reads such a
     body: its parse stops at its ``)``, so the end of input there is an
     unterminated ``$(``.
     """
 
-    def __init__(self, source: str, parse_body, start: int = 0, origin: Position = None):
+    def __init__(self, source: str, parser, start: int = 0, origin: Position = None):
         self.source = source
-        self.parse_body: Callable[[int, Position], int] = parse_body
+        self.parser = parser
         self.substitution = origin is not None
-        #: Heredoc operators on the current line awaiting their bodies,
-        #: as (token, delimiter, strip_tabs) triples.
-        self.pending_heredocs: List[Tuple[Token, str, bool]] = []
+        #: Heredocs on the current line awaiting their bodies, as (receiver,
+        #: delimiter, strip_tabs): the receiver, the ``<<`` token or its
+        #: redirect, gets the body at the end of the line.
+        self.pending_heredocs: List[Tuple[object, str, bool]] = []
         #: the line of the token being lexed and the offset of its column 1
         self._line = (origin.line, start - origin.col + 1) if origin else (1, start)
         #: the next token, on each call; the end of input's EOF token
         #: again once it is reached
         self.next_token: Callable[[], Token] = self._tokens(start).__next__
 
-    def _command_sub(self, start: int) -> int:
+    def _command_sub(self, start: int, depth: int) -> int:
         """The scanners' ``command_sub``, for a body in the current token."""
         source, (line, line_start) = self.source, self._line
         newlines = source.count("\n", line_start, start)
         if newlines:
             line, line_start = line + newlines, source.rfind("\n", line_start, start) + 1
-        return self.parse_body(start, Position(line, start - line_start + 1, start))
+        return self.parser.substitution(start, Position(line, start - line_start + 1, start), depth)
 
     def _tokens(self, pos: int) -> Iterator[Token]:
         source, scan_word, match_token = self.source, self._scan_word, _TOKEN.match
@@ -242,14 +266,14 @@ class Lexer:
     def _scan_word(self, i: int) -> int:
         """A word's characters from ``i``: past its plain runs, quotes and
         expansions, up to the metacharacter (or end) that ends it."""
-        source, command_sub = self.source, self._command_sub
+        source, command_sub, depth = self.source, self._command_sub, self.parser.depth
         while True:
             i = _WORD.match(source, i).end()
             char = source[i : i + 1]
             if char == '"':
-                i = scan_dquote(source, i + 1, command_sub)
+                i = scan_dquote(source, i + 1, command_sub, depth + 1)
             elif char == "$":
-                i = scan_dollar(source, i + 1, command_sub)
+                i = scan_dollar(source, i + 1, command_sub, depth)
             elif char == "`":
                 i = scan_backquote(source, i + 1)
             elif char == "'":
@@ -277,9 +301,18 @@ class Lexer:
         token.raw = text
         return pos
 
+    def send_heredoc(self, token: Token, redirect) -> None:
+        """Have ``redirect``, built from ``<<`` ``token``, get its body
+        now if it is read, else at the end of the line."""
+        redirect.heredoc_body = token.heredoc_body
+        self.pending_heredocs = [
+            (redirect if receiver is token else receiver, delimiter, strip_tabs)
+            for receiver, delimiter, strip_tabs in self.pending_heredocs
+        ]
+
     def _collect_heredocs(self, pos: int) -> int:
         source = self.source
-        for token, delimiter, strip_tabs in self.pending_heredocs:
+        for receiver, delimiter, strip_tabs in self.pending_heredocs:
             lines: List[str] = []
             while True:
                 if pos >= len(source):
@@ -297,7 +330,7 @@ class Lexer:
                 if check == delimiter:
                     break
                 lines.append(check)
-            token.heredoc_body = "".join(line + "\n" for line in lines)
+            receiver.heredoc_body = "".join(line + "\n" for line in lines)
         self.pending_heredocs = []
         return pos
 

@@ -42,7 +42,7 @@ from .ast import (
     While,
     Word,
 )
-from .lexer import Lexer, ShellSyntaxError
+from .lexer import MAX_NESTING_DEPTH, Lexer, ParseDepthExceeded, ShellSyntaxError, too_deep
 from .tokens import (
     EOF,
     IO_NUMBER,
@@ -55,21 +55,8 @@ from .tokens import (
     Token,
 )
 
-#: Explicit nesting-depth ceiling: compound commands, function
-#: definitions and command substitutions each open one level.  Each level
-#: costs ~10 interpreter frames across the parser and the symbolic
-#: engine, so this keeps pathological inputs like ``((((...))))`` or
-#: ``$($($(...)))`` well inside CPython's recursion limit and turns them
-#: into a catchable :class:`ParseDepthExceeded` instead of a
-#: :class:`RecursionError`.
-MAX_NESTING_DEPTH = 60
-
 #: a word's leading ``NAME=`` (the name's first character is checked apart)
 _ASSIGNMENT = re.compile(r"(\w+)=")
-
-
-class ParseDepthExceeded(ShellSyntaxError):
-    """Input nested deeper than the parser's explicit guard."""
 
 
 class Parser:
@@ -80,12 +67,12 @@ class Parser:
 
     def __init__(self, source: str, start: int = 0, depth: int = 0, origin: Position = None):
         self.source = source
-        #: current nesting depth; inherited by the parses of command
-        #: substitutions so they count toward the same ceiling
+        #: current nesting depth; the lexer counts the quotes, brackets
+        #: and substitutions of a word on from it, toward the same ceiling
         self.depth = depth
         if depth > MAX_NESTING_DEPTH:
-            self._too_deep(origin or Position())
-        self.lexer = Lexer(source, self._substitution, start, origin)
+            raise too_deep(origin or Position())
+        self.lexer = Lexer(source, self, start, origin)
         #: the parsed ``$(...)`` bodies of the words lexed so far, by the
         #: offset just past their ``$(``: the offset past the closing
         #: ``)`` and the command
@@ -117,15 +104,11 @@ class Parser:
         token = token or self.current
         return ShellSyntaxError(message, token.pos)
 
-    def expect_word(self, text: str) -> Token:
+    def expect(self, text: str) -> Token:
+        """Take the token whose text is ``text`` (a reserved word's or an
+        operator's: an operator's text is never a word's)."""
         token = self.take()
-        if not token.is_word(text):
-            raise self.error(f"expected {text!r}, found {token.text!r}", token)
-        return token
-
-    def expect_op(self, text: str) -> Token:
-        token = self.take()
-        if not token.is_op(text):
+        if token.text != text:
             raise self.error(f"expected {text!r}, found {token.text!r}", token)
         return token
 
@@ -133,24 +116,22 @@ class Parser:
         while self.current.kind is NEWLINE:
             self.current = self._next()
 
-    def _too_deep(self, pos: Position) -> None:
-        raise ParseDepthExceeded(f"command nesting exceeds {MAX_NESTING_DEPTH} levels", pos)
-
     # -- words -----------------------------------------------------------
 
     def make_word(self, token: Token) -> Word:
         return words_mod.parse_word(token.text, token.pos, self, token.pos.offset)
 
-    def _substitution(self, start: int, origin: Position) -> int:
+    def substitution(self, start: int, origin: Position, depth: int) -> int:
         """The lexer met ``$(`` just before ``start``, at ``origin``: parse
-        the body, one level deeper, and keep it for the word parser."""
-        command, end = parse_substitution(self.source, start, origin, self.depth + 1)
+        the body at nesting level ``depth`` and keep it for the word
+        parser."""
+        command, end = parse_substitution(self.source, start, origin, depth)
         self.subs[start] = (end, command)
         return end
 
     def parse_backquoted(self, source: str) -> Command:
-        """Parse a backquoted body's unescaped text, one level deeper."""
-        return Parser(source, depth=self.depth + 1).parse_program()
+        """Parse a backquoted body's unescaped text, two levels deeper."""
+        return Parser(source, depth=self.depth + 2).parse_program()
 
     # -- entry -------------------------------------------------------------
 
@@ -173,21 +154,15 @@ class Parser:
 
     # -- command lists within compound constructs ----------------------------
 
-    _LIST_ENDERS = {"then", "else", "elif", "fi", "do", "done", "esac", "}"}
-
-    def _at_list_end(self) -> bool:
-        token = self.current
-        if token.kind is EOF:
-            return True
-        if token.kind is WORD and token.text in self._LIST_ENDERS:
-            return True
-        return token.is_op(")", ";;")
+    #: the texts of the tokens that end one: reserved words, the end of
+    #: input's and operators (no word's text is an operator's or empty)
+    _LIST_ENDERS = {"then", "else", "elif", "fi", "do", "done", "esac", "}", "", ")", ";;"}
 
     def parse_list(self) -> Command:
         """A command list terminated by a reserved word or closing token."""
         self.skip_newlines()
         commands: List[Command] = []
-        while not self._at_list_end():
+        while self.current.text not in self._LIST_ENDERS:
             commands.append(self.parse_and_or())
             if not self._separate(commands):
                 break
@@ -231,7 +206,7 @@ class Parser:
             commands.append(self.parse_command())
         if len(commands) == 1 and not negated:
             return first
-        return Pipeline(commands, negated=negated, pos=_pos_of(first))
+        return Pipeline(commands, negated=negated, pos=getattr(first, "pos", Position()))
 
     # -- commands ---------------------------------------------------------------
 
@@ -264,7 +239,7 @@ class Parser:
         self.depth += 1
         try:
             if self.depth > MAX_NESTING_DEPTH:
-                self._too_deep(token.pos)
+                raise too_deep(token.pos)
             if compound is None:
                 return self.parse_function_def(token)
             command = getattr(self, compound)()
@@ -273,10 +248,8 @@ class Parser:
         return self._with_redirects(command)
 
     def _with_redirects(self, command: Command) -> Command:
-        redirect = self.try_parse_redirect()
-        while redirect is not None:
+        while (redirect := self.try_parse_redirect()) is not None:
             command.redirects.append(redirect)  # type: ignore[attr-defined]
-            redirect = self.try_parse_redirect()
         return command
 
     def try_parse_redirect(self) -> Optional[Redirect]:
@@ -288,9 +261,11 @@ class Parser:
         if self.current.kind is not OPERATOR or self.current.text not in REDIRECT_OPERATORS:
             return None
         op = self.take()
-        if op.text in ("<<", "<<-"):  # the lexer attached the delimiter word and body
+        if op.text in ("<<", "<<-"):  # the lexer attached the delimiter word
             target = Word(parts=[], raw=op.raw or "", pos=op.pos)
-            return Redirect(op.text, target, fd, op.heredoc_body, op.heredoc_quoted)
+            redirect = Redirect(op.text, target, fd, heredoc_quoted=op.heredoc_quoted)
+            self.lexer.send_heredoc(op, redirect)
+            return redirect
         word_token = self.take()
         if word_token.kind is not WORD:
             raise self.error("redirect requires a target word", word_token)
@@ -326,45 +301,45 @@ class Parser:
     # -- compound commands ---------------------------------------------------------
 
     def parse_subshell(self) -> Subshell:
-        open_token = self.expect_op("(")
+        open_token = self.expect("(")
         body = self.parse_list()
-        self.expect_op(")")
+        self.expect(")")
         return Subshell(body, pos=open_token.pos)
 
     def parse_brace_group(self) -> BraceGroup:
-        open_token = self.expect_word("{")
+        open_token = self.expect("{")
         body = self.parse_list()
-        self.expect_word("}")
+        self.expect("}")
         return BraceGroup(body, pos=open_token.pos)
 
     def parse_if(self) -> If:
-        if_token = self.expect_word("if")
+        if_token = self.expect("if")
         cond = self.parse_list()
-        self.expect_word("then")
+        self.expect("then")
         then = self.parse_list()
         elifs: List[ElifClause] = []
         else_: Optional[Command] = None
         while self.current.is_word("elif"):
             self.take()
             elif_cond = self.parse_list()
-            self.expect_word("then")
+            self.expect("then")
             elifs.append(ElifClause(elif_cond, self.parse_list()))
         if self.current.is_word("else"):
             self.take()
             else_ = self.parse_list()
-        self.expect_word("fi")
+        self.expect("fi")
         return If(cond, then, elifs=elifs, else_=else_, pos=if_token.pos)
 
     def parse_while(self) -> While:
         kw_token = self.take()  # "while" or "until"
         cond = self.parse_list()
-        self.expect_word("do")
+        self.expect("do")
         body = self.parse_list()
-        self.expect_word("done")
+        self.expect("done")
         return While(cond, body, until=(kw_token.text == "until"), pos=kw_token.pos)
 
     def parse_for(self) -> For:
-        for_token = self.expect_word("for")
+        for_token = self.expect("for")
         name_token = self.take()
         if name_token.kind is not WORD:
             raise self.error("expected a variable name after 'for'", name_token)
@@ -381,19 +356,19 @@ class Parser:
         elif self.current.is_op(";"):
             self.take()
             self.skip_newlines()
-        self.expect_word("do")
+        self.expect("do")
         body = self.parse_list()
-        self.expect_word("done")
+        self.expect("done")
         return For(name_token.text, iter_words, body, pos=for_token.pos)
 
     def parse_case(self) -> Case:
-        case_token = self.expect_word("case")
+        case_token = self.expect("case")
         subject_token = self.take()
         if subject_token.kind is not WORD:
             raise self.error("expected a word after 'case'", subject_token)
         subject = self.make_word(subject_token)
         self.skip_newlines()
-        self.expect_word("in")
+        self.expect("in")
         self.skip_newlines()
         items: List[CaseItem] = []
         while not self.current.is_word("esac"):
@@ -405,7 +380,7 @@ class Parser:
             while self.current.is_op("|"):
                 self.take()
                 patterns.append(self._case_pattern())
-            self.expect_op(")")
+            self.expect(")")
             self.skip_newlines()
             body: Optional[Command] = None
             if not self.current.is_op(";;") and not self.current.is_word("esac"):
@@ -414,7 +389,7 @@ class Parser:
             if self.current.is_op(";;"):
                 self.take()
                 self.skip_newlines()
-        self.expect_word("esac")
+        self.expect("esac")
         return Case(subject, items=items, pos=case_token.pos)
 
     def _case_pattern(self) -> Word:
@@ -425,8 +400,8 @@ class Parser:
 
     def parse_function_def(self, name_token: Token) -> FunctionDef:
         """The rest of a function definition, after its name."""
-        self.expect_op("(")
-        self.expect_op(")")
+        self.expect("(")
+        self.expect(")")
         self.skip_newlines()
         body = self.parse_command()
         return FunctionDef(name_token.text, body, pos=name_token.pos)
@@ -447,23 +422,14 @@ def _sequence(commands: List[Command]) -> Command:
     return commands[0] if len(commands) == 1 else Sequence(commands)
 
 
-def _pos_of(command: Command) -> Position:
-    return getattr(command, "pos", Position())
-
-
 def parse(source: str) -> Command:
     """Parse shell ``source`` into a command AST.
 
     Construct nesting is bounded by :data:`MAX_NESTING_DEPTH`; exceeding
-    it, or the interpreter's recursion limit, raises
-    :class:`ParseDepthExceeded` rather than :class:`RecursionError`.
+    it raises :class:`ParseDepthExceeded` rather than
+    :class:`RecursionError`.
     """
-    try:
-        return Parser(source).parse_program()
-    except RecursionError:
-        # a nest of quotes and brackets the ceiling does not count
-        message = "nesting exceeds the interpreter's recursion limit"
-        raise ParseDepthExceeded(message, Position()) from None
+    return Parser(source).parse_program()
 
 
 def parse_substitution(

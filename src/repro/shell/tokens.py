@@ -82,7 +82,9 @@ class Token(Record):
     # ``raw``: for WORD tokens, the raw source slice including
     # quotes/expansions (``text`` equals ``raw`` for words; kept separate
     # for clarity).  ``heredoc_body``: for ``<<`` heredoc redirections,
-    # the collected body (filled by the lexer).  ``heredoc_quoted``: the
+    # the collected body (filled by the lexer at the end of the line,
+    # unless a redirect built from the token takes it; see
+    # ``Lexer.send_heredoc``).  ``heredoc_quoted``: the
     # heredoc delimiter was quoted (suppresses expansion).
     __slots__ = ("kind", "text", "pos", "raw", "heredoc_body", "heredoc_quoted")
 

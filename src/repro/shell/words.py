@@ -85,7 +85,7 @@ class _WordParser:
         self._flush()
         self.parts.append(part)
 
-    def _sub_end(self, start: int) -> int:
+    def _sub_end(self, start: int, depth: int) -> int:
         """The scanners' ``command_sub``: where the parser ended that body."""
         return self.parser.subs[self.base + start][0] - self.base
 
@@ -166,12 +166,12 @@ class _WordParser:
         raw = self.raw
         char = raw[self.pos : self.pos + 1]
         if char == "{":
-            start, self.pos = self.pos + 1, scan_dollar(raw, self.pos, self._sub_end)
+            start, self.pos = self.pos + 1, scan_dollar(raw, self.pos, self._sub_end, 0)
             self._parse_braced_param(start, quoted)
         elif char == "(":
             start = self.pos + 1
             if raw.startswith("(", start):
-                end = scan_dollar(raw, self.pos, self._sub_end)
+                end = scan_dollar(raw, self.pos, self._sub_end, 0)
                 self._push(ArithPart(raw[start + 1 : end - 2], quoted=quoted))
             else:
                 end, command = self.parser.subs[self.base + start]

@@ -65,6 +65,39 @@ class TestSimpleCommands:
         assert cmd.redirects[0].heredoc_body == "body\n"
 
 
+def _heredoc_bodies(command):
+    """The bodies of the heredocs of ``command``'s commands, in order."""
+    return [
+        redirect.heredoc_body
+        for node in walk(command)
+        for redirect in getattr(node, "redirects", ())
+        if redirect.op in ("<<", "<<-")
+    ]
+
+
+class TestHeredocBodies:
+    """A heredoc's body is read at the end of its line, which the parser
+    may take after it built the redirect; the redirect gets it then."""
+
+    SCRIPTS = [
+        ("cat <<EOF > out\nbody\nEOF\n", ["body\n"]),
+        ("cat <<A <<B\na\nA\nb\nB\n", ["a\n", "b\n"]),
+        ("cat <<EOF | sh\nx\nEOF\n", ["x\n"]),
+        ("cat <<E; echo x\nb\nE\n", ["b\n"]),
+        ("cat <<-E 2>&1\n\tb\n\tE\n", ["b\n"]),
+    ]
+
+    @pytest.mark.parametrize("source,bodies", SCRIPTS)
+    def test_at_the_top_level(self, source, bodies):
+        assert _heredoc_bodies(parse(source)) == bodies
+
+    @pytest.mark.parametrize("source,bodies", SCRIPTS)
+    def test_inside_a_substitution(self, source, bodies):
+        [part] = parse(f"echo $({source})").words[1].parts
+        assert part.source == source
+        assert _heredoc_bodies(part.command) == bodies
+
+
 class TestPipelinesAndLists:
     def test_pipeline(self):
         cmd = parse("a | b | c")
@@ -335,3 +368,32 @@ class TestCommandSubstitution:
         # positions count from that text
         [backquoted] = inner.words[1].parts
         assert (backquoted.command.pos.line, backquoted.command.pos.col) == (1, 1)
+
+
+class TestNestingCeiling:
+    """Every quote, bracket, substitution and compound command opens a
+    level of ``MAX_NESTING_DEPTH``, so a nest of any of them ends in
+    ``ParseDepthExceeded`` at the construct past the ceiling, before the
+    interpreter's recursion limit, however deep the caller's stack is."""
+
+    @pytest.mark.parametrize("opening,closing", [
+        ("echo $(", ")"), ("echo >$(", ")"), ('echo "$(', ')"'),
+        ('echo "${x:-$(', ')}"'), ('echo "${x:-"', '"}"'), ("echo ${x:-${x:-", "}}"),
+        ("( ", " )"), ("if a; then ", "; fi"),
+    ])
+    def test_a_thousand_deep_nest_stops_at_the_ceiling(self, opening, closing):
+        import sys
+
+        from repro.shell import ParseDepthExceeded
+
+        source = opening * 1000 + "echo hi" + closing * 1000
+
+        def beneath(frames):
+            return parse(source) if frames == 0 else beneath(frames - 1)
+
+        with pytest.raises(ParseDepthExceeded) as raised:
+            # a caller that already used 40 % of the interpreter's stack
+            beneath(sys.getrecursionlimit() * 2 // 5)
+        pos = raised.value.pos  # the construct's, or its body's
+        assert (pos.line, pos.col) == (1, pos.offset + 1)
+        assert len(opening) < pos.offset < len(source) // 2
